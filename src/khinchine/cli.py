@@ -191,8 +191,8 @@ def emit_report(args, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_phi(args) -> int:
-    phi = parse_phi(args.family)
     sub = args.subcommand
+    phi = None if sub == "kappa" else parse_phi(args.family)  # kappa has --phis
     if sub == "eval":
         payload = {"value": float(phi(args.lam)), "phi": phi.to_json(),
                    "membership": phi_membership_report(phi)}
@@ -341,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--samples", type=int, default=None,
-                        help="budget for sampling engines / enumeration")
+                        help="budget for sampling engines / enumeration; "
+                             "--engine auto on a symmetric law with even p "
+                             "needs none")
     common.add_argument("--engine", default="auto",
                         choices=["auto", "exact_enum", "convolution", "monte_carlo"])
     common.add_argument("--nmax", type=int, default=32)

@@ -159,9 +159,12 @@ class Distribution:
             return True
         if self.law == "centered_poisson":
             return False
-        # discrete: support is sorted; symmetric iff mirrored values and probs match
+        # discrete: support is sorted; symmetric iff mirrored values and probs
+        # match to 1e-12 absolute (no relative slack: the even-moment path
+        # drops the odd moments on this test)
         v, p = self.support, self.probs
-        return bool(np.allclose(v, -v[::-1], atol=1e-12) and np.allclose(p, p[::-1], atol=1e-12))
+        return bool(np.allclose(v, -v[::-1], rtol=0.0, atol=1e-12)
+                    and np.allclose(p, p[::-1], rtol=0.0, atol=1e-12))
 
     @property
     def satisfies_cramer(self) -> bool:
@@ -242,6 +245,21 @@ class Distribution:
 
     def lp_norm(self, p: float) -> float:
         return self.abs_moment(p) ** (1.0 / p)
+
+    def even_moments(self, k: int) -> np.ndarray:
+        """E X^(2i) for i = 0..k: closed forms for the continuous laws and
+        Rademacher, exact sums over `finite_support` for the lattice laws."""
+        i = np.arange(k + 1)
+        if self.law == "rademacher":
+            return np.ones(k + 1)
+        if self.law == "gaussian":
+            # sigma^(2i) (2i - 1)!!
+            s2 = self.params[0] ** 2
+            return np.cumprod(np.concatenate([[1.0], s2 * (2.0 * i[1:] - 1.0)]))
+        if self.law == "uniform_symmetric":
+            return self.params[0] ** (2.0 * i) / (2.0 * i + 1.0)
+        v, pr = self.finite_support()
+        return np.array([1.0] + [float(np.dot(pr, v ** (2 * j))) for j in i[1:]])
 
     # -- finite support -------------------------------------------------------
 

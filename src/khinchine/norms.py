@@ -93,7 +93,7 @@ class CoefficientVector:
 @dataclass(frozen=True)
 class NormEstimate:
     value: float
-    method: str  # exact_enum | convolution | monte_carlo | quadrature | grid_sup
+    method: str  # exact_enum | convolution | even_moments | monte_carlo | quadrature | grid_sup
     ci_halfwidth: float = 0.0
     meta: dict = field(default_factory=dict)
 
@@ -177,6 +177,40 @@ def sum_distribution(d: Distribution, a: CoefficientVector, engine: str = "auto"
     raise ValueError(f"unknown exact engine {engine!r}")
 
 
+def _even_sum_moments(d: Distribution, a: CoefficientVector, top: int) -> list:
+    """E S^(2i) for i = 0..top, S = sum a_k X_k with X symmetric, adding one
+    coordinate at a time: m'_{2i} = sum_j C(2i, 2j) a^(2j) mu_{2j} m_{2i-2j}.
+    Odd moments vanish, so every term is >= 0 and nothing cancels."""
+    mu = d.even_moments(top).tolist()
+    binom = [[float(math.comb(2 * i, 2 * j)) for j in range(i + 1)] for i in range(top + 1)]
+    m = [1.0] + [0.0] * top
+    for ak in a.entries:
+        a2 = float(ak) * float(ak)
+        w = [mu[j] * a2 ** j for j in range(top + 1)]
+        m = [math.fsum(binom[i][j] * w[j] * m[i - j] for j in range(i + 1))
+             for i in range(top + 1)]
+    return m
+
+
+def sum_abs_moments(d: Distribution, a: CoefficientVector, ps, engine: str = "auto",
+                    budget: int | None = None):
+    """(E|S|^p for every p in ps, method, support points or None) for
+    S = sum a_k X_k through an exact path.
+
+    Under engine="auto", a symmetric law with every p an even integer takes
+    the even-moment recursion, which builds no support and so needs no
+    budget; anything else builds the law once with `sum_distribution` and
+    evaluates every p from it.
+    """
+    even = all(float(p).is_integer() and int(p) % 2 == 0 for p in ps)
+    if engine == "auto" and even and d.is_symmetric:
+        m = _even_sum_moments(d, a, max(int(p) // 2 for p in ps))
+        return [m[int(p) // 2] for p in ps], "even_moments", None
+    vals, probs, method = sum_distribution(d, a, engine, budget)
+    absv = np.abs(vals)
+    return [float(np.dot(probs, absv ** p)) for p in ps], method, int(vals.size)
+
+
 # ---------------------------------------------------------------------------
 # weighted-sum L_p norm
 # ---------------------------------------------------------------------------
@@ -189,8 +223,10 @@ def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
     Engines: exact_enum (finite support, product states within budget),
     convolution (lattice laws, support collapsed at 1e-12), monte_carlo
     (budget = sample count, 3-sigma band on the p-th moment carried through
-    the 1/p root by the delta method), and auto (gaussian closed form, then
-    convolution, then enumeration; never silently samples).
+    the 1/p root by the delta method), and auto, which never silently
+    samples and tries in order: the gaussian closed form, even moments
+    (symmetric law, even integer p; exact at any n, no budget), convolution,
+    enumeration.
     """
     if p < 1:
         raise ValueError("weighted_sum_lp needs p >= 1")
@@ -220,10 +256,10 @@ def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
         return NormEstimate(value, "monte_carlo", ci_halfwidth=ci,
                             meta={"samples": samples, "seed": seed,
                                   "moment": m, "moment_se": se})
-    vals, probs, method = sum_distribution(d, a, engine, budget)
-    moment = float(np.dot(probs, np.abs(vals) ** p))
-    return NormEstimate(moment ** (1.0 / p), method,
-                        meta={"support_points": int(vals.size), "moment": moment})
+    (moment,), method, points = sum_abs_moments(d, a, [p], engine, budget)
+    meta = {} if points is None else {"support_points": points}
+    meta["moment"] = moment
+    return NormEstimate(moment ** (1.0 / p), method, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +398,28 @@ def gls_norm(d: Distribution, psi: PsiFunction, engine: str = "quadrature",
 def weighted_sum_gls(d: Distribution, a: CoefficientVector, psi: PsiFunction,
                      engine: str = "auto", budget: int | None = None,
                      seed: int = 0) -> NormEstimate:
-    """sup over the psi grid of ||sum a_k X_k||_p / psi(p)."""
+    """sup over the psi grid of ||sum a_k X_k||_p / psi(p).
+
+    The exact engines evaluate every p from one pass of `sum_abs_moments`
+    (one law build per weight vector); the gaussian closed form and Monte
+    Carlo go through `weighted_sum_lp` once per p.
+    """
+    ps = [float(p) for p in psi.p_grid]
+    if engine == "monte_carlo" or (engine in ("auto", "quadrature") and d.law == "gaussian"):
+        ests = [weighted_sum_lp(d, a, p, engine=engine, budget=budget, seed=seed)
+                for p in ps]
+    else:
+        moments, method, _ = sum_abs_moments(d, a, ps, engine, budget)
+        ests = [NormEstimate(m ** (1.0 / p), method) for m, p in zip(moments, ps)]
     best = -math.inf
     best_p = None
     method = None
     ci = 0.0
-    for p, psi_p in zip(psi.p_grid, psi.values):
-        est = weighted_sum_lp(d, a, float(p), engine=engine, budget=budget, seed=seed)
+    for p, psi_p, est in zip(ps, psi.values, ests):
         r = est.value / float(psi_p)
         if r > best:
             best = r
-            best_p = float(p)
+            best_p = p
             method = est.method
             ci = est.ci_halfwidth / float(psi_p)
     return NormEstimate(best, method, ci_halfwidth=ci, meta={"attained_p": best_p})

@@ -225,6 +225,10 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
                 if tuple(a.entries) < tuple(best_wit.entries):
                     best_wit = a
 
+    if best_wit is None:
+        raise EngineRefusal(
+            f"the exact engines refused all {refusals} candidates for {spec.label} "
+            f"on {d.label}; use the monte_carlo engine")
     return KhinchineEstimate(
         value=sign * best_val,
         direction="lower_bound_of_sup" if maximize else "upper_bound_of_inf",
@@ -245,7 +249,8 @@ def khinchine_sup(d: Distribution, spec: NormSpec, n_max: int = 32,
     Candidates: equal weights for every n <= n_max, the one-hot vector,
     two-level patterns, and coordinate-ascent local search on b = a_k^2 from
     `restarts` seeded starts. Engine refusals are recorded in the trace and
-    the candidate skipped; nothing silently falls back to sampling.
+    the candidate skipped; nothing silently falls back to sampling. When
+    every candidate is refused, EngineRefusal names the monte_carlo engine.
     """
     return _khinchine_search(d, spec, n_max, restarts, seed, True, engine, budget)
 

@@ -5,6 +5,7 @@ import pytest
 
 from khinchine.cli import main, parse_norm_spec, parse_p_grid, parse_weights
 from khinchine.entropy import FiniteMetricSpace
+from khinchine.genfun import parse_phi
 
 
 def run(capsys, argv):
@@ -115,6 +116,21 @@ def test_khinchine_sup_example(capsys):
     assert rep["report"]["value"] >= 1.2574
     assert rep["report"]["witness"]
     assert rep["seed"] == 1
+
+
+def test_phi_kappa_example(capsys):
+    code, rep = run_json(capsys, ["phi", "kappa", "--phis", "subgaussian,power:3",
+                                  "--lambda", "1.5"])
+    assert code == 0
+    floor = max(parse_phi(s)(1.5) for s in ("subgaussian", "power:3"))
+    assert rep["report"]["value"] >= floor * (1 - 1e-12)
+
+
+def test_khinchine_sup_all_refused_exit_two(capsys):
+    code = main(["khinchine", "sup", "--law", "uniform-symmetric:1", "--norm", "lp:3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "monte_carlo" in captured.err
 
 
 def test_entropy_dudley_csv_space(capsys, tmp_path):

@@ -78,6 +78,27 @@ def test_abs_moment_gaussian_p4():
     assert G1.abs_moment(4.0) == pytest.approx(3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [RAD, G1, Distribution.gaussian(2.0), SPOIS, UNIF,
+                               CPOIS, CATALOG[-1]], ids=lambda d: d.label)
+def test_even_moments_match_abs_moments(d):
+    mom = d.even_moments(4)
+    assert mom[0] == 1.0 and mom.size == 5
+    for i in range(1, 5):
+        assert mom[i] == pytest.approx(d.abs_moment(2.0 * i), rel=1e-9)
+
+
+def test_even_moments_closed_forms():
+    assert G1.even_moments(3).tolist() == [1.0, 1.0, 3.0, 15.0]
+    assert Distribution.uniform_symmetric(2.0).even_moments(2).tolist() == [1.0, 4.0 / 3.0, 16.0 / 5.0]
+
+
+def test_near_symmetric_discrete_law_is_not_symmetric():
+    # mirrored to 1e-6 relative, far above the 1e-12 absolute tolerance
+    d = Distribution.discrete([-1.000001, 1.0], [1.0 / 2.000001, 1.000001 / 2.000001])
+    assert not d.is_symmetric
+    assert Distribution.discrete([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25]).is_symmetric
+
+
 def test_abs_moment_poisson_truncated_series_oracle():
     # independent truncated series with its own pmf accumulation
     mu = 1.0

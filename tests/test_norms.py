@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from khinchine import norms
 from khinchine.distributions import Distribution
 from khinchine.genfun import PsiFunction, phi_natural, phi_subgaussian
 from khinchine.norms import (CoefficientVector, EngineRefusal, NormEstimate,
@@ -14,6 +17,9 @@ from khinchine.norms import (CoefficientVector, EngineRefusal, NormEstimate,
 RAD = Distribution.rademacher()
 G1 = Distribution.gaussian(1.0)
 CPOIS = Distribution.centered_poisson(1.0)
+SPOIS = Distribution.symmetrized_poisson(0.5)
+SYM_DISCRETE = Distribution.discrete([-2.0, -0.5, 0.0, 0.5, 2.0],
+                                     [0.1, 0.25, 0.3, 0.25, 0.1])
 PHI2 = phi_subgaussian()
 
 
@@ -191,6 +197,73 @@ def test_odd_moments_vanish_for_symmetric_laws():
 
 
 # ---------------------------------------------------------------------------
+# even-moment path (auto engine, symmetric law, even integer p)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d, n_max", [(RAD, 12), (SPOIS, 3), (SYM_DISCRETE, 6)],
+                         ids=["rademacher", "symmetrized_poisson", "discrete"])
+def test_even_moments_match_enumeration(d, n_max):
+    rng = np.random.default_rng(21)
+    for n in range(1, n_max + 1):
+        a = CoefficientVector.random_sphere(n, rng)
+        for p in (2.0, 4.0, 6.0, 8.0, 16.0):
+            mom = weighted_sum_lp(d, a, p)
+            enum = weighted_sum_lp(d, a, p, engine="exact_enum")
+            assert mom.method == "even_moments"
+            assert abs(mom.meta["moment"] - enum.meta["moment"]) <= 1e-13 * enum.meta["moment"]
+
+
+def test_even_moments_rademacher_fourth_moment_identity():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 40, 200):
+        a = CoefficientVector.random_sphere(n, rng)
+        est = weighted_sum_lp(RAD, a, 4.0)
+        oracle = 3.0 - 2.0 * float(np.sum(a.entries**4))
+        assert est.method == "even_moments"
+        assert est.meta["moment"] == pytest.approx(oracle, rel=1e-14)
+
+
+def test_even_moments_unit_variance_uniform():
+    # E X^4 = b^4 / 5 = 1.8 at b = sqrt(3), so E S^4 = 3 - 1.2 sum a^4
+    d = Distribution.uniform_symmetric(math.sqrt(3.0))
+    rng = np.random.default_rng(6)
+    for n in (1, 4, 64):
+        a = CoefficientVector.random_sphere(n, rng)
+        est = weighted_sum_lp(d, a, 4.0)
+        assert est.method == "even_moments"
+        assert est.meta["moment"] == pytest.approx(3.0 - 1.2 * float(np.sum(a.entries**4)),
+                                                   rel=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=10),
+       st.sampled_from([2.0, 4.0, 6.0, 8.0]))
+def test_even_moments_property_vs_enumeration(raw, p):
+    assume(math.fsum(x * x for x in raw) > 1e-6)
+    a = CoefficientVector.normalized(raw)
+    mom = weighted_sum_lp(RAD, a, p).meta["moment"]
+    enum = weighted_sum_lp(RAD, a, p, engine="exact_enum").meta["moment"]
+    assert abs(mom - enum) <= 1e-12 * enum
+
+
+def test_even_moments_need_a_symmetric_law_and_the_auto_engine():
+    a = CoefficientVector.equal(3)
+    assert weighted_sum_lp(CPOIS, a, 4.0).method == "convolution"
+    for engine in ("exact_enum", "convolution"):
+        est = weighted_sum_lp(RAD, a, 4.0, engine=engine)
+        assert est.method == engine and "support_points" in est.meta
+    assert weighted_sum_lp(RAD, a, 3.0).method == "convolution"
+
+
+def test_even_moments_need_no_budget():
+    a = CoefficientVector.random_sphere(40, np.random.default_rng(3))
+    est = weighted_sum_lp(RAD, a, 4.0, budget=16)
+    assert est.method == "even_moments"
+    assert est.meta["moment"] == pytest.approx(3.0 - 2.0 * float(np.sum(a.entries**4)),
+                                               rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # Grand Lebesgue norm
 # ---------------------------------------------------------------------------
 
@@ -232,6 +305,37 @@ def test_weighted_sum_gls():
     est = weighted_sum_gls(RAD, a, psi)
     oracle = max(weighted_sum_lp(RAD, a, float(p)).value / math.sqrt(p) for p in grid)
     assert est.value == pytest.approx(oracle, rel=1e-12)
+
+
+def test_weighted_sum_gls_equals_per_p_convolution_bitwise():
+    grid = np.arange(2.0, 17.0)
+    psi = PsiFunction.sqrt_p(grid)
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        a = CoefficientVector.random_sphere(int(rng.integers(2, 10)), rng)
+        est = weighted_sum_gls(RAD, a, psi)
+        ratios = [weighted_sum_lp(RAD, a, float(p), engine="convolution").value / float(s)
+                  for p, s in zip(psi.p_grid, psi.values)]
+        i = int(np.argmax(ratios))
+        assert est.value == ratios[i]
+        assert est.meta["attained_p"] == float(grid[i])
+        assert est.method == "convolution"
+
+
+def test_weighted_sum_gls_builds_the_law_once(monkeypatch):
+    calls = []
+    real = norms.sum_distribution
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(norms, "sum_distribution", counting)
+    psi = PsiFunction.sqrt_p(np.arange(2.0, 65.0))
+    for a in (CoefficientVector.equal(6), CoefficientVector.two_level(5, 2, 0.3)):
+        calls.clear()
+        weighted_sum_gls(RAD, a, psi)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,14 @@ def test_refusals_recorded_not_fatal():
     assert est.value >= (3.0 - 2.0 / 40.0) ** 0.25 - 1e-12
 
 
+def test_refusals_recorded_on_odd_p():
+    # odd p has no even-moment path, so the large random starts still refuse
+    est = khinchine_sup(RAD, NormSpec.lp(3.0), n_max=40, restarts=1, seed=2)
+    refused = [t for t in est.trace if "refused" in t]
+    assert est.meta["refusals"] > 0
+    assert est.meta["refusals"] == len(refused)
+
+
 def test_search_deterministic():
     a = khinchine_sup(RAD, LP4, n_max=8, restarts=2, seed=11)
     b = khinchine_sup(RAD, LP4, n_max=8, restarts=2, seed=11)
