@@ -86,8 +86,9 @@ def load_space(path: str) -> FiniteMetricSpace:
 # ---------------------------------------------------------------------------
 
 def _ball_masks(space: FiniteMetricSpace, eps: float) -> list[int]:
-    inball = space.rho <= eps
-    return [int(sum(1 << z for z in np.nonzero(row)[0])) for row in inball]
+    """Ball i as a Python int whose bit z is set when rho[i, z] <= eps."""
+    rows = np.packbits(space.rho <= eps, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _greedy_cover(masks: list[int], full: int) -> list[int]:
@@ -96,7 +97,7 @@ def _greedy_cover(masks: list[int], full: int) -> list[int]:
     while uncovered:
         best_i, best_gain = -1, -1
         for i, m in enumerate(masks):
-            gain = bin(m & uncovered).count("1")
+            gain = (m & uncovered).bit_count()
             if gain > best_gain:  # ties keep the lowest index
                 best_i, best_gain = i, gain
         chosen.append(best_i)
@@ -108,7 +109,7 @@ def _exact_cover(masks: list[int], full: int, upper: list[int]) -> list[int]:
     """Branch and bound minimum set cover; `upper` is a feasible solution."""
     n_pts = full.bit_length()
     covers = [[i for i, m in enumerate(masks) if (m >> z) & 1] for z in range(n_pts)]
-    max_ball = max(bin(m).count("1") for m in masks)
+    max_ball = max(m.bit_count() for m in masks)
     best = list(upper)
 
     def rec(uncovered: int, chosen: list[int]):
@@ -117,7 +118,7 @@ def _exact_cover(masks: list[int], full: int, upper: list[int]) -> list[int]:
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        need = -(-bin(uncovered).count("1") // max_ball)  # ceil
+        need = -(-uncovered.bit_count() // max_ball)  # ceil
         if len(chosen) + need >= len(best):
             return
         # branch on the uncovered point with the fewest candidate balls

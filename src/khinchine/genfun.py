@@ -9,6 +9,7 @@ a multiple of lambda^2 near 0, and is strictly increasing on [0, lambda0).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -183,6 +184,23 @@ def parse_phi(spec: str) -> GeneratingFunction:
 # inversion
 # ---------------------------------------------------------------------------
 
+def _power_inverse(phi: GeneratingFunction, y: np.ndarray) -> np.ndarray:
+    my = phi.m * y
+    return np.where(my <= 1.0, np.sqrt(my), my ** (1.0 / phi.m))
+
+
+#: closed-form inverse of each family, natural ones keyed by their law: the
+#: bracket seed of `phi_inverse_vec`. A seed only has to be accurate to about
+#: 1e-14 relative; a phi missing here is inverted from the plain bracket.
+_INVERSE_SEEDS = {
+    "subgaussian": lambda phi, y: np.sqrt(2.0 * y),
+    "power": _power_inverse,
+    "tabulated": lambda phi, y: np.interp(y, phi.knot_values, phi.knots),
+    "natural:gaussian": lambda phi, y: np.sqrt(2.0 * y) / phi.dist.params[0],
+    "natural:rademacher": lambda phi, y: y + np.log1p(np.sqrt(-np.expm1(-2.0 * y))),
+}
+
+
 def phi_inverse(phi: GeneratingFunction, y: float) -> float:
     """The lambda in [0, lambda0) with phi(lambda) = y, by monotone bisection.
 
@@ -193,25 +211,27 @@ def phi_inverse(phi: GeneratingFunction, y: float) -> float:
 
 
 def phi_inverse_vec(phi: GeneratingFunction, y: np.ndarray) -> np.ndarray:
+    """The lambda in [0, lambda0) with phi(lambda) = y, elementwise.
+
+    One bisection, `invert_increasing_vec`, serves every family. It starts
+    from the family's closed-form inverse in `_INVERSE_SEEDS` where there is
+    one and stops at its fixed point; a finite domain radius caps its bracket
+    at lambda0 (1 - 1e-12). Raises DomainError for y < 0, and when lambda0 is
+    finite and y exceeds the attainable range.
+    """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise DomainError("phi_inverse needs y >= 0")
+    key = phi.family if phi.dist is None else f"{phi.family}:{phi.dist.law}"
+    inverse = _INVERSE_SEEDS.get(key)
+    seed = None if inverse is None else functools.partial(inverse, phi)
     if phi.lambda0 == math.inf:
-        out = invert_increasing_vec(phi, y)
-    else:
-        hi = phi.lambda0 * (1 - 1e-12)
-        sup = phi(hi)
-        if np.any(y > sup * (1 + 1e-9)):
-            raise DomainError(f"y above attainable range sup = {sup!r} (finite domain radius)")
-        lo_a = np.zeros_like(y)
-        hi_a = np.full_like(y, hi)
-        for _ in range(200):
-            mid = 0.5 * (lo_a + hi_a)
-            below = phi(mid) < y
-            lo_a = np.where(below, mid, lo_a)
-            hi_a = np.where(below, hi_a, mid)
-        out = np.where(y == 0.0, 0.0, 0.5 * (lo_a + hi_a))
-    return out
+        return invert_increasing_vec(phi, y, seed=seed)
+    top = phi.lambda0 * (1 - 1e-12)
+    sup = phi(top)
+    if np.any(y > sup * (1 + 1e-9)):
+        raise DomainError(f"y above attainable range sup = {sup!r} (finite domain radius)")
+    return invert_increasing_vec(phi, y, hi_start=top, seed=seed, cap=top)
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +586,16 @@ def kappa_profile(phis, lam_grid, n_max: int = 32, restarts: int = 3, seed: int 
     for b in cands:
         vals, flagged = _candidate_profile(phis, b, lam_grid)
         discarded += int(flagged)
-        for i in range(lam_grid.size):
-            if vals[i] > best[i] + 1e-12:
-                best[i] = vals[i]
+        with np.errstate(invalid="ignore"):
+            better = vals > best + 1e-12
+            # a tie needs a finite best, so witness[i] is set there
+            tie = ~better & (np.abs(vals - best) <= 1e-12)
+        best = np.where(better, vals, best)
+        for i in np.flatnonzero(better):
+            witness[i] = b
+        for i in np.flatnonzero(tie):
+            if tuple(b) < tuple(witness[i]):
                 witness[i] = b
-            elif witness[i] is not None and abs(vals[i] - best[i]) <= 1e-12:
-                if tuple(b) < tuple(witness[i]):
-                    witness[i] = b
     meta = {"candidates": len(cands), "discarded_domain": discarded,
             "n_max": min(n_max, len(phis)), "direction": "lower_bound_of_sup"}
     return best, witness, meta

@@ -51,32 +51,67 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 400)
     return best[0], best[1]
 
 
-def invert_increasing_vec(f, y, hi_start: float = 1.0, iters: int = 200) -> np.ndarray:
+def invert_increasing_vec(f, y, hi_start: float = 1.0, iters: int = 200,
+                          seed=None, cap: float = math.inf) -> np.ndarray:
     """Solve f(x) = y elementwise for f increasing on [0, inf), f(0) = 0.
 
     f must be vectorized and may return +inf for large arguments. y must be
-    finite and >= 0; entries it cannot bracket keep growing until f overflows
-    to inf, which still brackets.
+    finite and >= 0; y = 0 returns 0. Bisection keeps f(lo) < y <= f(hi) and
+    returns the midpoint of its last bracket.
+
+    - Bracket: [0, hi_start]. An entry it cannot bracket multiplies its hi by
+      4 (at most 180 times, never past cap) until f overflows to inf, which
+      still brackets.
+    - seed(y), when given, is an approximate inverse g (a closed form). Where
+      [g(1 - 1e-14), g(1 + 1e-14)] satisfies the invariant it replaces the
+      bracket above, so bisection starts about 90 ulp wide.
+    - Stop: at most `iters` steps, and none after the first step that
+      changes neither lo nor hi, because every later step would repeat it.
+
+    Neither the seed nor the stop changes a bit of the result. Once lo and hi
+    are adjacent floats the midpoint is one of them, and while f does not
+    decrease in floating point only one adjacent pair straddles y, so every
+    valid bracket ends on it. A seed below the starting hi times
+    2**(60 - iters) is not used: from [0, hi] that many steps end before the
+    bracket is one ulp wide, and only that bracket reproduces where they end.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
+    live = y > 0.0
+    hi0 = min(hi_start, cap)
     lo = np.zeros_like(y)
-    hi = np.full_like(y, hi_start)
-    for _ in range(180):
+    # y = 0 starts at [0, 0], a fixed point, so it never holds up the stop
+    hi = np.where(live, hi0, 0.0)
+    grow = live & (hi < cap)
+    if seed is not None:
+        top = min(cap, hi0 * 4.0**180)  # the widest bracket the growth reaches
         with np.errstate(over="ignore", invalid="ignore"):
-            need = f(hi) < y
-        if not bool(np.any(need)):
+            g = seed(y)
+            g_lo = np.minimum(g * (1.0 - 1e-14), top)
+            g_hi = np.minimum(g * (1.0 + 1e-14), top)
+            f_lo, f_hi = np.split(f(np.concatenate([g_lo, g_hi])), 2)
+            seeded = live & (g_lo >= hi0 * 2.0 ** (60 - iters)) & (f_lo < y) & (f_hi >= y)
+        lo = np.where(seeded, g_lo, lo)
+        hi = np.where(seeded, g_hi, hi)
+        grow &= ~seeded
+    for _ in range(180):
+        if not grow.any():
             break
-        hi = np.where(need, hi * 4.0, hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow &= f(hi) < y
+        hi = np.where(grow, np.minimum(hi * 4.0, cap), hi)
+        grow &= hi < cap
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         with np.errstate(over="ignore", invalid="ignore"):
             below = f(mid) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
-    out = np.where(y == 0.0, 0.0, out)
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    out = np.where(live, 0.5 * (lo + hi), 0.0)
     return float(out[0]) if scalar else out
 
 
@@ -109,15 +144,19 @@ def substream(seed: int, *ids: int) -> np.random.Generator:
 def ordered_map(fn, items, threads: int = 1) -> list:
     """Map fn over items preserving order.
 
-    With threads > 1 the work runs on a thread pool; because every item is
-    independent and the reduction order is the input order, the result is
-    identical for any worker count.
+    With threads > 1 the items are split into one contiguous block per
+    worker (a task per item spends its time handing the lock over); because
+    every item is independent and the reduction order is the input order,
+    the result is identical for any worker count.
     """
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+    k = min(threads, len(items))
+    cuts = [len(items) * i // k for i in range(k + 1)]
+    with ThreadPoolExecutor(max_workers=k) as ex:
+        blocks = ex.map(lambda i: [fn(x) for x in items[cuts[i]:cuts[i + 1]]], range(k))
+        return [r for block in blocks for r in block]
 
 
 def log_cosh(x: np.ndarray) -> np.ndarray:

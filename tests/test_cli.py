@@ -200,6 +200,18 @@ def test_byte_identical_across_runs_and_threads(capsys):
             assert outs[0] == outs[1] == outs[2], f"nondeterministic: {cmd}"
 
 
+@pytest.mark.parametrize("cmd", [
+    ["verify", "thm31", "--law", "rademacher", "--phi", "subgaussian", "--trials", "7"],
+    ["verify", "pythagoras", "--phi", "subgaussian", "--trials", "5"],
+], ids=["thm31", "pythagoras"])
+def test_verify_stdout_identical_across_uneven_thread_blocks(capsys, cmd):
+    # odd trial counts split into blocks of unequal size
+    outs = {threads: run(capsys, cmd + ["--seed", "4", "--threads", threads])
+            for threads in ("1", "2", "3")}
+    assert outs["1"][0] == 0
+    assert outs["1"] == outs["2"] == outs["3"]
+
+
 def test_csv_format(capsys):
     code, out = run(capsys, ["phi", "legendre", "--family", "subgaussian",
                              "--u", "2", "--format", "csv"])

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from khinchine.entropy import (FieldModel, FiniteMetricSpace, covering_number,
-                               dudley_integral, dudley_integral_breakpoints,
-                               entropy_profile, field_sup_stats, load_space)
+from khinchine.entropy import (FieldModel, FiniteMetricSpace, _ball_masks,
+                               covering_number, dudley_integral,
+                               dudley_integral_breakpoints, entropy_profile,
+                               field_sup_stats, load_space)
 from khinchine.norms import CoefficientVector, bphi_norm
 from khinchine.distributions import Distribution
 from khinchine.genfun import phi_subgaussian
@@ -106,6 +107,21 @@ def test_centers_cover_the_space():
         covered |= set(np.nonzero(sp.rho[i] <= 0.25)[0])
     assert covered == set(range(11))
     assert len(centers) == count
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 300])
+def test_ball_masks_match_big_int_reference(n):
+    sp = FiniteMetricSpace.from_points(np.random.default_rng(n).random((n, 2)))
+    reference = [sum(1 << int(z) for z in np.nonzero(row)[0]) for row in sp.rho <= 0.2]
+    assert _ball_masks(sp, 0.2) == reference
+
+
+def test_centers_cover_300_random_planar_points():
+    sp = FiniteMetricSpace.from_points(np.random.default_rng(3).random((300, 2)))
+    count, exact, centers = covering_number(sp, 0.1)
+    idx = [sp.labels.index(c) for c in centers]
+    assert not exact and len(idx) == count
+    assert np.all(np.any(sp.rho[idx] <= 0.1, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ from khinchine.distributions import Distribution
 from khinchine.genfun import (DomainError, GeneratingFunction, PsiFunction,
                               biconjugate, conjugate_profile, conv_r_class,
                               kappa, legendre, orlicz_n, overline_phi,
-                              parse_phi, phi_inverse, phi_membership_report,
-                              phi_natural, phi_power, phi_subgaussian,
-                              phi_tabulated, psi_from_phi, tail_envelope)
+                              parse_phi, phi_inverse, phi_inverse_vec,
+                              phi_membership_report, phi_natural, phi_power,
+                              phi_subgaussian, phi_tabulated, psi_from_phi,
+                              tail_envelope)
+from khinchine.numerics import invert_increasing_vec
 
 PHI2 = phi_subgaussian()
 RAD = Distribution.rademacher()
@@ -56,6 +58,106 @@ def test_phi_inverse_finite_domain_range_error():
     tab = phi_tabulated([0.0, 1.0, 2.0], [0.0, 0.5, 2.0])
     with pytest.raises(DomainError, match="range"):
         phi_inverse(tab, 5.0)
+
+
+def bisect_200(f, y, hi_start=1.0, grow=True):
+    """The inverter as it was: 200 bisection steps, no seed, no early stop."""
+    lo = np.zeros_like(y)
+    hi = np.full_like(y, hi_start)
+    for _ in range(180 if grow else 0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            need = f(hi) < y
+        if not need.any():
+            break
+        hi = np.where(need, hi * 4.0, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            below = f(mid) < y
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(y == 0.0, 0.0, 0.5 * (lo + hi))
+
+
+TAB = phi_tabulated([0.0, 0.5, 1.0, 2.0, 4.0, 8.0], [0.0, 0.1, 0.5, 2.5, 9.0, 40.0])
+SEEDED_PHIS = [PHI2, phi_power(1.5), phi_power(3.0), LNCOSH,
+               phi_natural(Distribution.gaussian(2.0)), TAB]
+
+
+def dense_y(phi):
+    # both sides of the power splice phi = 1/m, and y = 0
+    y = np.concatenate([[0.0], np.geomspace(1e-12, 1e6, 20001),
+                        np.nextafter(1.0 / 1.5, [0.0, 1.0]), np.nextafter(1.0 / 3.0, [0.0, 1.0])])
+    if phi.lambda0 == math.inf:
+        return y
+    return y[y <= phi(phi.lambda0 * (1 - 1e-12))]
+
+
+def plain_inverse(phi, y):
+    if phi.lambda0 == math.inf:
+        return invert_increasing_vec(phi, y)
+    top = phi.lambda0 * (1 - 1e-12)
+    return invert_increasing_vec(phi, y, hi_start=top, cap=top)
+
+
+@pytest.mark.parametrize("phi", SEEDED_PHIS, ids=lambda p: p.label)
+def test_seeded_inverse_is_bitwise_the_unseeded_one(phi):
+    y = dense_y(phi)
+    seeded = phi_inverse_vec(phi, y)
+    assert np.array_equal(seeded, plain_inverse(phi, y))
+    if phi.lambda0 == math.inf:
+        assert np.array_equal(seeded, bisect_200(phi, y))
+    else:
+        top = phi.lambda0 * (1 - 1e-12)
+        assert np.array_equal(seeded, bisect_200(phi, y, hi_start=top, grow=False))
+
+
+def test_tiny_y_keeps_the_bits_of_200_unfinished_steps():
+    # 200 steps from [0, 1] stop short of x = sqrt(2y) ~ 1e-50, so the seed
+    # must not be used there
+    y = np.array([1e-300, 1e-100, 1e-80, 1e-60])
+    assert np.array_equal(phi_inverse_vec(PHI2, y), bisect_200(PHI2, y))
+
+
+def test_wrong_seed_falls_back_to_the_plain_bracket():
+    y = dense_y(PHI2)
+    for wrong in (lambda v: 2.0 * np.sqrt(2.0 * v), lambda v: 0.5 * np.sqrt(2.0 * v),
+                  lambda v: np.full_like(v, np.nan)):
+        assert np.array_equal(invert_increasing_vec(PHI2, y, seed=wrong), bisect_200(PHI2, y))
+
+
+def test_fixed_point_stop_is_bitwise_200_steps_without_seed():
+    uni = phi_natural(Distribution.uniform_symmetric(1.0))
+    y = dense_y(uni)
+    assert np.array_equal(phi_inverse_vec(uni, y), bisect_200(uni, y))
+
+
+@pytest.mark.parametrize("phi", SEEDED_PHIS, ids=lambda p: p.label)
+def test_seeded_inverse_needs_few_phi_calls(phi, monkeypatch):
+    calls = []
+    evaluate = GeneratingFunction.__call__
+
+    def counted(self, lam):
+        calls.append(1)
+        return evaluate(self, lam)
+
+    y = dense_y(phi)
+    monkeypatch.setattr(GeneratingFunction, "__call__", counted)
+    phi_inverse_vec(phi, y)
+    assert len(calls) <= 16
+
+
+def test_finite_domain_inverse_stays_inside_the_cap():
+    top = TAB.lambda0 * (1 - 1e-12)
+    sup = float(TAB(top))
+    assert phi_inverse(TAB, sup * (1 + 1e-10)) <= top
+    with pytest.raises(DomainError, match="range"):
+        phi_inverse(TAB, sup * (1 + 1e-8))
+    # a bracket that has to grow stops growing at the cap
+    y = np.array([0.5, 2.0, 50.0])  # lambda = 1, 2, 10
+    capped = invert_increasing_vec(PHI2, y, cap=3.0)
+    assert np.array_equal(capped[:2], invert_increasing_vec(PHI2, y[:2]))
+    assert capped[2] == 3.0
 
 
 # ---------------------------------------------------------------------------
