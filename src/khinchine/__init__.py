@@ -13,7 +13,7 @@ from .genfun import (ConjugateProfile, ConvClassResult, DomainError,
                      phi_natural, phi_power, phi_subgaussian, phi_tabulated,
                      psi_from_phi, tail_envelope)
 from .norms import (CoefficientVector, EngineRefusal, NormEstimate, bphi_norm,
-                    gls_norm, sum_distribution, weighted_sum_bphi,
+                    bphi_norms, gls_norm, sum_distribution, weighted_sum_bphi,
                     weighted_sum_gls, weighted_sum_lp)
 from .search import (KhinchineEstimate, NormSpec, khinchine_inf,
                      khinchine_sup, prelim_bounds)

@@ -38,7 +38,10 @@ class FiniteMetricSpace:
             raise ValueError("semi-distance matrix must be exactly symmetric")
         if np.any(np.diag(r) != 0.0):
             raise ValueError("semi-distance diagonal must be zero")
-        through = np.min(r[:, :, None] + r[None, :, :], axis=1)
+        # through[i, k] = min over j of r[i, j] + r[j, k], in O(n^2) memory
+        through = r[:, 0, None] + r[None, 0, :]
+        for j in range(1, n):
+            np.minimum(through, r[:, j, None] + r[None, j, :], out=through)
         if np.any(r > through + TRIANGLE_TOL):
             i, k = np.unravel_index(np.argmax(r - through), r.shape)
             raise ValueError(f"triangle inequality fails at pair ({i}, {k})")

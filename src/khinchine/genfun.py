@@ -210,14 +210,22 @@ def phi_inverse(phi: GeneratingFunction, y: float) -> float:
     return float(phi_inverse_vec(phi, np.array([float(y)]))[0])
 
 
+def phi_range(phi: GeneratingFunction) -> float:
+    """Largest y that `phi_inverse_vec` inverts: inf for an infinite domain
+    radius, else phi(lambda0 (1 - 1e-12)) with a 1e-9 relative allowance."""
+    if phi.lambda0 == math.inf:
+        return math.inf
+    return phi(phi.lambda0 * (1 - 1e-12)) * (1 + 1e-9)
+
+
 def phi_inverse_vec(phi: GeneratingFunction, y: np.ndarray) -> np.ndarray:
     """The lambda in [0, lambda0) with phi(lambda) = y, elementwise.
 
     One bisection, `invert_increasing_vec`, serves every family. It starts
     from the family's closed-form inverse in `_INVERSE_SEEDS` where there is
     one and stops at its fixed point; a finite domain radius caps its bracket
-    at lambda0 (1 - 1e-12). Raises DomainError for y < 0, and when lambda0 is
-    finite and y exceeds the attainable range.
+    at lambda0 (1 - 1e-12). Each element gets the same bits whatever else is
+    in y. Raises DomainError for y < 0, and for y above `phi_range(phi)`.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
@@ -227,10 +235,10 @@ def phi_inverse_vec(phi: GeneratingFunction, y: np.ndarray) -> np.ndarray:
     seed = None if inverse is None else functools.partial(inverse, phi)
     if phi.lambda0 == math.inf:
         return invert_increasing_vec(phi, y, seed=seed)
+    limit = phi_range(phi)
+    if np.any(y > limit):
+        raise DomainError(f"y above the attainable range {limit!r} (finite domain radius)")
     top = phi.lambda0 * (1 - 1e-12)
-    sup = phi(top)
-    if np.any(y > sup * (1 + 1e-9)):
-        raise DomainError(f"y above attainable range sup = {sup!r} (finite domain radius)")
     return invert_increasing_vec(phi, y, hi_start=top, seed=seed, cap=top)
 
 
@@ -456,8 +464,11 @@ def overline_phi(phi: GeneratingFunction, lam: float, n_cap: int = 1_000_000) ->
 def _kappa_candidates(phis, n_max: int, restarts: int, seed: int,
                       opt_lams) -> list[np.ndarray]:
     """Candidate weight vectors b (b_k = a_k^2 on the simplex over the first
-    n coordinates). Growing n_max only appends candidates, which keeps the
-    reported lower bound monotone in n_max."""
+    n coordinates), in the order (n, restart, lambda) for the ascents.
+
+    Growing `restarts` only adds candidates, and so does growing n_max from
+    a power of two. From any other n_max the two-level and ascent families
+    lose that n (3 -> 4 drops n = 3), so the lower bound can fall."""
     L = len(phis)
     N = min(n_max, L)
     cands: list[np.ndarray] = []
@@ -479,12 +490,12 @@ def _kappa_candidates(phis, n_max: int, restarts: int, seed: int,
                 b[:j] = w / j
                 cands.append(b.copy())
                 cands.append(b[::-1].copy())
+    if restarts < 1 or not opt_lams:
+        return cands
     for n in ns:
-        for r in range(restarts):
-            rng = substream(seed, 0xCA11, n, r)
-            b0 = rng.dirichlet(np.ones(n))
-            for lam in opt_lams:
-                cands.append(_ascend_simplex(phis[:n], float(lam), b0))
+        starts = [substream(seed, 0xCA11, n, r).dirichlet(np.ones(n)) for r in range(restarts)]
+        b0 = np.repeat(starts, len(opt_lams), axis=0)
+        cands.extend(_ascend_simplex_rows(phis[:n], np.tile(opt_lams, restarts), b0))
     return cands
 
 
@@ -500,46 +511,66 @@ def _group_phis(phis):
     return [(p, np.asarray(idx)) for p, idx in groups.values()]
 
 
-def _ascend_simplex(phis, lam: float, b0: np.ndarray,
-                    iters: int = 80) -> np.ndarray:
-    """Projected-gradient ascent of sum_k phi_k(lam * sqrt(b_k)) on the simplex."""
+def _ascend_simplex_rows(phis, lams: np.ndarray, b0: np.ndarray,
+                         iters: int = 80) -> np.ndarray:
+    """Projected-gradient ascent of sum_k phi_k(lam * sqrt(b_k)) on the
+    simplex from each row of b0, row r at lams[r]; returns the end points.
+
+    Every row keeps its own step and stops on its own: after `iters` steps,
+    at a zero or non-finite gradient scale, or when halving its step down to
+    1e-10 finds no gain over 1e-15. The rows are evaluated together, but
+    every row's arithmetic is elementwise or along that row alone (values
+    are fsum-ed over the phi groups per row), so each row ends on the bits of
+    an ascent from its start alone. That needs phi evaluated elementwise,
+    which holds for every family except natural over a discrete law: its
+    log-MGF is a BLAS matrix-vector product, whose last bits can depend on
+    how many points share the call.
+    """
     groups = _group_phis(phis)
-    b = b0.copy()
+    lams = np.asarray(lams, dtype=float)[:, None]
+    b = np.array(b0, dtype=float)
 
-    def value(bv):
+    def value(bv, lam):
         x = lam * np.sqrt(np.maximum(bv, 0.0))
-        return math.fsum(float(np.sum(p(x[idx]))) for p, idx in groups)
+        sums = [p(x[:, idx].ravel()).reshape(-1, idx.size).sum(axis=1) for p, idx in groups]
+        return np.array([math.fsum(row) for row in zip(*sums)])
 
-    def gradient(bv):
+    def gradient(bv, lam):
         x = lam * np.sqrt(np.maximum(bv, 1e-300))
         g = np.empty_like(bv)
         for p, idx in groups:
-            g[idx] = p.derivative(x[idx])
+            g[:, idx] = p.derivative(x[:, idx].ravel()).reshape(-1, idx.size)
         return g * lam / (2.0 * np.sqrt(np.maximum(bv, 1e-300)))
 
-    cur = value(b)
-    step = 0.5
+    cur = value(b, lams)
+    step = np.full(len(b), 0.5)
+    live = np.arange(len(b))
     for _ in range(iters):
-        grad = gradient(b)
-        scale = np.max(np.abs(grad))
-        if scale == 0 or not np.isfinite(scale):
+        if live.size == 0:
             break
-        improved = False
-        while step > 1e-10:
-            nb = project_simplex(b + step * grad / scale)
-            nv = value(nb)
-            if nv > cur + 1e-15:
-                b, cur = nb, nv
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        step = min(step * 2.0, 0.5)
+        grad = gradient(b[live], lams[live])
+        scale = np.max(np.abs(grad), axis=1)
+        moving = (scale != 0) & np.isfinite(scale)
+        live, grad, scale = live[moving], grad[moving], scale[moving]
+        improved = np.zeros(live.size, dtype=bool)
+        # masked line search: a row leaves it on a gain or at step <= 1e-10
+        search = np.flatnonzero(step[live] > 1e-10)
+        while search.size:
+            r = live[search]
+            nb = project_simplex(b[r] + step[r, None] * grad[search] / scale[search, None])
+            nv = value(nb, lams[r])
+            up = nv > cur[r] + 1e-15
+            b[r[up]] = nb[up]
+            cur[r[up]] = nv[up]
+            improved[search[up]] = True
+            step[r[~up]] *= 0.5
+            search = search[~up][step[r[~up]] > 1e-10]
+        live = live[improved]
+        step[live] = np.minimum(step[live] * 2.0, 0.5)
     return b
 
 
-def _candidate_profile(phis, b: np.ndarray, lam_grid: np.ndarray):
+def candidate_profile(phis, b: np.ndarray, lam_grid: np.ndarray):
     """Values sum_k phi_k(a_k*lam) across the lambda grid for one candidate.
 
     Candidates driving |a_k * lam| to a finite domain radius are discarded at
@@ -564,13 +595,26 @@ def _candidate_profile(phis, b: np.ndarray, lam_grid: np.ndarray):
     return vals, flagged
 
 
+def _tuple_ranks(cands) -> np.ndarray:
+    """Dense rank of each candidate in Python's tuple order; equal tuples
+    share a rank."""
+    keys = [tuple(b) for b in cands]
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return np.array([rank[k] for k in keys], dtype=np.int64)
+
+
 def kappa_profile(phis, lam_grid, n_max: int = 32, restarts: int = 3, seed: int = 0):
     """Lower estimate of kappa(lam) = sup_n sup_{a in D(n)} sum phi_k(a_k lam)
     across a lambda grid.
 
     Returns (values, witnesses, meta); witnesses[i] is the best weight vector
-    b at lam_grid[i]. The value is explicitly a lower bound of the sup: only
-    the enumerated and locally optimized candidates are examined.
+    b at lam_grid[i]: the first candidate that beats every earlier one by more
+    than 1e-12, or, among candidates within 1e-12 of it, the least as a tuple.
+    The value is explicitly a lower bound of the sup: only the enumerated and
+    locally optimized candidates are examined. The simplex ascents run as one
+    stacked batch per n; values, witnesses and meta do not depend on that
+    batching (each start ends on the bits it would reach alone; see
+    `_ascend_simplex_rows` for the one family where that needs care).
     """
     if n_max < 1:
         raise DomainError("kappa needs n_max >= 1")
@@ -580,22 +624,22 @@ def kappa_profile(phis, lam_grid, n_max: int = 32, restarts: int = 3, seed: int 
         idx = np.linspace(0, len(opt_lams) - 1, 8).round().astype(int)
         opt_lams = [opt_lams[i] for i in idx]
     cands = _kappa_candidates(list(phis), n_max, restarts, seed, opt_lams)
+    rank = _tuple_ranks(cands)
     best = np.full(lam_grid.shape, -np.inf)
-    witness = [None] * lam_grid.size
+    wi = np.full(lam_grid.shape, -1)  # index into cands of each witness
     discarded = 0
-    for b in cands:
-        vals, flagged = _candidate_profile(phis, b, lam_grid)
+    for j, b in enumerate(cands):
+        vals, flagged = candidate_profile(phis, b, lam_grid)
         discarded += int(flagged)
         with np.errstate(invalid="ignore"):
             better = vals > best + 1e-12
-            # a tie needs a finite best, so witness[i] is set there
+            # a tie needs a finite best, so a witness is held there
             tie = ~better & (np.abs(vals - best) <= 1e-12)
+        held = wi >= 0
+        tie &= held
+        wi = np.where(better | (tie & (rank[j] < rank[np.where(held, wi, 0)])), j, wi)
         best = np.where(better, vals, best)
-        for i in np.flatnonzero(better):
-            witness[i] = b
-        for i in np.flatnonzero(tie):
-            if tuple(b) < tuple(witness[i]):
-                witness[i] = b
+    witness = [cands[w] if w >= 0 else None for w in wi]
     meta = {"candidates": len(cands), "discarded_domain": discarded,
             "n_max": min(n_max, len(phis)), "direction": "lower_bound_of_sup"}
     return best, witness, meta

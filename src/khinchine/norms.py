@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution
-from .genfun import DomainError, GeneratingFunction, PsiFunction, phi_inverse_vec
+from .genfun import (DomainError, GeneratingFunction, PsiFunction, phi_inverse_vec,
+                     phi_range)
 from .numerics import (NORM_GRID_HI, NORM_GRID_LO, collapse_support,
                        geometric_grid, ordered_map, substream)
 
@@ -285,69 +286,111 @@ def bphi_norm(source, phi: GeneratingFunction, lambda_grid=None,
     sup is frequently attained only in that limit and a pure grid misses it.
     The incumbent grid maximizer is then refined on shrinking geometric
     windows. Overflowing grid points truncate the grid and set a flag.
+
+    This is the one-source call of `bphi_norms`; the result does not depend
+    on being computed alone or in a batch.
     """
-    if isinstance(source, Distribution):
-        if not source.satisfies_cramer:
-            raise DomainError(f"law {source.label} fails Cramer's condition")
-        log_mgf = source.log_mgf
-        var = source.variance
-    else:
-        log_mgf = source
-        var = variance if variance is not None else _estimate_variance(source)
+    return bphi_norms([source], phi, lambda_grid, [variance], refine_rounds)[0]
+
+
+def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None,
+               variances=None, refine_rounds: int = 3) -> list:
+    """`bphi_norm` of several sources on one lambda grid, one NormEstimate
+    per source (variances[r], default None, goes with sources[r]).
+
+    Each round inverts phi once for the finite log-MGF values of every
+    source. Everything else is per source: its argmax, its refinement
+    windows, and its `truncated` and `unbounded` flags; a source whose
+    log-MGF exceeds a finite phi range is unbounded alone. Because the
+    inversion works elementwise, estimate r has the bits of
+    `bphi_norm(sources[r], phi, lambda_grid, variances[r])` (for natural phi
+    over a discrete law only as far as its BLAS-evaluated log-MGF is
+    elementwise).
+    """
+    if variances is None:
+        variances = [None] * len(sources)
+    log_mgfs, vars_ = [], []
+    for source, variance in zip(sources, variances):
+        if isinstance(source, Distribution):
+            if not source.satisfies_cramer:
+                raise DomainError(f"law {source.label} fails Cramer's condition")
+            log_mgfs.append(source.log_mgf)
+            vars_.append(source.variance)
+        else:
+            log_mgfs.append(source)
+            vars_.append(variance if variance is not None else _estimate_variance(source))
 
     if lambda_grid is None:
         hi = NORM_GRID_HI if phi.lambda0 == math.inf else phi.lambda0 * (1 - 1e-12)
         lambda_grid = geometric_grid(min(NORM_GRID_LO, hi / 10), hi)
     grid = np.asarray(lambda_grid, dtype=float)
     step = grid[1] / grid[0] if grid.size > 1 else 2.0
+    limit = phi_range(phi)
+    rows = len(log_mgfs)
+    truncated = [False] * rows
+    unbounded = [False] * rows
 
-    truncated = False
-    unbounded = False
-
-    def ratios(lams):
-        nonlocal truncated, unbounded
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = np.maximum(log_mgf(lams), log_mgf(-lams))
-        ok = np.isfinite(y)
-        if not np.all(ok):
-            truncated = True
-        out = np.full(lams.shape, -np.inf)
-        if np.any(ok):
-            try:
-                out[ok] = phi_inverse_vec(phi, np.maximum(y[ok], 0.0)) / lams[ok]
-            except DomainError:
+    def ratios(lams_by_row):
+        outs, oks, ys = [], [], []
+        for r, (log_mgf, lams) in enumerate(zip(log_mgfs, lams_by_row)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = np.maximum(log_mgf(lams), log_mgf(-lams))
+            ok = np.isfinite(y)
+            if not np.all(ok):
+                truncated[r] = True
+            y = np.maximum(y[ok], 0.0)
+            if np.any(y > limit):
                 # finite phi range exceeded: the norm is infinite
-                unbounded = True
-        return out
+                unbounded[r] = True
+                ok, y = np.zeros_like(ok), y[:0]
+            outs.append(np.full(lams.shape, -np.inf))
+            oks.append(ok)
+            ys.append(y)
+        stacked = np.concatenate(ys)
+        inv = phi_inverse_vec(phi, stacked) if stacked.size else stacked
+        at = 0
+        for out, ok, y, lams in zip(outs, oks, ys, lams_by_row):
+            out[ok] = inv[at:at + y.size] / lams[ok]
+            at += y.size
+        return outs
 
-    vals = ratios(grid)
-    best_i = int(np.argmax(vals))
-    best_lam = float(grid[best_i])
-    best_val = float(vals[best_i])
+    best_lam, best_val = [], []
+    for vals in ratios([grid] * rows):
+        i = int(np.argmax(vals))
+        best_lam.append(float(grid[i]))
+        best_val.append(float(vals[i]))
     for _ in range(refine_rounds):
-        local = np.geomspace(best_lam / step, best_lam * step, 65)
-        if phi.lambda0 != math.inf:
-            local = local[local < phi.lambda0]
-        lv = ratios(local)
-        j = int(np.argmax(lv))
-        if lv[j] > best_val:
-            best_val = float(lv[j])
-            best_lam = float(local[j])
+        windows = []
+        for lam in best_lam:
+            local = np.geomspace(lam / step, lam * step, 65)
+            if phi.lambda0 != math.inf:
+                local = local[local < phi.lambda0]
+            windows.append(local)
+        for r, (local, lv) in enumerate(zip(windows, ratios(windows))):
+            j = int(np.argmax(lv))
+            if lv[j] > best_val[r]:
+                best_val[r] = float(lv[j])
+                best_lam[r] = float(local[j])
         step = step ** 0.25
 
-    meta = {"grid_points": int(grid.size), "argmax_lambda": best_lam,
-            "truncated": truncated}
     c2 = phi.curvature_at_zero
-    if var is not None and math.isfinite(var) and var >= 0:
-        zero_limit = math.sqrt(var / (2.0 * c2))
-        meta["zero_limit_candidate"] = zero_limit
-        if zero_limit > best_val:
-            best_val = zero_limit
-            meta["argmax_lambda"] = 0.0
-    if unbounded:
-        best_val = math.inf
-        meta["unbounded"] = True
-    return NormEstimate(max(best_val, 0.0), "grid_sup", meta=meta)
+    out = []
+    for r in range(rows):
+        val = best_val[r]
+        meta = {"grid_points": int(grid.size), "argmax_lambda": best_lam[r],
+                "truncated": truncated[r]}
+        var = vars_[r]
+        if var is not None and math.isfinite(var) and var >= 0:
+            zero_limit = math.sqrt(var / (2.0 * c2))
+            meta["zero_limit_candidate"] = zero_limit
+            if zero_limit > val:
+                val = zero_limit
+                meta["argmax_lambda"] = 0.0
+        if unbounded[r]:
+            val = math.inf
+            meta["unbounded"] = True
+        out.append(NormEstimate(max(val, 0.0), "grid_sup", meta=meta))
+    return out
 
 
 def weighted_sum_bphi(d: Distribution, a: CoefficientVector,

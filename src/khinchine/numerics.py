@@ -116,14 +116,17 @@ def invert_increasing_vec(f, y, hi_start: float = 1.0, iters: int = 200,
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
+    """Euclidean projection of each row (the last axis) of finite v onto the
+    probability simplex; a 1-d v is one row. Rows do not interact, so a row
+    projects to the same bits alone or in a stack."""
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[cond][-1] / rho
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    m = v.shape[-1]
+    cond = u - css / np.arange(1, m + 1) > 0
+    # theta from the last index where cond holds (cond holds at index 0)
+    last = (m - 1 - np.argmax(cond[..., ::-1], axis=-1))[..., None]
+    theta = np.take_along_axis(css, last, axis=-1) / (last + 1)
     return np.maximum(v - theta, 0.0)
 
 

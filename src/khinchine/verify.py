@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .genfun import (GeneratingFunction, PsiFunction, conv_r_class,
-                     kappa_profile, _candidate_profile, tail_envelope,
-                     phi_membership_report)
-from .norms import (CoefficientVector, bphi_norm, sum_distribution,
+from .genfun import (GeneratingFunction, PsiFunction, candidate_profile,
+                     conv_r_class, kappa_profile, phi_membership_report,
+                     tail_envelope)
+from .norms import (CoefficientVector, bphi_norm, bphi_norms, sum_distribution,
                     weighted_sum_bphi, weighted_sum_lp)
 from .numerics import geometric_grid, ordered_map, substream
 
@@ -154,7 +154,7 @@ def verify_thm32(d: Distribution, phi: GeneratingFunction, trials: int = 200,
         a = CoefficientVector.random_sphere(n, rng)
         z = np.multiply.outer(grid, a.entries)
         lhs = d.log_mgf(z.ravel()).reshape(z.shape).sum(axis=1)
-        cand, _ = _candidate_profile(phis, a.entries**2, grid * tau)
+        cand, _ = candidate_profile(phis, a.entries**2, grid * tau)
         rhs = np.maximum(kap, cand)  # fold the tested candidate into the sup
         return _min_logspace_slack(rhs, lhs)
 
@@ -217,7 +217,7 @@ def verify_thm41(laws, phis, trials: int = 1000, seed: int = 0,
         lhs = np.zeros_like(grid)
         for k in range(n):
             lhs = lhs + seq_laws[k].log_mgf(grid * a.entries[k])
-        cand, _ = _candidate_profile(seq_phis, a.entries**2, grid)
+        cand, _ = candidate_profile(seq_phis, a.entries**2, grid)
         rhs = np.maximum(kap, cand)
         return _min_logspace_slack(rhs, lhs)
 
@@ -315,11 +315,6 @@ def pythagoras_check(phi: GeneratingFunction, laws=None, trials: int = 1000,
         idx = rng.integers(0, len(pool), size=k)
         scales = rng.uniform(0.5, 1.5, size=k)
         parts = [(pool[i], c) for i, c in zip(idx, scales)]
-        rhs = 0.0
-        for law, c in parts:
-            nrm = bphi_norm(lambda lam, law=law, c=c: law.log_mgf(np.asarray(lam) * c),
-                            phi, variance=c * c * law.variance).value
-            rhs += nrm * nrm
 
         def log_mgf_sum(lam):
             lam = np.asarray(lam, dtype=float)
@@ -328,8 +323,16 @@ def pythagoras_check(phi: GeneratingFunction, laws=None, trials: int = 1000,
                 out = out + law.log_mgf(lam * c)
             return out
 
-        var = sum(c * c * law.variance for law, c in parts)
-        lhs = bphi_norm(log_mgf_sum, phi, variance=var).value ** 2
+        # the k part norms and the sum's norm in one batch
+        sources = [lambda lam, law=law, c=c: law.log_mgf(np.asarray(lam) * c)
+                   for law, c in parts] + [log_mgf_sum]
+        variances = [c * c * law.variance for law, c in parts]
+        variances.append(sum(variances))
+        *part_norms, sum_norm = bphi_norms(sources, phi, variances=variances)
+        rhs = 0.0
+        for est in part_norms:
+            rhs += est.value * est.value
+        lhs = sum_norm.value ** 2
         gaussian_only = all(law.law == "gaussian" for law, _ in parts)
         return lhs - rhs, gaussian_only, abs(lhs - rhs)
 

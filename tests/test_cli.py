@@ -212,6 +212,18 @@ def test_verify_stdout_identical_across_uneven_thread_blocks(capsys, cmd):
     assert outs["1"] == outs["2"] == outs["3"]
 
 
+@pytest.mark.parametrize("cmd", [
+    ["verify", "thm41", "--laws", "rademacher,gaussian:1", "--phis", "natural",
+     "--trials", "5"],
+    ["phi", "kappa", "--phis", "subgaussian,power:3", "--lambda", "1.5"],
+], ids=["thm41", "kappa"])
+def test_kappa_stdout_identical_across_threads(capsys, cmd):
+    outs = {threads: run(capsys, cmd + ["--seed", "4", "--threads", threads])
+            for threads in ("1", "2", "3")}
+    assert outs["1"][0] == 0
+    assert outs["1"] == outs["2"] == outs["3"]
+
+
 def test_csv_format(capsys):
     code, out = run(capsys, ["phi", "legendre", "--family", "subgaussian",
                              "--u", "2", "--format", "csv"])

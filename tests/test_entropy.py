@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,50 @@ def test_space_rejects_triangle_violation():
     rho = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="triangle"):
         FiniteMetricSpace(("a", "b", "c"), rho)
+
+
+def _planar(n, seed):
+    pts = np.random.default_rng(seed).random((n, 2))
+    return np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
+
+
+def test_triangle_check_memory_is_quadratic():
+    n = 300
+    rho = _planar(n, 1)
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace(tuple(range(n)), rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an n x n x n float array would be n / 10 times this bound (217 MB)
+    assert peak < 10 * n * n * 8
+
+
+def _shortcut_space(s, a, b):
+    # all distances 3, except a - s - b at 1 + 1: (a, b) violates through s only
+    rho = np.full((5, 5), 3.0)
+    np.fill_diagonal(rho, 0.0)
+    rho[a, s] = rho[s, a] = rho[s, b] = rho[b, s] = 1.0
+    return rho
+
+
+def _bumped_planar():
+    rho = _planar(60, 2)
+    for i, k, bump in ((3, 41, 0.4), (17, 29, 0.9), (50, 8, 0.6)):
+        rho[i, k] += bump
+        rho[k, i] = rho[i, k]
+    return rho
+
+
+@pytest.mark.parametrize("rho", [_bumped_planar(), _shortcut_space(0, 1, 3),
+                                 _shortcut_space(2, 4, 1), _shortcut_space(4, 0, 2)],
+                         ids=["planar", "first", "middle", "last"])
+def test_triangle_violation_names_the_n3_reference_pair(rho):
+    through = np.min(rho[:, :, None] + rho[None, :, :], axis=1)
+    i, k = np.unravel_index(np.argmax(rho - through), rho.shape)
+    with pytest.raises(ValueError, match=rf"triangle inequality fails at pair \({i}, {k}\)"):
+        FiniteMetricSpace(tuple(range(len(rho))), rho)
 
 
 def test_semi_distance_allows_zero_offdiagonal():

@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from khinchine import genfun
 from khinchine.distributions import Distribution
 from khinchine.genfun import (DomainError, GeneratingFunction, PsiFunction,
-                              biconjugate, conjugate_profile, conv_r_class,
-                              kappa, legendre, orlicz_n, overline_phi,
+                              biconjugate, candidate_profile, conjugate_profile,
+                              conv_r_class, kappa, kappa_profile, legendre,
+                              orlicz_n, overline_phi,
                               parse_phi, phi_inverse, phi_inverse_vec,
                               phi_membership_report, phi_natural, phi_power,
                               phi_subgaussian, phi_tabulated, psi_from_phi,
                               tail_envelope)
-from khinchine.numerics import invert_increasing_vec
+from khinchine.numerics import geometric_grid, invert_increasing_vec, project_simplex
 
 PHI2 = phi_subgaussian()
 RAD = Distribution.rademacher()
@@ -316,6 +320,170 @@ def test_kappa_dominates_first_component():
     for lam in (0.2, 1.0, 2.5):
         value, _, _ = kappa([LNCOSH, PHI2], lam, n_max=2, restarts=1, seed=0)
         assert value >= float(LNCOSH(lam)) - 1e-12
+
+
+# references for the batched ascent and the witness rule: the per-start
+# ascent, its 1-d simplex projection and the tuple tie-break loop they replaced
+
+def _project_simplex_1d(v):
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, v.size + 1)
+    cond = u - css / idx > 0
+    rho = idx[cond][-1]
+    theta = css[cond][-1] / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def _ascend_one(phis, lam, b0, iters=80):
+    groups = genfun._group_phis(phis)
+    b = b0.copy()
+
+    def value(bv):
+        x = lam * np.sqrt(np.maximum(bv, 0.0))
+        return math.fsum(float(np.sum(p(x[idx]))) for p, idx in groups)
+
+    def gradient(bv):
+        x = lam * np.sqrt(np.maximum(bv, 1e-300))
+        g = np.empty_like(bv)
+        for p, idx in groups:
+            g[idx] = p.derivative(x[idx])
+        return g * lam / (2.0 * np.sqrt(np.maximum(bv, 1e-300)))
+
+    cur = value(b)
+    step = 0.5
+    for _ in range(iters):
+        grad = gradient(b)
+        scale = np.max(np.abs(grad))
+        if scale == 0 or not np.isfinite(scale):
+            break
+        improved = False
+        while step > 1e-10:
+            nb = _project_simplex_1d(b + step * grad / scale)
+            nv = value(nb)
+            if nv > cur + 1e-15:
+                b, cur = nb, nv
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        step = min(step * 2.0, 0.5)
+    return b
+
+
+def _per_start(phis, lams, b0):
+    return np.array([_ascend_one(phis, float(lam), row) for lam, row in zip(lams, b0)])
+
+
+def _opt_lams(lam_grid):
+    # the ascent lambdas kappa_profile picks from its grid
+    lams = [float(x) for x in np.unique(np.abs(lam_grid[lam_grid != 0]))]
+    if len(lams) > 8:
+        lams = [lams[i] for i in np.linspace(0, len(lams) - 1, 8).round().astype(int)]
+    return lams
+
+
+def _tie_loop_profile(phis, lam_grid, n_max, restarts, seed):
+    """kappa_profile with the per-index tuple tie-break; also counts the
+    witnesses a tie replaced."""
+    cands = genfun._kappa_candidates(list(phis), n_max, restarts, seed, _opt_lams(lam_grid))
+    best = np.full(lam_grid.shape, -np.inf)
+    witness = [None] * lam_grid.size
+    tie_swaps = 0
+    for b in cands:
+        vals, _ = candidate_profile(phis, b, lam_grid)
+        with np.errstate(invalid="ignore"):
+            better = vals > best + 1e-12
+            tie = ~better & (np.abs(vals - best) <= 1e-12)
+        best = np.where(better, vals, best)
+        for i in np.flatnonzero(better):
+            witness[i] = b
+        for i in np.flatnonzero(tie):
+            if tuple(b) < tuple(witness[i]):
+                witness[i] = b
+                tie_swaps += 1
+    return best, witness, tie_swaps
+
+
+def _cycled(pool, n):
+    return [pool[k % len(pool)] for k in range(n)]
+
+
+TAB4 = phi_tabulated([0.0, 0.5, 1.0, 2.0, 3.0], [0.0, 0.125, 0.5, 2.0, 4.5])
+NAT_GAUSS = phi_natural(Distribution.gaussian(1.0))
+
+# (pool, lambda grid, n_max, restarts)
+KAPPA_POOLS = {
+    # the pool verify thm41 builds: two shared phi objects cycled to n_max
+    "thm41": (_cycled([LNCOSH, NAT_GAUSS], 32), geometric_grid(1e-4, 1e3), 32, 2),
+    "subgaussian32": ([PHI2] * 32, np.linspace(0.25, 4.0, 10), 32, 3),
+    # finite lambda0 = 3: every ascent stays inside the domain
+    "tabulated_power3": (_cycled([TAB4, phi_power(3.0)], 6), np.linspace(0.2, 2.9, 9), 6, 3),
+    "one_phi": ([LNCOSH], np.array([0.5, 1.5, 3.0]), 4, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KAPPA_POOLS))
+def test_batched_ascent_is_bitwise_the_per_start_loop(name, monkeypatch):
+    phis, grid, n_max, restarts = KAPPA_POOLS[name]
+    args = (phis, n_max, restarts, 7, _opt_lams(grid))
+    batched = genfun._kappa_candidates(*args)
+    monkeypatch.setattr(genfun, "_ascend_simplex_rows", _per_start)
+    reference = genfun._kappa_candidates(*args)
+    assert len(batched) == len(reference)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(batched, reference))
+    vals, wits, meta = kappa_profile(phis, grid, n_max=n_max, restarts=restarts, seed=7)
+    ref_vals, ref_wits, _ = _tie_loop_profile(phis, grid, n_max, restarts, 7)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert [w.tobytes() for w in wits] == [w.tobytes() for w in ref_wits]
+    assert meta["candidates"] == len(reference)
+
+
+def test_witness_ranks_match_the_tuple_tie_loop():
+    # at lambda <= 1e-4 every candidate's value is within 1e-12 of the best,
+    # so the witness there is decided by the tie rule alone
+    phis = _cycled([LNCOSH, NAT_GAUSS], 8)
+    grid = np.concatenate([geometric_grid(1e-7, 1e-4, 4), [0.0, 0.5, 2.0]])
+    vals, wits, _ = kappa_profile(phis, grid, n_max=8, restarts=2, seed=3)
+    ref_vals, ref_wits, tie_swaps = _tie_loop_profile(phis, grid, 8, 2, 3)
+    assert tie_swaps > 0
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert [w.tobytes() for w in wits] == [w.tobytes() for w in ref_wits]
+
+
+def test_row_projection_is_the_1d_projection():
+    rows = np.random.default_rng(5).normal(size=(40, 7))
+    rows[3] = 0.0
+    rows[4, :3] = 2.0  # tied entries
+    stacked = project_simplex(rows)
+    for row, out in zip(rows, stacked):
+        assert out.tobytes() == _project_simplex_1d(row).tobytes()
+        assert project_simplex(row).tobytes() == out.tobytes()
+
+
+KAPPA_CHOICES = (PHI2, phi_power(3.0), LNCOSH, POIS_NAT)
+
+
+@settings(max_examples=12, deadline=None)
+@given(pool=st.lists(st.integers(0, len(KAPPA_CHOICES) - 1), min_size=1, max_size=5),
+       lam=st.floats(0.05, 3.0), restarts=st.integers(0, 2), seed=st.integers(0, 99))
+def test_kappa_nondecreasing_in_restarts_and_n_max(pool, lam, restarts, seed):
+    # the candidate sets only grow; the 1e-12 tie tolerance can keep an
+    # earlier value that a later candidate beats by less than 1e-12
+    phis = [KAPPA_CHOICES[i] for i in pool]
+    grid = np.array([0.5 * lam, lam])
+    n = len(phis)
+
+    def prof(n_max, r):
+        return kappa_profile(phis, grid, n_max=n_max, restarts=r, seed=seed)[0]
+
+    assert np.all(prof(n, restarts + 1) >= prof(n, restarts) - 1e-12)
+    # from a power-of-two n_max every larger one keeps its candidates
+    m = 1
+    while m < n:
+        assert np.all(prof(n, restarts) >= prof(m, restarts) - 1e-12)
+        m *= 2
 
 
 # ---------------------------------------------------------------------------

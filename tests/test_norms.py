@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from khinchine import norms
 from khinchine.distributions import Distribution
-from khinchine.genfun import PsiFunction, phi_natural, phi_subgaussian
+from khinchine.genfun import (PsiFunction, phi_natural, phi_power, phi_subgaussian,
+                              phi_tabulated)
 from khinchine.norms import (CoefficientVector, EngineRefusal, NormEstimate,
-                             bphi_norm, gls_norm, sum_distribution,
+                             bphi_norm, bphi_norms, gls_norm, sum_distribution,
                              weighted_sum_bphi, weighted_sum_gls,
                              weighted_sum_lp)
 
@@ -351,3 +352,46 @@ def test_weighted_sum_bphi_matches_direct_grid():
 def test_bphi_norm_accepts_plain_log_mgf_callable():
     est = bphi_norm(lambda lam: np.asarray(lam) ** 2 / 2.0, PHI2)
     assert est.value == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# several sources in one B(phi) sup
+# ---------------------------------------------------------------------------
+
+def _scaled(d, c):
+    return lambda lam: d.log_mgf(np.asarray(lam) * c)
+
+
+TAB_PHI = phi_tabulated([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 8.0])  # lambda0 = 4
+
+# (phi, sources, variances)
+BPHI_BATCHES = {
+    "scaled_rademacher_and_gaussian": (
+        PHI2, [_scaled(RAD, 0.5), _scaled(RAD, 1.3), Distribution.gaussian(1.5),
+               _scaled(RAD, 2.0)], [0.25, 1.69, None, 4.0]),
+    # ln E e^{lam X} = 2 lam^2 passes phi's range 8 at lambda0; 0.125 lam^2 does not
+    "tabulated_unbounded_then_finite": (
+        TAB_PHI, [Distribution.gaussian(2.0), Distribution.gaussian(0.5), _scaled(RAD, 1.5)],
+        [None, None, 2.25]),
+    # only the centered Poisson log-MGF overflows on the 1e3-wide grid
+    "one_row_truncated": (
+        PHI2, [RAD, CPOIS, _scaled(G1, 2.0), Distribution.uniform_symmetric(1.0)],
+        [None, None, 4.0, None]),
+    "power3_and_natural": (
+        phi_power(3.0), [RAD, CPOIS, SYM_DISCRETE], [None, None, None]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BPHI_BATCHES))
+def test_bphi_norms_rows_are_bitwise_single_calls(name):
+    phi, sources, variances = BPHI_BATCHES[name]
+    batch = bphi_norms(sources, phi, variances=variances)
+    singles = [bphi_norm(s, phi, variance=v) for s, v in zip(sources, variances)]
+    # repr round-trips floats exactly, so equal reprs mean equal bits
+    assert [repr((e.value, e.method, e.meta)) for e in batch] == \
+        [repr((e.value, e.method, e.meta)) for e in singles]
+    if name == "tabulated_unbounded_then_finite":
+        assert [e.meta.get("unbounded", False) for e in batch] == [True, False, False]
+        assert batch[0].value == math.inf and math.isfinite(batch[1].value)
+    if name == "one_row_truncated":
+        assert [e.meta["truncated"] for e in batch] == [False, True, False, False]
