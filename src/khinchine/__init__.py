@@ -22,6 +22,5 @@ from .verify import (C_R, PreconditionError, RosenthalBound, pythagoras_check,
                      tail_compare, verify_thm31, verify_thm32, verify_thm41,
                      verify_thm51)
 from .entropy import (EntropyProfile, FieldModel, FiniteMetricSpace,
-                      covering_number, dudley_integral,
-                      dudley_integral_breakpoints, entropy_profile,
+                      covering_number, dudley_integral, entropy_profile,
                       field_sup_stats, load_space)

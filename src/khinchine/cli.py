@@ -320,8 +320,7 @@ def cmd_entropy(args) -> int:
         count, exact, centers = covering_number(space, args.eps)
         payload = {"count": count, "exact": exact, "centers": list(centers)}
     elif sub == "dudley":
-        payload = {"value": dudley_integral(space, sigma_scale=args.scale,
-                                            eps_steps=args.eps_steps),
+        payload = {"value": dudley_integral(space, sigma_scale=args.scale),
                    "diameter": space.diameter, "points": space.n}
     elif sub == "profile":
         eps = np.array(sorted((float(x) for x in args.eps_grid.split(",")),
@@ -444,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "cover":
             sp.add_argument("--eps", type=float, required=True)
         if name == "dudley":
-            sp.add_argument("--eps-steps", dest="eps_steps", type=int, default=4000)
             sp.add_argument("--scale", type=float, default=1.0)
         if name == "profile":
             sp.add_argument("--eps-grid", dest="eps_grid", required=True,

@@ -1,6 +1,10 @@
 """Metric-entropy toolkit: covering numbers of finite semi-metric spaces, the
 entropy integral under the square root (Dudley functional), and a simulator
-for the supremum of weighted sums of independent field copies."""
+for the supremum of weighted sums of independent field copies.
+
+Every covering number comes from one batched greedy cover engine (minimum
+covers by branch and bound up to EXACT_COVER_LIMIT points); the Dudley
+integral is their exact finite sum over the distinct distances."""
 
 from __future__ import annotations
 
@@ -88,24 +92,14 @@ def load_space(path: str) -> FiniteMetricSpace:
 # covering numbers
 # ---------------------------------------------------------------------------
 
+#: bytes of boolean ball matrix (one per point pair and eps) built at once
+COVER_CHUNK_BYTES = 1 << 21
+
+
 def _ball_masks(space: FiniteMetricSpace, eps: float) -> list[int]:
     """Ball i as a Python int whose bit z is set when rho[i, z] <= eps."""
     rows = np.packbits(space.rho <= eps, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
-
-
-def _greedy_cover(masks: list[int], full: int) -> list[int]:
-    chosen: list[int] = []
-    uncovered = full
-    while uncovered:
-        best_i, best_gain = -1, -1
-        for i, m in enumerate(masks):
-            gain = (m & uncovered).bit_count()
-            if gain > best_gain:  # ties keep the lowest index
-                best_i, best_gain = i, gain
-        chosen.append(best_i)
-        uncovered &= ~masks[best_i]
-    return chosen
 
 
 def _exact_cover(masks: list[int], full: int, upper: list[int]) -> list[int]:
@@ -140,6 +134,44 @@ def _exact_cover(masks: list[int], full: int, upper: list[int]) -> list[int]:
     return best
 
 
+def _covers(space: FiniteMetricSpace, eps, exact: bool) -> list[list[int]]:
+    """One cover by closed balls per eps, as centre indices in pick order.
+
+    The greedy cover (each step takes the ball covering most uncovered
+    points, ties to the lowest index) runs for a chunk of eps at once on
+    uint64 ball words, a row leaving once it is covered; a chunk holds as
+    many eps as fit COVER_CHUNK_BYTES of boolean ball matrix, and at least
+    one. `exact` then improves each cover to a minimum by branch and bound."""
+    eps = np.asarray(eps, dtype=float)
+    n = space.n
+    # padding columns at +inf lie in no ball, so each row packs to whole words
+    padded = np.pad(space.rho, ((0, 0), (0, -n % 64)), constant_values=np.inf)
+    size = max(1, COVER_CHUNK_BYTES // padded.size)
+    covers: list[list[int]] = []
+    for start in range(0, eps.size, size):
+        # balls[e, w, i] is word w of ball i, so gains add whole rows of words
+        balls = np.packbits(padded <= eps[start:start + size, None, None], axis=-1,
+                            bitorder="little").view(np.uint64).transpose(0, 2, 1).copy()
+        uncovered = np.bitwise_or.reduce(balls, axis=2)  # each point is in its own ball
+        chosen: list[list[int]] = [[] for _ in range(balls.shape[0])]
+        live = np.arange(balls.shape[0])
+        while live.size:
+            gains = np.bitwise_count(balls & uncovered[:, :, None]).sum(axis=1)
+            best = np.argmax(gains, axis=1)  # first maximum: lowest index
+            for r, b in zip(live.tolist(), best.tolist()):
+                chosen[r].append(b)
+            uncovered &= ~balls[np.arange(live.size), :, best]
+            keep = uncovered.any(axis=1)
+            if not keep.all():
+                live, balls, uncovered = live[keep], balls[keep], uncovered[keep]
+        covers += chosen
+    if exact:
+        full = (1 << n) - 1
+        covers = [_exact_cover(_ball_masks(space, float(e)), full, g)
+                  for e, g in zip(eps, covers)]
+    return covers
+
+
 def covering_number(space: FiniteMetricSpace, eps: float, method: str = "auto"):
     """Minimal number of closed eps-balls centered at points covering the set.
 
@@ -150,16 +182,8 @@ def covering_number(space: FiniteMetricSpace, eps: float, method: str = "auto"):
     """
     if not eps > 0:
         raise ValueError("covering_number needs eps > 0")
-    masks = _ball_masks(space, eps)
-    full = (1 << space.n) - 1
-    greedy = _greedy_cover(masks, full)
-    if method == "greedy":
-        sel, exact = greedy, False
-    elif method == "exact" or space.n <= EXACT_COVER_LIMIT:
-        sel = _exact_cover(masks, full, greedy)
-        exact = True
-    else:
-        sel, exact = greedy, False
+    exact = method == "exact" or (method != "greedy" and space.n <= EXACT_COVER_LIMIT)
+    (sel,) = _covers(space, [eps], exact)
     centers = tuple(space.labels[i] for i in sorted(sel))
     return len(sel), exact, centers
 
@@ -181,75 +205,34 @@ def entropy_profile(space: FiniteMetricSpace, eps_grid) -> EntropyProfile:
     eps = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(eps) >= 0):
         raise ValueError("entropy profile expects a decreasing eps grid")
-    counts, flags = [], []
-    for e in eps:
-        c, exact, _ = covering_number(space, float(e))
-        counts.append(math.log(c))
-        flags.append(exact)
-    return EntropyProfile(eps, np.array(counts), np.array(flags))
+    if not np.all(eps > 0):
+        raise ValueError("entropy profile needs eps > 0")
+    exact = space.n <= EXACT_COVER_LIMIT
+    logs = [math.log(len(c)) for c in _covers(space, eps, exact)]
+    return EntropyProfile(eps, np.array(logs), np.full(eps.size, exact))
 
 
 # ---------------------------------------------------------------------------
 # entropy integral
 # ---------------------------------------------------------------------------
 
-def dudley_integral(space: FiniteMetricSpace, sigma_scale: float = 1.0,
-                    eps_steps: int = 4000) -> float:
-    """Integral over eps in (0, max(1, diameter)] of sqrt(H(eps)).
+def dudley_integral(space: FiniteMetricSpace, sigma_scale: float = 1.0) -> float:
+    """Integral over eps > 0 of sqrt(ln N(eps)), N as `covering_number`
+    reports it, after multiplying the semi-distance by sigma_scale.
 
-    H is piecewise constant: below the smallest positive distance it equals
-    the log point count (that segment integrates in closed form), past the
-    diameter it is 0, and between them the trapezoid rule runs on eps_steps
-    log-spaced nodes with the covering number cached per breakpoint interval.
-    sigma_scale multiplies the semi-distance before integrating.
-    """
-    rho = space.rho * float(sigma_scale)
-    pos = rho[rho > 0]
+    N is constant on [lo, hi) between consecutive distinct distances, so the
+    integral is exactly d_min sqrt(ln N(d_min / 2)) plus the sum of
+    (hi - lo) sqrt(ln N(lo)), added in increasing eps; one engine call
+    covers every breakpoint."""
+    scaled = space.scaled(sigma_scale)
+    pos = np.unique(scaled.rho[scaled.rho > 0])
     if pos.size == 0:
         return 0.0
-    scaled = FiniteMetricSpace(space.labels, rho)
-    breakpoints = np.unique(pos)
-    d_min = float(breakpoints[0])
-    diam = float(breakpoints[-1])
-
-    cache: dict[int, float] = {}
-
-    def h_at(eps_values: np.ndarray) -> np.ndarray:
-        # relative nudge keeps the node-to-interval assignment scale
-        # covariant when a node lands within an ulp of a breakpoint
-        idx = np.searchsorted(breakpoints, eps_values * (1 + 1e-9), side="right") - 1
-        out = np.empty(eps_values.size)
-        for j in np.unique(idx):
-            if j not in cache:
-                c, _, _ = covering_number(scaled, float(breakpoints[j]))
-                cache[j] = math.log(c)
-            out[idx == j] = cache[j]
-        return out
-
-    n_classes, _, _ = covering_number(scaled, d_min * 0.5)
-    exact_part = d_min * math.sqrt(math.log(n_classes))
-    if diam <= d_min:
-        return exact_part
-    nodes = np.geomspace(d_min, diam, max(eps_steps, 2))
-    vals = np.sqrt(h_at(nodes))
-    return exact_part + float(np.trapezoid(vals, nodes))
-
-
-def dudley_integral_breakpoints(space: FiniteMetricSpace,
-                                sigma_scale: float = 1.0) -> float:
-    """Exact breakpoint integration of sqrt(H): H is constant on the open
-    intervals between consecutive distinct distances, so the integral is a
-    finite sum. Used as the independent oracle for the quadrature path."""
-    rho = space.rho * float(sigma_scale)
-    pos = np.unique(rho[rho > 0])
-    if pos.size == 0:
-        return 0.0
-    scaled = FiniteMetricSpace(space.labels, rho)
-    n_classes, _, _ = covering_number(scaled, float(pos[0]) * 0.5)
-    total = float(pos[0]) * math.sqrt(math.log(n_classes))
-    for lo, hi in zip(pos[:-1], pos[1:]):
-        c, _, _ = covering_number(scaled, float(lo))  # N on [lo, hi)
-        total += (float(hi) - float(lo)) * math.sqrt(math.log(c))
+    eps = np.concatenate(([pos[0] * 0.5], pos[:-1]))
+    counts = [len(c) for c in _covers(scaled, eps, scaled.n <= EXACT_COVER_LIMIT)]
+    total = float(pos[0]) * math.sqrt(math.log(counts[0]))
+    for lo, hi, c in zip(pos[:-1].tolist(), pos[1:].tolist(), counts[1:]):
+        total += (hi - lo) * math.sqrt(math.log(c))
     return total
 
 
@@ -292,18 +275,10 @@ class FieldModel:
     def rho_is_exact(self) -> bool:
         return self.driver == "gaussian"
 
-    def rho_matrix(self) -> np.ndarray:
+    def space(self) -> FiniteMetricSpace:
         """Euclidean feature distance; the subgaussian semi-distance exactly
         for the gaussian driver, an upper bound for rademacher."""
-        f = self.features.T
-        d2 = np.sum((f[:, None, :] - f[None, :, :]) ** 2, axis=2)
-        r = np.sqrt(np.maximum(d2, 0.0))
-        r = 0.5 * (r + r.T)
-        np.fill_diagonal(r, 0.0)
-        return r
-
-    def space(self) -> FiniteMetricSpace:
-        return FiniteMetricSpace(self.labels, self.rho_matrix())
+        return FiniteMetricSpace.from_points(self.features.T, self.labels)
 
     def to_json(self) -> dict:
         return {"features": self.features.tolist(), "driver": self.driver,
@@ -333,7 +308,7 @@ def field_sup_stats(model: FieldModel, coeff_sets, copies: int = 100_000,
     L, n_z = f.shape
     p_grid = tuple(float(p) for p in p_grid)
     space = model.space()
-    dudley = dudley_integral(space) if n_z > 1 else 0.0
+    dudley = dudley_integral(space)
     sigma = model.sigma
 
     rows = []
@@ -377,7 +352,7 @@ def field_sup_stats(model: FieldModel, coeff_sets, copies: int = 100_000,
         "points": n_z,
         "copies": copies,
         "sigma": sigma,
-        "rho": model.rho_matrix().tolist(),
+        "rho": space.rho.tolist(),
         "rho_exact": model.rho_is_exact,
         "entropy_integral": dudley,
         "dudley_functional": sigma + dudley,

@@ -216,6 +216,34 @@ def sum_abs_moments(d: Distribution, a: CoefficientVector, ps, engine: str = "au
 # weighted-sum L_p norm
 # ---------------------------------------------------------------------------
 
+def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | None,
+                    seed: int, threads: int) -> list:
+    """The monte_carlo engine of `weighted_sum_lp` for every p in ps, from
+    one set of draws."""
+    samples = budget or MC_SAMPLES_DEFAULT
+    chunk_sizes = [samples // MC_STREAMS] * MC_STREAMS
+    chunk_sizes[-1] += samples - sum(chunk_sizes)
+
+    def one(stream):
+        rng = substream(seed, 0x10AD, stream)
+        x = np.abs(d.draw(rng, (chunk_sizes[stream], a.n)) @ a.entries)
+        return [(float(np.sum(s)), float(np.dot(s, s))) for s in (x ** p for p in ps)]
+
+    parts = ordered_map(one, range(MC_STREAMS), threads)
+    out = []
+    for j, p in enumerate(ps):
+        m = math.fsum(x[j][0] for x in parts) / samples
+        m2 = math.fsum(x[j][1] for x in parts) / samples
+        var = max(m2 - m * m, 0.0)
+        se = math.sqrt(var / samples)
+        value = m ** (1.0 / p)
+        ci = 3.0 * se * value / (p * m) if m > 0 else 0.0
+        out.append(NormEstimate(value, "monte_carlo", ci_halfwidth=ci,
+                                meta={"samples": samples, "seed": seed,
+                                      "moment": m, "moment_se": se}))
+    return out
+
+
 def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
                     engine: str = "auto", budget: int | None = None,
                     seed: int = 0, threads: int = 1) -> NormEstimate:
@@ -236,27 +264,7 @@ def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
         val = Distribution.gaussian(sigma).lp_norm(p)
         return NormEstimate(val, "quadrature", meta={"reduced_law": f"gaussian({sigma!r})"})
     if engine == "monte_carlo":
-        samples = budget or MC_SAMPLES_DEFAULT
-        n = a.n
-        chunk_sizes = [samples // MC_STREAMS] * MC_STREAMS
-        chunk_sizes[-1] += samples - sum(chunk_sizes)
-
-        def one(stream):
-            rng = substream(seed, 0x10AD, stream)
-            draws = d.draw(rng, (chunk_sizes[stream], n))
-            s = np.abs(draws @ a.entries) ** p
-            return float(np.sum(s)), float(np.dot(s, s))
-
-        parts = ordered_map(one, range(MC_STREAMS), threads)
-        m = math.fsum(x[0] for x in parts) / samples
-        m2 = math.fsum(x[1] for x in parts) / samples
-        var = max(m2 - m * m, 0.0)
-        se = math.sqrt(var / samples)
-        value = m ** (1.0 / p)
-        ci = 3.0 * se * value / (p * m) if m > 0 else 0.0
-        return NormEstimate(value, "monte_carlo", ci_halfwidth=ci,
-                            meta={"samples": samples, "seed": seed,
-                                  "moment": m, "moment_se": se})
+        return _monte_carlo_lp(d, a, [p], budget, seed, threads)[0]
     (moment,), method, points = sum_abs_moments(d, a, [p], engine, budget)
     meta = {} if points is None else {"support_points": points}
     meta["moment"] = moment
@@ -444,11 +452,15 @@ def weighted_sum_gls(d: Distribution, a: CoefficientVector, psi: PsiFunction,
     """sup over the psi grid of ||sum a_k X_k||_p / psi(p).
 
     The exact engines evaluate every p from one pass of `sum_abs_moments`
-    (one law build per weight vector); the gaussian closed form and Monte
-    Carlo go through `weighted_sum_lp` once per p.
+    (one law build per weight vector), Monte Carlo from one set of draws;
+    the gaussian closed form goes through `weighted_sum_lp` once per p.
     """
     ps = [float(p) for p in psi.p_grid]
-    if engine == "monte_carlo" or (engine in ("auto", "quadrature") and d.law == "gaussian"):
+    if engine == "monte_carlo":
+        if ps[0] < 1:
+            raise ValueError("weighted_sum_lp needs p >= 1")
+        ests = _monte_carlo_lp(d, a, ps, budget, seed, threads=1)
+    elif engine in ("auto", "quadrature") and d.law == "gaussian":
         ests = [weighted_sum_lp(d, a, p, engine=engine, budget=budget, seed=seed)
                 for p in ps]
     else:

@@ -144,6 +144,15 @@ def test_entropy_dudley_csv_space(capsys, tmp_path):
     assert 0.5 < rep["report"]["value"] < 0.6
 
 
+def test_entropy_dudley_has_no_eps_steps(capsys, tmp_path):
+    path = tmp_path / "sp.json"
+    path.write_text('{"labels": ["a", "b"], "rho": [[0.0, 1.0], [1.0, 0.0]]}')
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "dudley", "--space", str(path), "--eps-steps", "10"])
+    assert exc.value.code == 2
+    assert "--eps-steps" in capsys.readouterr().err
+
+
 def test_entropy_cover(capsys, tmp_path):
     path = tmp_path / "sp.json"
     path.write_text('{"labels": ["a", "b"], "rho": [[0.0, 1.0], [1.0, 0.0]]}')

@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from khinchine.entropy import (FieldModel, FiniteMetricSpace, _ball_masks,
-                               covering_number, dudley_integral,
-                               dudley_integral_breakpoints, entropy_profile,
+from khinchine.entropy import (EXACT_COVER_LIMIT, FieldModel, FiniteMetricSpace,
+                               _ball_masks, _covers, covering_number,
+                               dudley_integral, entropy_profile,
                                field_sup_stats, load_space)
 from khinchine.norms import CoefficientVector, bphi_norm
 from khinchine.distributions import Distribution
@@ -31,6 +33,30 @@ def brute_cover(space, eps):
             if set().union(*(balls[c] for c in centers)) == set(range(n)):
                 return k
     return n
+
+
+def reference_greedy(masks, full):
+    """Greedy cover on Python int masks, one eps at a time: the most newly
+    covered points per step, ties to the lowest index."""
+    chosen = []
+    uncovered = full
+    while uncovered:
+        best_i, best_gain = -1, -1
+        for i, m in enumerate(masks):
+            gain = (m & uncovered).bit_count()
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        chosen.append(best_i)
+        uncovered &= ~masks[best_i]
+    return chosen
+
+
+def reference_count(space, eps):
+    """Covering number one eps at a time: exhaustive minimum up to the exact
+    limit, the reference greedy above it."""
+    if space.n <= EXACT_COVER_LIMIT:
+        return brute_cover(space, eps)
+    return len(reference_greedy(_ball_masks(space, eps), (1 << space.n) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +195,27 @@ def test_centers_cover_300_random_planar_points():
     assert np.all(np.any(sp.rho[idx] <= 0.1, axis=0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.sampled_from([63, 64, 65, 128]), st.integers(21, 140)),
+       seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 0.999])),
+                      min_size=1, max_size=6))
+def test_batched_greedy_matches_big_int_reference(n, seed, picks):
+    sp = FiniteMetricSpace.from_points(np.random.default_rng(seed).random((n, 2)))
+    dists = np.unique(sp.rho[sp.rho > 0])
+    eps = []
+    for u, between in picks:
+        k = min(int(u * dists.size), dists.size - 2)
+        eps.append(float(dists[k] + between * (dists[k + 1] - dists[k])))
+    full = (1 << n) - 1
+    expected = [reference_greedy(_ball_masks(sp, e), full) for e in eps]
+    assert _covers(sp, eps, exact=False) == expected
+    for e, chosen in zip(eps, expected):
+        count, exact, centers = covering_number(sp, e)
+        assert (count, exact) == (len(chosen), False)
+        assert centers == tuple(sp.labels[i] for i in sorted(chosen))
+
+
 # ---------------------------------------------------------------------------
 # entropy profile
 # ---------------------------------------------------------------------------
@@ -180,6 +227,25 @@ def test_profile_monotone_and_zero_past_diameter():
     assert np.all(np.diff(prof.values) >= -1e-12)  # H grows as eps shrinks
     assert prof.values[0] == 0.0  # eps beyond the diameter needs one ball
     assert prof.exact.all()
+
+
+@pytest.mark.parametrize("eps", [[0.5, 0.0], [0.5, -0.1], [float("nan")]])
+def test_profile_rejects_eps_not_positive(eps):
+    with pytest.raises(ValueError, match="eps > 0"):
+        entropy_profile(grid_space(5), eps)
+
+
+@pytest.mark.parametrize("n", [12, 70])
+def test_profile_counts_equal_single_eps_covers(n):
+    sp = FiniteMetricSpace.from_points(np.random.default_rng(n).random((n, 2)))
+    dists = np.unique(sp.rho[sp.rho > 0])
+    eps = np.concatenate(([2.0 * dists[-1]], dists[::-max(1, dists.size // 40)],
+                          [0.5 * dists[0]]))
+    eps = np.unique(eps)[::-1]
+    prof = entropy_profile(sp, eps)
+    singles = [covering_number(sp, float(e)) for e in eps]
+    assert prof.values.tolist() == [math.log(c) for c, _, _ in singles]
+    assert prof.exact.tolist() == [x for _, x, _ in singles]
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +267,29 @@ def test_grid11_dudley_vs_breakpoint_oracle():
     for lo, hi in zip(dists[:-1], dists[1:]):
         oracle += (hi - lo) * math.sqrt(math.log(brute_cover(sp, lo)))
     val = dudley_integral(sp)
-    assert val == pytest.approx(oracle, abs=1e-3)
-    assert dudley_integral_breakpoints(sp) == pytest.approx(oracle, rel=1e-12)
+    assert val == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 21, 64, 65, 100])
+def test_dudley_bitwise_equals_per_breakpoint_sum(n):
+    sp = FiniteMetricSpace.from_points(np.random.default_rng(n).random((n, 2)))
+    # one covering number per breakpoint, added in increasing eps
+    pos = np.unique(sp.rho[sp.rho > 0])
+    total = float(pos[0]) * math.sqrt(math.log(reference_count(sp, float(pos[0]) * 0.5)))
+    for lo, hi in zip(pos[:-1], pos[1:]):
+        total += (float(hi) - float(lo)) * math.sqrt(math.log(reference_count(sp, float(lo))))
+    assert dudley_integral(sp) == total
+
+
+def test_dudley_memory_is_bounded():
+    sp = FiniteMetricSpace.from_points(np.random.default_rng(7).random((120, 2)))
+    tracemalloc.start()
+    try:
+        dudley_integral(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 def test_single_point_dudley_zero():

@@ -339,6 +339,30 @@ def test_weighted_sum_gls_builds_the_law_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_monte_carlo_gls_draws_once_for_every_p(monkeypatch):
+    psi = PsiFunction.sqrt_p(np.arange(2.0, 65.0))
+    a = CoefficientVector.equal(5)
+    per_p = [weighted_sum_lp(RAD, a, float(p), engine="monte_carlo", budget=20_000, seed=3)
+             for p in psi.p_grid]
+    ratios = [e.value / float(s) for e, s in zip(per_p, psi.values)]
+    i = int(np.argmax(ratios))
+
+    calls = []
+    real = Distribution.draw
+
+    def counting(self, *args, **kw):
+        calls.append(args)
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(Distribution, "draw", counting)
+    est = weighted_sum_gls(RAD, a, psi, engine="monte_carlo", budget=20_000, seed=3)
+    assert len(calls) == norms.MC_STREAMS
+    assert est.value == ratios[i]
+    assert est.ci_halfwidth == per_p[i].ci_halfwidth / float(psi.values[i])
+    assert est.meta["attained_p"] == float(psi.p_grid[i])
+    assert est.method == "monte_carlo"
+
+
 # ---------------------------------------------------------------------------
 # sum of independent parts through the product MGF
 # ---------------------------------------------------------------------------
