@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .distributions import Distribution, DistributionError, parse_distribution
+from .distributions import DistributionError, law_catalog, parse_distribution
 from .genfun import (DomainError, PsiFunction, conv_r_class, kappa, legendre,
-                     orlicz_n, overline_phi, parse_phi, phi_inverse,
+                     orlicz_n, overline_phi, parse_phi, phi_catalog, phi_inverse,
                      phi_membership_report, psi_from_phi, tail_envelope)
 from .norms import (CoefficientVector, EngineRefusal, bphi_norm, gls_norm,
                     weighted_sum_lp)
@@ -77,8 +77,8 @@ def parse_p_grid(spec: str) -> np.ndarray:
 
 
 def parse_psi(spec: str, p_grid: np.ndarray) -> PsiFunction:
-    """'sqrtp', 'power:m', 'natural:<law>', 'fromphi:<phi>',
-    'fromphi-literal:<phi>', or '@file.json'."""
+    """'sqrtp', 'power:m', 'natural:<law>', 'fromphi:<phi>', or
+    '@file.json'."""
     spec = spec.strip()
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
@@ -96,8 +96,6 @@ def parse_psi(spec: str, p_grid: np.ndarray) -> PsiFunction:
         return PsiFunction.natural(parse_distribution(rest), p_grid)
     if name == "fromphi":
         return psi_from_phi(parse_phi(rest), p_grid)
-    if name == "fromphi_literal":
-        return psi_from_phi(parse_phi(rest), p_grid, literal=True)
     raise SpecError(f"unknown psi spec {spec!r} (field 'psi')")
 
 
@@ -219,8 +217,7 @@ def cmd_phi(args) -> int:
                    "meta": meta}
     elif sub == "psi":
         grid = parse_p_grid(args.p_grid) if args.p is None else np.array([args.p])
-        psi = psi_from_phi(phi, grid, literal=args.literal)
-        payload = psi.to_json()
+        payload = psi_from_phi(phi, grid).to_json()
     else:  # pragma: no cover
         raise SpecError(f"unknown phi subcommand {sub!r}")
     emit_report(args, payload)
@@ -240,7 +237,8 @@ def cmd_norm(args) -> int:
     elif sub == "gls":
         psi = parse_psi(args.psi, parse_p_grid(args.p_grid))
         engine = "monte_carlo" if args.engine == "monte_carlo" else "quadrature"
-        est = gls_norm(d, psi, engine=engine, budget=args.samples, seed=args.seed)
+        est = gls_norm(d, psi, engine=engine, budget=args.samples, seed=args.seed,
+                       threads=args.threads)
     else:  # pragma: no cover
         raise SpecError(f"unknown norm subcommand {sub!r}")
     emit_report(args, est.to_json())
@@ -337,6 +335,8 @@ def cmd_entropy(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    law_help = f"law spec; known: {law_catalog()}"
+    phi_help = f"phi spec; known: {phi_catalog()} (<law>: a law spec)"
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--samples", type=int, default=None,
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "inverse", "tail", "kappa", "psi"):
         sp = phi_sub.add_parser(name, parents=[common])
         if name != "kappa":
-            sp.add_argument("--family", required=True, help="phi spec")
+            sp.add_argument("--family", required=True, help=phi_help)
         if name in ("eval", "overline"):
             sp.add_argument("--lambda", dest="lam", type=float, required=True)
         if name in ("legendre", "orlicz", "tail"):
@@ -378,20 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "inverse":
             sp.add_argument("--y", type=float, required=True)
         if name == "kappa":
-            sp.add_argument("--phis", required=True, help="comma-separated phi specs")
+            sp.add_argument("--phis", required=True, help="comma-separated " + phi_help)
             sp.add_argument("--lambda", dest="lam", type=float, required=True)
         if name == "psi":
             sp.add_argument("--p", type=float, default=None)
-            sp.add_argument("--literal", action="store_true")
         sp.set_defaults(func=cmd_phi)
 
     p_norm = sub.add_parser("norm", help="norm computations")
     norm_sub = p_norm.add_subparsers(dest="subcommand", required=True)
     for name in ("bphi", "lp", "gls"):
         sp = norm_sub.add_parser(name, parents=[common])
-        sp.add_argument("--law", required=True)
+        sp.add_argument("--law", required=True, help=law_help)
         if name == "bphi":
-            sp.add_argument("--phi", required=True)
+            sp.add_argument("--phi", required=True, help=phi_help)
         if name == "lp":
             sp.add_argument("--weights", required=True)
             sp.add_argument("--p", type=float, required=True)
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     kh_sub = p_kh.add_subparsers(dest="subcommand", required=True)
     for name in ("sup", "inf", "prelim"):
         sp = kh_sub.add_parser(name, parents=[common])
-        sp.add_argument("--law", required=True)
+        sp.add_argument("--law", required=True, help=law_help)
         sp.add_argument("--norm", required=True, help="lp:p | gls:<psi> | bphi:<phi>")
         sp.set_defaults(func=cmd_khinchine)
 
@@ -413,16 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
                  "pythagoras", "tail"):
         sp = ver_sub.add_parser(name, parents=[common])
         if name in ("thm31", "thm32", "thm51", "rosenthal", "tail"):
-            sp.add_argument("--law", required=True)
-        if name in ("thm31", "thm32", "tail"):
-            sp.add_argument("--phi", required=True)
+            sp.add_argument("--law", required=True, help=law_help)
+        if name in ("thm31", "thm32", "tail", "pythagoras"):
+            sp.add_argument("--phi", required=True, help=phi_help)
         if name == "pythagoras":
-            sp.add_argument("--phi", required=True)
-            sp.add_argument("--laws", default=None)
+            sp.add_argument("--laws", default=None, help="comma-separated " + law_help)
         if name == "thm41":
-            sp.add_argument("--laws", required=True)
+            sp.add_argument("--laws", required=True, help="comma-separated " + law_help)
             sp.add_argument("--phis", required=True,
-                            help="'natural' or comma-separated phi specs")
+                            help="'natural' or comma-separated " + phi_help)
         if name == "rosenthal":
             sp.add_argument("--p", type=float, required=True)
             sp.add_argument("--weights", required=True)

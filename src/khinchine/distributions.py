@@ -1,6 +1,13 @@
 """Catalog of centered probability laws with exact moment generating
 functions, absolute moments, and deterministic seeded samplers.
 
+A law is one `Law` record in `LAWS`: its parameter, variance, symmetry,
+log-MGF, even moments, finite support, sampler, absolute-moment quadrature,
+the closed-form inverse of its natural generating function, and (for the
+Gaussian) the closed-form law of a weighted sum of copies. `Distribution`
+carries a law's name and parameter, and every method reads the record, so
+adding a law is adding one record.
+
 Every law in the catalog satisfies Cramer's condition (MGF finite in a
 neighborhood of 0, here everywhere), so all of them are usable on the
 exponential-moment norm paths.
@@ -11,13 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .numerics import log_cosh, log_sinhc, substream
+from .numerics import collapse_support, log_cosh, log_sinhc, substream
 
 POISSON_TAIL_MASS = 1e-14
-SUPPORT_MERGE_TOL = 1e-12
 
 
 class DistributionError(ValueError):
@@ -68,9 +75,9 @@ def _poisson_pmf_truncated(mu: float, tail: float = POISSON_TAIL_MASS):
 class Distribution:
     """A centered law from the catalog.
 
-    law is one of: rademacher, gaussian, centered_poisson, symmetrized_poisson,
-    uniform_symmetric, discrete. Parameters live in `params`; discrete laws
-    carry their (support, probs) arrays.
+    law names a record of `LAWS`: rademacher, gaussian, centered_poisson,
+    symmetrized_poisson, uniform_symmetric or discrete. Parameters live in
+    `params`; discrete laws carry their (support, probs) arrays.
     """
 
     law: str
@@ -81,32 +88,30 @@ class Distribution:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def _parametric(law: str, value: float) -> "Distribution":
+        if not value > 0:
+            raise DistributionError(f"{law} {LAWS[law].fields[0]} must be > 0")
+        return Distribution(law, (float(value),))
+
+    @staticmethod
     def rademacher() -> "Distribution":
         return Distribution("rademacher")
 
     @staticmethod
     def gaussian(sigma: float) -> "Distribution":
-        if not sigma > 0:
-            raise DistributionError("gaussian sigma must be > 0")
-        return Distribution("gaussian", (float(sigma),))
+        return Distribution._parametric("gaussian", sigma)
 
     @staticmethod
     def centered_poisson(mu: float) -> "Distribution":
-        if not mu > 0:
-            raise DistributionError("centered_poisson mu must be > 0")
-        return Distribution("centered_poisson", (float(mu),))
+        return Distribution._parametric("centered_poisson", mu)
 
     @staticmethod
     def symmetrized_poisson(mu: float) -> "Distribution":
-        if not mu > 0:
-            raise DistributionError("symmetrized_poisson mu must be > 0")
-        return Distribution("symmetrized_poisson", (float(mu),))
+        return Distribution._parametric("symmetrized_poisson", mu)
 
     @staticmethod
     def uniform_symmetric(b: float) -> "Distribution":
-        if not b > 0:
-            raise DistributionError("uniform_symmetric b must be > 0")
-        return Distribution("uniform_symmetric", (float(b),))
+        return Distribution._parametric("uniform_symmetric", b)
 
     @staticmethod
     def discrete(support, probs) -> "Distribution":
@@ -118,22 +123,24 @@ class Distribution:
             raise DistributionError("discrete probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:
             raise DistributionError(f"discrete probabilities sum to {p.sum()!r}, not 1")
-        # dedupe support within 1e-12, merging probabilities
         order = np.argsort(v, kind="stable")
         v, p = v[order], p[order]
-        groups = np.concatenate([[True], np.diff(v) > SUPPORT_MERGE_TOL])
-        gid = np.cumsum(groups) - 1
-        pm = np.zeros(gid[-1] + 1)
-        np.add.at(pm, gid, p)
-        vm = v[np.searchsorted(gid, np.arange(gid[-1] + 1))]
-        mean = float(np.dot(pm, vm))
+        if np.any(np.diff(v) <= 1e-12) or np.any(p == 0):
+            # merging moves points by rounding, so a support that merges
+            # nothing is kept exactly as given
+            v, p = collapse_support(v, p)
+        mean = float(np.dot(p, v))
         if abs(mean) > 1e-12:
             raise DistributionError(f"discrete law must be centered, mean = {mean!r}")
-        if float(np.dot(pm, vm * vm)) <= 0:
+        if float(np.dot(p, v * v)) <= 0:
             raise DistributionError("discrete law must have positive variance")
-        return Distribution("discrete", (), support=vm, probs=pm)
+        return Distribution("discrete", (), support=v, probs=p)
 
     # -- basic facts ---------------------------------------------------------
+
+    @property
+    def record(self) -> "Law":
+        return LAWS[self.law]
 
     @property
     def mean(self) -> float:
@@ -141,30 +148,17 @@ class Distribution:
 
     @property
     def variance(self) -> float:
-        if self.law == "rademacher":
-            return 1.0
-        if self.law == "gaussian":
-            return self.params[0] ** 2
-        if self.law == "centered_poisson":
-            return self.params[0]
-        if self.law == "symmetrized_poisson":
-            return 2.0 * self.params[0]
-        if self.law == "uniform_symmetric":
-            return self.params[0] ** 2 / 3.0
-        return float(np.dot(self.probs, self.support**2))
+        return self.record.variance(self)
 
     @property
     def is_symmetric(self) -> bool:
-        if self.law in ("rademacher", "gaussian", "symmetrized_poisson", "uniform_symmetric"):
-            return True
-        if self.law == "centered_poisson":
-            return False
-        # discrete: support is sorted; symmetric iff mirrored values and probs
-        # match to 1e-12 absolute (no relative slack: the even-moment path
-        # drops the odd moments on this test)
-        v, p = self.support, self.probs
-        return bool(np.allclose(v, -v[::-1], rtol=0.0, atol=1e-12)
-                    and np.allclose(p, p[::-1], rtol=0.0, atol=1e-12))
+        return self.record.symmetric(self)
+
+    @property
+    def is_stable(self) -> bool:
+        """Whether scaled independent copies, with any parameters, sum to a
+        law of the same record (`sum_law` applies)."""
+        return self.record.sum_law is not None
 
     @property
     def satisfies_cramer(self) -> bool:
@@ -172,8 +166,8 @@ class Distribution:
 
     @property
     def label(self) -> str:
-        if self.law == "discrete":
-            return f"discrete[{self.support.size}]"
+        if self.support is not None:
+            return f"{self.law}[{self.support.size}]"
         if self.params:
             return f"{self.law}({', '.join(repr(p) for p in self.params)})"
         return self.law
@@ -182,46 +176,23 @@ class Distribution:
 
     def log_mgf(self, lam) -> np.ndarray:
         """ln E exp(lam * X), exact closed form, vectorized and overflow-safe
-        (returns +inf where the value exceeds the double range)."""
+        (returns +inf where the value exceeds the double range). Each entry
+        gets the same bits whatever else is in lam."""
         lam = np.asarray(lam, dtype=float)
         scalar = lam.ndim == 0
-        lam = np.atleast_1d(lam)
-        if self.law == "rademacher":
-            out = log_cosh(lam)
-        elif self.law == "gaussian":
-            s = self.params[0]
-            out = 0.5 * (lam * s) ** 2
-        elif self.law == "centered_poisson":
-            mu = self.params[0]
-            with np.errstate(over="ignore"):
-                out = mu * (np.expm1(lam) - lam)
-        elif self.law == "symmetrized_poisson":
-            mu = self.params[0]
-            with np.errstate(over="ignore"):
-                s = np.sinh(0.5 * lam)  # cosh(x) - 1 = 2 sinh^2(x/2), no cancellation
-                out = 4.0 * mu * s * s
-        elif self.law == "uniform_symmetric":
-            out = log_sinhc(self.params[0] * lam)
-        else:
-            v, p = self.support, self.probs
-            z = np.outer(lam, v)
-            zmax = z.max(axis=1)
-            out = np.empty(lam.size)
-            small = zmax < 33.0
-            if small.any():
-                # sum p * e^{lam v} - 1 = sum p * expm1(lam v), exact since sum p = 1
-                out[small] = np.log1p(np.expm1(z[small]) @ p)
-            if (~small).any():
-                zb = z[~small]
-                m = zb.max(axis=1, keepdims=True)
-                with np.errstate(over="ignore"):
-                    out[~small] = m[:, 0] + np.log(np.exp(zb - m) @ p)
+        out = self.record.log_mgf(self, np.atleast_1d(lam))
         return float(out[0]) if scalar else out
 
     def mgf(self, lam) -> np.ndarray:
         """E exp(lam * X); +inf acts as the overflow sentinel."""
         with np.errstate(over="ignore"):
             return np.exp(self.log_mgf(lam))
+
+    def natural_inverse(self):
+        """Closed-form inverse y -> lambda of the natural generating function
+        max(log_mgf(lam), log_mgf(-lam)), or None where the law has none."""
+        inverse = self.record.natural_inverse
+        return None if inverse is None else (lambda y: inverse(self, y))
 
     # -- absolute moments ----------------------------------------------------
 
@@ -234,34 +205,21 @@ class Distribution:
         if sup is not None:
             v, pr = sup
             return float(np.dot(pr, np.abs(v) ** p))
-        if self.law == "gaussian":
-            s = self.params[0]
-            x, w = _gauss_legendre_panels(0.0, 40.0)
-            return float(s**p * 2.0 * np.dot(w, x**p * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)))
-        # uniform_symmetric
-        b = self.params[0]
-        x, w = _gauss_legendre_panels(0.0, b)
-        return float(np.dot(w, x**p) / b)
+        return self.record.abs_moment(self, p)
 
     def lp_norm(self, p: float) -> float:
         return self.abs_moment(p) ** (1.0 / p)
 
     def even_moments(self, k: int) -> np.ndarray:
-        """E X^(2i) for i = 0..k: closed forms for the continuous laws and
-        Rademacher, exact sums over `finite_support` for the lattice laws."""
+        """E X^(2i) for i = 0..k: the record's closed form where it has one,
+        else exact sums over `finite_support`."""
         i = np.arange(k + 1)
-        if self.law == "rademacher":
-            return np.ones(k + 1)
-        if self.law == "gaussian":
-            # sigma^(2i) (2i - 1)!!
-            s2 = self.params[0] ** 2
-            return np.cumprod(np.concatenate([[1.0], s2 * (2.0 * i[1:] - 1.0)]))
-        if self.law == "uniform_symmetric":
-            return self.params[0] ** (2.0 * i) / (2.0 * i + 1.0)
+        if self.record.even_moments is not None:
+            return self.record.even_moments(self, i)
         v, pr = self.finite_support()
         return np.array([1.0] + [float(np.dot(pr, v ** (2 * j))) for j in i[1:]])
 
-    # -- finite support -------------------------------------------------------
+    # -- finite support and weighted sums ---------------------------------------
 
     def finite_support(self):
         """(values, probs) for lattice laws; None for continuous ones.
@@ -270,21 +228,18 @@ class Distribution:
         and renormalized, which keeps the truncation error under the
         quadrature tolerance elsewhere in the package.
         """
-        if self.law == "rademacher":
-            return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-        if self.law == "discrete":
-            return self.support.copy(), self.probs.copy()
-        if self.law == "centered_poisson":
-            mu = self.params[0]
-            ks, pr = _poisson_pmf_truncated(mu)
-            return ks - mu, pr
-        if self.law == "symmetrized_poisson":
-            mu = self.params[0]
-            ks, pr = _poisson_pmf_truncated(mu)
-            conv = np.convolve(pr, pr[::-1])
-            vals = np.arange(-(ks.size - 1), ks.size, dtype=float)
-            return vals, conv / conv.sum()
-        return None
+        support = self.record.finite_support
+        return None if support is None else support(self)
+
+    def sum_law(self, weights):
+        """The law of sum_k weights[k] X_k in closed form, or None."""
+        sum_law = self.record.sum_law
+        return None if sum_law is None else sum_law(self, np.asarray(weights, dtype=float))
+
+    def tail(self, u: float) -> float:
+        """max(P(X >= u), P(X <= -u)) in closed form; laws with `sum_law`
+        have one."""
+        return self.record.tail(self, u)
 
     # -- sampling -------------------------------------------------------------
 
@@ -298,49 +253,177 @@ class Distribution:
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """Raw draws using a caller-managed generator."""
-        if self.law == "rademacher":
-            return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-        if self.law == "gaussian":
-            return rng.standard_normal(size) * self.params[0]
-        if self.law == "centered_poisson":
-            mu = self.params[0]
-            return rng.poisson(mu, size=size).astype(float) - mu
-        if self.law == "symmetrized_poisson":
-            mu = self.params[0]
-            return (rng.poisson(mu, size=size) - rng.poisson(mu, size=size)).astype(float)
-        if self.law == "uniform_symmetric":
-            b = self.params[0]
-            return rng.uniform(-b, b, size=size)
-        return rng.choice(self.support, size=size, p=self.probs)
+        return self.record.draw(self, rng, size)
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.law == "discrete":
-            return {"law": "discrete", "support": self.support.tolist(), "probs": self.probs.tolist()}
-        out = {"law": self.law}
-        names = {"gaussian": "sigma", "centered_poisson": "mu",
-                 "symmetrized_poisson": "mu", "uniform_symmetric": "b"}
-        if self.params:
-            out[names[self.law]] = self.params[0]
-        return out
+        values = (self.params if self.support is None
+                  else (self.support.tolist(), self.probs.tolist()))
+        return {"law": self.law, **dict(zip(self.record.fields, values))}
 
     @staticmethod
     def from_json(obj: dict) -> "Distribution":
         law = obj.get("law")
-        if law == "rademacher":
-            return Distribution.rademacher()
-        if law == "gaussian":
-            return Distribution.gaussian(obj["sigma"])
-        if law == "centered_poisson":
-            return Distribution.centered_poisson(obj["mu"])
-        if law == "symmetrized_poisson":
-            return Distribution.symmetrized_poisson(obj["mu"])
-        if law == "uniform_symmetric":
-            return Distribution.uniform_symmetric(obj["b"])
-        if law == "discrete":
-            return Distribution.discrete(obj["support"], obj["probs"])
-        raise DistributionError(f"unknown law {law!r}")
+        rec = LAWS.get(law) if isinstance(law, str) else None
+        if rec is None:
+            raise DistributionError(f"unknown law {law!r}; known: {', '.join(LAWS)}")
+        return rec.build(*(obj[f] for f in rec.fields))
+
+
+# ---------------------------------------------------------------------------
+# the catalog: one record per law
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Law:
+    """Everything the package uses about one law. Each function takes the
+    Distribution d first, which carries the parameter (`params`) or the
+    discrete arrays; optional facts are None where the law lacks them."""
+
+    build: Callable  # the constructor, called with the JSON field values
+    fields: tuple  # JSON fields after "law"; one field is the CLI parameter
+    variance: Callable  # (d) -> Var X
+    symmetric: Callable  # (d) -> whether X and -X have the same law
+    log_mgf: Callable  # (d, lam as a 1-d array) -> ln E exp(lam X)
+    draw: Callable  # (d, rng, size) -> draws
+    finite_support: Callable | None = None  # (d) -> (values, probs)
+    even_moments: Callable | None = None  # (d, i) -> E X^(2i); None: from the support
+    abs_moment: Callable | None = None  # (d, p) -> E|X|^p for laws without a support
+    natural_inverse: Callable | None = None  # (d, y) -> its natural phi inverted at y
+    sum_law: Callable | None = None  # (d, weights) -> law of sum weights[k] X_k
+    tail: Callable | None = None  # (d, u) -> max(P(X >= u), P(X <= -u))
+
+
+def _gaussian_abs_moment(s, p):
+    x, w = _gauss_legendre_panels(0.0, 40.0)
+    return float(s**p * 2.0 * np.dot(w, x**p * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)))
+
+
+def _uniform_abs_moment(b, p):
+    x, w = _gauss_legendre_panels(0.0, b)
+    return float(np.dot(w, x**p) / b)
+
+
+def _centered_poisson_log_mgf(mu, lam):
+    with np.errstate(over="ignore"):
+        return mu * (np.expm1(lam) - lam)
+
+
+def _symmetrized_poisson_log_mgf(mu, lam):
+    with np.errstate(over="ignore"):
+        s = np.sinh(0.5 * lam)  # cosh(x) - 1 = 2 sinh^2(x/2), no cancellation
+        return 4.0 * mu * s * s
+
+
+def _centered_poisson_support(mu):
+    ks, pr = _poisson_pmf_truncated(mu)
+    return ks - mu, pr
+
+
+def _symmetrized_poisson_support(mu):
+    ks, pr = _poisson_pmf_truncated(mu)
+    conv = np.convolve(pr, pr[::-1])
+    vals = np.arange(-(ks.size - 1), ks.size, dtype=float)
+    return vals, conv / conv.sum()
+
+
+def _discrete_symmetric(d):
+    # support is sorted; symmetric iff mirrored values and probs match to
+    # 1e-12 absolute (no relative slack: the even-moment path drops the odd
+    # moments on this test)
+    v, p = d.support, d.probs
+    return bool(np.allclose(v, -v[::-1], rtol=0.0, atol=1e-12)
+                and np.allclose(p, p[::-1], rtol=0.0, atol=1e-12))
+
+
+def _discrete_log_mgf(d, lam):
+    v, p = d.support, d.probs
+    z = np.outer(lam, v)
+    zmax = z.max(axis=1)
+    out = np.empty(lam.size)
+    small = zmax < 33.0
+    # per-row sums, not a matrix-vector product: a BLAS product's last bits
+    # depend on how many rows share the call
+    if small.any():
+        # sum p * e^{lam v} - 1 = sum p * expm1(lam v), exact since sum p = 1
+        out[small] = np.log1p((np.expm1(z[small]) * p).sum(axis=1))
+    if (~small).any():
+        zb = z[~small]
+        m = zb.max(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            out[~small] = m[:, 0] + np.log((np.exp(zb - m) * p).sum(axis=1))
+    return out
+
+
+LAWS: dict[str, Law] = {
+    "rademacher": Law(
+        build=Distribution.rademacher, fields=(),
+        variance=lambda d: 1.0,
+        symmetric=lambda d: True,
+        log_mgf=lambda d, lam: log_cosh(lam),
+        draw=lambda d, rng, size: rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0,
+        finite_support=lambda d: (np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
+        even_moments=lambda d, i: np.ones(i.size),
+        natural_inverse=lambda d, y: y + np.log1p(np.sqrt(-np.expm1(-2.0 * y))),
+    ),
+    "gaussian": Law(
+        build=Distribution.gaussian, fields=("sigma",),
+        variance=lambda d: d.params[0] ** 2,
+        symmetric=lambda d: True,
+        log_mgf=lambda d, lam: 0.5 * (lam * d.params[0]) ** 2,
+        draw=lambda d, rng, size: rng.standard_normal(size) * d.params[0],
+        # sigma^(2i) (2i - 1)!!
+        even_moments=lambda d, i: np.cumprod(
+            np.concatenate([[1.0], d.params[0] ** 2 * (2.0 * i[1:] - 1.0)])),
+        abs_moment=lambda d, p: _gaussian_abs_moment(d.params[0], p),
+        natural_inverse=lambda d, y: np.sqrt(2.0 * y) / d.params[0],
+        sum_law=lambda d, a: Distribution.gaussian(d.params[0] * math.sqrt(float(np.dot(a, a)))),
+        tail=lambda d, u: 0.5 * math.erfc(u / (math.sqrt(2.0) * d.params[0])),
+    ),
+    "centered_poisson": Law(
+        build=Distribution.centered_poisson, fields=("mu",),
+        variance=lambda d: d.params[0],
+        symmetric=lambda d: False,
+        log_mgf=lambda d, lam: _centered_poisson_log_mgf(d.params[0], lam),
+        draw=lambda d, rng, size: rng.poisson(d.params[0], size=size).astype(float) - d.params[0],
+        finite_support=lambda d: _centered_poisson_support(d.params[0]),
+    ),
+    "symmetrized_poisson": Law(
+        build=Distribution.symmetrized_poisson, fields=("mu",),
+        variance=lambda d: 2.0 * d.params[0],
+        symmetric=lambda d: True,
+        log_mgf=lambda d, lam: _symmetrized_poisson_log_mgf(d.params[0], lam),
+        draw=lambda d, rng, size: (rng.poisson(d.params[0], size=size)
+                                   - rng.poisson(d.params[0], size=size)).astype(float),
+        finite_support=lambda d: _symmetrized_poisson_support(d.params[0]),
+    ),
+    "uniform_symmetric": Law(
+        build=Distribution.uniform_symmetric, fields=("b",),
+        variance=lambda d: d.params[0] ** 2 / 3.0,
+        symmetric=lambda d: True,
+        log_mgf=lambda d, lam: log_sinhc(d.params[0] * lam),
+        draw=lambda d, rng, size: rng.uniform(-d.params[0], d.params[0], size=size),
+        even_moments=lambda d, i: d.params[0] ** (2.0 * i) / (2.0 * i + 1.0),
+        abs_moment=lambda d, p: _uniform_abs_moment(d.params[0], p),
+    ),
+    "discrete": Law(
+        build=Distribution.discrete, fields=("support", "probs"),
+        variance=lambda d: float(np.dot(d.probs, d.support**2)),
+        symmetric=_discrete_symmetric,
+        log_mgf=_discrete_log_mgf,
+        draw=lambda d, rng, size: rng.choice(d.support, size=size, p=d.probs),
+        finite_support=lambda d: (d.support.copy(), d.probs.copy()),
+    ),
+}
+
+
+def law_catalog() -> str:
+    """The law specs `parse_distribution` accepts, for help and errors.
+    Laws with array fields come only from a JSON file."""
+    specs = [name.replace("_", "-") + "".join(f":<{f}>" for f in rec.fields)
+             for name, rec in LAWS.items() if len(rec.fields) <= 1]
+    return ", ".join(specs + ["@file.json"])
 
 
 def parse_distribution(spec: str) -> Distribution:
@@ -352,19 +435,14 @@ def parse_distribution(spec: str) -> Distribution:
             return Distribution.from_json(json.load(fh))
     name, _, rest = spec.partition(":")
     name = name.replace("-", "_").lower()
-    if name == "rademacher":
-        return Distribution.rademacher()
-    builders = {
-        "gaussian": Distribution.gaussian,
-        "centered_poisson": Distribution.centered_poisson,
-        "symmetrized_poisson": Distribution.symmetrized_poisson,
-        "uniform_symmetric": Distribution.uniform_symmetric,
-    }
-    if name in builders:
-        if not rest:
-            raise DistributionError(f"law {name!r} needs a parameter, e.g. {name}:1")
-        try:
-            return builders[name](float(rest))
-        except ValueError as exc:
-            raise DistributionError(f"bad parameter {rest!r} for law {name!r}") from exc
-    raise DistributionError(f"unknown law spec {spec!r}")
+    rec = LAWS.get(name)
+    if rec is None or len(rec.fields) > 1:
+        raise DistributionError(f"unknown law spec {spec!r}; known: {law_catalog()}")
+    if not rec.fields:
+        return rec.build()
+    if not rest:
+        raise DistributionError(f"law {name!r} needs a parameter, e.g. {name}:1")
+    try:
+        return rec.build(float(rest))
+    except ValueError as exc:
+        raise DistributionError(f"bad parameter {rest!r} for law {name!r}") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ordered_map, substream
+from .numerics import mc_abs_moments, substream
 
 EXACT_COVER_LIMIT = 20
 TRIANGLE_TOL = 1e-12
@@ -290,9 +290,6 @@ class FieldModel:
                           tuple(obj["labels"]) if "labels" in obj else None)
 
 
-MC_CHUNKS = 16
-
-
 def field_sup_stats(model: FieldModel, coeff_sets, copies: int = 100_000,
                     seed: int = 0, threads: int = 1,
                     p_grid=(2.0, 4.0, 6.0, 8.0)) -> dict:
@@ -314,29 +311,19 @@ def field_sup_stats(model: FieldModel, coeff_sets, copies: int = 100_000,
     rows = []
     for a_idx, a in enumerate(coeff_sets):
         ent = np.asarray(a.entries if hasattr(a, "entries") else a, dtype=float)
-        n = ent.size
-        sizes = [copies // MC_CHUNKS] * MC_CHUNKS
-        sizes[-1] += copies - sum(sizes)
 
-        def one(chunk, n=n, ent=ent):
+        def sample(chunk, size):
             rng = substream(seed, 0xF1E1D, a_idx, chunk)
-            shape = (sizes[chunk], n, L)
+            shape = (size, ent.size, L)
             if model.driver == "gaussian":
                 g = rng.standard_normal(shape)
             else:
                 g = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
             w = np.einsum("cnl,n->cl", g, ent)
-            sup = np.max(w @ f, axis=1)
-            asup = np.abs(sup)
-            return [(float(np.sum(asup**p)), float(np.sum(asup ** (2 * p))))
-                    for p in p_grid]
+            return np.abs(np.max(w @ f, axis=1))
 
-        parts = ordered_map(one, range(MC_CHUNKS), threads)
         moments = {}
-        for j, p in enumerate(p_grid):
-            m = math.fsum(x[j][0] for x in parts) / copies
-            m2 = math.fsum(x[j][1] for x in parts) / copies
-            se = math.sqrt(max(m2 - m * m, 0.0) / copies)
+        for p, (m, se) in zip(p_grid, mc_abs_moments(sample, p_grid, copies, threads)):
             norm = m ** (1.0 / p)
             norm_se = se * norm / (p * m) if m > 0 else 0.0
             moments[p] = {"norm": norm, "norm_se": norm_se,

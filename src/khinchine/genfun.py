@@ -3,22 +3,28 @@ monotone inversion, Legendre (Young-Fenchel) conjugation, the exponential
 Orlicz N-function, convexity-class tests, the sup-over-n and sup-over-weights
 transforms, moment-scale functions, and tail envelopes.
 
+A family is one `Family` record in `FAMILIES`: its evaluation, domain
+radius, curvature at 0, label, JSON fields, closed-form inverse and tail
+exponent. `GeneratingFunction` reads the record, so adding a family is
+adding one record.
+
 A member of the admissible class is even, convex, vanishes at 0, behaves like
 a multiple of lambda^2 near 0, and is strictly increasing on [0, lambda0).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .distributions import Distribution, parse_distribution
-from .numerics import (geometric_grid, golden_max, invert_increasing_vec,
-                       project_simplex, substream)
+from .numerics import (candidate_sizes, geometric_grid, golden_max,
+                       invert_increasing_vec, project_simplex, substream,
+                       two_level_shapes)
 
 OVERFLOW_EXPONENT = 700.0  # exp argument guard, inside double range with headroom
 LEGENDRE_GRID_LO = 1e-6
@@ -34,9 +40,10 @@ class DomainError(ValueError):
 class GeneratingFunction:
     """One generating function with its domain radius.
 
-    family: 'subgaussian' (0.5*lam^2), 'power' (|lam|^m/m for |lam| >= 1,
-    lam^2/m below 1, the value-continuous splice), 'natural' (max over signs
-    of the log-MGF of `dist`), or 'tabulated' (piecewise-linear on knots).
+    family names a record of `FAMILIES`: 'subgaussian' (0.5*lam^2), 'power'
+    (|lam|^m/m for |lam| >= 1, lam^2/m below 1, the value-continuous splice),
+    'natural' (max over signs of the log-MGF of `dist`), or 'tabulated'
+    (piecewise-linear on knots).
     """
 
     family: str
@@ -46,47 +53,40 @@ class GeneratingFunction:
     knot_values: np.ndarray | None = field(default=None, compare=False)
 
     @property
+    def record(self) -> "Family":
+        return FAMILIES[self.family]
+
+    @property
     def lambda0(self) -> float:
-        if self.family == "tabulated":
-            return float(self.knots[-1])
-        return math.inf
+        return self.record.lambda0(self)
 
     @property
     def label(self) -> str:
-        if self.family == "power":
-            return f"power({self.m!r})"
-        if self.family == "natural":
-            return f"natural({self.dist.label})"
-        if self.family == "tabulated":
-            return f"tabulated[{self.knots.size}]"
-        return self.family
+        return self.record.label(self)
 
     @property
     def curvature_at_zero(self) -> float:
         """Exact limit of phi(lam)/lam^2 as lam -> 0 (numeric for tabulated)."""
-        if self.family == "subgaussian":
-            return 0.5
-        if self.family == "power":
-            return 1.0 / self.m
-        if self.family == "natural":
-            return self.dist.variance / 2.0
-        return float(self.knot_values[1] / self.knots[1] ** 2)
+        return self.record.curvature(self)
+
+    @property
+    def tail_exponent(self) -> float:
+        """Exponent m' of the exp(-c u^m') tail that phi's envelope gives."""
+        return self.record.tail_exponent(self)
+
+    def inverse_seed(self):
+        """Closed-form approximate inverse y -> lambda, the bracket seed of
+        `phi_inverse_vec`, or None where the family has none."""
+        return self.record.inverse(self)
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
         scalar = lam.ndim == 0
         x = np.abs(np.atleast_1d(lam))
-        if self.lambda0 != math.inf and np.any(x > self.lambda0 * (1 + 1e-12)):
-            raise DomainError(f"|lambda| exceeds domain radius {self.lambda0!r}")
-        if self.family == "subgaussian":
-            out = 0.5 * x * x
-        elif self.family == "power":
-            with np.errstate(over="ignore"):
-                out = np.where(x <= 1.0, x * x / self.m, x**self.m / self.m)
-        elif self.family == "natural":
-            out = np.maximum(self.dist.log_mgf(x), self.dist.log_mgf(-x))
-        else:
-            out = np.interp(x, self.knots, self.knot_values)
+        lambda0 = self.lambda0
+        if lambda0 != math.inf and np.any(x > lambda0 * (1 + 1e-12)):
+            raise DomainError(f"|lambda| exceeds domain radius {lambda0!r}")
+        out = self.record.evaluate(self, x)
         return float(out[0]) if scalar else out
 
     def derivative(self, x) -> np.ndarray:
@@ -100,30 +100,18 @@ class GeneratingFunction:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        out: dict = {"family": self.family,
-                     "lambda0": "inf" if self.lambda0 == math.inf else self.lambda0}
-        if self.family == "power":
-            out["m"] = self.m
-            out["splice"] = "quadratic-value"
-        if self.family == "natural":
-            out["dist"] = self.dist.to_json()
-        if self.family == "tabulated":
-            out["knots"] = self.knots.tolist()
-            out["values"] = self.knot_values.tolist()
-        return out
+        return {"family": self.family,
+                "lambda0": "inf" if self.lambda0 == math.inf else self.lambda0,
+                **self.record.json(self)}
 
     @staticmethod
     def from_json(obj: dict) -> "GeneratingFunction":
         fam = obj.get("family")
-        if fam == "subgaussian":
-            return phi_subgaussian()
-        if fam == "power":
-            return phi_power(obj["m"])
-        if fam == "natural":
-            return phi_natural(Distribution.from_json(obj["dist"]))
-        if fam == "tabulated":
-            return phi_tabulated(obj["knots"], obj["values"])
-        raise DomainError(f"unknown generating-function family {fam!r}")
+        rec = FAMILIES.get(fam) if isinstance(fam, str) else None
+        if rec is None:
+            raise DomainError(f"unknown generating-function family {fam!r}; "
+                              f"known: {', '.join(FAMILIES)}")
+        return rec.from_json(obj)
 
 
 def phi_subgaussian() -> GeneratingFunction:
@@ -159,6 +147,96 @@ def phi_tabulated(knots, values) -> GeneratingFunction:
     return GeneratingFunction("tabulated", knots=k, knot_values=v)
 
 
+# ---------------------------------------------------------------------------
+# the catalog: one record per family
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package uses about one generating-function family.
+    Each function takes the GeneratingFunction phi first."""
+
+    spec: str | None  # CLI form, None where the family comes only from a file
+    parse: Callable | None  # (text after 'name:' in the CLI spec) -> phi
+    from_json: Callable  # (JSON object) -> phi
+    json: Callable  # (phi) -> the family's own JSON fields
+    evaluate: Callable  # (phi, |lam| as a 1-d array) -> phi(lam)
+    lambda0: Callable  # (phi) -> domain radius
+    curvature: Callable  # (phi) -> limit of phi(lam)/lam^2 at 0
+    label: Callable  # (phi) -> str
+    inverse: Callable  # (phi) -> closed-form inverse y -> lambda, or None
+    tail_exponent: Callable = lambda phi: 2.0  # (phi) -> m' of exp(-c u^m')
+
+
+def _power_eval(phi, x):
+    with np.errstate(over="ignore"):
+        return np.where(x <= 1.0, x * x / phi.m, x**phi.m / phi.m)
+
+
+def _power_inverse(m: float, y: np.ndarray) -> np.ndarray:
+    my = m * y
+    return np.where(my <= 1.0, np.sqrt(my), my ** (1.0 / m))
+
+
+def _parse_power(rest: str) -> GeneratingFunction:
+    try:
+        return phi_power(float(rest))
+    except ValueError as exc:
+        raise DomainError(f"bad power exponent {rest!r}") from exc
+
+
+# A seed (`inverse`) only has to be accurate to about 1e-14 relative; a phi
+# without one is inverted from the plain bracket.
+FAMILIES: dict[str, Family] = {
+    "subgaussian": Family(
+        spec="subgaussian", parse=lambda rest: phi_subgaussian(),
+        from_json=lambda obj: phi_subgaussian(),
+        json=lambda phi: {},
+        evaluate=lambda phi, x: 0.5 * x * x,
+        lambda0=lambda phi: math.inf,
+        curvature=lambda phi: 0.5,
+        label=lambda phi: "subgaussian",
+        inverse=lambda phi: lambda y: np.sqrt(2.0 * y),
+    ),
+    "power": Family(
+        spec="power:<m>", parse=_parse_power,
+        from_json=lambda obj: phi_power(obj["m"]),
+        json=lambda phi: {"m": phi.m, "splice": "quadratic-value"},
+        evaluate=_power_eval,
+        lambda0=lambda phi: math.inf,
+        curvature=lambda phi: 1.0 / phi.m,
+        label=lambda phi: f"power({phi.m!r})",
+        inverse=lambda phi: lambda y: _power_inverse(phi.m, y),
+        tail_exponent=lambda phi: min(phi.m, 2.0),
+    ),
+    "natural": Family(
+        spec="natural:<law>", parse=lambda rest: phi_natural(parse_distribution(rest)),
+        from_json=lambda obj: phi_natural(Distribution.from_json(obj["dist"])),
+        json=lambda phi: {"dist": phi.dist.to_json()},
+        evaluate=lambda phi, x: np.maximum(phi.dist.log_mgf(x), phi.dist.log_mgf(-x)),
+        lambda0=lambda phi: math.inf,
+        curvature=lambda phi: phi.dist.variance / 2.0,
+        label=lambda phi: f"natural({phi.dist.label})",
+        inverse=lambda phi: phi.dist.natural_inverse(),
+    ),
+    "tabulated": Family(
+        spec=None, parse=None,
+        from_json=lambda obj: phi_tabulated(obj["knots"], obj["values"]),
+        json=lambda phi: {"knots": phi.knots.tolist(), "values": phi.knot_values.tolist()},
+        evaluate=lambda phi, x: np.interp(x, phi.knots, phi.knot_values),
+        lambda0=lambda phi: float(phi.knots[-1]),
+        curvature=lambda phi: float(phi.knot_values[1] / phi.knots[1] ** 2),
+        label=lambda phi: f"tabulated[{phi.knots.size}]",
+        inverse=lambda phi: lambda y: np.interp(y, phi.knot_values, phi.knots),
+    ),
+}
+
+
+def phi_catalog() -> str:
+    """The phi specs `parse_phi` accepts, for help and errors."""
+    return ", ".join([f.spec for f in FAMILIES.values() if f.spec] + ["@file.json"])
+
+
 def parse_phi(spec: str) -> GeneratingFunction:
     """Parse CLI specs: 'subgaussian', 'power:3', 'natural:<law spec>',
     or '@file.json'."""
@@ -167,39 +245,15 @@ def parse_phi(spec: str) -> GeneratingFunction:
         with open(spec[1:], "r", encoding="utf-8") as fh:
             return GeneratingFunction.from_json(json.load(fh))
     name, _, rest = spec.partition(":")
-    name = name.replace("-", "_").lower()
-    if name == "subgaussian":
-        return phi_subgaussian()
-    if name == "power":
-        try:
-            return phi_power(float(rest))
-        except ValueError as exc:
-            raise DomainError(f"bad power exponent {rest!r}") from exc
-    if name == "natural":
-        return phi_natural(parse_distribution(rest))
-    raise DomainError(f"unknown generating-function spec {spec!r}")
+    fam = FAMILIES.get(name.replace("-", "_").lower())
+    if fam is None or fam.parse is None:
+        raise DomainError(f"unknown generating-function spec {spec!r}; known: {phi_catalog()}")
+    return fam.parse(rest)
 
 
 # ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------
-
-def _power_inverse(phi: GeneratingFunction, y: np.ndarray) -> np.ndarray:
-    my = phi.m * y
-    return np.where(my <= 1.0, np.sqrt(my), my ** (1.0 / phi.m))
-
-
-#: closed-form inverse of each family, natural ones keyed by their law: the
-#: bracket seed of `phi_inverse_vec`. A seed only has to be accurate to about
-#: 1e-14 relative; a phi missing here is inverted from the plain bracket.
-_INVERSE_SEEDS = {
-    "subgaussian": lambda phi, y: np.sqrt(2.0 * y),
-    "power": _power_inverse,
-    "tabulated": lambda phi, y: np.interp(y, phi.knot_values, phi.knots),
-    "natural:gaussian": lambda phi, y: np.sqrt(2.0 * y) / phi.dist.params[0],
-    "natural:rademacher": lambda phi, y: y + np.log1p(np.sqrt(-np.expm1(-2.0 * y))),
-}
-
 
 def phi_inverse(phi: GeneratingFunction, y: float) -> float:
     """The lambda in [0, lambda0) with phi(lambda) = y, by monotone bisection.
@@ -222,7 +276,7 @@ def phi_inverse_vec(phi: GeneratingFunction, y: np.ndarray) -> np.ndarray:
     """The lambda in [0, lambda0) with phi(lambda) = y, elementwise.
 
     One bisection, `invert_increasing_vec`, serves every family. It starts
-    from the family's closed-form inverse in `_INVERSE_SEEDS` where there is
+    from the family's closed-form inverse (`inverse_seed`) where there is
     one and stops at its fixed point; a finite domain radius caps its bracket
     at lambda0 (1 - 1e-12). Each element gets the same bits whatever else is
     in y. Raises DomainError for y < 0, and for y above `phi_range(phi)`.
@@ -230,9 +284,7 @@ def phi_inverse_vec(phi: GeneratingFunction, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise DomainError("phi_inverse needs y >= 0")
-    key = phi.family if phi.dist is None else f"{phi.family}:{phi.dist.law}"
-    inverse = _INVERSE_SEEDS.get(key)
-    seed = None if inverse is None else functools.partial(inverse, phi)
+    seed = phi.inverse_seed()
     if phi.lambda0 == math.inf:
         return invert_increasing_vec(phi, y, seed=seed)
     limit = phi_range(phi)
@@ -478,21 +530,14 @@ def _kappa_candidates(phis, n_max: int, restarts: int, seed: int,
         b = np.zeros(k + 1)
         b[k] = 1.0
         cands.append(b)
-    ns = sorted({min(2**j, N) for j in range(0, 30) if 2**j <= N} | {N})
-    w_grid = (0.1, 0.3, 0.5, 0.7, 0.9)
-    for n in ns:
-        if n < 2:
-            continue
-        js = sorted({min(2**j, n - 1) for j in range(0, 30) if 2**j <= n - 1})
-        for j in js:
-            for w in w_grid:
-                b = np.full(n, (1.0 - w) / (n - j))
-                b[:j] = w / j
-                cands.append(b.copy())
-                cands.append(b[::-1].copy())
+    for n, j, w in two_level_shapes(N):
+        b = np.full(n, (1.0 - w) / (n - j))
+        b[:j] = w / j
+        cands.append(b.copy())
+        cands.append(b[::-1].copy())
     if restarts < 1 or not opt_lams:
         return cands
-    for n in ns:
+    for n in candidate_sizes(N):
         starts = [substream(seed, 0xCA11, n, r).dirichlet(np.ones(n)) for r in range(restarts)]
         b0 = np.repeat(starts, len(opt_lams), axis=0)
         cands.extend(_ascend_simplex_rows(phis[:n], np.tile(opt_lams, restarts), b0))
@@ -522,9 +567,7 @@ def _ascend_simplex_rows(phis, lams: np.ndarray, b0: np.ndarray,
     every row's arithmetic is elementwise or along that row alone (values
     are fsum-ed over the phi groups per row), so each row ends on the bits of
     an ascent from its start alone. That needs phi evaluated elementwise,
-    which holds for every family except natural over a discrete law: its
-    log-MGF is a BLAS matrix-vector product, whose last bits can depend on
-    how many points share the call.
+    which every family does.
     """
     groups = _group_phis(phis)
     lams = np.asarray(lams, dtype=float)[:, None]
@@ -613,8 +656,7 @@ def kappa_profile(phis, lam_grid, n_max: int = 32, restarts: int = 3, seed: int 
     The value is explicitly a lower bound of the sup: only the enumerated and
     locally optimized candidates are examined. The simplex ascents run as one
     stacked batch per n; values, witnesses and meta do not depend on that
-    batching (each start ends on the bits it would reach alone; see
-    `_ascend_simplex_rows` for the one family where that needs care).
+    batching (each start ends on the bits it would reach alone).
     """
     if n_max < 1:
         raise DomainError("kappa needs n_max >= 1")
@@ -695,17 +737,10 @@ class PsiFunction:
                 "provenance": self.provenance}
 
 
-def psi_from_phi(phi: GeneratingFunction, p_grid, literal: bool = False) -> PsiFunction:
-    """Moment-scale function induced by phi: psi(p) = phi^{-1}(p).
-
-    With literal=True the variant phi^{-1}(p)/p is produced instead; it is
-    kept behind this flag and not used by the verification suites.
-    """
+def psi_from_phi(phi: GeneratingFunction, p_grid) -> PsiFunction:
+    """Moment-scale function induced by phi: psi(p) = phi^{-1}(p)."""
     p = np.asarray(p_grid, dtype=float)
-    vals = phi_inverse_vec(phi, p)
-    if literal:
-        vals = vals / p
-    return PsiFunction(p, vals, "from_phi")
+    return PsiFunction(p, phi_inverse_vec(phi, p), "from_phi")
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,12 @@ import numpy as np
 from .distributions import Distribution
 from .genfun import (DomainError, GeneratingFunction, PsiFunction, phi_inverse_vec,
                      phi_range)
-from .numerics import (NORM_GRID_HI, NORM_GRID_LO, collapse_support,
-                       geometric_grid, ordered_map, substream)
+from .numerics import (MC_STREAMS, NORM_GRID_HI, NORM_GRID_LO, collapse_support,
+                       geometric_grid, mc_abs_moments, substream)
 
 ENUM_STATE_BUDGET = 1 << 22
 CONV_POINT_BUDGET = 1 << 18
 MC_SAMPLES_DEFAULT = 1_000_000
-MC_STREAMS = 16
 COLLAPSE_TOL = 1e-12
 
 
@@ -219,23 +218,14 @@ def sum_abs_moments(d: Distribution, a: CoefficientVector, ps, engine: str = "au
 def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | None,
                     seed: int, threads: int) -> list:
     """The monte_carlo engine of `weighted_sum_lp` for every p in ps, from
-    one set of draws."""
+    one set of draws (MC_STREAMS chunks, see `mc_abs_moments`)."""
     samples = budget or MC_SAMPLES_DEFAULT
-    chunk_sizes = [samples // MC_STREAMS] * MC_STREAMS
-    chunk_sizes[-1] += samples - sum(chunk_sizes)
 
-    def one(stream):
-        rng = substream(seed, 0x10AD, stream)
-        x = np.abs(d.draw(rng, (chunk_sizes[stream], a.n)) @ a.entries)
-        return [(float(np.sum(s)), float(np.dot(s, s))) for s in (x ** p for p in ps)]
+    def sample(chunk, size):
+        return np.abs(d.draw(substream(seed, 0x10AD, chunk), (size, a.n)) @ a.entries)
 
-    parts = ordered_map(one, range(MC_STREAMS), threads)
     out = []
-    for j, p in enumerate(ps):
-        m = math.fsum(x[j][0] for x in parts) / samples
-        m2 = math.fsum(x[j][1] for x in parts) / samples
-        var = max(m2 - m * m, 0.0)
-        se = math.sqrt(var / samples)
+    for p, (m, se) in zip(ps, mc_abs_moments(sample, ps, samples, threads)):
         value = m ** (1.0 / p)
         ci = 3.0 * se * value / (p * m) if m > 0 else 0.0
         out.append(NormEstimate(value, "monte_carlo", ci_halfwidth=ci,
@@ -253,16 +243,15 @@ def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
     convolution (lattice laws, support collapsed at 1e-12), monte_carlo
     (budget = sample count, 3-sigma band on the p-th moment carried through
     the 1/p root by the delta method), and auto, which never silently
-    samples and tries in order: the gaussian closed form, even moments
-    (symmetric law, even integer p; exact at any n, no budget), convolution,
-    enumeration.
+    samples and tries in order: the law's closed-form sum law (gaussian),
+    even moments (symmetric law, even integer p; exact at any n, no budget),
+    convolution, enumeration.
     """
     if p < 1:
         raise ValueError("weighted_sum_lp needs p >= 1")
-    if engine in ("auto", "quadrature") and d.law == "gaussian":
-        sigma = d.params[0] * math.sqrt(float(np.dot(a.entries, a.entries)))
-        val = Distribution.gaussian(sigma).lp_norm(p)
-        return NormEstimate(val, "quadrature", meta={"reduced_law": f"gaussian({sigma!r})"})
+    law = d.sum_law(a.entries) if engine in ("auto", "quadrature") else None
+    if law is not None:
+        return NormEstimate(law.lp_norm(p), "quadrature", meta={"reduced_law": law.label})
     if engine == "monte_carlo":
         return _monte_carlo_lp(d, a, [p], budget, seed, threads)[0]
     (moment,), method, points = sum_abs_moments(d, a, [p], engine, budget)
@@ -311,9 +300,7 @@ def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None,
     windows, and its `truncated` and `unbounded` flags; a source whose
     log-MGF exceeds a finite phi range is unbounded alone. Because the
     inversion works elementwise, estimate r has the bits of
-    `bphi_norm(sources[r], phi, lambda_grid, variances[r])` (for natural phi
-    over a discrete law only as far as its BLAS-evaluated log-MGF is
-    elementwise).
+    `bphi_norm(sources[r], phi, lambda_grid, variances[r])`.
     """
     if variances is None:
         variances = [None] * len(sources)
@@ -419,25 +406,13 @@ def weighted_sum_bphi(d: Distribution, a: CoefficientVector,
 # ---------------------------------------------------------------------------
 
 def gls_norm(d: Distribution, psi: PsiFunction, engine: str = "quadrature",
-             budget: int | None = None, seed: int = 0) -> NormEstimate:
-    """sup over the psi grid of ||X||_p / psi(p); reports the attaining p."""
+             budget: int | None = None, seed: int = 0, threads: int = 1) -> NormEstimate:
+    """sup over the psi grid of ||X||_p / psi(p); reports the attaining p.
+    Monte Carlo is the one-coordinate case of `weighted_sum_gls`."""
     if engine == "monte_carlo":
-        samples = budget or MC_SAMPLES_DEFAULT
-        rng = substream(seed, 0x615)
-        draws = np.abs(d.draw(rng, samples))
-        norms = np.empty(psi.p_grid.size)
-        ses = np.empty(psi.p_grid.size)
-        for k, p in enumerate(psi.p_grid):
-            mom = draws ** p
-            m = float(np.mean(mom))
-            se = float(np.std(mom)) / math.sqrt(samples)
-            norms[k] = m ** (1.0 / p)
-            ses[k] = 3.0 * se * norms[k] / (p * m) if m > 0 else 0.0
-        ratio = norms / psi.values
-        i = int(np.argmax(ratio))
-        return NormEstimate(float(ratio[i]), "monte_carlo",
-                            ci_halfwidth=float(ses[i] / psi.values[i]),
-                            meta={"attained_p": float(psi.p_grid[i]), "samples": samples})
+        est = weighted_sum_gls(d, CoefficientVector([1.0]), psi, engine, budget, seed, threads)
+        return NormEstimate(est.value, est.method, est.ci_halfwidth,
+                            meta={**est.meta, "samples": budget or MC_SAMPLES_DEFAULT})
     norms = np.array([d.lp_norm(float(p)) for p in psi.p_grid])
     ratio = norms / psi.values
     i = int(np.argmax(ratio))
@@ -448,19 +423,19 @@ def gls_norm(d: Distribution, psi: PsiFunction, engine: str = "quadrature",
 
 def weighted_sum_gls(d: Distribution, a: CoefficientVector, psi: PsiFunction,
                      engine: str = "auto", budget: int | None = None,
-                     seed: int = 0) -> NormEstimate:
+                     seed: int = 0, threads: int = 1) -> NormEstimate:
     """sup over the psi grid of ||sum a_k X_k||_p / psi(p).
 
     The exact engines evaluate every p from one pass of `sum_abs_moments`
     (one law build per weight vector), Monte Carlo from one set of draws;
-    the gaussian closed form goes through `weighted_sum_lp` once per p.
+    a closed-form sum law goes through `weighted_sum_lp` once per p.
     """
     ps = [float(p) for p in psi.p_grid]
     if engine == "monte_carlo":
         if ps[0] < 1:
             raise ValueError("weighted_sum_lp needs p >= 1")
-        ests = _monte_carlo_lp(d, a, ps, budget, seed, threads=1)
-    elif engine in ("auto", "quadrature") and d.law == "gaussian":
+        ests = _monte_carlo_lp(d, a, ps, budget, seed, threads)
+    elif engine in ("auto", "quadrature") and d.is_stable:
         ests = [weighted_sum_lp(d, a, p, engine=engine, budget=budget, seed=seed)
                 for p in ps]
     else:

@@ -1,6 +1,7 @@
 """Shared numeric machinery: geometric grids, bracketed concave maximization,
-vectorized monotone inversion, simplex projection, and deterministic
-counter-based random streams."""
+vectorized monotone inversion, simplex projection, the candidate sizes of
+the weight searches, deterministic counter-based random streams, and the one
+Monte Carlo moment estimator."""
 
 from __future__ import annotations
 
@@ -15,6 +16,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 NORM_GRID_LO = 1e-4
 NORM_GRID_HI = 1e3
 POINTS_PER_DECADE = 64
+
+#: independent sub-streams (chunks) of every Monte Carlo moment estimate
+MC_STREAMS = 16
+#: squared weight w of the leading block of a two-level candidate
+TWO_LEVEL_W = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 def geometric_grid(lo: float, hi: float, per_decade: int = POINTS_PER_DECADE) -> np.ndarray:
@@ -115,6 +121,22 @@ def invert_increasing_vec(f, y, hi_start: float = 1.0, iters: int = 200,
     return float(out[0]) if scalar else out
 
 
+def candidate_sizes(n_max: int) -> list[int]:
+    """The powers of two up to n_max, and n_max: the sizes at which the
+    weight searches try two-level patterns and local optimization."""
+    return sorted({2**j for j in range(n_max.bit_length())} | {n_max})
+
+
+def two_level_shapes(n_max: int):
+    """(n, j, w) of every two-level candidate: j leading coordinates of n
+    carry squared weight w, for n >= 2 in `candidate_sizes(n_max)`, j a power
+    of two below n and w in TWO_LEVEL_W."""
+    for n in candidate_sizes(n_max):
+        for j in (2**i for i in range((n - 1).bit_length())):
+            for w in TWO_LEVEL_W:
+                yield n, j, w
+
+
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row (the last axis) of finite v onto the
     probability simplex; a 1-d v is one row. Rows do not interact, so a row
@@ -142,6 +164,30 @@ def substream(seed: int, *ids: int) -> np.random.Generator:
     for i in ids:
         mix = (mix * 1000003 + (int(i) & 0xFFFFFFFFFFFFFFFF) + 1) & 0xFFFFFFFFFFFFFFFF
     return np.random.Generator(np.random.Philox(key=np.array([key, mix], dtype=np.uint64)))
+
+
+def mc_abs_moments(sample, ps, samples: int, threads: int = 1) -> list:
+    """(mean, standard error) of |x|^p for every p in ps from `samples`
+    draws taken in MC_STREAMS chunks; sample(chunk, size) returns the |x| of
+    one chunk from that chunk's own stream.
+
+    Each chunk reduces to a sum and a sum of squares per p, and the chunks
+    are fsum-ed in order, so the result does not depend on `threads`.
+    """
+    sizes = [samples // MC_STREAMS] * MC_STREAMS
+    sizes[-1] += samples - sum(sizes)
+
+    def one(chunk):
+        x = sample(chunk, sizes[chunk])
+        return [(float(np.sum(s)), float(np.dot(s, s))) for s in (x ** p for p in ps)]
+
+    parts = ordered_map(one, range(MC_STREAMS), threads)
+    out = []
+    for j in range(len(ps)):
+        m = math.fsum(x[j][0] for x in parts) / samples
+        m2 = math.fsum(x[j][1] for x in parts) / samples
+        out.append((m, math.sqrt(max(m2 - m * m, 0.0) / samples)))
+    return out
 
 
 def ordered_map(fn, items, threads: int = 1) -> list:

@@ -19,7 +19,7 @@ from .genfun import GeneratingFunction, PsiFunction
 from .norms import (CoefficientVector, EngineRefusal, NormEstimate, bphi_norm,
                     gls_norm, weighted_sum_bphi, weighted_sum_gls,
                     weighted_sum_lp)
-from .numerics import substream
+from .numerics import candidate_sizes, substream, two_level_shapes
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,6 @@ class KhinchineEstimate:
                 "meta": dict(self.meta)}
 
 
-def _geometric_ns(n_max: int) -> list[int]:
-    return sorted({min(2**j, n_max) for j in range(0, 30) if 2**j <= n_max} | {n_max})
-
-
 def _scan_candidates(n_max: int):
     """Deterministic scan candidates: equal weights for every n, the one-hot
     vector, and two-level patterns on a geometric n subset. Growing n_max only
@@ -114,13 +110,8 @@ def _scan_candidates(n_max: int):
     for n in range(1, n_max + 1):
         if n > 1:
             yield "equal", n, CoefficientVector.equal(n)
-    for n in _geometric_ns(n_max):
-        if n < 2:
-            continue
-        js = sorted({min(2**j, n - 1) for j in range(0, 30) if 2**j <= n - 1})
-        for j in js:
-            for w in (0.1, 0.3, 0.5, 0.7, 0.9):
-                yield "two_level", n, CoefficientVector.two_level(n, j, w)
+    for n, j, w in two_level_shapes(n_max):
+        yield "two_level", n, CoefficientVector.two_level(n, j, w)
 
 
 def _coordinate_search(evaluate, b0: np.ndarray, maximize: bool,
@@ -192,9 +183,7 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
         consider(kind, n, a)
 
     nonneg = d.is_symmetric  # sign of a_k provably irrelevant there
-    for n in _geometric_ns(n_max):
-        if n < 2:
-            continue
+    for n in candidate_sizes(n_max)[1:]:  # n = 1 has nothing to optimize
         for r in range(restarts):
             rng = substream(seed, 0x5EA2C4, n, r)
             start = rng.dirichlet(np.ones(n))

@@ -333,8 +333,9 @@ def pythagoras_check(phi: GeneratingFunction, laws=None, trials: int = 1000,
         for est in part_norms:
             rhs += est.value * est.value
         lhs = sum_norm.value ** 2
-        gaussian_only = all(law.law == "gaussian" for law, _ in parts)
-        return lhs - rhs, gaussian_only, abs(lhs - rhs)
+        # scaled sums of a stable law (the Gaussian) attain equality
+        stable_only = all(law.is_stable for law, _ in parts)
+        return lhs - rhs, stable_only, abs(lhs - rhs)
 
     results = ordered_map(one_trial, range(trials), threads)
     violations = [r[0] for r in results]
@@ -361,10 +362,9 @@ def pythagoras_check(phi: GeneratingFunction, laws=None, trials: int = 1000,
 def _exact_survival(d: Distribution, a: CoefficientVector, u: float):
     """max of both tail probabilities of sum a_k X_k, exact; None if no exact
     engine applies."""
-    if d.law == "gaussian":
-        s = d.params[0] * math.sqrt(float(np.dot(a.entries, a.entries)))
-        val = 0.5 * math.erfc(u / (math.sqrt(2.0) * s))
-        return val, "gaussian_closed_form"
+    law = d.sum_law(a.entries)
+    if law is not None:
+        return law.tail(u), f"{law.law}_closed_form"
     try:
         vals, probs, method = sum_distribution(d, a)
     except Exception:
@@ -386,7 +386,7 @@ def tail_compare(d: Distribution, a: CoefficientVector,
     that constant is a surrogate only, never asserted against.
     """
     tau = weighted_sum_bphi(d, a, phi).value
-    m_exp = min(phi.m, 2.0) if phi.family == "power" else 2.0
+    m_exp = phi.tail_exponent
     rows = []
     ok = True
     fitted = math.inf

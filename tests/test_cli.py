@@ -188,6 +188,8 @@ def test_byte_identical_across_runs_and_threads(capsys):
         ["phi", "legendre", "--family", "natural:rademacher", "--u", "0.5"],
         ["norm", "lp", "--law", "rademacher", "--weights", "equal:4", "--p", "4",
          "--engine", "monte_carlo", "--samples", "20000", "--seed", "9"],
+        ["norm", "gls", "--law", "gaussian:1", "--psi", "sqrtp", "--p-grid", "2:8",
+         "--engine", "monte_carlo", "--samples", "20000", "--seed", "9"],
         ["khinchine", "sup", "--law", "rademacher", "--norm", "lp:4",
          "--nmax", "6", "--restarts", "1", "--seed", "2"],
         ["verify", "pythagoras", "--phi", "subgaussian", "--trials", "20",
@@ -257,3 +259,36 @@ def test_nonfinite_floats_serialized_as_strings(capsys):
 
 def test_unknown_law_exit_two(capsys):
     assert main(["norm", "bphi", "--law", "cauchy:1", "--phi", "subgaussian"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's layer tracer still finds every traced name
+# ---------------------------------------------------------------------------
+
+def test_bench_layer_tracer_installs_and_uninstalls(capsys):
+    """`khinchine ... --trace` in the benchmark wraps the functions named in
+    bench/layers.py; a rename in the package must fail here, not only in the
+    benchmark's own self-tests."""
+    import importlib.util
+    from pathlib import Path
+
+    from khinchine.distributions import Distribution
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+
+    original = Distribution.log_mgf
+    rec = layers.Recorder()
+    slots = layers.install(rec)
+    try:
+        assert len(slots) >= len(layers.TARGETS)
+        code, _ = run(capsys, ["norm", "bphi", "--law", "rademacher", "--phi", "subgaussian"])
+    finally:
+        layers.uninstall(slots)
+    assert code == 0
+    names = {s[1] for s in rec.spans}
+    assert {"norms.bphi_norm", "distributions.log_mgf", "cli.emit_report"} <= names
+    assert rec.counters["genfun.phi_eval"]["calls"] > 0
+    assert Distribution.log_mgf is original

@@ -223,6 +223,17 @@ def test_discrete_dedupes_support():
     assert d.probs[0] == pytest.approx(0.5)
 
 
+def test_discrete_merges_only_near_duplicates_and_zero_masses():
+    # merging takes the probability-weighted mean, which would move 0.2 to
+    # 0.20000000000000004; a support with nothing to merge stays as given
+    d = Distribution.discrete([0.3, -1.0, 0.2], [0.4, 0.2, 0.4])
+    assert d.support.tolist() == [-1.0, 0.2, 0.3]
+    assert d.probs.tolist() == [0.2, 0.4, 0.4]
+    z = Distribution.discrete([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5])
+    assert z.support.tolist() == [-1.0, 1.0]
+    assert z.probs.tolist() == [0.5, 0.5]
+
+
 def test_discrete_rejects_noncentered():
     with pytest.raises(DistributionError, match="centered"):
         Distribution.discrete([0.0, 1.0], [0.5, 0.5])

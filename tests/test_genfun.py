@@ -497,12 +497,6 @@ def test_psi_from_phi_examples():
     assert v == pytest.approx((4.0 * 64.0) ** 0.25, abs=1e-8)
 
 
-def test_psi_literal_variant():
-    lit = psi_from_phi(PHI2, [8.0], literal=True)
-    assert lit.values[0] == pytest.approx(0.5, abs=1e-10)
-    assert lit.provenance == "from_phi"
-
-
 def test_psi_validation():
     with pytest.raises(DomainError):
         PsiFunction(np.array([2.0, 2.0]), np.array([1.0, 1.0]))

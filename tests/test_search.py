@@ -121,3 +121,19 @@ def test_sup_never_exceeds_gaussian_floor_for_rademacher_lp4():
     floor = prelim_bounds(RAD, LP4)["upper_floor"]
     est = khinchine_sup(RAD, LP4, n_max=32, restarts=1, seed=0)
     assert est.value <= floor + 1e-9
+
+
+def test_shared_candidate_rule_matches_the_set_expressions():
+    """The search scan and the kappa candidates share one size rule; it must
+    give exactly the sizes of the set expressions each used to spell out."""
+    from khinchine.numerics import candidate_sizes, two_level_shapes
+
+    def sizes(n_max):
+        return sorted({min(2**j, n_max) for j in range(0, 30) if 2**j <= n_max} | {n_max})
+
+    for n_max in range(1, 600):
+        shapes = [(n, j, w) for n in sizes(n_max) if n >= 2
+                  for j in sorted({min(2**j, n - 1) for j in range(0, 30) if 2**j <= n - 1})
+                  for w in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        assert candidate_sizes(n_max) == sizes(n_max)
+        assert list(two_level_shapes(n_max)) == shapes
