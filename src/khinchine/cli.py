@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=None,
                         help="budget for sampling engines / enumeration; "
                              "--engine auto on a symmetric law with even p "
-                             "needs none")
+                             "needs none. Monte Carlo holds samples/16 floats "
+                             "per thread plus one block of draws, not samples x n")
     common.add_argument("--engine", default="auto",
                         choices=["auto", "exact_enum", "convolution", "monte_carlo"])
     common.add_argument("--nmax", type=int, default=32)

@@ -362,7 +362,9 @@ LAWS: dict[str, Law] = {
         variance=lambda d: 1.0,
         symmetric=lambda d: True,
         log_mgf=lambda d, lam: log_cosh(lam),
-        draw=lambda d, rng, size: rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0,
+        # the top bit of one 32-bit word per sign: the words integers(0, 2) reads
+        draw=lambda d, rng, size: (rng.integers(0, 1 << 32, size, dtype=np.uint32) >> 31
+                                   ).astype(float) * 2.0 - 1.0,
         finite_support=lambda d: (np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
         even_moments=lambda d, i: np.ones(i.size),
         natural_inverse=lambda d, y: y + np.log1p(np.sqrt(-np.expm1(-2.0 * y))),
@@ -394,8 +396,9 @@ LAWS: dict[str, Law] = {
         variance=lambda d: 2.0 * d.params[0],
         symmetric=lambda d: True,
         log_mgf=lambda d, lam: _symmetrized_poisson_log_mgf(d.params[0], lam),
-        draw=lambda d, rng, size: (rng.poisson(d.params[0], size=size)
-                                   - rng.poisson(d.params[0], size=size)).astype(float),
+        # the two Poisson values of an element are adjacent draws, so rows stream
+        draw=lambda d, rng, size: np.diff(rng.poisson(d.params[0], (*np.atleast_1d(size), 2))
+                                          )[..., 0].astype(float),
         finite_support=lambda d: _symmetrized_poisson_support(d.params[0]),
     ),
     "uniform_symmetric": Law(

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import mc_abs_moments, substream
+from .distributions import Distribution
+from .numerics import mc_abs_moments, stream_rows, substream
 
 EXACT_COVER_LIMIT = 20
 TRIANGLE_TOL = 1e-12
@@ -240,6 +241,10 @@ def dudley_integral(space: FiniteMetricSpace, sigma_scale: float = 1.0) -> float
 # field supremum simulator
 # ---------------------------------------------------------------------------
 
+#: the driver laws, the two for which `rho_is_exact` and `sigma` hold
+FIELD_DRIVERS = {"gaussian": Distribution.gaussian(1.0), "rademacher": Distribution.rademacher()}
+
+
 @dataclass(frozen=True)
 class FieldModel:
     """Linear random field eta(z) = sum_l g_l f_l(z) with i.i.d. driver
@@ -254,7 +259,7 @@ class FieldModel:
         object.__setattr__(self, "features", f)
         if f.ndim != 2 or f.size == 0:
             raise ValueError("features must be a 2-d (L, points) matrix")
-        if self.driver not in ("gaussian", "rademacher"):
+        if self.driver not in FIELD_DRIVERS:
             raise ValueError("driver must be gaussian or rademacher")
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(range(f.shape[1])))
@@ -303,6 +308,7 @@ def field_sup_stats(model: FieldModel, coeff_sets, copies: int = 100_000,
     """
     f = model.features  # (L, Z)
     L, n_z = f.shape
+    driver = FIELD_DRIVERS[model.driver]
     p_grid = tuple(float(p) for p in p_grid)
     space = model.space()
     dudley = dudley_integral(space)
@@ -312,15 +318,13 @@ def field_sup_stats(model: FieldModel, coeff_sets, copies: int = 100_000,
     for a_idx, a in enumerate(coeff_sets):
         ent = np.asarray(a.entries if hasattr(a, "entries") else a, dtype=float)
 
+        def block(rng, m):
+            w = np.einsum("cnl,n->cl", driver.draw(rng, (m, ent.size, L)), ent)
+            return np.abs(np.max(w @ f, axis=1))
+
         def sample(chunk, size):
             rng = substream(seed, 0xF1E1D, a_idx, chunk)
-            shape = (size, ent.size, L)
-            if model.driver == "gaussian":
-                g = rng.standard_normal(shape)
-            else:
-                g = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-            w = np.einsum("cnl,n->cl", g, ent)
-            return np.abs(np.max(w @ f, axis=1))
+            return stream_rows(block, rng, size, ent.size * L + n_z)
 
         moments = {}
         for p, (m, se) in zip(p_grid, mc_abs_moments(sample, p_grid, copies, threads)):

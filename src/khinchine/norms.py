@@ -13,7 +13,7 @@ from .distributions import Distribution
 from .genfun import (DomainError, GeneratingFunction, PsiFunction, phi_inverse_vec,
                      phi_range)
 from .numerics import (MC_STREAMS, NORM_GRID_HI, NORM_GRID_LO, collapse_support,
-                       geometric_grid, mc_abs_moments, substream)
+                       geometric_grid, mc_abs_moments, stream_rows, substream)
 
 ENUM_STATE_BUDGET = 1 << 22
 CONV_POINT_BUDGET = 1 << 18
@@ -215,6 +215,13 @@ def sum_abs_moments(d: Distribution, a: CoefficientVector, ps, engine: str = "au
 # weighted-sum L_p norm
 # ---------------------------------------------------------------------------
 
+def draw_sums(d: Distribution, a: CoefficientVector, rng, size: int) -> np.ndarray:
+    """`size` draws of sum_k a_k X_k in row blocks; numpy sums each row on its
+    own, as a BLAS matrix-vector product's bits for a row depend on its place."""
+    return stream_rows(lambda g, m: np.sum(d.draw(g, (m, a.n)) * a.entries, axis=1),
+                       rng, size, a.n)
+
+
 def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | None,
                     seed: int, threads: int) -> list:
     """The monte_carlo engine of `weighted_sum_lp` for every p in ps, from
@@ -222,7 +229,7 @@ def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | Non
     samples = budget or MC_SAMPLES_DEFAULT
 
     def sample(chunk, size):
-        return np.abs(d.draw(substream(seed, 0x10AD, chunk), (size, a.n)) @ a.entries)
+        return np.abs(draw_sums(d, a, substream(seed, 0x10AD, chunk), size))
 
     out = []
     for p, (m, se) in zip(ps, mc_abs_moments(sample, ps, samples, threads)):

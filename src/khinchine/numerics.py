@@ -1,7 +1,7 @@
 """Shared numeric machinery: geometric grids, bracketed concave maximization,
 vectorized monotone inversion, simplex projection, the candidate sizes of
-the weight searches, deterministic counter-based random streams, and the one
-Monte Carlo moment estimator."""
+the weight searches, deterministic counter-based random streams, and Monte
+Carlo's row-blocked draws and one moment estimator."""
 
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ POINTS_PER_DECADE = 64
 
 #: independent sub-streams (chunks) of every Monte Carlo moment estimate
 MC_STREAMS = 16
+#: bytes of draws in one block of a Monte Carlo chunk (see `stream_rows`)
+MC_BLOCK_BYTES = 1 << 20
 #: squared weight w of the leading block of a two-level candidate
 TWO_LEVEL_W = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -166,13 +168,28 @@ def substream(seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([key, mix], dtype=np.uint64)))
 
 
+def stream_rows(block, rng, size: int, width: int) -> np.ndarray:
+    """One value for each of `size` rows of `width` floats drawn on rng, from
+    block(rng, m) calls of B = MC_BLOCK_BYTES // (8 * width) rows, at least 2
+    (the last block takes the remainder: numpy multiplies a lone row through
+    another BLAS kernel). Laws draw row by row and blocks reduce each row on
+    its own, so the values do not depend on B. Memory: the output and a block."""
+    rows = max(2, MC_BLOCK_BYTES // (8 * width))
+    starts = list(range(0, max(size - rows, 0) + 1, rows))
+    out = np.empty(size)
+    for lo, hi in zip(starts, starts[1:] + [size]):
+        out[lo:hi] = block(rng, hi - lo)
+    return out
+
+
 def mc_abs_moments(sample, ps, samples: int, threads: int = 1) -> list:
     """(mean, standard error) of |x|^p for every p in ps from `samples`
     draws taken in MC_STREAMS chunks; sample(chunk, size) returns the |x| of
     one chunk from that chunk's own stream.
 
     Each chunk reduces to a sum and a sum of squares per p, and the chunks
-    are fsum-ed in order, so the result does not depend on `threads`.
+    are fsum-ed in order, so the result does not depend on `threads`. A worker
+    holds |x| and one power of it, plus one block of draws (`stream_rows`).
     """
     sizes = [samples // MC_STREAMS] * MC_STREAMS
     sizes[-1] += samples - sum(sizes)

@@ -18,8 +18,8 @@ from .distributions import Distribution
 from .genfun import (GeneratingFunction, PsiFunction, candidate_profile,
                      conv_r_class, kappa_profile, phi_membership_report,
                      tail_envelope)
-from .norms import (CoefficientVector, bphi_norm, bphi_norms, sum_distribution,
-                    weighted_sum_bphi, weighted_sum_lp)
+from .norms import (CoefficientVector, bphi_norm, bphi_norms, draw_sums,
+                    sum_distribution, weighted_sum_bphi, weighted_sum_lp)
 from .numerics import geometric_grid, ordered_map, substream
 
 #: optimal-order Rosenthal constant
@@ -400,9 +400,7 @@ def tail_compare(d: Distribution, a: CoefficientVector,
             se = 0.0
         else:
             if mc_vals is None:
-                rng = substream(seed, 0x7A11)
-                draws = d.draw(rng, (samples, a.n))
-                mc_vals = draws @ a.entries
+                mc_vals = draw_sums(d, a, substream(seed, 0x7A11), samples)
             up = float(np.mean(mc_vals >= u))
             dn = float(np.mean(mc_vals <= -u))
             surv = max(up, dn)

@@ -1,6 +1,7 @@
 """One parametrized check over every law record and every phi family: the
 CLI spec -> JSON round trip, variance against the even moments, symmetry
-against the log-MGF, and batch independence of log_mgf and phi."""
+against the log-MGF, batch independence of log_mgf and phi, and draws that
+stream by rows."""
 
 import json
 
@@ -9,6 +10,7 @@ import pytest
 
 from khinchine.distributions import LAWS, Distribution, DistributionError, parse_distribution
 from khinchine.genfun import FAMILIES, DomainError, GeneratingFunction, parse_phi
+from khinchine.numerics import substream
 
 PARAMETER = 0.7
 #: spans both branches of the discrete log-MGF (max lam * v below and above 33)
@@ -101,6 +103,24 @@ def test_law_record(spec, tmp_path):
     alone = np.array([d.log_mgf(x) for x in LAM])
     assert np.array_equal(alone, pos)
     assert np.array_equal(np.concatenate([d.log_mgf(LAM[i:i + 1]) for i in range(LAM.size)]), pos)
+
+
+@pytest.mark.parametrize("skip", [0, 1])
+@pytest.mark.parametrize("m1", [3, 4])
+@pytest.mark.parametrize("spec", [s for _, s in LAW_SPECS], ids=[k for k, _ in LAW_SPECS])
+def test_law_draw_streams_by_rows(spec, m1, skip, tmp_path):
+    """Rows drawn in one call equal the same rows drawn in two calls on one
+    generator, so Monte Carlo chunks can be drawn in blocks of rows; `skip`
+    32-bit words are drawn first (Philox keeps half a 64-bit word)."""
+    d = parse_distribution(_spec(spec, tmp_path))
+    one, two = substream(3, 9), substream(3, 9)
+    for g in (one, two):
+        g.integers(0, 1 << 32, skip, dtype=np.uint32)
+    m2, n = 6, 5
+    whole = d.draw(one, (m1 + m2, n))
+    parts = np.concatenate([d.draw(two, (m1, n)), d.draw(two, (m2, n))])
+    assert whole.shape == (m1 + m2, n)
+    assert np.array_equal(whole, parts)
 
 
 @pytest.mark.parametrize("spec", [s for _, s in PHI_SPECS], ids=[k for k, _ in PHI_SPECS])

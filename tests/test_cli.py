@@ -188,6 +188,9 @@ def test_byte_identical_across_runs_and_threads(capsys):
         ["phi", "legendre", "--family", "natural:rademacher", "--u", "0.5"],
         ["norm", "lp", "--law", "rademacher", "--weights", "equal:4", "--p", "4",
          "--engine", "monte_carlo", "--samples", "20000", "--seed", "9"],
+        # chunks of 12,500 rows of 32 draws: several blocks each
+        ["norm", "lp", "--law", "rademacher", "--weights", "equal:32", "--p", "4",
+         "--engine", "monte_carlo", "--samples", "200003", "--seed", "9"],
         ["norm", "gls", "--law", "gaussian:1", "--psi", "sqrtp", "--p-grid", "2:8",
          "--engine", "monte_carlo", "--samples", "20000", "--seed", "9"],
         ["khinchine", "sup", "--law", "rademacher", "--norm", "lp:4",

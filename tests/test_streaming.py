@@ -1,0 +1,245 @@
+"""Row-blocked Monte Carlo draws give the values of whole-chunk draws.
+
+Every Monte Carlo chunk is drawn in blocks of rows (`numerics.stream_rows`).
+Each gate runs with the block budget `numerics.MC_BLOCK_BYTES` at 7 bytes
+(two rows a block; 19,997 samples, to keep the many small blocks quick), at
+4093 bytes and at its default (99,991 samples), sample counts that are
+multiples of neither a block nor MC_STREAMS, and compares by repr:
+
+- against the same code drawing each chunk in one call (`stream_rows`
+  replaced by one block), for every path and law;
+- against test-local copies of the whole-matrix code the streaming replaced.
+  Its row sum `draws @ a` is a BLAS matrix-vector product, whose bits for a
+  row depend on the row's place in the call, so the streamed lp/gls path sums
+  each row with numpy instead; the copies match it bitwise at n = 1 (one
+  product, no sum) and to 1e-13 relative above. The field simulator and the
+  tail check keep their operations and match bitwise.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from khinchine import entropy, norms, numerics
+from khinchine.distributions import Distribution
+from khinchine.entropy import FieldModel, field_sup_stats
+from khinchine.genfun import PsiFunction, phi_subgaussian
+from khinchine.norms import CoefficientVector, weighted_sum_gls, weighted_sum_lp
+from khinchine.numerics import mc_abs_moments, substream
+from khinchine.verify import tail_compare
+
+RAD = Distribution.rademacher()
+G1 = Distribution.gaussian(1.0)
+SPOIS = Distribution.symmetrized_poisson(0.5)
+SKEW = Distribution.discrete([-2.0, 1.0, 3.0], [0.5, 0.25, 0.25])
+UNIF = Distribution.uniform_symmetric(1.5)
+SAMPLES = 99_991
+#: (block budget in bytes or None for the default, sample count)
+BLOCKS = [(7, 19_997), (4093, SAMPLES), (None, SAMPLES)]
+PSI = PsiFunction.sqrt_p(np.arange(2.0, 9.0))
+
+
+@pytest.fixture(params=BLOCKS, ids=["block7", "block4093", "default"])
+def samples(request, monkeypatch):
+    """Sets the block budget; returns the sample count to use with it."""
+    budget, count = request.param
+    if budget is not None:
+        monkeypatch.setattr(numerics, "MC_BLOCK_BYTES", budget)
+    return count
+
+
+def _weights(n):
+    return CoefficientVector.random_sphere(n, np.random.default_rng(n))
+
+
+def _whole_chunks(monkeypatch):
+    """Draw every chunk in one block, as before the streaming."""
+    def one_block(block, rng, size, width):
+        return block(rng, size)
+
+    for mod in (norms, entropy):
+        monkeypatch.setattr(mod, "stream_rows", one_block)
+
+
+def _key(est):
+    return repr(est.value), repr(est.ci_halfwidth), repr(est.meta)
+
+
+# ---------------------------------------------------------------------------
+# test-local copies of the whole-matrix code
+# ---------------------------------------------------------------------------
+
+def _old_draw(d, rng, size):
+    if d.law == "rademacher":
+        return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
+    return d.draw(rng, size)
+
+
+def _old_monte_carlo_lp(d, a, ps, budget, seed, threads):
+    samples = budget or norms.MC_SAMPLES_DEFAULT
+
+    def sample(chunk, size):
+        return np.abs(_old_draw(d, substream(seed, 0x10AD, chunk), (size, a.n)) @ a.entries)
+
+    out = []
+    for p, (m, se) in zip(ps, mc_abs_moments(sample, ps, samples, threads)):
+        value = m ** (1.0 / p)
+        ci = 3.0 * se * value / (p * m) if m > 0 else 0.0
+        out.append(norms.NormEstimate(value, "monte_carlo", ci_halfwidth=ci,
+                                      meta={"samples": samples, "seed": seed,
+                                            "moment": m, "moment_se": se}))
+    return out
+
+
+def _old_field_sample(model, ent, seed, a_idx):
+    f = model.features
+    L = f.shape[0]
+
+    def sample(chunk, size):
+        rng = substream(seed, 0xF1E1D, a_idx, chunk)
+        shape = (size, ent.size, L)
+        if model.driver == "gaussian":
+            g = rng.standard_normal(shape)
+        else:
+            g = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+        w = np.einsum("cnl,n->cl", g, ent)
+        return np.abs(np.max(w @ f, axis=1))
+    return sample
+
+
+def _old_tail_values(d, a, samples, seed):
+    return d.draw(substream(seed, 0x7A11), (samples, a.n)) @ a.entries
+
+
+# ---------------------------------------------------------------------------
+# the Rademacher draw
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("skip", [0, 1, 3, 4])
+def test_rademacher_draw_reads_the_old_words(skip):
+    """One 32-bit word per sign, as integers(0, 2) reads them; Philox keeps
+    half a 64-bit word, so generators that already gave an odd number of
+    words are checked too."""
+    new, old = substream(5, 1), substream(5, 1)
+    for g in (new, old):
+        g.integers(0, 1 << 32, skip, dtype=np.uint32)
+    for size in (1, 7, (3, 5), (1000, 3)):
+        want = old.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
+        assert np.array_equal(RAD.draw(new, size), want)
+    # and both leave the generator at the same word
+    assert np.array_equal(new.integers(0, 1 << 32, 3, dtype=np.uint32),
+                          old.integers(0, 1 << 32, 3, dtype=np.uint32))
+
+
+# ---------------------------------------------------------------------------
+# streamed against whole chunks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 7, 32])
+@pytest.mark.parametrize("d", [RAD, G1, SPOIS, SKEW], ids=lambda d: d.law)
+def test_lp_streamed_equals_whole_chunks(d, n, samples, monkeypatch):
+    a = _weights(n)
+    streamed = weighted_sum_lp(d, a, 3.0, engine="monte_carlo", budget=samples, seed=4)
+    _whole_chunks(monkeypatch)
+    whole = weighted_sum_lp(d, a, 3.0, engine="monte_carlo", budget=samples, seed=4)
+    assert _key(streamed) == _key(whole)
+
+
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_gls_streamed_equals_whole_chunks(n, samples, monkeypatch):
+    a = _weights(n)
+    streamed = weighted_sum_gls(G1, a, PSI, engine="monte_carlo", budget=samples, seed=6,
+                                threads=2)
+    _whole_chunks(monkeypatch)
+    whole = weighted_sum_gls(G1, a, PSI, engine="monte_carlo", budget=samples, seed=6)
+    assert _key(streamed) == _key(whole)
+
+
+# ---------------------------------------------------------------------------
+# streamed against the old whole-matrix code
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [RAD, G1, SKEW, UNIF], ids=lambda d: d.law)
+def test_one_coordinate_matches_old_code_bitwise(d, samples, monkeypatch):
+    a = CoefficientVector.one_hot(1)
+    lp = weighted_sum_lp(d, a, 3.0, engine="monte_carlo", budget=samples, seed=2)
+    gls = weighted_sum_gls(d, a, PSI, engine="monte_carlo", budget=samples, seed=2)
+    monkeypatch.setattr(norms, "_monte_carlo_lp", _old_monte_carlo_lp)
+    assert _key(lp) == _key(weighted_sum_lp(d, a, 3.0, engine="monte_carlo",
+                                            budget=samples, seed=2))
+    assert _key(gls) == _key(weighted_sum_gls(d, a, PSI, engine="monte_carlo",
+                                              budget=samples, seed=2))
+
+
+@pytest.mark.parametrize("n", [7, 32])
+@pytest.mark.parametrize("d", [RAD, G1], ids=lambda d: d.law)
+def test_row_sums_match_old_code_to_rounding(d, n, monkeypatch):
+    a = _weights(n)
+    new = norms._monte_carlo_lp(d, a, [1.0, 3.0, 8.0], SAMPLES, 3, 1)
+    old = _old_monte_carlo_lp(d, a, [1.0, 3.0, 8.0], SAMPLES, 3, 1)
+    # a row sum of n <= 32 terms moves by at most about n ulp, so a moment of
+    # power p <= 8 by 8 * 32 * 2**-52 ~ 6e-14; the standard error loses a few
+    # more digits to the cancellation in E x^2p - (E x^p)^2
+    for e_new, e_old in zip(new, old):
+        assert e_new.value == pytest.approx(e_old.value, rel=1e-13)
+        assert e_new.ci_halfwidth == pytest.approx(e_old.ci_halfwidth, rel=1e-11)
+
+
+@pytest.mark.parametrize("driver", ["gaussian", "rademacher"])
+def test_field_matches_old_code_bitwise(driver, samples, monkeypatch):
+    model = FieldModel(np.random.default_rng(8).standard_normal((5, 9)), driver)
+    coeffs = [CoefficientVector.equal(3), _weights(2)]
+    rep = field_sup_stats(model, coeffs, copies=samples, seed=1, threads=2)
+
+    ents = [c.entries for c in coeffs]
+    calls = iter(range(len(ents)))
+
+    def old_moments(sample, ps, count, threads=1):
+        i = next(calls)
+        return mc_abs_moments(_old_field_sample(model, ents[i], 1, i), ps, count, threads)
+
+    monkeypatch.setattr(entropy, "mc_abs_moments", old_moments)
+    assert repr(rep) == repr(field_sup_stats(model, coeffs, copies=samples, seed=1))
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_tail_monte_carlo_matches_old_code_bitwise(n, samples, monkeypatch):
+    a = _weights(n)
+    u_grid = (0.5, 1.0, 2.0)
+    rep = tail_compare(UNIF, a, phi_subgaussian(), u_grid=u_grid, samples=samples, seed=3)
+    vals = _old_tail_values(UNIF, a, samples, 3)
+    for row, u in zip(rep["rows"], u_grid):
+        assert row["method"] == "monte_carlo"
+        surv = max(float(np.mean(vals >= u)), float(np.mean(vals <= -u)))
+        assert repr(row["survival"]) == repr(surv)
+
+
+# ---------------------------------------------------------------------------
+# memory and the changed symmetrized Poisson draw
+# ---------------------------------------------------------------------------
+
+def test_monte_carlo_peak_memory_is_one_chunk_vector_plus_a_block():
+    a = CoefficientVector.equal(32)
+    tracemalloc.start()
+    try:
+        weighted_sum_lp(RAD, a, 4.0, engine="monte_carlo", budget=4_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole-chunk draw of 250,000 x 32 floats alone took 64 MB
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("weights", [[1.0], [0.6, 0.8], [3.0, 1.0, 2.0, 1.0, 1.0]])
+def test_symmetrized_poisson_monte_carlo_within_five_se_of_exact(weights):
+    a = CoefficientVector.normalized(weights)
+    exact = weighted_sum_lp(SPOIS, a, 3.0, engine="convolution")
+    mc = weighted_sum_lp(SPOIS, a, 3.0, engine="monte_carlo", budget=400_000, seed=12)
+    se = mc.ci_halfwidth / 3.0
+    assert abs(mc.value - exact.value) <= 5.0 * se
+
+    exact_gls = weighted_sum_gls(SPOIS, a, PSI, engine="convolution")
+    mc_gls = weighted_sum_gls(SPOIS, a, PSI, engine="monte_carlo", budget=400_000, seed=12)
+    assert abs(mc_gls.value - exact_gls.value) <= 5.0 * mc_gls.ci_halfwidth / 3.0
+
