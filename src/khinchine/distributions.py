@@ -252,7 +252,9 @@ class Distribution:
         return SampleBatch(values=vals, seed=int(seed), stream=int(stream), law=self.label)
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Raw draws using a caller-managed generator."""
+        """Raw draws using a caller-managed generator. The m rows of a (m, *rest)
+        draw are drawn in turn; a Rademacher row owns whole 64-bit Philox words,
+        its sign j is bit j % 64 (little-endian) of word j // 64, bit 1 is +1."""
         return self.record.draw(self, rng, size)
 
     # -- serialization ---------------------------------------------------------
@@ -325,7 +327,18 @@ def _symmetrized_poisson_support(mu):
     ks, pr = _poisson_pmf_truncated(mu)
     conv = np.convolve(pr, pr[::-1])
     vals = np.arange(-(ks.size - 1), ks.size, dtype=float)
-    return vals, conv / conv.sum()
+    probs = conv / conv.sum()  # off by a few ulp: the atom at 0 takes the gap
+    while (gap := 1.0 - math.fsum(probs)) != 0.0:
+        probs[ks.size - 1] += gap
+    return vals, probs
+
+
+def _rademacher_draw(d, rng, size):
+    shape = tuple(int(s) for s in np.atleast_1d(size))
+    m, k = (1, shape[0]) if len(shape) == 1 else (shape[0], math.prod(shape[1:]))
+    words = rng.bit_generator.random_raw((m, -(-k // 64))).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=k, bitorder="little")
+    return (bits * 2.0 - 1.0).reshape(shape)
 
 
 def _discrete_symmetric(d):
@@ -362,9 +375,9 @@ LAWS: dict[str, Law] = {
         variance=lambda d: 1.0,
         symmetric=lambda d: True,
         log_mgf=lambda d, lam: log_cosh(lam),
-        # the top bit of one 32-bit word per sign: the words integers(0, 2) reads
-        draw=lambda d, rng, size: (rng.integers(0, 1 << 32, size, dtype=np.uint32) >> 31
-                                   ).astype(float) * 2.0 - 1.0,
+        # one Philox bit per sign: a row (a 1-d size is one row) owns whole 64-bit
+        # words, sign j is bit j % 64 (little-endian) of word j // 64, bit 1 is +1
+        draw=_rademacher_draw,
         finite_support=lambda d: (np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
         even_moments=lambda d, i: np.ones(i.size),
         natural_inverse=lambda d, y: y + np.log1p(np.sqrt(-np.expm1(-2.0 * y))),

@@ -188,15 +188,16 @@ def mc_abs_moments(sample, ps, samples: int, threads: int = 1) -> list:
     one chunk from that chunk's own stream.
 
     Each chunk reduces to a sum and a sum of squares per p, and the chunks
-    are fsum-ed in order, so the result does not depend on `threads`. A worker
-    holds |x| and one power of it, plus one block of draws (`stream_rows`).
+    are fsum-ed in order, so the result does not depend on `threads`; no
+    reduction goes through BLAS (its threads spin beside the workers). A worker
+    holds |x|, one power of it and its square, plus a block of draws.
     """
     sizes = [samples // MC_STREAMS] * MC_STREAMS
     sizes[-1] += samples - sum(sizes)
 
     def one(chunk):
         x = sample(chunk, sizes[chunk])
-        return [(float(np.sum(s)), float(np.dot(s, s))) for s in (x ** p for p in ps)]
+        return [(float(np.sum(s)), float(np.sum(s * s))) for s in (x ** p for p in ps)]
 
     parts = ordered_map(one, range(MC_STREAMS), threads)
     out = []

@@ -214,6 +214,41 @@ def test_byte_identical_across_runs_and_threads(capsys):
             assert outs[0] == outs[1] == outs[2], f"nondeterministic: {cmd}"
 
 
+def test_monte_carlo_stdout_independent_of_blas_threads(tmp_path):
+    """Monte Carlo reports are the same bytes under OPENBLAS_NUM_THREADS 1
+    and 2 and under --threads 1 and 2: every sampling reduction whose bits
+    could follow the BLAS thread count stays out of BLAS. Each case is a
+    fresh process, since OpenBLAS reads the variable when it loads."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    model = tmp_path / "field.json"
+    features = np.random.default_rng(5).standard_normal((8, 40))
+    model.write_text(json.dumps({"features": features.tolist(), "driver": "rademacher"}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    cmds = [
+        ["norm", "lp", "--law", "rademacher", "--weights", "equal:32", "--p", "4",
+         "--engine", "monte_carlo", "--samples", "200003"],
+        ["norm", "gls", "--law", "gaussian:1", "--psi", "sqrtp", "--engine", "monte_carlo"],
+        ["entropy", "fieldsim", "--model", str(model), "--weights", "equal:4;equal:16",
+         "--copies", "20000"],
+    ]
+    for cmd in cmds:
+        outs = set()
+        for blas in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": path}
+            for threads in ("1", "2"):
+                res = subprocess.run([sys.executable, "-m", "khinchine.cli", *cmd,
+                                      "--threads", threads],
+                                     env=env, capture_output=True, text=True, check=True,
+                                     timeout=300)
+                outs.add(res.stdout)
+        assert len(outs) == 1, f"stdout depends on BLAS or worker threads: {cmd}"
+
+
 @pytest.mark.parametrize("cmd", [
     ["verify", "thm31", "--law", "rademacher", "--phi", "subgaussian", "--trials", "7"],
     ["verify", "pythagoras", "--phi", "subgaussian", "--trials", "5"],

@@ -208,6 +208,13 @@ def test_symmetrized_support_is_symmetric():
     assert np.allclose(probs, probs[::-1], rtol=1e-12)
 
 
+@pytest.mark.parametrize("mu", [0.001, 0.1, 0.5, 1.0, 2.5, 7.0, 20.0])
+def test_symmetrized_support_has_total_mass_exactly_one(mu):
+    vals, probs = Distribution.symmetrized_poisson(mu).finite_support()
+    assert math.fsum(probs) == 1.0
+    assert Distribution.symmetrized_poisson(mu).even_moments(1)[1] == pytest.approx(2.0 * mu)
+
+
 def test_continuous_laws_have_no_finite_support():
     assert G1.finite_support() is None
     assert UNIF.finite_support() is None

@@ -13,9 +13,12 @@ multiples of neither a block nor MC_STREAMS, and compares by repr:
   row depend on the row's place in the call, so the streamed lp/gls path sums
   each row with numpy instead; the copies match it bitwise at n = 1 (one
   product, no sum) and to 1e-13 relative above. The field simulator and the
-  tail check keep their operations and match bitwise.
+  tail check keep their operations and match bitwise. The copies draw their
+  Rademacher signs from `_ref_signs`, a bit-by-bit Python reading of the same
+  64-bit Philox words, so the packed-word draw is gated with them.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -70,9 +73,21 @@ def _key(est):
 # test-local copies of the whole-matrix code
 # ---------------------------------------------------------------------------
 
+def _ref_signs(rng, size):
+    """Rademacher signs read bit by bit: each row of a (m, *rest) draw (a 1-d
+    size is one row) takes ceil(k / 64) raw 64-bit words w, and its sign j is
+    +1 where (w >> j % 64) & 1 of word j // 64 is 1, else -1."""
+    shape = (size,) if np.ndim(size) == 0 else tuple(size)
+    m, k = (1, shape[0]) if len(shape) == 1 else (shape[0], math.prod(shape[1:]))
+    words = rng.bit_generator.random_raw((m, (k + 63) // 64)).tolist()
+    signs = [[2.0 * ((row[j // 64] >> (j % 64)) & 1) - 1.0 for j in range(k)]
+             for row in words]
+    return np.array(signs, dtype=float).reshape(shape)
+
+
 def _old_draw(d, rng, size):
     if d.law == "rademacher":
-        return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
+        return _ref_signs(rng, size)
     return d.draw(rng, size)
 
 
@@ -102,7 +117,7 @@ def _old_field_sample(model, ent, seed, a_idx):
         if model.driver == "gaussian":
             g = rng.standard_normal(shape)
         else:
-            g = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+            g = _ref_signs(rng, shape)
         w = np.einsum("cnl,n->cl", g, ent)
         return np.abs(np.max(w @ f, axis=1))
     return sample
@@ -117,19 +132,113 @@ def _old_tail_values(d, a, samples, seed):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("skip", [0, 1, 3, 4])
-def test_rademacher_draw_reads_the_old_words(skip):
-    """One 32-bit word per sign, as integers(0, 2) reads them; Philox keeps
-    half a 64-bit word, so generators that already gave an odd number of
-    words are checked too."""
-    new, old = substream(5, 1), substream(5, 1)
-    for g in (new, old):
+def test_rademacher_draw_reads_one_bit_per_sign(skip):
+    """One bit of a 64-bit word per sign, rows owning whole words, as
+    `_ref_signs` reads them; Philox keeps half a 64-bit word, so generators
+    that already gave an odd number of 32-bit words are checked too."""
+    new, ref = substream(5, 1), substream(5, 1)
+    for g in (new, ref):
         g.integers(0, 1 << 32, skip, dtype=np.uint32)
-    for size in (1, 7, (3, 5), (1000, 3)):
-        want = old.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-        assert np.array_equal(RAD.draw(new, size), want)
+    for size in (1, 7, (3, 5), (1000, 3), (4, 64), (4, 65), (2, 4, 33)):
+        got, want = RAD.draw(new, size), _ref_signs(ref, size)
+        assert got.shape == want.shape == np.empty(size).shape
+        assert np.array_equal(got, want)
     # and both leave the generator at the same word
     assert np.array_equal(new.integers(0, 1 << 32, 3, dtype=np.uint32),
-                          old.integers(0, 1 << 32, 3, dtype=np.uint32))
+                          ref.integers(0, 1 << 32, 3, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("n", [1, 7, 32, 63, 64, 65, 130])
+def test_rademacher_monte_carlo_within_five_se_of_exact(n):
+    """Rows of every length around a word boundary: p = 4 against the exact
+    even-moment value, p = 3 against enumeration where it is cheap."""
+    a = _weights(n)
+    cases = [(4.0, "even_moments")] + ([(3.0, "exact_enum")] if n <= 12 else [])
+    for p, engine in cases:
+        exact = weighted_sum_lp(RAD, a, p, engine="auto" if p == 4.0 else engine)
+        assert exact.method == engine
+        mc = weighted_sum_lp(RAD, a, p, engine="monte_carlo", budget=200_003, seed=n)
+        assert abs(mc.value - exact.value) <= 5.0 * mc.ci_halfwidth / 3.0
+
+
+def test_rademacher_bits_are_fair_and_uncorrelated():
+    """On 8192 rows of 130 signs (three words a row, 1,064,960 signs): every
+    bit position of a word has mean 0, and adjacent rows, adjacent words and
+    the two halves of a word are uncorrelated, each within 5 standard errors.
+    A wrong bit order, a reused word or a dropped half-word fails here."""
+    x = RAD.draw(substream(21, 3), (8192, 130))
+
+    def within_five_se(v):
+        return abs(float(np.mean(v))) <= 5.0 / math.sqrt(v.size)
+
+    for bit in range(64):
+        assert within_five_se(x[:, bit::64]), bit
+    assert within_five_se(x[1:] * x[:-1])
+    assert within_five_se(x[:, :64] * x[:, 64:128])
+    assert within_five_se(x[:, 0:32] * x[:, 32:64])
+
+
+# ---------------------------------------------------------------------------
+# the moment estimator against math.fsum
+# ---------------------------------------------------------------------------
+
+def _fsum_moments(x, p):
+    """(mean, standard error) of x^p, every sum exact (math.fsum)."""
+    s = x ** p
+    m, m2 = math.fsum(s) / x.size, math.fsum(s * s) / x.size
+    return m, math.sqrt(max(m2 - m * m, 0.0) / x.size)
+
+
+def _recording(seen):
+    """mc_abs_moments keeping every chunk's values in `seen`."""
+    def moments(sample, ps, samples, threads=1):
+        def kept(chunk, size):
+            seen[chunk] = sample(chunk, size)
+            return seen[chunk]
+        return mc_abs_moments(kept, ps, samples, threads)
+    return moments
+
+
+def _chunks(seen):
+    return np.concatenate([seen[c] for c in sorted(seen)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mc_abs_moments_within_1e12_of_fsum(seed):
+    seen = {}
+    scale = float(substream(seed, 1).uniform(0.1, 10.0))
+
+    def sample(chunk, size):
+        return np.abs(substream(seed, 2, chunk).standard_normal(size)) * scale
+
+    ps = [1.0, 2.5, 4.0, 8.0]
+    got = _recording(seen)(sample, ps, 40_009 + seed, threads=2)
+    for p, (m, se) in zip(ps, got):
+        want_m, want_se = _fsum_moments(_chunks(seen), p)
+        assert m == pytest.approx(want_m, rel=1e-12)
+        assert se == pytest.approx(want_se, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [RAD, G1, SPOIS], ids=lambda d: d.law)
+def test_norm_standard_errors_within_1e12_of_fsum(d, monkeypatch):
+    seen = {}
+    monkeypatch.setattr(norms, "mc_abs_moments", _recording(seen))
+    ps = [1.0, 3.0, 8.0]
+    for p, est in zip(ps, norms._monte_carlo_lp(d, _weights(7), ps, SAMPLES, 3, 2)):
+        m, se = _fsum_moments(_chunks(seen), p)
+        assert est.meta["moment_se"] == pytest.approx(se, rel=1e-12)
+        assert est.ci_halfwidth == pytest.approx(3.0 * se * m ** (1.0 / p) / (p * m),
+                                                 rel=1e-12)
+
+
+def test_field_standard_errors_within_1e12_of_fsum(monkeypatch):
+    model = FieldModel(np.random.default_rng(8).standard_normal((5, 9)), "rademacher")
+    seen = {}
+    monkeypatch.setattr(entropy, "mc_abs_moments", _recording(seen))
+    rep = field_sup_stats(model, [CoefficientVector.equal(3)], copies=SAMPLES, seed=1)
+    for p, mom in rep["rows"][0]["moments"].items():
+        m, se = _fsum_moments(_chunks(seen), p)
+        assert mom["norm_se"] == pytest.approx(se * m ** (1.0 / p) / (p * m), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
