@@ -56,13 +56,15 @@ def _gauss_legendre_panels(a: float, b: float, n_panels: int = 60, n_nodes: int 
 
 def _poisson_pmf_truncated(mu: float, tail: float = POISSON_TAIL_MASS):
     """Poisson(mu) pmf on 0..K with K chosen so the discarded upper tail mass
-    is below `tail`; probabilities renormalized to sum to 1 exactly."""
-    k_max = int(mu + 20.0 * math.sqrt(mu) + 40.0)
+    is below `tail` (bounded by p[K] (K+1)/(K+1-mu), as p[k+1]/p[k] = mu/(k+1);
+    the rounded 1 - sum(p) can stay above it at every K); probabilities
+    renormalized to sum to 1 exactly."""
+    k_max = int(mu + 20.0 * math.sqrt(mu) + 40.0)  # > mu
     while True:
         ks = np.arange(k_max + 1)
         logp = ks * math.log(mu) - mu - np.array([math.lgamma(k + 1.0) for k in ks])
         p = np.exp(logp)
-        if 1.0 - p.sum() < tail:
+        if p[-1] * (k_max + 1) / (k_max + 1 - mu) < tail:
             break
         k_max *= 2
     keep = int(np.nonzero(np.cumsum(p) < 1.0 - tail)[0][-1]) + 2 if p.size > 1 else 1
@@ -124,11 +126,7 @@ class Distribution:
         if abs(p.sum() - 1.0) > 1e-12:
             raise DistributionError(f"discrete probabilities sum to {p.sum()!r}, not 1")
         order = np.argsort(v, kind="stable")
-        v, p = v[order], p[order]
-        if np.any(np.diff(v) <= 1e-12) or np.any(p == 0):
-            # merging moves points by rounding, so a support that merges
-            # nothing is kept exactly as given
-            v, p = collapse_support(v, p)
+        v, p = collapse_support(v[order], p[order])
         mean = float(np.dot(p, v))
         if abs(mean) > 1e-12:
             raise DistributionError(f"discrete law must be centered, mean = {mean!r}")

@@ -3,6 +3,10 @@ monotone inversion, Legendre (Young-Fenchel) conjugation, the exponential
 Orlicz N-function, convexity-class tests, the sup-over-n and sup-over-weights
 transforms, moment-scale functions, and tail envelopes.
 
+The concave one-dimensional sups (the conjugate, biconjugate and sup over n)
+scan a grid and refine the bracket of its argmax with `numerics.golden_max`;
+`conjugate_profile` is the one Legendre kernel, for every u at once.
+
 A family is one `Family` record in `FAMILIES`: its evaluation, domain
 radius, curvature at 0, label, JSON fields, closed-form inverse and tail
 exponent. `GeneratingFunction` reads the record, so adding a family is
@@ -306,48 +310,15 @@ class LegendreResult:
     unbounded: bool = False  # lambda0 = inf and the objective keeps growing
 
 
-def _legendre_grid(phi: GeneratingFunction, hi: float) -> np.ndarray:
-    top = hi if phi.lambda0 == math.inf else min(hi, phi.lambda0 * (1 - 1e-12))
-    g = geometric_grid(LEGENDRE_GRID_LO, top)
-    return np.concatenate([[0.0], g])
-
-
 def legendre(phi: GeneratingFunction, u: float) -> LegendreResult:
-    """sup over lambda in [0, lambda0) of lambda*u - phi(lambda).
-
-    Bracket the maximizer on a geometric grid (the objective is concave), then
-    refine by golden section to 1e-12 relative bracket width. For lambda0 =
-    inf the grid is extended geometrically while the objective still grows at
-    the end; past the extension cap the transform is reported unbounded.
-    """
+    """sup over lambda in [0, lambda0) of lambda*u - phi(lambda): the
+    one-knot case of `conjugate_profile`."""
     u = float(u)
     if u < 0:
         raise DomainError("legendre needs u >= 0")
-    if u == 0.0:
-        return LegendreResult(value=0.0, argmax=0.0)
-    hi = LEGENDRE_GRID_HI
-    while True:
-        grid = _legendre_grid(phi, hi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = grid * u - phi(grid)
-        g = np.where(np.isnan(g), -np.inf, g)
-        i = int(np.argmax(g))
-        at_end = i == grid.size - 1
-        if at_end and phi.lambda0 == math.inf and hi < LEGENDRE_EXTEND_CAP:
-            hi *= 100.0
-            continue
-        break
-    if at_end:
-        if phi.lambda0 == math.inf:
-            return LegendreResult(value=math.inf, argmax=math.inf, unbounded=True)
-        lam = grid[-1]
-        return LegendreResult(value=max(float(g[-1]), 0.0), argmax=float(lam), boundary=True)
-    lo = grid[i - 1] if i > 0 else 0.0
-    hi_b = grid[i + 1]
-    arg, val = golden_max(lambda lam: lam * u - float(phi(lam)), lo, hi_b)
-    if val <= 0.0:
-        return LegendreResult(value=0.0, argmax=0.0)
-    return LegendreResult(value=float(val), argmax=float(arg))
+    prof = conjugate_profile(phi, [u])
+    return LegendreResult(value=float(prof.values[0]), argmax=float(prof.lambda_argmax[0]),
+                          boundary=bool(prof.boundary[0]), unbounded=bool(prof.unbounded[0]))
 
 
 def biconjugate(phi: GeneratingFunction, lam: float) -> float:
@@ -357,19 +328,18 @@ def biconjugate(phi: GeneratingFunction, lam: float) -> float:
     if lam == 0.0:
         return 0.0
 
-    def neg_obj(u):
-        return lam * u - legendre(phi, u).value
+    def obj(u, rows=None):  # rows: the golden_max calling convention
+        return lam * u - conjugate_profile(phi, u).values
 
-    # scan a geometric u grid for a bracket, then refine
+    # scan a geometric u grid (one profile) for a bracket, then refine
     grid = np.concatenate([[0.0], geometric_grid(1e-6, 1e6)])
-    vals = np.array([neg_obj(float(u)) for u in grid])
+    vals = obj(grid)
     vals = np.where(np.isnan(vals), -np.inf, vals)
     i = int(np.argmax(vals))
     if i == grid.size - 1:
         return float(vals[-1])
-    lo = grid[i - 1] if i > 0 else 0.0
-    arg, val = golden_max(neg_obj, lo, grid[i + 1], tol=1e-10)
-    return max(float(val), 0.0)
+    _, val = golden_max(obj, grid[max(i - 1, 0)], grid[i + 1], tol=1e-10)  # grid[0] = 0
+    return max(float(val[0]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -394,43 +364,63 @@ class ConjugateProfile:
         ok_monotone = bool(np.all(np.diff(v) >= -1e-12))
         ok_zero = bool(abs(self.values[0]) <= 1e-12) if self.knots[0] == 0.0 else True
         t = self.knots[finite]
-        ok_convex = True
-        if v.size >= 3:
-            s = np.diff(v) / np.diff(t)
-            ok_convex = bool(np.all(np.diff(s) >= -1e-9 * np.maximum(1.0, np.abs(s[:-1]))))
+        s = np.diff(v) / np.diff(t)
+        ok_convex = bool(np.all(np.diff(s) >= -1e-9 * np.maximum(1.0, np.abs(s[:-1]))))
         lam = np.concatenate([[0.0], geometric_grid(1e-4, 1e2)])
         lam = lam[lam < phi.lambda0]
-        phil = phi(lam)
-        worst = -math.inf
-        for u, fv in zip(self.knots[finite], self.values[finite]):
-            gap = lam * u - (phil + fv)
-            worst = max(worst, float(np.max(gap)))
+        gap = lam * t[:, None] - (phi(lam) + v[:, None])  # knots x lambda
+        worst = float(np.max(gap, initial=-np.inf))
         return {"monotone": ok_monotone, "zero_at_zero": ok_zero,
                 "convex": ok_convex, "fenchel_young_max_gap": worst,
                 "fenchel_young_ok": worst <= fy_tol}
 
 
 def conjugate_profile(phi: GeneratingFunction, u_knots) -> ConjugateProfile:
+    """phi*(u) = sup over lambda in [0, lambda0) of lambda*u - phi(lambda) at
+    every knot u, with maximizers and flags: the one Legendre kernel. The
+    objective is concave. Each grid level is one (knots x grid) argmax; for
+    lambda0 = inf, knots whose argmax is the last point scan a grid with a
+    100 times higher top while it is below LEGENDRE_EXTEND_CAP, then are
+    `unbounded` (a finite lambda0 gives the `boundary`). One `golden_max`
+    call refines every bracket. u = 0 and a sup <= 0 give 0. A knot gets the
+    same bits alone or among others."""
     u = np.asarray(u_knots, dtype=float)
     if np.any(np.diff(u) <= 0) or np.any(u < 0):
         raise DomainError("conjugate profile knots must be increasing and >= 0")
-    res = [legendre(phi, float(x)) for x in u]
-    return ConjugateProfile(
-        knots=u,
-        values=np.array([r.value for r in res]),
-        lambda_argmax=np.array([r.argmax for r in res]),
-        boundary=np.array([r.boundary for r in res]),
-        unbounded=np.array([r.unbounded for r in res]),
-    )
+    value, arg = np.zeros(u.shape), np.zeros(u.shape)
+    boundary, unbounded = np.zeros(u.shape, bool), np.zeros(u.shape, bool)
+    todo, brackets = np.flatnonzero(u != 0.0), []
+    top = LEGENDRE_GRID_HI
+    while True:
+        cap = top if phi.lambda0 == math.inf else min(top, phi.lambda0 * (1 - 1e-12))
+        grid = np.concatenate([[0.0], geometric_grid(LEGENDRE_GRID_LO, cap)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = grid * u[todo, None] - phi(grid)
+        g = np.where(np.isnan(g), -np.inf, g)
+        i = np.argmax(g, axis=1)
+        inside = i < grid.size - 1
+        brackets.append((todo[inside], grid[np.maximum(i[inside] - 1, 0)], grid[i[inside] + 1]))
+        todo, last = todo[~inside], g[~inside, -1]
+        if not (todo.size and phi.lambda0 == math.inf and top < LEGENDRE_EXTEND_CAP):
+            break
+        top *= 100.0
+    if phi.lambda0 == math.inf:
+        unbounded[todo], value[todo], arg[todo] = True, math.inf, math.inf
+    else:
+        boundary[todo], value[todo], arg[todo] = True, np.where(0.0 > last, 0.0, last), grid[-1]
+    rows, lo, hi = (np.concatenate(c) for c in zip(*brackets))
+    x, fx = golden_max(lambda lam, r: lam * u[rows[r]] - phi(lam), lo, hi)
+    pos = ~(fx <= 0.0)
+    value[rows[pos]], arg[rows[pos]] = fx[pos], x[pos]
+    return ConjugateProfile(knots=u, values=value, lambda_argmax=arg,
+                            boundary=boundary, unbounded=unbounded)
 
 
 def orlicz_n(phi: GeneratingFunction, u: float) -> float:
     """Exponential Orlicz N-function exp(phi*(u)) - 1, with a +inf sentinel
     once the exponent passes the overflow guard."""
     val = legendre(phi, u).value
-    if val > OVERFLOW_EXPONENT:
-        return math.inf
-    return math.expm1(val)
+    return math.inf if val > OVERFLOW_EXPONENT else math.expm1(val)
 
 
 def tail_envelope(phi: GeneratingFunction, tau: float, u: float) -> float:
@@ -494,19 +484,17 @@ def overline_phi(phi: GeneratingFunction, lam: float, n_cap: int = 1_000_000) ->
     if lam == 0.0:
         return 0.0
 
-    def h(t):
-        return t * float(phi(lam / math.sqrt(t)))
+    def h(t, rows=None):  # rows: the golden_max calling convention
+        return t * phi(lam / np.sqrt(t))
 
     grid = np.unique(np.concatenate([[1.0], geometric_grid(1.0, float(n_cap), 64)]))
-    vals = np.array([h(float(t)) for t in grid])
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    t_star, _ = golden_max(h, lo, hi, tol=1e-10)
+    i = int(np.argmax(h(grid)))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    t_star = float(golden_max(h, lo, hi, tol=1e-10)[0][0])
     lo_n = max(1, int(math.floor(t_star)) - 64)
     hi_n = min(n_cap, int(math.ceil(t_star)) + 64)
-    cands = set(range(lo_n, hi_n + 1)) | {1, n_cap}
-    return max(h(float(n)) for n in sorted(cands))
+    cands = np.union1d(np.arange(lo_n, hi_n + 1), [1, n_cap]).astype(float)
+    return max(h(cands).tolist())
 
 
 # ---------------------------------------------------------------------------

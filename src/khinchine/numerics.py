@@ -1,7 +1,7 @@
-"""Shared numeric machinery: geometric grids, bracketed concave maximization,
-vectorized monotone inversion, simplex projection, the candidate sizes of
-the weight searches, deterministic counter-based random streams, and Monte
-Carlo's row-blocked draws and one moment estimator."""
+"""Shared numeric machinery: geometric grids, the one golden-section maximizer
+(a bracket per row), vectorized monotone inversion, simplex projection, the
+candidate sizes of the weight searches, deterministic counter-based random
+streams, and Monte Carlo's row-blocked draws and one moment estimator."""
 
 from __future__ import annotations
 
@@ -33,30 +33,42 @@ def geometric_grid(lo: float, hi: float, per_decade: int = POINTS_PER_DECADE) ->
     return np.geomspace(lo, hi, n)
 
 
-def golden_max(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 400):
-    """Maximize unimodal f on [lo, hi] by golden section.
-
-    Returns (argmax, value). Ties prefer the smaller argument so results do
-    not depend on evaluation order.
-    """
-    a, b = float(lo), float(hi)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    it = 0
-    while (b - a) > tol * max(1.0, abs(a), abs(b)) and it < max_iter:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        it += 1
-    cand = [(a, f(a)), (x1, f1), (x2, f2), (b, f(b))]
-    best = max(cand, key=lambda t: (t[1], -t[0]))
-    return best[0], best[1]
+def golden_max(f, lo, hi, tol: float = 1e-12, max_iter: int = 400):
+    """Golden-section maxima of unimodal functions, one per row r on the
+    bracket [lo[r], hi[r]]; returns (argmax, value) arrays. f(x, rows) gives
+    row rows[i]'s value at x[i], each entry on its own. A row stops once
+    b - a <= tol * max(1, |a|, |b|) or after max_iter steps and returns the
+    best of a, x1, x2, b (ties: the smaller argument, then the earlier
+    candidate), with the same bits alone or among other rows."""
+    a, b = (np.array(x, dtype=float, ndmin=1) for x in (lo, hi))
+    rows = every = np.arange(a.size)
+    x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    state = [a, b, x1, x2, f(x1, rows), f(x2, rows)]
+    end = np.empty((6, a.size))
+    for _ in range(max_iter):
+        a, b = state[0], state[1]
+        live = (b - a) > tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+        if not live.all():  # finished rows leave the live set
+            end[:, rows[~live]] = [s[~live] for s in state]
+            state, rows = [s[live] for s in state], rows[live]
+        if rows.size == 0:
+            break
+        a, b, x1, x2, f1, f2 = state
+        up = f1 < f2
+        a = np.where(up, x1, a)
+        b = np.where(up, b, x2)
+        w = GOLDEN * (b - a)
+        xn = np.where(up, a + w, b - w)
+        fn = f(xn, rows)
+        state = [a, b, np.where(up, x2, xn), np.where(up, xn, x1),
+                 np.where(up, f2, fn), np.where(up, fn, f1)]
+    end[:, rows] = state
+    a, b, x1, x2, f1, f2 = end
+    best_x, best_f = a, f(a, every)
+    for x, fx in ((x1, f1), (x2, f2), (b, f(b, every))):
+        better = (fx > best_f) | ((fx == best_f) & (x < best_x))
+        best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
+    return best_x, best_f
 
 
 def invert_increasing_vec(f, y, hi_start: float = 1.0, iters: int = 200,
@@ -267,24 +279,26 @@ def collapse_support(values: np.ndarray, probs: np.ndarray, tol: float = 1e-12):
     """Merge support points closer than tol (absolute), summing probabilities.
 
     The representative of a merged group is the probability-weighted mean, so
-    symmetric supports stay symmetric.
+    symmetric supports stay symmetric; a point merged with no other keeps its
+    value.
     """
     order = np.argsort(values)
     v = values[order]
     p = probs[order]
     if v.size <= 1:
         return v, p
-    new_group = np.empty(v.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = np.diff(v) > tol
-    starts = np.flatnonzero(new_group)
+    new_group = np.empty(v.size + 1, dtype=bool)  # and one past the end
+    new_group[0] = new_group[-1] = True
+    new_group[1:-1] = np.diff(v) > tol
+    starts = np.flatnonzero(new_group[:-1])
     pm = np.add.reduceat(p, starts)
     wv = np.add.reduceat(p * v, starts)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         mean = wv / pm
-    # subnormal masses make the mean garbage (their products underflow);
-    # fall back to the first member there, and drop zero-mass points
-    safe = (pm > 1e-290) & np.isfinite(mean)
+    # a lone point keeps its value ((p v) / p can round off it) and subnormal
+    # masses make the mean garbage (their products underflow): both take the
+    # first member; zero-mass points are dropped
+    safe = (pm > 1e-290) & np.isfinite(mean) & ~new_group[starts + 1]
     rep = np.where(safe, mean, v[starts])
     keep = pm > 0.0
     return rep[keep], pm[keep]

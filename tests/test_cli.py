@@ -330,3 +330,11 @@ def test_bench_layer_tracer_installs_and_uninstalls(capsys):
     assert {"norms.bphi_norm", "distributions.log_mgf", "cli.emit_report"} <= names
     assert rec.counters["genfun.phi_eval"]["calls"] > 0
     assert Distribution.log_mgf is original
+
+
+def test_poisson_law_at_a_former_truncation_hang(capsys):
+    # the old truncation rule doubled its cut-off forever at this mu
+    code, rep = run_json(capsys, ["norm", "lp", "--law", "centered-poisson:36.88944578858948",
+                                  "--weights", "equal:1", "--p", "2"])
+    assert code == 0
+    assert rep["report"]["value"] == pytest.approx(36.88944578858948 ** 0.5, rel=1e-12)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from khinchine.distributions import (Distribution, DistributionError,
-                                     parse_distribution)
+from khinchine.distributions import (POISSON_TAIL_MASS, Distribution, DistributionError,
+                                     _poisson_pmf_truncated, parse_distribution)
 from khinchine.genfun import phi_natural
+from khinchine.numerics import collapse_support
 
 RAD = Distribution.rademacher()
 G1 = Distribution.gaussian(1.0)
@@ -231,14 +232,55 @@ def test_discrete_dedupes_support():
 
 
 def test_discrete_merges_only_near_duplicates_and_zero_masses():
-    # merging takes the probability-weighted mean, which would move 0.2 to
-    # 0.20000000000000004; a support with nothing to merge stays as given
+    # a point merged with no other keeps its value: the probability-weighted
+    # mean (0.4 * 0.2) / 0.4 would be 0.20000000000000004
     d = Distribution.discrete([0.3, -1.0, 0.2], [0.4, 0.2, 0.4])
     assert d.support.tolist() == [-1.0, 0.2, 0.3]
     assert d.probs.tolist() == [0.2, 0.4, 0.4]
     z = Distribution.discrete([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5])
     assert z.support.tolist() == [-1.0, 1.0]
     assert z.probs.tolist() == [0.5, 0.5]
+
+
+def test_collapse_support_keeps_a_lone_point():
+    v = np.array([0.3, -1.0, 0.2, 0.7, 0.7 + 1e-13, 0.7])
+    p = np.array([0.25, 0.2, 0.25, 0.1, 0.1, 0.1])
+    cv, cp = collapse_support(v, p)
+    assert cv[:3].tolist() == [-1.0, 0.2, 0.3]
+    assert cp[:3].tolist() == [0.2, 0.25, 0.25]
+    # a merged group is still represented by its weighted mean
+    assert cv[3] == pytest.approx(0.7 + 1e-13 / 3.0, abs=1e-15)
+    assert cp[3] == pytest.approx(0.3, rel=1e-15)
+
+
+def _old_poisson_pmf_at_first_cut(mu, tail=POISSON_TAIL_MASS):
+    """The truncated pmf under the old stop rule (1 - sum(p) < tail), or None
+    where that rule does not stop at the first cut-off."""
+    k_max = int(mu + 20.0 * math.sqrt(mu) + 40.0)
+    ks = np.arange(k_max + 1)
+    p = np.exp(ks * math.log(mu) - mu - np.array([math.lgamma(k + 1.0) for k in ks]))
+    if not 1.0 - p.sum() < tail:
+        return None
+    keep = int(np.nonzero(np.cumsum(p) < 1.0 - tail)[0][-1]) + 2 if p.size > 1 else 1
+    keep = min(keep, p.size)
+    return np.arange(keep), p[:keep] / p[:keep].sum()
+
+
+def test_poisson_truncation_returns_and_keeps_old_supports():
+    # the old rule never stopped at 36.889..., 41.78, 46.07 or 49.88: the
+    # rounded pmf sum stays above 1 - 1e-14 at every cut-off
+    mus = np.concatenate([np.linspace(1e-3, 200.0, 4001),
+                          [36.88944578858948, 41.78, 46.07, 49.88]])
+    kept = 0
+    for j, mu in enumerate(mus):
+        ks, p = _poisson_pmf_truncated(float(mu))
+        assert math.fsum(p) == pytest.approx(1.0, abs=1e-15)
+        old = _old_poisson_pmf_at_first_cut(float(mu)) if j % 4 == 0 else None
+        if old is not None:  # every 4th mu against the old rule
+            assert np.array_equal(ks, old[0]) and np.array_equal(p, old[1]), mu
+            kept += 1
+    assert _old_poisson_pmf_at_first_cut(36.88944578858948) is None
+    assert kept > 500
 
 
 def test_discrete_rejects_noncentered():

@@ -139,6 +139,20 @@ def test_engine_agreement_random_vectors():
         assert abs(e1 - e2) <= 1e-12 * max(1.0, e1)
 
 
+@pytest.mark.parametrize("d", [Distribution.centered_poisson(0.7), SPOIS,
+                               Distribution.discrete([-1.0, 0.2, 0.3], [0.2, 0.4, 0.4])],
+                         ids=["centered_poisson", "symmetrized_poisson", "skew_discrete"])
+def test_convolution_matches_enumeration_off_the_dyadic_laws(d):
+    # probabilities that are not powers of two: the convolution's supports
+    # may round differently from the enumeration's, within 1e-13 relative
+    for w in ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [0.3, 1.0]):
+        a = CoefficientVector.normalized(w)
+        for p in (1.5, 2.5, 3.0):
+            enum = weighted_sum_lp(d, a, p, engine="exact_enum").value
+            conv = weighted_sum_lp(d, a, p, engine="convolution").value
+            assert abs(conv - enum) <= 1e-13 * enum
+
+
 def test_monte_carlo_agrees_within_band():
     a = CoefficientVector.equal(4)
     exact = weighted_sum_lp(RAD, a, 4.0, engine="exact_enum").value
