@@ -17,7 +17,7 @@ from .norms import (CoefficientVector, EngineRefusal, NormEstimate, bphi_norm,
                     weighted_sum_gls, weighted_sum_lp)
 from .search import (KhinchineEstimate, NormSpec, khinchine_inf,
                      khinchine_sup, prelim_bounds)
-from .verify import (C_R, PreconditionError, RosenthalBound, pythagoras_check,
+from .verify import (C_R, PreconditionError, pythagoras_check,
                      rosenthal_c, rosenthal_psi, rosenthal_verify,
                      tail_compare, verify_thm31, verify_thm32, verify_thm41,
                      verify_thm51)

@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: phi, norm, khinchine, verify, entropy. Every run prints one JSON
-report embedding the tool version, the fully resolved configuration, and the
-seed; reports are byte-identical across repeated runs and across --threads
-settings. Exit codes: 0 pass/success, 1 inequality violation, 2 precondition
-or configuration error.
+Subcommands: phi, norm, khinchine, verify, entropy. A subcommand is one entry
+of `COMMANDS`: its own arguments, taken after the options every subcommand
+shares, and a handler that returns its report payload. Every run prints one
+JSON report embedding the tool version, the fully resolved configuration, and
+the seed; reports are byte-identical across repeated runs and across
+--threads settings. Exit codes: 0 success; 1 when the report says "pass":
+false (a verify suite found its inequality violated); 2 on a precondition or
+configuration error.
 """
 
 from __future__ import annotations
@@ -15,17 +18,21 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .distributions import DistributionError, law_catalog, parse_distribution
+from .distributions import (DistributionError, law_catalog, parse_distribution,
+                            read_spec)
 from .genfun import (DomainError, PsiFunction, conv_r_class, kappa, legendre,
                      orlicz_n, overline_phi, parse_phi, phi_catalog, phi_inverse,
-                     phi_membership_report, psi_from_phi, tail_envelope)
+                     phi_membership_report, phi_natural, psi_from_phi,
+                     tail_envelope)
 from .norms import (CoefficientVector, EngineRefusal, bphi_norm, gls_norm,
                     weighted_sum_lp)
-from .search import NormSpec, khinchine_inf, khinchine_sup, prelim_bounds
+from .search import (NORM_KINDS, NormSpec, khinchine_inf, khinchine_sup,
+                     prelim_bounds)
 from .verify import (PreconditionError, pythagoras_check, rosenthal_verify,
                      tail_compare, verify_thm31, verify_thm32, verify_thm41,
                      verify_thm51)
@@ -38,81 +45,97 @@ class SpecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# spec-string parsing
+# spec-string parsing: one table per kind, read by `read_spec`
 # ---------------------------------------------------------------------------
 
-def parse_weights(spec: str) -> CoefficientVector:
-    """'equal:16', 'onehot:8[:index]', 'twolevel:n:j:w', 'list:v1,v2,...'
-    (normalized), or '@file.json' holding a list."""
-    spec = spec.strip()
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return CoefficientVector.normalized(np.asarray(json.load(fh), float))
-    parts = spec.split(":")
-    kind = parts[0].replace("-", "").lower()
+#: weights: name -> (CLI form, the ':'-separated fields after the name -> weights)
+WEIGHT_SPECS = {
+    "equal": ("equal:<n>", lambda f: CoefficientVector.equal(int(f[0]))),
+    "one_hot": ("onehot:<n>[:<i>]", lambda f: CoefficientVector.one_hot(
+        int(f[0]), int(f[1]) if len(f) > 1 else 0)),
+    "two_level": ("twolevel:<n>:<j>:<w>", lambda f: CoefficientVector.two_level(
+        int(f[0]), int(f[1]), float(f[2]))),
+    "list": ("list:<v1,v2,...>", lambda f: CoefficientVector.normalized(
+        [float(x) for x in f[0].split(",")])),
+}
+
+#: psi: name -> (CLI form, (text after the name, p grid) -> psi)
+PSI_SPECS = {
+    "sqrtp": ("sqrtp", lambda rest, grid: PsiFunction.sqrt_p(grid)),
+    "power": ("power:<m>", lambda rest, grid: PsiFunction.p_power(float(rest), grid)),
+    "natural": ("natural:<law>", lambda rest, grid: PsiFunction.natural(
+        parse_distribution(rest), grid)),
+    "fromphi": ("fromphi:<phi>", lambda rest, grid: psi_from_phi(parse_phi(rest), grid)),
+}
+
+#: the field a norm kind of `NORM_KINDS` reads: (text after the kind, p grid)
+#: -> value; an unparsable p is None, which NormSpec refuses
+NORM_FIELDS = {
+    "p": lambda rest, grid: _number(rest),
+    "psi": lambda rest, grid: parse_psi(rest, grid),
+    "phi": lambda rest, grid: parse_phi(rest),
+}
+
+WEIGHTS_CATALOG = ", ".join([form for form, _ in WEIGHT_SPECS.values()] + ["@file.json"])
+PSI_CATALOG = ", ".join([form for form, _ in PSI_SPECS.values()] + ["@file.json"])
+NORM_CATALOG = ", ".join(f"{kind}:<{rec.field}>" for kind, rec in NORM_KINDS.items())
+
+
+def _number(text: str) -> float | None:
     try:
-        if kind == "equal":
-            return CoefficientVector.equal(int(parts[1]))
-        if kind == "onehot":
-            idx = int(parts[2]) if len(parts) > 2 else 0
-            return CoefficientVector.one_hot(int(parts[1]), idx)
-        if kind == "twolevel":
-            return CoefficientVector.two_level(int(parts[1]), int(parts[2]), float(parts[3]))
-        if kind == "list":
-            return CoefficientVector.normalized([float(x) for x in parts[1].split(",")])
-    except (IndexError, ValueError) as exc:
-        raise SpecError(f"bad weights spec {spec!r}: field {exc}") from exc
-    raise SpecError(f"unknown weights spec {spec!r} (field 'weights')")
+        return float(text)
+    except ValueError:
+        return None
+
+
+def parse_weights(spec: str) -> CoefficientVector:
+    """A spec of `WEIGHT_SPECS` ('list' values are normalized) or
+    '@file.json' holding a list."""
+    def parse(name, entry, rest):
+        try:
+            return entry[1](rest.split(":") if rest else [])
+        except (IndexError, ValueError) as exc:
+            raise SpecError(f"bad weights spec {spec.strip()!r}: field {exc}") from exc
+
+    return read_spec(spec, "weights", WEIGHT_SPECS, parse,
+                     lambda obj: CoefficientVector.normalized(np.asarray(obj, float)),
+                     WEIGHTS_CATALOG, SpecError)
 
 
 def parse_p_grid(spec: str) -> np.ndarray:
-    """'lo:hi[:step]' inclusive grid, default step 1."""
+    """'lo:hi[:step]' inclusive grid, default step 1; finite fields, hi >= lo
+    and step > 0."""
     parts = spec.split(":")
     try:
         lo, hi = float(parts[0]), float(parts[1])
         step = float(parts[2]) if len(parts) > 2 else 1.0
     except (IndexError, ValueError) as exc:
         raise SpecError(f"bad p-grid spec {spec!r}") from exc
+    for name, ok, rule in (("lo", math.isfinite(lo), "finite"),
+                           ("hi", math.isfinite(hi) and hi >= lo, "finite and >= lo"),
+                           ("step", math.isfinite(step) and step > 0, "finite and > 0")):
+        if not ok:
+            raise SpecError(f"bad p-grid spec {spec!r}: field {name!r} must be {rule}")
     return np.arange(lo, hi + 1e-9, step)
 
 
 def parse_psi(spec: str, p_grid: np.ndarray) -> PsiFunction:
-    """'sqrtp', 'power:m', 'natural:<law>', 'fromphi:<phi>', or
-    '@file.json'."""
-    spec = spec.strip()
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return PsiFunction(np.asarray(obj["p_grid"], float),
-                           np.asarray(obj["values"], float),
-                           obj.get("provenance", "explicit"))
-    name, _, rest = spec.partition(":")
-    name = name.replace("-", "_").lower()
-    if name == "sqrtp":
-        return PsiFunction.sqrt_p(p_grid)
-    if name == "power":
-        return PsiFunction.p_power(float(rest), p_grid)
-    if name == "natural":
-        return PsiFunction.natural(parse_distribution(rest), p_grid)
-    if name == "fromphi":
-        return psi_from_phi(parse_phi(rest), p_grid)
-    raise SpecError(f"unknown psi spec {spec!r} (field 'psi')")
+    """A spec of `PSI_SPECS` on the grid, or '@file.json' with its own grid."""
+    return read_spec(spec, "psi", PSI_SPECS, lambda name, entry, rest: entry[1](rest, p_grid),
+                     PsiFunction.from_json, PSI_CATALOG, SpecError)
 
 
 def parse_norm_spec(spec: str, p_grid: np.ndarray) -> NormSpec:
-    """'lp:p', 'gls:<psi spec>', or 'bphi:<phi spec>'."""
-    kind, _, rest = spec.partition(":")
-    kind = kind.lower()
-    if kind == "lp":
+    """A kind of `search.NORM_KINDS` and the spec of the field it reads:
+    'lp:p', 'gls:<psi spec>' or 'bphi:<phi spec>'."""
+    def parse(kind, rec, rest):
+        value = NORM_FIELDS[rec.field](rest, p_grid)
         try:
-            return NormSpec.lp(float(rest))
+            return NormSpec(kind, **{rec.field: value})
         except ValueError as exc:
-            raise SpecError(f"bad lp norm spec {spec!r}") from exc
-    if kind == "gls":
-        return NormSpec.gls(parse_psi(rest, p_grid))
-    if kind == "bphi":
-        return NormSpec.bphi(parse_phi(rest))
-    raise SpecError(f"unknown norm spec {spec!r} (field 'norm')")
+            raise SpecError(f"bad {kind} norm spec {spec!r}") from exc
+
+    return read_spec(spec, "norm", NORM_KINDS, parse, None, NORM_CATALOG, SpecError)
 
 
 # ---------------------------------------------------------------------------
@@ -185,149 +208,161 @@ def emit_report(args, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_phi(args) -> int:
-    sub = args.subcommand
-    phi = None if sub == "kappa" else parse_phi(args.family)  # kappa has --phis
-    if sub == "eval":
-        payload = {"value": float(phi(args.lam)), "phi": phi.to_json(),
-                   "membership": phi_membership_report(phi)}
-    elif sub == "legendre":
-        r = legendre(phi, args.u)
-        payload = {"value": r.value, "argmax": r.argmax,
-                   "boundary": r.boundary, "unbounded": r.unbounded}
-    elif sub == "orlicz":
-        payload = {"value": orlicz_n(phi, args.u)}
-    elif sub == "convclass":
-        r = conv_r_class(phi, args.r)
-        payload = {"member": r.member, "r": r.r, "witness": r.witness}
-    elif sub == "overline":
-        payload = {"value": overline_phi(phi, args.lam)}
-    elif sub == "inverse":
-        payload = {"value": phi_inverse(phi, args.y)}
-    elif sub == "tail":
-        payload = {"value": tail_envelope(phi, args.tau, args.u)}
-    elif sub == "kappa":
-        phis = [parse_phi(s) for s in args.phis.split(",")]
-        value, witness, meta = kappa(phis, args.lam, n_max=args.nmax,
-                                     restarts=args.restarts, seed=args.seed)
-        payload = {"value": value, "witness_b": None if witness is None else list(witness),
-                   "meta": meta}
-    elif sub == "psi":
-        grid = parse_p_grid(args.p_grid) if args.p is None else np.array([args.p])
-        payload = psi_from_phi(phi, grid).to_json()
-    else:  # pragma: no cover
-        raise SpecError(f"unknown phi subcommand {sub!r}")
-    emit_report(args, payload)
-    return 0
+def _phi_eval(a) -> dict:
+    phi = parse_phi(a.family)
+    return {"value": float(phi(a.lam)), "phi": phi.to_json(),
+            "membership": phi_membership_report(phi)}
 
 
-def cmd_norm(args) -> int:
-    d = parse_distribution(args.law)
-    sub = args.subcommand
-    if sub == "bphi":
-        est = bphi_norm(d, parse_phi(args.phi))
-    elif sub == "lp":
-        a = parse_weights(args.weights)
-        est = weighted_sum_lp(d, a, args.p, engine=args.engine,
-                              budget=args.samples, seed=args.seed,
-                              threads=args.threads)
-    elif sub == "gls":
-        psi = parse_psi(args.psi, parse_p_grid(args.p_grid))
-        engine = "monte_carlo" if args.engine == "monte_carlo" else "quadrature"
-        est = gls_norm(d, psi, engine=engine, budget=args.samples, seed=args.seed,
-                       threads=args.threads)
-    else:  # pragma: no cover
-        raise SpecError(f"unknown norm subcommand {sub!r}")
-    emit_report(args, est.to_json())
-    return 0
+def _norm_spec(a) -> NormSpec:
+    return parse_norm_spec(a.norm, parse_p_grid(a.p_grid))
 
 
-def cmd_khinchine(args) -> int:
-    d = parse_distribution(args.law)
-    spec = parse_norm_spec(args.norm, parse_p_grid(args.p_grid))
-    if args.subcommand == "prelim":
-        emit_report(args, prelim_bounds(d, spec))
-        return 0
-    fn = khinchine_sup if args.subcommand == "sup" else khinchine_inf
-    est = fn(d, spec, n_max=args.nmax, restarts=args.restarts, seed=args.seed,
-             engine=args.engine, budget=args.samples)
-    emit_report(args, est.to_json())
-    return 0
+def _search_options(a) -> dict:
+    return dict(n_max=a.nmax, restarts=a.restarts, seed=a.seed, engine=a.engine,
+                budget=a.samples)
 
 
-def cmd_verify(args) -> int:
-    suite = args.subcommand
-    if suite == "thm31":
-        rep = verify_thm31(parse_distribution(args.law), parse_phi(args.phi),
-                           trials=args.trials, seed=args.seed, threads=args.threads)
-    elif suite == "thm32":
-        rep = verify_thm32(parse_distribution(args.law), parse_phi(args.phi),
-                           trials=args.trials, seed=args.seed, n_max=args.nmax,
-                           restarts=args.restarts, threads=args.threads)
-    elif suite == "thm41":
-        laws = [parse_distribution(s) for s in args.laws.split(",")]
-        if args.phis == "natural":
-            from .genfun import phi_natural
-            phis = [phi_natural(d) for d in laws]
-        else:
-            phis = [parse_phi(s) for s in args.phis.split(",")]
-        rep = verify_thm41(laws, phis, trials=args.trials, seed=args.seed,
-                           n_max=args.nmax, restarts=args.restarts,
-                           threads=args.threads)
-    elif suite == "rosenthal":
-        rep = rosenthal_verify(parse_distribution(args.law), args.p,
-                               parse_weights(args.weights), engine=args.engine,
-                               budget=args.samples, seed=args.seed)
-    elif suite == "thm51":
-        rep = verify_thm51(parse_distribution(args.law),
-                           p_values=tuple(float(x) for x in args.p_values.split(",")),
-                           n_values=tuple(int(x) for x in args.n_values.split(",")),
-                           engine=args.engine, budget=args.samples, seed=args.seed)
-    elif suite == "pythagoras":
-        laws = ([parse_distribution(s) for s in args.laws.split(",")]
-                if args.laws else None)
-        rep = pythagoras_check(parse_phi(args.phi), laws=laws,
-                               trials=args.trials, seed=args.seed,
-                               threads=args.threads)
-    elif suite == "tail":
-        rep = tail_compare(parse_distribution(args.law), parse_weights(args.weights),
-                           parse_phi(args.phi),
-                           u_grid=tuple(float(x) for x in args.u.split(",")),
-                           samples=args.samples or 200_000, seed=args.seed)
-    else:  # pragma: no cover
-        raise SpecError(f"unknown verify suite {suite!r}")
-    emit_report(args, rep)
-    return 0 if rep["pass"] else 1
+def _thm41(a) -> dict:
+    laws = [parse_distribution(s) for s in a.laws.split(",")]
+    phis = ([phi_natural(d) for d in laws] if a.phis == "natural"
+            else [parse_phi(s) for s in a.phis.split(",")])
+    return verify_thm41(laws, phis, trials=a.trials, seed=a.seed, n_max=a.nmax,
+                        restarts=a.restarts, threads=a.threads)
 
 
-def cmd_entropy(args) -> int:
-    sub = args.subcommand
-    if sub == "fieldsim":
-        with open(args.model, "r", encoding="utf-8") as fh:
-            model = FieldModel.from_json(json.load(fh))
-        coeffs = [parse_weights(s) for s in args.weights.split(";")]
-        rep = field_sup_stats(model, coeffs, copies=args.copies, seed=args.seed,
-                              threads=args.threads)
-        emit_report(args, rep)
-        return 0
-    space = load_space(args.space)
-    if sub == "cover":
-        count, exact, centers = covering_number(space, args.eps)
-        payload = {"count": count, "exact": exact, "centers": list(centers)}
-    elif sub == "dudley":
-        payload = {"value": dudley_integral(space, sigma_scale=args.scale),
-                   "diameter": space.diameter, "points": space.n}
-    elif sub == "profile":
-        eps = np.array(sorted((float(x) for x in args.eps_grid.split(",")),
-                              reverse=True))
-        payload = entropy_profile(space, eps).to_json()
-    else:  # pragma: no cover
-        raise SpecError(f"unknown entropy subcommand {sub!r}")
-    emit_report(args, payload)
-    return 0
+def _pythagoras(a) -> dict:
+    laws = [parse_distribution(s) for s in a.laws.split(",")] if a.laws else None
+    return pythagoras_check(parse_phi(a.phi), laws=laws, trials=a.trials, seed=a.seed,
+                            threads=a.threads)
+
+
+def _dudley(a) -> dict:
+    space = load_space(a.space)
+    return {"value": dudley_integral(space, sigma_scale=a.scale),
+            "diameter": space.diameter, "points": space.n}
+
+
+def _fieldsim(a) -> dict:
+    with open(a.model, "r", encoding="utf-8") as fh:
+        model = FieldModel.from_json(json.load(fh))
+    coeffs = [parse_weights(s) for s in a.weights.split(";")]
+    return field_sup_stats(model, coeffs, copies=a.copies, seed=a.seed, threads=a.threads)
+
+
+def arg(*flags, **options) -> tuple:
+    """One add_argument call of a subcommand."""
+    return flags, options
+
+
+LAW_HELP = f"law spec; known: {law_catalog()}"
+PHI_HELP = f"phi spec; known: {phi_catalog()} (<law>: a law spec)"
+WEIGHTS_HELP = f"weights spec; known: {WEIGHTS_CATALOG}"
+LAW = arg("--law", required=True, help=LAW_HELP)
+PHI = arg("--phi", required=True, help=PHI_HELP)
+FAMILY = arg("--family", required=True, help=PHI_HELP)
+WEIGHTS = arg("--weights", required=True, help=WEIGHTS_HELP)
+LAMBDA = arg("--lambda", dest="lam", type=float, required=True)
+U = arg("--u", type=float, required=True)
+P = arg("--p", type=float, required=True)
+NORM = arg("--norm", required=True, help=f"norm spec; known: {NORM_CATALOG}")
+SPACE = arg("--space", required=True, help="CSV or JSON file")
+
+#: command -> (help, subcommand -> (its arguments, handler args -> report payload)).
+#: Handlers call package functions by their module-level names, so that a
+#: function replaced on this module (a test's monkeypatch, a tracer) is the
+#: one called.
+COMMANDS = {
+    "phi": ("generating-function calculus", {
+        "eval": ([FAMILY, LAMBDA], _phi_eval),
+        "legendre": ([FAMILY, U], lambda a: asdict(legendre(parse_phi(a.family), a.u))),
+        "orlicz": ([FAMILY, U], lambda a: {"value": orlicz_n(parse_phi(a.family), a.u)}),
+        "convclass": ([FAMILY, arg("--r", type=float, required=True)],
+                      lambda a: asdict(conv_r_class(parse_phi(a.family), a.r))),
+        "overline": ([FAMILY, LAMBDA],
+                     lambda a: {"value": overline_phi(parse_phi(a.family), a.lam)}),
+        "inverse": ([FAMILY, arg("--y", type=float, required=True)],
+                    lambda a: {"value": phi_inverse(parse_phi(a.family), a.y)}),
+        "tail": ([FAMILY, U, arg("--tau", type=float, required=True)],
+                 lambda a: {"value": tail_envelope(parse_phi(a.family), a.tau, a.u)}),
+        "kappa": ([arg("--phis", required=True, help="comma-separated " + PHI_HELP), LAMBDA],
+                  lambda a: dict(zip(("value", "witness_b", "meta"), kappa(
+                      [parse_phi(s) for s in a.phis.split(",")], a.lam, n_max=a.nmax,
+                      restarts=a.restarts, seed=a.seed)))),
+        "psi": ([FAMILY, arg("--p", type=float, default=None)],
+                lambda a: psi_from_phi(parse_phi(a.family), parse_p_grid(a.p_grid)
+                                       if a.p is None else np.array([a.p])).to_json()),
+    }),
+    "norm": ("norm computations", {
+        "bphi": ([LAW, PHI],
+                 lambda a: bphi_norm(parse_distribution(a.law), parse_phi(a.phi)).to_json()),
+        "lp": ([LAW, WEIGHTS, P],
+               lambda a: weighted_sum_lp(
+                   parse_distribution(a.law), parse_weights(a.weights), a.p, engine=a.engine,
+                   budget=a.samples, seed=a.seed, threads=a.threads).to_json()),
+        "gls": ([LAW, arg("--psi", required=True, help=f"psi spec; known: {PSI_CATALOG}")],
+                lambda a: gls_norm(
+                    parse_distribution(a.law), parse_psi(a.psi, parse_p_grid(a.p_grid)),
+                    engine="monte_carlo" if a.engine == "monte_carlo" else "quadrature",
+                    budget=a.samples, seed=a.seed, threads=a.threads).to_json()),
+    }),
+    "khinchine": ("constant estimation", {
+        "sup": ([LAW, NORM], lambda a: khinchine_sup(
+            parse_distribution(a.law), _norm_spec(a), **_search_options(a)).to_json()),
+        "inf": ([LAW, NORM], lambda a: khinchine_inf(
+            parse_distribution(a.law), _norm_spec(a), **_search_options(a)).to_json()),
+        "prelim": ([LAW, NORM],
+                   lambda a: prelim_bounds(parse_distribution(a.law), _norm_spec(a))),
+    }),
+    "verify": ("inequality verification suites", {
+        "thm31": ([LAW, PHI],
+                  lambda a: verify_thm31(parse_distribution(a.law), parse_phi(a.phi),
+                                         trials=a.trials, seed=a.seed, threads=a.threads)),
+        "thm32": ([LAW, PHI],
+                  lambda a: verify_thm32(parse_distribution(a.law), parse_phi(a.phi),
+                                         trials=a.trials, seed=a.seed, n_max=a.nmax,
+                                         restarts=a.restarts, threads=a.threads)),
+        "thm41": ([arg("--laws", required=True, help="comma-separated " + LAW_HELP),
+                   arg("--phis", required=True, help="'natural' or comma-separated " + PHI_HELP)],
+                  _thm41),
+        "thm51": ([LAW, arg("--p-values", dest="p_values", default="2,4,6,8"),
+                   arg("--n-values", dest="n_values", default="4,16,64")],
+                  lambda a: verify_thm51(
+                      parse_distribution(a.law),
+                      p_values=tuple(float(x) for x in a.p_values.split(",")),
+                      n_values=tuple(int(x) for x in a.n_values.split(",")),
+                      engine=a.engine, budget=a.samples, seed=a.seed)),
+        "rosenthal": ([LAW, P, WEIGHTS],
+                      lambda a: rosenthal_verify(
+                          parse_distribution(a.law), a.p, parse_weights(a.weights),
+                          engine=a.engine, budget=a.samples, seed=a.seed)),
+        "pythagoras": ([PHI, arg("--laws", default=None, help="comma-separated " + LAW_HELP)],
+                       _pythagoras),
+        "tail": ([LAW, PHI, WEIGHTS, arg("--u", default="0.5,1,1.5,2,2.5,3")],
+                 lambda a: tail_compare(
+                     parse_distribution(a.law), parse_weights(a.weights), parse_phi(a.phi),
+                     u_grid=tuple(float(x) for x in a.u.split(",")),
+                     samples=a.samples or 200_000, seed=a.seed)),
+    }),
+    "entropy": ("metric entropy and field simulator", {
+        "cover": ([SPACE, arg("--eps", type=float, required=True)],
+                  lambda a: dict(zip(("count", "exact", "centers"),
+                                     covering_number(load_space(a.space), a.eps)))),
+        "dudley": ([SPACE, arg("--scale", type=float, default=1.0)], _dudley),
+        "profile": ([SPACE, arg("--eps-grid", dest="eps_grid", required=True,
+                                help="comma-separated eps values")],
+                    lambda a: entropy_profile(load_space(a.space), np.array(sorted(
+                        (float(x) for x in a.eps_grid.split(",")), reverse=True))).to_json()),
+        "fieldsim": ([arg("--model", required=True, help="JSON field model"),
+                      arg("--weights", default="equal:2",
+                          help="semicolon-separated " + WEIGHTS_HELP),
+                      arg("--copies", type=int, default=100_000)],
+                     _fieldsim),
+    }),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +370,6 @@ def cmd_entropy(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    law_help = f"law spec; known: {law_catalog()}"
-    phi_help = f"phi spec; known: {phi_catalog()} (<law>: a law spec)"
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--samples", type=int, default=None,
@@ -360,99 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    p_phi = sub.add_parser("phi", help="generating-function calculus")
-    phi_sub = p_phi.add_subparsers(dest="subcommand", required=True)
-    for name in ("eval", "legendre", "orlicz", "convclass", "overline",
-                 "inverse", "tail", "kappa", "psi"):
-        sp = phi_sub.add_parser(name, parents=[common])
-        if name != "kappa":
-            sp.add_argument("--family", required=True, help=phi_help)
-        if name in ("eval", "overline"):
-            sp.add_argument("--lambda", dest="lam", type=float, required=True)
-        if name in ("legendre", "orlicz", "tail"):
-            sp.add_argument("--u", type=float, required=True)
-        if name == "tail":
-            sp.add_argument("--tau", type=float, required=True)
-        if name == "convclass":
-            sp.add_argument("--r", type=float, required=True)
-        if name == "inverse":
-            sp.add_argument("--y", type=float, required=True)
-        if name == "kappa":
-            sp.add_argument("--phis", required=True, help="comma-separated " + phi_help)
-            sp.add_argument("--lambda", dest="lam", type=float, required=True)
-        if name == "psi":
-            sp.add_argument("--p", type=float, default=None)
-        sp.set_defaults(func=cmd_phi)
-
-    p_norm = sub.add_parser("norm", help="norm computations")
-    norm_sub = p_norm.add_subparsers(dest="subcommand", required=True)
-    for name in ("bphi", "lp", "gls"):
-        sp = norm_sub.add_parser(name, parents=[common])
-        sp.add_argument("--law", required=True, help=law_help)
-        if name == "bphi":
-            sp.add_argument("--phi", required=True, help=phi_help)
-        if name == "lp":
-            sp.add_argument("--weights", required=True)
-            sp.add_argument("--p", type=float, required=True)
-        if name == "gls":
-            sp.add_argument("--psi", required=True)
-        sp.set_defaults(func=cmd_norm)
-
-    p_kh = sub.add_parser("khinchine", help="constant estimation")
-    kh_sub = p_kh.add_subparsers(dest="subcommand", required=True)
-    for name in ("sup", "inf", "prelim"):
-        sp = kh_sub.add_parser(name, parents=[common])
-        sp.add_argument("--law", required=True, help=law_help)
-        sp.add_argument("--norm", required=True, help="lp:p | gls:<psi> | bphi:<phi>")
-        sp.set_defaults(func=cmd_khinchine)
-
-    p_ver = sub.add_parser("verify", help="inequality verification suites")
-    ver_sub = p_ver.add_subparsers(dest="subcommand", required=True)
-    for name in ("thm31", "thm32", "thm41", "thm51", "rosenthal",
-                 "pythagoras", "tail"):
-        sp = ver_sub.add_parser(name, parents=[common])
-        if name in ("thm31", "thm32", "thm51", "rosenthal", "tail"):
-            sp.add_argument("--law", required=True, help=law_help)
-        if name in ("thm31", "thm32", "tail", "pythagoras"):
-            sp.add_argument("--phi", required=True, help=phi_help)
-        if name == "pythagoras":
-            sp.add_argument("--laws", default=None, help="comma-separated " + law_help)
-        if name == "thm41":
-            sp.add_argument("--laws", required=True, help="comma-separated " + law_help)
-            sp.add_argument("--phis", required=True,
-                            help="'natural' or comma-separated " + phi_help)
-        if name == "rosenthal":
-            sp.add_argument("--p", type=float, required=True)
-            sp.add_argument("--weights", required=True)
-        if name == "thm51":
-            sp.add_argument("--p-values", dest="p_values", default="2,4,6,8")
-            sp.add_argument("--n-values", dest="n_values", default="4,16,64")
-        if name == "tail":
-            sp.add_argument("--weights", required=True)
-            sp.add_argument("--u", default="0.5,1,1.5,2,2.5,3")
-        sp.set_defaults(func=cmd_verify)
-
-    p_ent = sub.add_parser("entropy", help="metric entropy and field simulator")
-    ent_sub = p_ent.add_subparsers(dest="subcommand", required=True)
-    for name in ("cover", "dudley", "profile", "fieldsim"):
-        sp = ent_sub.add_parser(name, parents=[common])
-        if name in ("cover", "dudley", "profile"):
-            sp.add_argument("--space", required=True, help="CSV or JSON file")
-        if name == "cover":
-            sp.add_argument("--eps", type=float, required=True)
-        if name == "dudley":
-            sp.add_argument("--scale", type=float, default=1.0)
-        if name == "profile":
-            sp.add_argument("--eps-grid", dest="eps_grid", required=True,
-                            help="comma-separated eps values")
-        if name == "fieldsim":
-            sp.add_argument("--model", required=True, help="JSON field model")
-            sp.add_argument("--weights", default="equal:2",
-                            help="semicolon-separated weight specs")
-            sp.add_argument("--copies", type=int, default=100_000)
-        sp.set_defaults(func=cmd_entropy)
-
+    for command, (help_, subcommands) in COMMANDS.items():
+        subs = sub.add_parser(command, help=help_).add_subparsers(dest="subcommand",
+                                                                  required=True)
+        for name, (arguments, handler) in subcommands.items():
+            sp = subs.add_parser(name, parents=[common])
+            for flags, options in arguments:
+                sp.add_argument(*flags, **options)
+            sp.set_defaults(func=handler)
     return top
 
 
@@ -460,11 +408,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        emit_report(args, payload)
     except (SpecError, DomainError, DistributionError, PreconditionError,
             EngineRefusal, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    return 0 if payload.get("pass", True) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

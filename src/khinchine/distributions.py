@@ -67,8 +67,11 @@ def _poisson_pmf_truncated(mu: float, tail: float = POISSON_TAIL_MASS):
         if p[-1] * (k_max + 1) / (k_max + 1 - mu) < tail:
             break
         k_max *= 2
-    keep = int(np.nonzero(np.cumsum(p) < 1.0 - tail)[0][-1]) + 2 if p.size > 1 else 1
-    keep = min(keep, p.size)
+    # the cumulative sum rises, so the k with prefix mass below 1 - tail are
+    # 0..below-1; keep one more, and always k = 0 and k = 1 (at mu below about
+    # 1e-14, p[0] alone reaches 1 - tail)
+    below = int(np.count_nonzero(np.cumsum(p) < 1.0 - tail))
+    keep = min(max(below, 1) + 1, p.size)
     p = p[:keep]
     return np.arange(keep), p / p.sum()
 
@@ -141,10 +144,6 @@ class Distribution:
         return LAWS[self.law]
 
     @property
-    def mean(self) -> float:
-        return 0.0
-
-    @property
     def variance(self) -> float:
         return self.record.variance(self)
 
@@ -157,10 +156,6 @@ class Distribution:
         """Whether scaled independent copies, with any parameters, sum to a
         law of the same record (`sum_law` applies)."""
         return self.record.sum_law is not None
-
-    @property
-    def satisfies_cramer(self) -> bool:
-        return True  # every catalog law has an entire MGF
 
     @property
     def label(self) -> str:
@@ -440,18 +435,34 @@ def law_catalog() -> str:
     return ", ".join(specs + ["@file.json"])
 
 
-def parse_distribution(spec: str) -> Distribution:
-    """Parse CLI specs like 'rademacher', 'gaussian:1', 'centered-poisson:1',
-    'uniform-symmetric:1.732', or '@file.json' for a JSON law descriptor."""
+def _fold(name: str) -> str:
+    return name.replace("-", "").replace("_", "").lower()
+
+
+def read_spec(spec: str, what: str, table: dict, parse: Callable,
+              from_json: Callable | None, catalog: str, error: type):
+    """The one reader of CLI spec strings, for every kind of spec.
+
+    '@file.json' is read by `from_json` (None: the kind has no file form).
+    Otherwise 'name[:rest]' looks the name up in `table`, ignoring case, '-'
+    and '_', and returns `parse(key, table[key], rest)`. An unknown name
+    raises `error`, naming the `catalog` of accepted specs."""
     spec = spec.strip()
-    if spec.startswith("@"):
+    if from_json is not None and spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
-            return Distribution.from_json(json.load(fh))
+            obj = json.load(fh)
+        try:
+            return from_json(obj)
+        except KeyError as exc:
+            raise error(f"{what} spec {spec!r} lacks the field {exc}") from exc
     name, _, rest = spec.partition(":")
-    name = name.replace("-", "_").lower()
-    rec = LAWS.get(name)
-    if rec is None or len(rec.fields) > 1:
-        raise DistributionError(f"unknown law spec {spec!r}; known: {law_catalog()}")
+    key = next((k for k in table if _fold(k) == _fold(name)), None)
+    if key is None:
+        raise error(f"unknown {what} spec {spec!r}; known: {catalog}")
+    return parse(key, table[key], rest)
+
+
+def _parse_law(name: str, rec: Law, rest: str) -> Distribution:
     if not rec.fields:
         return rec.build()
     if not rest:
@@ -460,3 +471,11 @@ def parse_distribution(spec: str) -> Distribution:
         return rec.build(float(rest))
     except ValueError as exc:
         raise DistributionError(f"bad parameter {rest!r} for law {name!r}") from exc
+
+
+def parse_distribution(spec: str) -> Distribution:
+    """Parse CLI specs like 'rademacher', 'gaussian:1', 'centered-poisson:1',
+    'uniform-symmetric:1.732', or '@file.json' for a JSON law descriptor.
+    Laws with array fields come only from a file."""
+    return read_spec(spec, "law", {k: r for k, r in LAWS.items() if len(r.fields) <= 1},
+                     _parse_law, Distribution.from_json, law_catalog(), DistributionError)

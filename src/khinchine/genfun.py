@@ -18,14 +18,13 @@ a multiple of lambda^2 near 0, and is strictly increasing on [0, lambda0).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .distributions import Distribution, parse_distribution
+from .distributions import Distribution, parse_distribution, read_spec
 from .numerics import (candidate_sizes, geometric_grid, golden_max,
                        invert_increasing_vec, project_simplex, substream,
                        two_level_shapes)
@@ -134,8 +133,6 @@ def phi_power(m: float) -> GeneratingFunction:
 
 
 def phi_natural(dist: Distribution) -> GeneratingFunction:
-    if not dist.satisfies_cramer:
-        raise DomainError("natural generating function needs Cramer's condition")
     return GeneratingFunction("natural", dist=dist)
 
 
@@ -244,15 +241,9 @@ def phi_catalog() -> str:
 def parse_phi(spec: str) -> GeneratingFunction:
     """Parse CLI specs: 'subgaussian', 'power:3', 'natural:<law spec>',
     or '@file.json'."""
-    spec = spec.strip()
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return GeneratingFunction.from_json(json.load(fh))
-    name, _, rest = spec.partition(":")
-    fam = FAMILIES.get(name.replace("-", "_").lower())
-    if fam is None or fam.parse is None:
-        raise DomainError(f"unknown generating-function spec {spec!r}; known: {phi_catalog()}")
-    return fam.parse(rest)
+    return read_spec(spec, "generating-function", {k: f for k, f in FAMILIES.items() if f.parse},
+                     lambda name, fam, rest: fam.parse(rest), GeneratingFunction.from_json,
+                     phi_catalog(), DomainError)
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +714,11 @@ class PsiFunction:
     def to_json(self) -> dict:
         return {"p_grid": self.p_grid.tolist(), "values": self.values.tolist(),
                 "provenance": self.provenance}
+
+    @staticmethod
+    def from_json(obj: dict) -> "PsiFunction":
+        return PsiFunction(np.asarray(obj["p_grid"], float), np.asarray(obj["values"], float),
+                           obj.get("provenance", "explicit"))
 
 
 def psi_from_phi(phi: GeneratingFunction, p_grid) -> PsiFunction:

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution
-from .genfun import (DomainError, GeneratingFunction, PsiFunction, phi_inverse_vec,
-                     phi_range)
+from .genfun import GeneratingFunction, PsiFunction, phi_inverse_vec, phi_range
 from .numerics import (MC_STREAMS, NORM_GRID_HI, NORM_GRID_LO, collapse_support,
                        geometric_grid, mc_abs_moments, stream_rows, substream)
 
@@ -38,7 +37,7 @@ class CoefficientVector:
         if e.ndim != 1 or e.size < 1:
             raise ValueError("coefficient vector must be 1-d and nonempty")
         nrm = float(np.dot(e, e))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # also refuses non-finite entries
             raise ValueError(f"coefficients must have unit Euclidean norm, got sum sq = {nrm!r}")
 
     @property
@@ -54,14 +53,20 @@ class CoefficientVector:
         nrm = math.sqrt(float(np.dot(v, v)))
         if nrm == 0:
             raise ValueError("cannot normalize the zero vector")
+        if not math.isfinite(nrm):
+            raise ValueError("cannot normalize a vector with non-finite entries")
         return CoefficientVector(v / nrm)
 
     @staticmethod
     def equal(n: int) -> "CoefficientVector":
+        if n < 1:
+            raise ValueError("equal weights need n >= 1")
         return CoefficientVector(np.full(n, 1.0 / math.sqrt(n)))
 
     @staticmethod
     def one_hot(n: int, index: int = 0) -> "CoefficientVector":
+        if not 0 <= index < n:
+            raise ValueError("one_hot needs n >= 1 and 0 <= index < n")
         e = np.zeros(n)
         e[index] = 1.0
         return CoefficientVector(e)
@@ -314,8 +319,6 @@ def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None,
     log_mgfs, vars_ = [], []
     for source, variance in zip(sources, variances):
         if isinstance(source, Distribution):
-            if not source.satisfies_cramer:
-                raise DomainError(f"law {source.label} fails Cramer's condition")
             log_mgfs.append(source.log_mgf)
             vars_.append(source.variance)
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .numerics import candidate_sizes, substream, two_level_shapes
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm the constants are taken in: lp(p), gls(psi), or bphi(phi)."""
+    """Which norm the constants are taken in: lp(p), gls(psi), or bphi(phi).
+    `kind` names a record of `NORM_KINDS`, which says the field it reads."""
 
     kind: str  # lp | gls | bphi
     p: float | None = None
@@ -32,25 +34,25 @@ class NormSpec:
     phi: GeneratingFunction | None = None
 
     def __post_init__(self):
-        if self.kind == "lp":
-            if self.p is None or self.p < 1:
-                raise ValueError("lp norm spec needs p >= 1")
-        elif self.kind == "gls":
-            if self.psi is None:
-                raise ValueError("gls norm spec needs a psi function")
-        elif self.kind == "bphi":
-            if self.phi is None:
-                raise ValueError("bphi norm spec needs a generating function")
-        else:
+        rec = NORM_KINDS.get(self.kind)
+        if rec is None:
             raise ValueError(f"unknown norm spec kind {self.kind!r}")
+        param = getattr(self, rec.field)
+        if param is None or not rec.valid(param):
+            raise ValueError(f"{self.kind} norm spec needs {rec.needs}")
+
+    @property
+    def record(self) -> "NormKind":
+        return NORM_KINDS[self.kind]
+
+    @property
+    def param(self):
+        """The field the kind reads: p, psi or phi."""
+        return getattr(self, self.record.field)
 
     @property
     def label(self) -> str:
-        if self.kind == "lp":
-            return f"lp({self.p!r})"
-        if self.kind == "gls":
-            return f"gls({self.psi.provenance})"
-        return f"bphi({self.phi.label})"
+        return self.record.label(self.param)
 
     @staticmethod
     def lp(p: float) -> "NormSpec":
@@ -65,24 +67,53 @@ class NormSpec:
         return NormSpec("bphi", phi=phi)
 
 
+@dataclass(frozen=True)
+class NormKind:
+    """One kind of norm. Each function takes the spec's `param` v (its p,
+    psi or phi)."""
+
+    field: str  # the NormSpec field the kind reads; the CLI form is '<kind>:<field>'
+    needs: str  # what the field must hold, for the validation error
+    label: Callable  # (v) -> str
+    sum_norm: Callable  # (d, a, v, engine, budget, seed) -> NormEstimate of sum a_k X_k
+    single_norm: Callable  # (d, v) -> norm of one copy
+    valid: Callable = lambda v: True  # (v) -> whether a value given for the field is valid
+
+
+NORM_KINDS: dict[str, NormKind] = {
+    "lp": NormKind(
+        field="p", needs="p >= 1", valid=lambda p: not p < 1,
+        label=lambda p: f"lp({p!r})",
+        sum_norm=lambda d, a, p, engine, budget, seed: weighted_sum_lp(
+            d, a, p, engine=engine, budget=budget, seed=seed),
+        single_norm=lambda d, p: d.lp_norm(p),
+    ),
+    "gls": NormKind(
+        field="psi", needs="a psi function",
+        label=lambda psi: f"gls({psi.provenance})",
+        sum_norm=lambda d, a, psi, engine, budget, seed: weighted_sum_gls(
+            d, a, psi, engine=engine, budget=budget, seed=seed),
+        single_norm=lambda d, psi: gls_norm(d, psi).value,
+    ),
+    "bphi": NormKind(
+        field="phi", needs="a generating function",
+        label=lambda phi: f"bphi({phi.label})",
+        sum_norm=lambda d, a, phi, engine, budget, seed: weighted_sum_bphi(d, a, phi),
+        single_norm=lambda d, phi: bphi_norm(d, phi).value,
+    ),
+}
+
+
 def sum_norm(d: Distribution, a: CoefficientVector, spec: NormSpec,
              engine: str = "auto", budget: int | None = None,
              seed: int = 0) -> NormEstimate:
     """Norm of sum a_k X_k under the given spec."""
-    if spec.kind == "lp":
-        return weighted_sum_lp(d, a, spec.p, engine=engine, budget=budget, seed=seed)
-    if spec.kind == "gls":
-        return weighted_sum_gls(d, a, spec.psi, engine=engine, budget=budget, seed=seed)
-    return weighted_sum_bphi(d, a, spec.phi)
+    return spec.record.sum_norm(d, a, spec.param, engine, budget, seed)
 
 
 def single_norm(d: Distribution, spec: NormSpec) -> float:
     """Norm of one copy of the law under the spec (the n = 1 anchor)."""
-    if spec.kind == "lp":
-        return d.lp_norm(spec.p)
-    if spec.kind == "gls":
-        return gls_norm(d, spec.psi).value
-    return bphi_norm(d, spec.phi).value
+    return spec.record.single_norm(d, spec.param)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ log space with an explicit slack tolerance, and reports the worst witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,14 +40,6 @@ def rosenthal_c(p: float) -> float:
     if p < 2:
         raise ValueError("rosenthal_c is defined for p >= 2")
     return C_R * p / (math.e * math.log(p))
-
-
-@dataclass(frozen=True)
-class RosenthalBound:
-    p: float
-    c_of_p: float
-    psi_r: PsiFunction
-    c_r: float = C_R
 
 
 def rosenthal_psi(psi: PsiFunction) -> PsiFunction:

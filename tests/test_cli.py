@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from khinchine.cli import main, parse_norm_spec, parse_p_grid, parse_weights
+from khinchine.cli import (SpecError, main, parse_norm_spec, parse_p_grid, parse_psi,
+                           parse_weights)
 from khinchine.entropy import FiniteMetricSpace
 from khinchine.genfun import parse_phi
 
@@ -338,3 +339,154 @@ def test_poisson_law_at_a_former_truncation_hang(capsys):
                                   "--weights", "equal:1", "--p", "2"])
     assert code == 0
     assert rep["report"]["value"] == pytest.approx(36.88944578858948 ** 0.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the CLI surface: every subcommand's parsed namespace, every spec spelling
+# ---------------------------------------------------------------------------
+
+COMMON_OPTIONS = {"seed": 0, "samples": None, "engine": "auto", "nmax": 32, "restarts": 3,
+                  "trials": 1000, "threads": 1, "format": "json", "out": None,
+                  "p_grid": "2:64"}
+
+# (subcommand, its minimal arguments, the options it adds to the common ones)
+SURFACE = [
+    ("phi eval", "--family subgaussian --lambda 1", {"family": "subgaussian", "lam": 1.0}),
+    ("phi legendre", "--family subgaussian --u 1", {"family": "subgaussian", "u": 1.0}),
+    ("phi orlicz", "--family subgaussian --u 1", {"family": "subgaussian", "u": 1.0}),
+    ("phi convclass", "--family subgaussian --r 2", {"family": "subgaussian", "r": 2.0}),
+    ("phi overline", "--family subgaussian --lambda 1", {"family": "subgaussian", "lam": 1.0}),
+    ("phi inverse", "--family subgaussian --y 1", {"family": "subgaussian", "y": 1.0}),
+    ("phi tail", "--family subgaussian --tau 1 --u 1",
+     {"family": "subgaussian", "u": 1.0, "tau": 1.0}),
+    ("phi kappa", "--phis subgaussian --lambda 1", {"phis": "subgaussian", "lam": 1.0}),
+    ("phi psi", "--family subgaussian", {"family": "subgaussian", "p": None}),
+    ("norm bphi", "--law rademacher --phi subgaussian", {"law": "rademacher", "phi": "subgaussian"}),
+    ("norm lp", "--law rademacher --weights equal:2 --p 3",
+     {"law": "rademacher", "weights": "equal:2", "p": 3.0}),
+    ("norm gls", "--law rademacher --psi sqrtp", {"law": "rademacher", "psi": "sqrtp"}),
+    ("khinchine sup", "--law rademacher --norm lp:3", {"law": "rademacher", "norm": "lp:3"}),
+    ("khinchine inf", "--law rademacher --norm lp:3", {"law": "rademacher", "norm": "lp:3"}),
+    ("khinchine prelim", "--law rademacher --norm lp:3", {"law": "rademacher", "norm": "lp:3"}),
+    ("verify thm31", "--law rademacher --phi subgaussian", {"law": "rademacher", "phi": "subgaussian"}),
+    ("verify thm32", "--law rademacher --phi subgaussian", {"law": "rademacher", "phi": "subgaussian"}),
+    ("verify thm41", "--laws rademacher --phis natural", {"laws": "rademacher", "phis": "natural"}),
+    ("verify thm51", "--law rademacher",
+     {"law": "rademacher", "p_values": "2,4,6,8", "n_values": "4,16,64"}),
+    ("verify rosenthal", "--law rademacher --p 4 --weights equal:2",
+     {"law": "rademacher", "p": 4.0, "weights": "equal:2"}),
+    ("verify pythagoras", "--phi subgaussian", {"phi": "subgaussian", "laws": None}),
+    ("verify tail", "--law rademacher --weights equal:2 --phi subgaussian",
+     {"law": "rademacher", "phi": "subgaussian", "weights": "equal:2", "u": "0.5,1,1.5,2,2.5,3"}),
+    ("entropy cover", "--space s.json --eps 1", {"space": "s.json", "eps": 1.0}),
+    ("entropy dudley", "--space s.json", {"space": "s.json", "scale": 1.0}),
+    ("entropy profile", "--space s.json --eps-grid 1,2", {"space": "s.json", "eps_grid": "1,2"}),
+    ("entropy fieldsim", "--model m.json",
+     {"model": "m.json", "weights": "equal:2", "copies": 100000}),
+]
+
+
+def test_surface_lists_every_subcommand():
+    from khinchine.cli import COMMANDS
+    assert sorted(s for s, _, _ in SURFACE) == sorted(
+        f"{c} {s}" for c, (_, subs) in COMMANDS.items() for s in subs)
+
+
+@pytest.mark.parametrize("sub,argv,own", SURFACE, ids=[s for s, _, _ in SURFACE])
+def test_parsed_namespace_is_the_echoed_config(sub, argv, own):
+    """The namespace (less `func`) is what a report echoes as its config, so
+    its keys, values and their JSON types are pinned per subcommand."""
+    from khinchine.cli import build_parser
+    command, subcommand = sub.split()
+    ns = vars(build_parser().parse_args([command, subcommand, *argv.split()]))
+    assert callable(ns.pop("func"))
+    want = {"command": command, "subcommand": subcommand, **COMMON_OPTIONS, **own}
+    assert json.dumps(ns, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def _spec_files(tmp_path):
+    files = {"law": {"law": "rademacher"}, "phi": {"family": "power", "m": 3},
+             "psi": {"p_grid": [2.0, 3.0, 4.0], "values": [2.0 ** 0.5, 3.0 ** 0.5, 2.0]},
+             "weights": [1.0, 1.0, 1.0, 1.0], "subgaussian": {"family": "subgaussian"}}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+
+
+SPELLINGS = [
+    ("weights", ["one-hot:3:1", "onehot:3:1", "ONEHOT:3:1"]),
+    ("weights", ["two-level:4:1:0.5", "twolevel:4:1:0.5"]),
+    ("weights", ["equal:4", "@{tmp}/weights.json", " list:1,1,1,1 "]),
+    ("law", ["centered-poisson:1", "centered_poisson:1", "Centered-Poisson:1"]),
+    ("law", ["rademacher", "@{tmp}/law.json"]),
+    ("phi", ["power:3", "@{tmp}/phi.json", "POWER:3"]),
+    ("phi", ["natural:gaussian:2", "natural:Gaussian:2"]),
+    ("psi", ["sqrtp", "@{tmp}/psi.json"]),
+    ("psi", ["fromphi:subgaussian", "fromphi:@{tmp}/subgaussian.json"]),
+    ("norm", ["lp:3", "LP:3"]),
+    ("norm", ["bphi:natural:gaussian:2", "BPHI:Natural:gaussian:2"]),
+]
+
+
+@pytest.mark.parametrize("kind,spellings", SPELLINGS,
+                         ids=[f"{k}-{s[0].strip()}" for k, s in SPELLINGS])
+def test_every_spelling_parses_to_the_same_object(tmp_path, kind, spellings):
+    from khinchine.distributions import parse_distribution
+    _spec_files(tmp_path)
+    grid = parse_p_grid("2:4")
+    read = {"weights": lambda s: parse_weights(s).to_json(),
+            "law": lambda s: parse_distribution(s).to_json(),
+            "phi": lambda s: parse_phi(s).to_json(),
+            "psi": lambda s: parse_psi(s, grid).to_json(),
+            "norm": lambda s: parse_norm_spec(s, grid).label}[kind]
+    seen = [read(s.replace("{tmp}", str(tmp_path))) for s in spellings]
+    assert all(x == seen[0] for x in seen), seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "lp", "--law", "rademacher", "--p", "4", "--weights", "equal:0"],
+    ["norm", "lp", "--law", "rademacher", "--p", "4", "--weights", "equal:-2"],
+    ["norm", "lp", "--law", "rademacher", "--p", "4", "--weights", "onehot:0"],
+    ["norm", "lp", "--law", "rademacher", "--p", "4", "--weights", "onehot:3:-1"],
+    ["norm", "lp", "--law", "rademacher", "--p", "4", "--weights", "onehot:3:3"],
+    ["norm", "lp", "--law", "rademacher", "--p", "3", "--weights", "list:1,nan"],
+    ["norm", "lp", "--law", "rademacher", "--p", "3", "--weights", "list:1,inf"],
+    ["norm", "gls", "--law", "rademacher", "--psi", "sqrtp", "--p-grid", "2:64:0"],
+    ["norm", "gls", "--law", "rademacher", "--psi", "sqrtp", "--p-grid", "2:64:-1"],
+    ["norm", "gls", "--law", "rademacher", "--psi", "sqrtp", "--p-grid", "8:2"],
+    ["norm", "gls", "--law", "rademacher", "--psi", "sqrtp", "--p-grid", "2:nan"],
+    ["norm", "gls", "--law", "rademacher", "--psi", "sqrtp", "--p-grid", "2:inf"],
+    ["norm", "lp", "--law", "rademacher", "--p", "3", "--weights", "diag:3"],
+], ids=lambda argv: argv[-1])
+def test_malformed_weights_and_p_grid_exit_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,obj", [
+    (["norm", "bphi", "--law", "@SPEC", "--phi", "subgaussian"], {"law": "gaussian"}),
+    (["norm", "bphi", "--law", "rademacher", "--phi", "@SPEC"], {"family": "power"}),
+    (["norm", "bphi", "--law", "rademacher", "--phi", "@SPEC"],
+     {"family": "natural", "dist": {"law": "centered_poisson"}}),
+    (["norm", "gls", "--law", "rademacher", "--psi", "@SPEC"], {"values": [1.0, 2.0]}),
+], ids=["law", "phi", "phi-natural", "psi"])
+def test_spec_file_lacking_a_field_exits_two(capsys, tmp_path, argv, obj):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    assert main([a.replace("SPEC", str(path)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "lacks the field" in captured.err
+
+
+def test_unknown_cli_specs_name_their_catalog():
+    grid = parse_p_grid("2:4")
+    with pytest.raises(SpecError, match=r"unknown weights spec 'diag:3'; known: equal:<n>, .*@file\.json"):
+        parse_weights("diag:3")
+    with pytest.raises(SpecError, match=r"unknown psi spec 'weird'; known: sqrtp, .*fromphi:<phi>, @file\.json"):
+        parse_psi("weird", grid)
+    with pytest.raises(SpecError, match=r"unknown norm spec 'foo:3'; known: lp:<p>, gls:<psi>, bphi:<phi>$"):
+        parse_norm_spec("foo:3", grid)
+    with pytest.raises(SpecError, match="bad p-grid spec '2:64:0': field 'step'"):
+        parse_p_grid("2:64:0")

@@ -283,6 +283,50 @@ def test_poisson_truncation_returns_and_keeps_old_supports():
     assert kept > 500
 
 
+def _keep_from_first_k_pmf(mu, tail=POISSON_TAIL_MASS):
+    """The truncation before k = 0 and k = 1 were always kept, or None where
+    it raised IndexError (p[0] alone reaching 1 - tail)."""
+    k_max = int(mu + 20.0 * math.sqrt(mu) + 40.0)
+    while True:
+        ks = np.arange(k_max + 1)
+        p = np.exp(ks * math.log(mu) - mu - np.array([math.lgamma(k + 1.0) for k in ks]))
+        if p[-1] * (k_max + 1) / (k_max + 1 - mu) < tail:
+            break
+        k_max *= 2
+    below = np.nonzero(np.cumsum(p) < 1.0 - tail)[0]
+    if below.size == 0:
+        return None
+    keep = min(int(below[-1]) + 2, p.size)
+    return np.arange(keep), p[:keep] / p[:keep].sum()
+
+
+def test_poisson_truncation_keeps_supports_where_it_returned():
+    mus = np.concatenate([np.geomspace(1e-16, 200.0, 721), [1e-15, 5e-15, 1e-14]])
+    refused = 0
+    for mu in mus:
+        ks, p = _poisson_pmf_truncated(float(mu))
+        assert ks.size >= 2
+        old = _keep_from_first_k_pmf(float(mu))
+        if old is None:
+            refused += 1
+            assert ks.tolist() == [0, 1]
+        else:
+            assert np.array_equal(ks, old[0]) and np.array_equal(p, old[1]), mu
+    assert 10 < refused < 200
+
+
+@pytest.mark.parametrize("mu", [1e-15, 5e-15, 1e-14])
+@pytest.mark.parametrize("law,scale", [("centered-poisson", 1.0), ("symmetrized-poisson", 2.0)])
+def test_poisson_at_tiny_mu(capsys, law, scale, mu):
+    from khinchine.cli import main
+    d = parse_distribution(f"{law}:{mu!r}")
+    v, p = d.finite_support()
+    assert float(np.dot(p, v * v)) == pytest.approx(scale * mu, rel=1e-9)
+    argv = ["norm", "lp", "--law", f"{law}:{mu!r}", "--weights", "equal:2", "--p", "3"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["value"] > 0
+
+
 def test_discrete_rejects_noncentered():
     with pytest.raises(DistributionError, match="centered"):
         Distribution.discrete([0.0, 1.0], [0.5, 0.5])

@@ -31,6 +31,11 @@ PHI2 = phi_subgaussian()
 def test_coefficient_vector_unit_norm_enforced():
     with pytest.raises(ValueError, match="unit"):
         CoefficientVector(np.array([1.0, 1.0]))
+    for bad in ([1.0, np.nan], [np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="unit"):
+            CoefficientVector(np.array(bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            CoefficientVector.normalized(bad)
     a = CoefficientVector.normalized([3.0, 4.0])
     assert a.entries == pytest.approx([0.6, 0.8])
 
