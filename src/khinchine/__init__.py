@@ -4,7 +4,7 @@ the related concentration inequalities."""
 
 __version__ = "0.1.0"
 
-from .distributions import Distribution, SampleBatch, parse_distribution
+from .distributions import Distribution, parse_distribution
 from .genfun import (ConjugateProfile, ConvClassResult, DomainError,
                      GeneratingFunction, LegendreResult, PsiFunction,
                      biconjugate, conjugate_profile, conv_r_class, kappa,

@@ -48,21 +48,30 @@ class SpecError(ValueError):
 # spec-string parsing: one table per kind, read by `read_spec`
 # ---------------------------------------------------------------------------
 
+def finite(text: str) -> float:
+    """The one reader of numeric fields, for `type=` and every spec: a finite
+    float, else ValueError (which argparse reports as an invalid value)."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return x
+
+
 #: weights: name -> (CLI form, the ':'-separated fields after the name -> weights)
 WEIGHT_SPECS = {
     "equal": ("equal:<n>", lambda f: CoefficientVector.equal(int(f[0]))),
     "one_hot": ("onehot:<n>[:<i>]", lambda f: CoefficientVector.one_hot(
         int(f[0]), int(f[1]) if len(f) > 1 else 0)),
     "two_level": ("twolevel:<n>:<j>:<w>", lambda f: CoefficientVector.two_level(
-        int(f[0]), int(f[1]), float(f[2]))),
+        int(f[0]), int(f[1]), finite(f[2]))),
     "list": ("list:<v1,v2,...>", lambda f: CoefficientVector.normalized(
-        [float(x) for x in f[0].split(",")])),
+        [finite(x) for x in f[0].split(",")])),
 }
 
 #: psi: name -> (CLI form, (text after the name, p grid) -> psi)
 PSI_SPECS = {
     "sqrtp": ("sqrtp", lambda rest, grid: PsiFunction.sqrt_p(grid)),
-    "power": ("power:<m>", lambda rest, grid: PsiFunction.p_power(float(rest), grid)),
+    "power": ("power:<m>", lambda rest, grid: PsiFunction.p_power(finite(rest), grid)),
     "natural": ("natural:<law>", lambda rest, grid: PsiFunction.natural(
         parse_distribution(rest), grid)),
     "fromphi": ("fromphi:<phi>", lambda rest, grid: psi_from_phi(parse_phi(rest), grid)),
@@ -83,7 +92,7 @@ NORM_CATALOG = ", ".join(f"{kind}:<{rec.field}>" for kind, rec in NORM_KINDS.ite
 
 def _number(text: str) -> float | None:
     try:
-        return float(text)
+        return finite(text)
     except ValueError:
         return None
 
@@ -107,13 +116,11 @@ def parse_p_grid(spec: str) -> np.ndarray:
     and step > 0."""
     parts = spec.split(":")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) > 2 else 1.0
+        lo, hi = finite(parts[0]), finite(parts[1])
+        step = finite(parts[2]) if len(parts) > 2 else 1.0
     except (IndexError, ValueError) as exc:
         raise SpecError(f"bad p-grid spec {spec!r}") from exc
-    for name, ok, rule in (("lo", math.isfinite(lo), "finite"),
-                           ("hi", math.isfinite(hi) and hi >= lo, "finite and >= lo"),
-                           ("step", math.isfinite(step) and step > 0, "finite and > 0")):
+    for name, ok, rule in (("hi", hi >= lo, ">= lo"), ("step", step > 0, "> 0")):
         if not ok:
             raise SpecError(f"bad p-grid spec {spec!r}: field {name!r} must be {rule}")
     return np.arange(lo, hi + 1e-9, step)
@@ -265,9 +272,9 @@ LAW = arg("--law", required=True, help=LAW_HELP)
 PHI = arg("--phi", required=True, help=PHI_HELP)
 FAMILY = arg("--family", required=True, help=PHI_HELP)
 WEIGHTS = arg("--weights", required=True, help=WEIGHTS_HELP)
-LAMBDA = arg("--lambda", dest="lam", type=float, required=True)
-U = arg("--u", type=float, required=True)
-P = arg("--p", type=float, required=True)
+LAMBDA = arg("--lambda", dest="lam", type=finite, required=True)
+U = arg("--u", type=finite, required=True)
+P = arg("--p", type=finite, required=True)
 NORM = arg("--norm", required=True, help=f"norm spec; known: {NORM_CATALOG}")
 SPACE = arg("--space", required=True, help="CSV or JSON file")
 
@@ -280,19 +287,19 @@ COMMANDS = {
         "eval": ([FAMILY, LAMBDA], _phi_eval),
         "legendre": ([FAMILY, U], lambda a: asdict(legendre(parse_phi(a.family), a.u))),
         "orlicz": ([FAMILY, U], lambda a: {"value": orlicz_n(parse_phi(a.family), a.u)}),
-        "convclass": ([FAMILY, arg("--r", type=float, required=True)],
+        "convclass": ([FAMILY, arg("--r", type=finite, required=True)],
                       lambda a: asdict(conv_r_class(parse_phi(a.family), a.r))),
         "overline": ([FAMILY, LAMBDA],
                      lambda a: {"value": overline_phi(parse_phi(a.family), a.lam)}),
-        "inverse": ([FAMILY, arg("--y", type=float, required=True)],
+        "inverse": ([FAMILY, arg("--y", type=finite, required=True)],
                     lambda a: {"value": phi_inverse(parse_phi(a.family), a.y)}),
-        "tail": ([FAMILY, U, arg("--tau", type=float, required=True)],
+        "tail": ([FAMILY, U, arg("--tau", type=finite, required=True)],
                  lambda a: {"value": tail_envelope(parse_phi(a.family), a.tau, a.u)}),
         "kappa": ([arg("--phis", required=True, help="comma-separated " + PHI_HELP), LAMBDA],
                   lambda a: dict(zip(("value", "witness_b", "meta"), kappa(
                       [parse_phi(s) for s in a.phis.split(",")], a.lam, n_max=a.nmax,
                       restarts=a.restarts, seed=a.seed)))),
-        "psi": ([FAMILY, arg("--p", type=float, default=None)],
+        "psi": ([FAMILY, arg("--p", type=finite, default=None)],
                 lambda a: psi_from_phi(parse_phi(a.family), parse_p_grid(a.p_grid)
                                        if a.p is None else np.array([a.p])).to_json()),
     }),
@@ -332,7 +339,7 @@ COMMANDS = {
                    arg("--n-values", dest="n_values", default="4,16,64")],
                   lambda a: verify_thm51(
                       parse_distribution(a.law),
-                      p_values=tuple(float(x) for x in a.p_values.split(",")),
+                      p_values=tuple(finite(x) for x in a.p_values.split(",")),
                       n_values=tuple(int(x) for x in a.n_values.split(",")),
                       engine=a.engine, budget=a.samples, seed=a.seed)),
         "rosenthal": ([LAW, P, WEIGHTS],
@@ -344,18 +351,18 @@ COMMANDS = {
         "tail": ([LAW, PHI, WEIGHTS, arg("--u", default="0.5,1,1.5,2,2.5,3")],
                  lambda a: tail_compare(
                      parse_distribution(a.law), parse_weights(a.weights), parse_phi(a.phi),
-                     u_grid=tuple(float(x) for x in a.u.split(",")),
+                     u_grid=tuple(finite(x) for x in a.u.split(",")),
                      samples=a.samples or 200_000, seed=a.seed)),
     }),
     "entropy": ("metric entropy and field simulator", {
-        "cover": ([SPACE, arg("--eps", type=float, required=True)],
+        "cover": ([SPACE, arg("--eps", type=finite, required=True)],
                   lambda a: dict(zip(("count", "exact", "centers"),
                                      covering_number(load_space(a.space), a.eps)))),
-        "dudley": ([SPACE, arg("--scale", type=float, default=1.0)], _dudley),
+        "dudley": ([SPACE, arg("--scale", type=finite, default=1.0)], _dudley),
         "profile": ([SPACE, arg("--eps-grid", dest="eps_grid", required=True,
                                 help="comma-separated eps values")],
                     lambda a: entropy_profile(load_space(a.space), np.array(sorted(
-                        (float(x) for x in a.eps_grid.split(",")), reverse=True))).to_json()),
+                        (finite(x) for x in a.eps_grid.split(",")), reverse=True))).to_json()),
         "fieldsim": ([arg("--model", required=True, help="JSON field model"),
                       arg("--weights", default="equal:2",
                           help="semicolon-separated " + WEIGHTS_HELP),

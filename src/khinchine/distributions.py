@@ -2,7 +2,7 @@
 functions, absolute moments, and deterministic seeded samplers.
 
 A law is one `Law` record in `LAWS`: its parameter, variance, symmetry,
-log-MGF, even moments, finite support, sampler, absolute-moment quadrature,
+log-MGF, even moments, finite support, sampler, closed-form absolute moment,
 the closed-form inverse of its natural generating function, and (for the
 Gaussian) the closed-form law of a weighted sum of copies. `Distribution`
 carries a law's name and parameter, and every method reads the record, so
@@ -22,36 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import collapse_support, log_cosh, log_sinhc, substream
+from .numerics import collapse_support, log_cosh, log_sinhc
 
 POISSON_TAIL_MASS = 1e-14
 
 
 class DistributionError(ValueError):
     """Invalid law specification or parameters."""
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Seeded i.i.d. draws; regenerable bitwise from (law, seed, stream)."""
-
-    values: np.ndarray
-    seed: int
-    stream: int
-    law: str
-
-
-def _gauss_legendre_panels(a: float, b: float, n_panels: int = 60, n_nodes: int = 32):
-    """Composite Gauss-Legendre nodes/weights on [a, b] with geometric grading
-    near a (handles the |x|^p derivative kink at 0 for fractional p)."""
-    base_x, base_w = np.polynomial.legendre.leggauss(n_nodes)
-    edges = np.concatenate([[a], a + (b - a) * np.geomspace(1e-12, 1.0, n_panels)])
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        h = 0.5 * (hi - lo)
-        xs.append(lo + h * (base_x + 1.0))
-        ws.append(h * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
 
 
 def _poisson_pmf_truncated(mu: float, tail: float = POISSON_TAIL_MASS):
@@ -190,18 +167,30 @@ class Distribution:
     # -- absolute moments ----------------------------------------------------
 
     def abs_moment(self, p: float) -> float:
-        """E |X|^p for p >= 1; exact sums for lattice laws, composite
-        Gauss-Legendre quadrature for the continuous ones."""
+        """E |X|^p for p >= 1; exact sums for lattice laws, closed forms for
+        the continuous ones, through the log form where a factor of the
+        closed form leaves the double range (inf where the moment does)."""
         if p < 1:
             raise DistributionError("abs_moment requires p >= 1")
         sup = self.finite_support()
         if sup is not None:
             v, pr = sup
             return float(np.dot(pr, np.abs(v) ** p))
-        return self.record.abs_moment(self, p)
+        try:
+            m = self.record.abs_moment(self, p)
+        except OverflowError:  # Python float powers and math.gamma raise
+            m = 0.0
+        try:
+            return m if 0.0 < m < math.inf else math.exp(self.record.log_abs_moment(self, p))
+        except OverflowError:
+            return math.inf
 
     def lp_norm(self, p: float) -> float:
-        return self.abs_moment(p) ** (1.0 / p)
+        """||X||_p, from the log form where E|X|^p leaves the double range."""
+        m = self.abs_moment(p)
+        if 0.0 < m < math.inf or self.record.log_abs_moment is None:
+            return m ** (1.0 / p)
+        return math.exp(self.record.log_abs_moment(self, p) / p)
 
     def even_moments(self, k: int) -> np.ndarray:
         """E X^(2i) for i = 0..k: the record's closed form where it has one,
@@ -219,7 +208,7 @@ class Distribution:
 
         Poisson-family supports are truncated at upper-tail mass below 1e-14
         and renormalized, which keeps the truncation error under the
-        quadrature tolerance elsewhere in the package.
+        1e-12 tolerances elsewhere in the package.
         """
         support = self.record.finite_support
         return None if support is None else support(self)
@@ -235,14 +224,6 @@ class Distribution:
         return self.record.tail(self, u)
 
     # -- sampling -------------------------------------------------------------
-
-    def sample(self, n: int, seed: int, stream: int = 0) -> SampleBatch:
-        """n i.i.d. draws from the counter-based sub-stream (seed, stream)."""
-        if n < 1:
-            raise DistributionError("sample size must be >= 1")
-        rng = substream(seed, stream)
-        vals = self.draw(rng, n)
-        return SampleBatch(values=vals, seed=int(seed), stream=int(stream), law=self.label)
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """Raw draws using a caller-managed generator. The m rows of a (m, *rest)
@@ -285,19 +266,10 @@ class Law:
     finite_support: Callable | None = None  # (d) -> (values, probs)
     even_moments: Callable | None = None  # (d, i) -> E X^(2i); None: from the support
     abs_moment: Callable | None = None  # (d, p) -> E|X|^p for laws without a support
+    log_abs_moment: Callable | None = None  # (d, p) -> ln E|X|^p, past abs_moment's range
     natural_inverse: Callable | None = None  # (d, y) -> its natural phi inverted at y
     sum_law: Callable | None = None  # (d, weights) -> law of sum weights[k] X_k
     tail: Callable | None = None  # (d, u) -> max(P(X >= u), P(X <= -u))
-
-
-def _gaussian_abs_moment(s, p):
-    x, w = _gauss_legendre_panels(0.0, 40.0)
-    return float(s**p * 2.0 * np.dot(w, x**p * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)))
-
-
-def _uniform_abs_moment(b, p):
-    x, w = _gauss_legendre_panels(0.0, b)
-    return float(np.dot(w, x**p) / b)
 
 
 def _centered_poisson_log_mgf(mu, lam):
@@ -384,7 +356,10 @@ LAWS: dict[str, Law] = {
         # sigma^(2i) (2i - 1)!!
         even_moments=lambda d, i: np.cumprod(
             np.concatenate([[1.0], d.params[0] ** 2 * (2.0 * i[1:] - 1.0)])),
-        abs_moment=lambda d, p: _gaussian_abs_moment(d.params[0], p),
+        abs_moment=lambda d, p: (d.params[0] ** p * 2.0 ** (0.5 * p)
+                                 * math.gamma(0.5 * (p + 1.0)) / math.sqrt(math.pi)),
+        log_abs_moment=lambda d, p: (p * math.log(d.params[0] * math.sqrt(2.0))
+                                     + math.lgamma(0.5 * (p + 1.0)) - 0.5 * math.log(math.pi)),
         natural_inverse=lambda d, y: np.sqrt(2.0 * y) / d.params[0],
         sum_law=lambda d, a: Distribution.gaussian(d.params[0] * math.sqrt(float(np.dot(a, a)))),
         tail=lambda d, u: 0.5 * math.erfc(u / (math.sqrt(2.0) * d.params[0])),
@@ -414,7 +389,8 @@ LAWS: dict[str, Law] = {
         log_mgf=lambda d, lam: log_sinhc(d.params[0] * lam),
         draw=lambda d, rng, size: rng.uniform(-d.params[0], d.params[0], size=size),
         even_moments=lambda d, i: d.params[0] ** (2.0 * i) / (2.0 * i + 1.0),
-        abs_moment=lambda d, p: _uniform_abs_moment(d.params[0], p),
+        abs_moment=lambda d, p: d.params[0] ** p / (p + 1.0),
+        log_abs_moment=lambda d, p: p * math.log(d.params[0]) - math.log1p(p),
     ),
     "discrete": Law(
         build=Distribution.discrete, fields=("support", "probs"),

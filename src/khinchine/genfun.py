@@ -703,6 +703,8 @@ class PsiFunction:
 
     @staticmethod
     def p_power(m: float, p_grid) -> "PsiFunction":
+        if not m > 0:
+            raise DomainError("psi power needs m > 0")
         p = np.asarray(p_grid, dtype=float)
         return PsiFunction(p, p ** (1.0 / m), "explicit")
 

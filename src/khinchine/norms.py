@@ -398,17 +398,31 @@ def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None,
     return out
 
 
-def weighted_sum_bphi(d: Distribution, a: CoefficientVector,
-                      phi: GeneratingFunction, **kw) -> NormEstimate:
-    """Norm of sum a_k X_k from the exact product log-MGF."""
-    ak = a.entries
+def sum_log_mgf(laws, weights):
+    """lam -> sum_k ln E exp(weights[k] lam X_k), the exact log-MGF of a
+    weighted sum of independent terms. `laws` is one Distribution (i.i.d.
+    terms: one log_mgf call on the outer product, summed on the last axis)
+    or a sequence with one law per weight (a running sum, term by term)."""
+    w = np.asarray(weights, dtype=float)
 
     def log_mgf(lam):
         lam = np.asarray(lam, dtype=float)
-        z = np.multiply.outer(lam, ak)
-        return d.log_mgf(z.ravel()).reshape(z.shape).sum(axis=-1)
+        if isinstance(laws, Distribution):
+            z = np.multiply.outer(lam, w)
+            return laws.log_mgf(z.ravel()).reshape(z.shape).sum(axis=-1)
+        out = np.zeros(lam.shape)
+        for law, c in zip(laws, w):
+            out = out + law.log_mgf(lam * c)
+        return out
 
-    return bphi_norm(log_mgf, phi, variance=d.variance * float(np.dot(ak, ak)), **kw)
+    return log_mgf
+
+
+def weighted_sum_bphi(d: Distribution, a: CoefficientVector,
+                      phi: GeneratingFunction, **kw) -> NormEstimate:
+    """Norm of sum a_k X_k from the exact product log-MGF."""
+    return bphi_norm(sum_log_mgf(d, a.entries), phi,
+                     variance=d.variance * float(np.dot(a.entries, a.entries)), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +465,7 @@ def weighted_sum_gls(d: Distribution, a: CoefficientVector, psi: PsiFunction,
     else:
         moments, method, _ = sum_abs_moments(d, a, ps, engine, budget)
         ests = [NormEstimate(m ** (1.0 / p), method) for m, p in zip(moments, ps)]
-    best = -math.inf
-    best_p = None
-    method = None
-    ci = 0.0
-    for p, psi_p, est in zip(ps, psi.values, ests):
-        r = est.value / float(psi_p)
-        if r > best:
-            best = r
-            best_p = p
-            method = est.method
-            ci = est.ci_halfwidth / float(psi_p)
-    return NormEstimate(best, method, ci_halfwidth=ci, meta={"attained_p": best_p})
+    ratio = [est.value / float(psi_p) for est, psi_p in zip(ests, psi.values)]
+    i = int(np.argmax(ratio))
+    return NormEstimate(ratio[i], ests[i].method, meta={"attained_p": ps[i]},
+                        ci_halfwidth=ests[i].ci_halfwidth / float(psi.values[i]))

@@ -192,23 +192,26 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
     best_wit: CoefficientVector | None = None
     refusals = 0
 
+    def update(v: float, a: CoefficientVector):
+        """Make a the incumbent if its score v (sign * norm) beats the best by
+        more than 1e-12; within 1e-12 the lexicographically smaller witness wins."""
+        nonlocal best_val, best_wit
+        if v > best_val + 1e-12:
+            best_val, best_wit = v, a
+        elif best_wit is not None and abs(v - best_val) <= 1e-12:
+            if tuple(a.entries) < tuple(best_wit.entries):
+                best_wit = a
+
     def consider(kind: str, n: int, a: CoefficientVector):
-        nonlocal best_val, best_wit, refusals
+        nonlocal refusals
         try:
             est = sum_norm(d, a, spec, engine=engine, budget=budget, seed=seed)
         except EngineRefusal as exc:
             refusals += 1
             trace.append({"kind": kind, "n": n, "refused": str(exc)})
-            return None
-        v = sign * est.value
+            return
         trace.append({"kind": kind, "n": n, "value": est.value})
-        if v > best_val + 1e-12:
-            best_val, best_wit = v, a
-        elif best_wit is not None and abs(v - best_val) <= 1e-12:
-            # deterministic tie-break: lexicographically smallest witness
-            if tuple(a.entries) < tuple(best_wit.entries):
-                best_wit = a
-        return est.value
+        update(sign * est.value, a)
 
     for kind, n, a in _scan_candidates(n_max):
         consider(kind, n, a)
@@ -237,13 +240,7 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
             b, val, evals = res
             trace.append({"kind": "local_search", "n": n, "restart": r,
                           "value": val, "evals": evals})
-            a = CoefficientVector.normalized(signs * np.sqrt(b))
-            v = sign * val
-            if v > best_val + 1e-12:
-                best_val, best_wit = v, a
-            elif best_wit is not None and abs(v - best_val) <= 1e-12:
-                if tuple(a.entries) < tuple(best_wit.entries):
-                    best_wit = a
+            update(sign * val, CoefficientVector.normalized(signs * np.sqrt(b)))
 
     if best_wit is None:
         raise EngineRefusal(

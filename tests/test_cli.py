@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -252,8 +253,10 @@ def test_monte_carlo_stdout_independent_of_blas_threads(tmp_path):
 
 @pytest.mark.parametrize("cmd", [
     ["verify", "thm31", "--law", "rademacher", "--phi", "subgaussian", "--trials", "7"],
+    ["verify", "thm32", "--law", "rademacher", "--phi", "subgaussian", "--trials", "7",
+     "--nmax", "6"],
     ["verify", "pythagoras", "--phi", "subgaussian", "--trials", "5"],
-], ids=["thm31", "pythagoras"])
+], ids=["thm31", "thm32", "pythagoras"])
 def test_verify_stdout_identical_across_uneven_thread_blocks(capsys, cmd):
     # odd trial counts split into blocks of unequal size
     outs = {threads: run(capsys, cmd + ["--seed", "4", "--threads", threads])
@@ -490,3 +493,41 @@ def test_unknown_cli_specs_name_their_catalog():
         parse_norm_spec("foo:3", grid)
     with pytest.raises(SpecError, match="bad p-grid spec '2:64:0': field 'step'"):
         parse_p_grid("2:64:0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "lp", "--law", "rademacher", "--weights", "equal:2", "--p", "nan"],
+    ["khinchine", "prelim", "--law", "rademacher", "--norm", "lp:nan"],
+    ["norm", "gls", "--law", "rademacher", "--psi", "power:nan"],
+    ["norm", "gls", "--law", "rademacher", "--psi", "power:0"],
+    ["verify", "tail", "--law", "rademacher", "--weights", "equal:2", "--phi", "subgaussian",
+     "--u", "nan"],
+    ["verify", "tail", "--law", "rademacher", "--weights", "equal:2", "--phi", "subgaussian",
+     "--u", "1,inf"],
+    ["norm", "lp", "--law", "rademacher", "--weights", "twolevel:3:1:nan", "--p", "3"],
+    ["phi", "eval", "--family", "subgaussian", "--lambda", "inf"],
+    ["verify", "thm51", "--law", "rademacher", "--p-values", "2,nan"],
+], ids=["lp-p", "prelim-norm", "psi-power-nan", "psi-power-zero", "tail-u", "tail-u-inf",
+        "twolevel-w", "phi-lambda", "thm51-p-values"])
+def test_non_finite_numeric_fields_exit_two(capsys, argv):
+    """Every numeric field goes through `cli.finite`: a `type=` option
+    through argparse (SystemExit 2), a spec field through `main` (2)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert any(line.startswith("error:") or ": error: " in line
+               for line in captured.err.splitlines())
+
+
+def test_gaussian_gls_report_is_finite_at_high_p(capsys):
+    # ||Z||_p / p^(1/4) grows, so the sup sits at the top of the grid, where
+    # E|Z|^p is past the double range
+    code, rep = run_json(capsys, ["norm", "gls", "--law", "gaussian:1", "--psi", "power:4",
+                                  "--p-grid", "2:400"])
+    assert code == 0
+    assert rep["report"]["meta"]["attained_p"] == 400.0
+    lp400 = math.sqrt(2.0) * math.exp((math.lgamma(200.5) - 0.5 * math.log(math.pi)) / 400)
+    assert rep["report"]["value"] == pytest.approx(lp400 / 400 ** 0.25, rel=1e-12)

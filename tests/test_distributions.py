@@ -7,7 +7,7 @@ import pytest
 from khinchine.distributions import (POISSON_TAIL_MASS, Distribution, DistributionError,
                                      _poisson_pmf_truncated, parse_distribution)
 from khinchine.genfun import phi_natural
-from khinchine.numerics import collapse_support
+from khinchine.numerics import collapse_support, substream
 
 RAD = Distribution.rademacher()
 G1 = Distribution.gaussian(1.0)
@@ -32,7 +32,7 @@ def test_mgf_closed_forms():
 
 
 def test_mgf_poisson_monte_carlo_cross_check():
-    vals = CPOIS.sample(10**7, seed=11).values
+    vals = CPOIS.draw(substream(11, 0), 10**7)
     est = float(np.mean(np.exp(vals)))
     se = float(np.std(np.exp(vals))) / math.sqrt(vals.size)
     assert abs(est - math.exp(math.e - 2.0)) <= 3.0 * se
@@ -69,7 +69,7 @@ def test_abs_moment_rademacher():
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.5, 7.3, 8.0])
 def test_abs_moment_gaussian_vs_closed_form(p):
-    # quadrature implementation vs the Gamma-function oracle
+    # the package's closed form vs the Gamma-function oracle
     for sigma in (1.0, 2.0):
         d = Distribution.gaussian(sigma)
         assert d.abs_moment(p) == pytest.approx(gaussian_abs_moment(sigma, p), rel=1e-9)
@@ -77,6 +77,61 @@ def test_abs_moment_gaussian_vs_closed_form(p):
 
 def test_abs_moment_gaussian_p4():
     assert G1.abs_moment(4.0) == pytest.approx(3.0, rel=1e-12)
+
+
+def _panels(a, b, n_panels=60, n_nodes=32):
+    # the composite Gauss-Legendre rule the closed forms replaced
+    base_x, base_w = np.polynomial.legendre.leggauss(n_nodes)
+    edges = np.concatenate([[a], a + (b - a) * np.geomspace(1e-12, 1.0, n_panels)])
+    xs, ws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        h = 0.5 * (hi - lo)
+        xs.append(lo + h * (base_x + 1.0))
+        ws.append(h * base_w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def _quadrature_moments(scale, p):
+    x, w = _panels(0.0, 40.0)
+    gauss = scale**p * 2.0 * np.dot(w, x**p * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi))
+    x, w = _panels(0.0, scale)
+    return float(gauss), float(np.dot(w, x**p) / scale)
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0, 2.5])
+def test_closed_form_moments_match_the_quadrature(scale):
+    for p in np.arange(1.0, 64.0 + 1e-9, 0.25):
+        gauss, unif = _quadrature_moments(scale, float(p))
+        assert abs(Distribution.gaussian(scale).abs_moment(float(p)) / gauss - 1.0) <= 1e-13
+        assert abs(Distribution.uniform_symmetric(scale).abs_moment(float(p)) / unif - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 1.0, 2.5])
+def test_gaussian_moment_matches_lgamma_up_to_p_300(sigma):
+    for p in np.arange(1.0, 300.0 + 1e-9, 0.5):
+        log_ref = (p * math.log(sigma * math.sqrt(2.0)) + math.lgamma(0.5 * (p + 1.0))
+                   - 0.5 * math.log(math.pi))
+        got = Distribution.gaussian(sigma).abs_moment(float(p))
+        if log_ref > 709.0:  # at or past the top of the double range
+            assert got > 8e307
+        else:
+            assert got == pytest.approx(math.exp(log_ref), rel=1e-12)
+        norm = Distribution.gaussian(sigma).lp_norm(float(p))
+        assert norm == pytest.approx(math.exp(log_ref / p), rel=1e-13)
+
+
+def test_continuous_moments_never_nan():
+    # x**p overflows on a [0, 40] quadrature grid from p ~ 193 and math.gamma
+    # past p ~ 342: every p >= 1 must still give a number, every norm a finite one
+    for d in (Distribution.gaussian(0.1), G1, Distribution.gaussian(7.0),
+              Distribution.uniform_symmetric(0.5), Distribution.uniform_symmetric(3.0)):
+        for p in (1.0, 192.5, 193.0, 341.0, 342.0, 343.0, 400.0, 2047.0, 1e4, 1e6):
+            assert not math.isnan(d.abs_moment(p))
+            assert 0.0 < d.lp_norm(p) < math.inf
+    assert G1.lp_norm(400.0) == pytest.approx(
+        math.sqrt(2.0) * math.exp((math.lgamma(200.5) - 0.5 * math.log(math.pi)) / 400), rel=1e-13)
+    assert Distribution.uniform_symmetric(0.5).lp_norm(1e6) == pytest.approx(
+        0.5 * (1e6 + 1.0) ** -1e-6, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [RAD, G1, Distribution.gaussian(2.0), SPOIS, UNIF,
@@ -159,27 +214,27 @@ def test_natural_function_consistency(d):
 
 def test_sampler_bitwise_reproducible():
     for d in CATALOG:
-        b1 = d.sample(1000, seed=42, stream=3)
-        b2 = d.sample(1000, seed=42, stream=3)
-        assert np.array_equal(b1.values, b2.values)
-        b3 = d.sample(1000, seed=42, stream=4)
-        assert not np.array_equal(b1.values, b3.values)
+        b1 = d.draw(substream(42, 3), 1000)
+        b2 = d.draw(substream(42, 3), 1000)
+        assert np.array_equal(b1, b2)
+        b3 = d.draw(substream(42, 4), 1000)
+        assert not np.array_equal(b1, b3)
 
 
 def test_rademacher_clt_band():
     n = 10**6
-    vals = RAD.sample(n, seed=7).values
+    vals = RAD.draw(substream(7, 0), n)
     assert set(np.unique(vals)) == {-1.0, 1.0}
     assert abs(float(np.mean(vals))) <= 4.0 / math.sqrt(n)
 
 
 def test_gaussian_sample_variance_band():
-    vals = G1.sample(10**6, seed=3).values
+    vals = G1.draw(substream(3, 0), 10**6)
     assert 0.99 <= float(np.var(vals)) <= 1.01
 
 
 def test_poisson_sampler_sanity():
-    vals = SPOIS.sample(200_000, seed=9).values
+    vals = SPOIS.draw(substream(9, 0), 200_000)
     assert abs(float(np.mean(vals))) <= 4.0 * math.sqrt(1.0 / vals.size)
     assert float(np.var(vals)) == pytest.approx(1.0, abs=0.02)
 

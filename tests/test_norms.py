@@ -233,6 +233,22 @@ def test_even_moments_match_enumeration(d, n_max):
             assert abs(mom.meta["moment"] - enum.meta["moment"]) <= 1e-13 * enum.meta["moment"]
 
 
+@pytest.mark.parametrize("d", [RAD, SPOIS, SYM_DISCRETE],
+                         ids=["rademacher", "symmetrized_poisson", "discrete"])
+def test_three_exact_engines_agree(d):
+    # the even-moment recursion, the convolution and the enumeration on the
+    # same symmetric law, weights and even p
+    for w in ([1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [0.3, 1.0, 0.7, 0.2]):
+        a = CoefficientVector.normalized(w)
+        ps = [2.0, 4.0, 6.0, 8.0]
+        mom, method, _ = norms.sum_abs_moments(d, a, ps)
+        conv, _, _ = norms.sum_abs_moments(d, a, ps, engine="convolution")
+        enum, _, _ = norms.sum_abs_moments(d, a, ps, engine="exact_enum")
+        assert method == "even_moments"
+        for m, c, e in zip(mom, conv, enum):
+            assert abs(m - e) <= 1e-13 * e and abs(c - e) <= 1e-13 * e
+
+
 def test_even_moments_rademacher_fourth_moment_identity():
     rng = np.random.default_rng(5)
     for n in (1, 3, 40, 200):

@@ -137,3 +137,28 @@ def test_shared_candidate_rule_matches_the_set_expressions():
                   for w in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert candidate_sizes(n_max) == sizes(n_max)
         assert list(two_level_shapes(n_max)) == shapes
+
+
+@pytest.mark.parametrize("maximize", [True, False], ids=["sup", "inf"])
+def test_scan_and_local_search_share_one_tie_break(monkeypatch, maximize):
+    # every candidate ties, so the witness is the lexicographically smallest
+    # of the scanned vectors and the local-search results; on a law that is
+    # not symmetric the local searches draw signs, so a local result wins
+    from khinchine import search
+    from khinchine.norms import CoefficientVector, NormEstimate
+    from khinchine.numerics import candidate_sizes, substream
+
+    monkeypatch.setattr(search, "sum_norm",
+                        lambda d, a, spec, **kw: NormEstimate(1.0, "exact_enum"))
+    run = khinchine_sup if maximize else khinchine_inf
+    est = run(Distribution.centered_poisson(1.0), NormSpec.lp(3.0), n_max=5, restarts=2, seed=3)
+    cands = [tuple(a.entries) for _, _, a in search._scan_candidates(5)]
+    for n in candidate_sizes(5)[1:]:
+        for r in range(2):
+            rng = substream(3, 0x5EA2C4, n, r)
+            b = rng.dirichlet(np.ones(n))
+            signs = rng.choice([-1.0, 1.0], size=n)
+            cands.append(tuple(CoefficientVector.normalized(signs * np.sqrt(b / b.sum())).entries))
+    best = min(cands)
+    assert best not in cands[:len(list(search._scan_candidates(5)))]
+    assert tuple(est.witness.entries) == best
