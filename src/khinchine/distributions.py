@@ -53,6 +53,18 @@ def _poisson_pmf_truncated(mu: float, tail: float = POISSON_TAIL_MASS):
     return np.arange(keep), p / p.sum()
 
 
+def lp_root(moment: float, p: float, support=None) -> float:
+    """||X||_p = moment^(1/p) from moment = E|X|^p. Where the moment has
+    overflowed and X lives on support = (values, probs), the scaled form
+    M (sum probs (|v|/M)^p)^(1/p) with M = max |v|; it can differ from the
+    plain root by a few ulp, so it is taken only there."""
+    if moment < math.inf or support is None:
+        return moment ** (1.0 / p)
+    absv, probs = np.abs(support[0]), support[1]
+    top = float(absv.max())
+    return top * float(np.dot(probs, (absv / top) ** p)) ** (1.0 / p)
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A centered law from the catalog.
@@ -71,9 +83,15 @@ class Distribution:
 
     @staticmethod
     def _parametric(law: str, value: float) -> "Distribution":
-        if not value > 0:
-            raise DistributionError(f"{law} {LAWS[law].fields[0]} must be > 0")
-        return Distribution(law, (float(value),))
+        d = Distribution(law, (float(value),))
+        try:
+            var = d.variance if value > 0 else math.nan
+        except OverflowError:  # Python float powers raise
+            var = math.inf
+        if not math.isfinite(var):
+            raise DistributionError(f"{law} {LAWS[law].fields[0]} must be > 0 and "
+                                    f"finite, with a finite variance; got {value!r}")
+        return d
 
     @staticmethod
     def rademacher() -> "Distribution":
@@ -175,7 +193,8 @@ class Distribution:
         sup = self.finite_support()
         if sup is not None:
             v, pr = sup
-            return float(np.dot(pr, np.abs(v) ** p))
+            with np.errstate(over="ignore"):
+                return float(np.dot(pr, np.abs(v) ** p))
         try:
             m = self.record.abs_moment(self, p)
         except OverflowError:  # Python float powers and math.gamma raise
@@ -186,10 +205,11 @@ class Distribution:
             return math.inf
 
     def lp_norm(self, p: float) -> float:
-        """||X||_p, from the log form where E|X|^p leaves the double range."""
+        """||X||_p, from the log form (continuous laws) or the scaled sum
+        (lattice laws, see `lp_root`) where E|X|^p leaves the double range."""
         m = self.abs_moment(p)
         if 0.0 < m < math.inf or self.record.log_abs_moment is None:
-            return m ** (1.0 / p)
+            return lp_root(m, p, self.finite_support() if m == math.inf else None)
         return math.exp(self.record.log_abs_moment(self, p) / p)
 
     def even_moments(self, k: int) -> np.ndarray:
@@ -446,7 +466,7 @@ def _parse_law(name: str, rec: Law, rest: str) -> Distribution:
     try:
         return rec.build(float(rest))
     except ValueError as exc:
-        raise DistributionError(f"bad parameter {rest!r} for law {name!r}") from exc
+        raise DistributionError(f"bad parameter {rest!r} for law {name!r}: {exc}") from exc
 
 
 def parse_distribution(spec: str) -> Distribution:

@@ -25,9 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .distributions import Distribution, parse_distribution, read_spec
-from .numerics import (candidate_sizes, geometric_grid, golden_max,
-                       invert_increasing_vec, project_simplex, substream,
-                       two_level_shapes)
+from .numerics import (candidate_sizes, coordinate_search, geometric_grid,
+                       golden_max, invert_increasing_vec, substream,
+                       weight_candidates)
 
 OVERFLOW_EXPONENT = 700.0  # exp argument guard, inside double range with headroom
 LEGENDRE_GRID_LO = 1e-6
@@ -91,14 +91,6 @@ class GeneratingFunction:
             raise DomainError(f"|lambda| exceeds domain radius {lambda0!r}")
         out = self.record.evaluate(self, x)
         return float(out[0]) if scalar else out
-
-    def derivative(self, x) -> np.ndarray:
-        """Central-difference derivative on the positive axis."""
-        x = np.asarray(x, dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        hi = np.minimum(x + h, self.lambda0 * (1 - 1e-12)) if self.lambda0 != math.inf else x + h
-        lo = np.maximum(x - h, 0.0)
-        return (self(hi) - self(lo)) / (hi - lo)
 
     # -- serialization --------------------------------------------------------
 
@@ -495,31 +487,24 @@ def overline_phi(phi: GeneratingFunction, lam: float, n_cap: int = 1_000_000) ->
 def _kappa_candidates(phis, n_max: int, restarts: int, seed: int,
                       opt_lams) -> list[np.ndarray]:
     """Candidate weight vectors b (b_k = a_k^2 on the simplex over the first
-    n coordinates), in the order (n, restart, lambda) for the ascents.
-
-    Growing `restarts` only adds candidates, and so does growing n_max from
-    a power of two. From any other n_max the two-level and ascent families
-    lose that n (3 -> 4 drops n = 3), so the lower bound can fall."""
-    L = len(phis)
-    N = min(n_max, L)
-    cands: list[np.ndarray] = []
-    for n in range(1, N + 1):
-        cands.append(np.full(n, 1.0 / n))
-    for k in range(N):
-        b = np.zeros(k + 1)
-        b[k] = 1.0
-        cands.append(b)
-    for n, j, w in two_level_shapes(N):
-        b = np.full(n, (1.0 - w) / (n - j))
-        b[:j] = w / j
-        cands.append(b.copy())
-        cands.append(b[::-1].copy())
+    n coordinates): a * a for every a of `weight_candidates`, then the ends
+    of the coordinate ascents of sum_k phi_k(lam sqrt(b_k)), in the order
+    (n, restart, lambda), one `coordinate_search` batch per n."""
+    N = min(n_max, len(phis))
+    cands = [a * a for _, a in weight_candidates(N, exchangeable=False)]
     if restarts < 1 or not opt_lams:
         return cands
+    lams = np.tile(opt_lams, restarts)[:, None]
     for n in candidate_sizes(N):
+        groups = _group_phis(phis[:n])
+
+        def value(b, rows):
+            x = lams[rows] * np.sqrt(np.maximum(b, 0.0))
+            sums = [p(x[:, idx].ravel()).reshape(-1, idx.size).sum(axis=1) for p, idx in groups]
+            return np.array([math.fsum(row) for row in zip(*sums)])
+
         starts = [substream(seed, 0xCA11, n, r).dirichlet(np.ones(n)) for r in range(restarts)]
-        b0 = np.repeat(starts, len(opt_lams), axis=0)
-        cands.extend(_ascend_simplex_rows(phis[:n], np.tile(opt_lams, restarts), b0))
+        cands.extend(coordinate_search(value, np.repeat(starts, len(opt_lams), axis=0), True)[0])
     return cands
 
 
@@ -528,68 +513,8 @@ def _group_phis(phis):
     evaluations vectorize across repeated members of a cycled pool."""
     groups: dict[int, tuple[GeneratingFunction, list[int]]] = {}
     for k, p in enumerate(phis):
-        key = id(p)
-        if key not in groups:
-            groups[key] = (p, [])
-        groups[key][1].append(k)
+        groups.setdefault(id(p), (p, []))[1].append(k)
     return [(p, np.asarray(idx)) for p, idx in groups.values()]
-
-
-def _ascend_simplex_rows(phis, lams: np.ndarray, b0: np.ndarray,
-                         iters: int = 80) -> np.ndarray:
-    """Projected-gradient ascent of sum_k phi_k(lam * sqrt(b_k)) on the
-    simplex from each row of b0, row r at lams[r]; returns the end points.
-
-    Every row keeps its own step and stops on its own: after `iters` steps,
-    at a zero or non-finite gradient scale, or when halving its step down to
-    1e-10 finds no gain over 1e-15. The rows are evaluated together, but
-    every row's arithmetic is elementwise or along that row alone (values
-    are fsum-ed over the phi groups per row), so each row ends on the bits of
-    an ascent from its start alone. That needs phi evaluated elementwise,
-    which every family does.
-    """
-    groups = _group_phis(phis)
-    lams = np.asarray(lams, dtype=float)[:, None]
-    b = np.array(b0, dtype=float)
-
-    def value(bv, lam):
-        x = lam * np.sqrt(np.maximum(bv, 0.0))
-        sums = [p(x[:, idx].ravel()).reshape(-1, idx.size).sum(axis=1) for p, idx in groups]
-        return np.array([math.fsum(row) for row in zip(*sums)])
-
-    def gradient(bv, lam):
-        x = lam * np.sqrt(np.maximum(bv, 1e-300))
-        g = np.empty_like(bv)
-        for p, idx in groups:
-            g[:, idx] = p.derivative(x[:, idx].ravel()).reshape(-1, idx.size)
-        return g * lam / (2.0 * np.sqrt(np.maximum(bv, 1e-300)))
-
-    cur = value(b, lams)
-    step = np.full(len(b), 0.5)
-    live = np.arange(len(b))
-    for _ in range(iters):
-        if live.size == 0:
-            break
-        grad = gradient(b[live], lams[live])
-        scale = np.max(np.abs(grad), axis=1)
-        moving = (scale != 0) & np.isfinite(scale)
-        live, grad, scale = live[moving], grad[moving], scale[moving]
-        improved = np.zeros(live.size, dtype=bool)
-        # masked line search: a row leaves it on a gain or at step <= 1e-10
-        search = np.flatnonzero(step[live] > 1e-10)
-        while search.size:
-            r = live[search]
-            nb = project_simplex(b[r] + step[r, None] * grad[search] / scale[search, None])
-            nv = value(nb, lams[r])
-            up = nv > cur[r] + 1e-15
-            b[r[up]] = nb[up]
-            cur[r[up]] = nv[up]
-            improved[search[up]] = True
-            step[r[~up]] *= 0.5
-            search = search[~up][step[r[~up]] > 1e-10]
-        live = live[improved]
-        step[live] = np.minimum(step[live] * 2.0, 0.5)
-    return b
 
 
 def candidate_profile(phis, b: np.ndarray, lam_grid: np.ndarray):
@@ -632,10 +557,9 @@ def kappa_profile(phis, lam_grid, n_max: int = 32, restarts: int = 3, seed: int 
     Returns (values, witnesses, meta); witnesses[i] is the best weight vector
     b at lam_grid[i]: the first candidate that beats every earlier one by more
     than 1e-12, or, among candidates within 1e-12 of it, the least as a tuple.
-    The value is explicitly a lower bound of the sup: only the enumerated and
-    locally optimized candidates are examined. The simplex ascents run as one
-    stacked batch per n; values, witnesses and meta do not depend on that
-    batching (each start ends on the bits it would reach alone).
+    The value is explicitly a lower bound of the sup: only the scanned and
+    locally optimized candidates are examined (`numerics.weight_candidates`
+    says when it is monotone in n_max and restarts).
     """
     if n_max < 1:
         raise DomainError("kappa needs n_max >= 1")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, lp_root
 from .genfun import GeneratingFunction, PsiFunction, phi_inverse_vec, phi_range
 from .numerics import (MC_STREAMS, NORM_GRID_HI, NORM_GRID_LO, collapse_support,
                        geometric_grid, mc_abs_moments, stream_rows, substream)
@@ -199,8 +199,8 @@ def _even_sum_moments(d: Distribution, a: CoefficientVector, top: int) -> list:
 
 def sum_abs_moments(d: Distribution, a: CoefficientVector, ps, engine: str = "auto",
                     budget: int | None = None):
-    """(E|S|^p for every p in ps, method, support points or None) for
-    S = sum a_k X_k through an exact path.
+    """(E|S|^p for every p in ps, method, the support (values, probs) or
+    None) for S = sum a_k X_k through an exact path.
 
     Under engine="auto", a symmetric law with every p an even integer takes
     the even-moment recursion, which builds no support and so needs no
@@ -213,7 +213,8 @@ def sum_abs_moments(d: Distribution, a: CoefficientVector, ps, engine: str = "au
         return [m[int(p) // 2] for p in ps], "even_moments", None
     vals, probs, method = sum_distribution(d, a, engine, budget)
     absv = np.abs(vals)
-    return [float(np.dot(probs, absv ** p)) for p in ps], method, int(vals.size)
+    with np.errstate(over="ignore"):
+        return [float(np.dot(probs, absv ** p)) for p in ps], method, (vals, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +267,15 @@ def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
         return NormEstimate(law.lp_norm(p), "quadrature", meta={"reduced_law": law.label})
     if engine == "monte_carlo":
         return _monte_carlo_lp(d, a, [p], budget, seed, threads)[0]
-    (moment,), method, points = sum_abs_moments(d, a, [p], engine, budget)
-    meta = {} if points is None else {"support_points": points}
+    (moment,), method, support = sum_abs_moments(d, a, [p], engine, budget)
+    meta = {} if support is None else {"support_points": int(support[0].size)}
     meta["moment"] = moment
-    return NormEstimate(moment ** (1.0 / p), method, meta=meta)
+    return NormEstimate(lp_root(moment, p, support), method, meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # exponential-moment norm
 # ---------------------------------------------------------------------------
-
-def _estimate_variance(log_mgf) -> float:
-    """Second derivative of the symmetrized log-MGF at 0 by Richardson."""
-    def s(h):
-        return (float(log_mgf(h)) + float(log_mgf(-h))) / (h * h)
-    h = 1e-2
-    return (4.0 * s(h / 2) - s(h)) / 3.0
-
 
 def bphi_norm(source, phi: GeneratingFunction, lambda_grid=None,
               variance: float | None = None, refine_rounds: int = 3) -> NormEstimate:
@@ -290,9 +283,11 @@ def bphi_norm(source, phi: GeneratingFunction, lambda_grid=None,
     phi^{-1}(ln E exp(+-lambda X)) / lambda.
 
     source is a Distribution or a callable interpreted as the LOG of the
-    moment generating function. The lambda -> 0 limit sqrt(Var / (2 c2)),
-    with c2 the curvature of phi at 0, enters as an explicit candidate: the
-    sup is frequently attained only in that limit and a pure grid misses it.
+    moment generating function; a callable comes with its `variance`
+    (ValueError otherwise, before any work). The lambda -> 0 limit
+    sqrt(Var / (2 c2)), with c2 the curvature of phi at 0, enters as an
+    explicit candidate: the sup is frequently attained only in that limit
+    and a pure grid misses it.
     The incumbent grid maximizer is then refined on shrinking geometric
     windows. Overflowing grid points truncate the grid and set a flag.
 
@@ -321,9 +316,11 @@ def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None,
         if isinstance(source, Distribution):
             log_mgfs.append(source.log_mgf)
             vars_.append(source.variance)
+        elif variance is None:
+            raise ValueError("a log-MGF callable source needs its variance")
         else:
             log_mgfs.append(source)
-            vars_.append(variance if variance is not None else _estimate_variance(source))
+            vars_.append(variance)
 
     if lambda_grid is None:
         hi = NORM_GRID_HI if phi.lambda0 == math.inf else phi.lambda0 * (1 - 1e-12)
@@ -385,7 +382,7 @@ def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None,
         meta = {"grid_points": int(grid.size), "argmax_lambda": best_lam[r],
                 "truncated": truncated[r]}
         var = vars_[r]
-        if var is not None and math.isfinite(var) and var >= 0:
+        if math.isfinite(var) and var >= 0:
             zero_limit = math.sqrt(var / (2.0 * c2))
             meta["zero_limit_candidate"] = zero_limit
             if zero_limit > val:
@@ -463,8 +460,8 @@ def weighted_sum_gls(d: Distribution, a: CoefficientVector, psi: PsiFunction,
         ests = [weighted_sum_lp(d, a, p, engine=engine, budget=budget, seed=seed)
                 for p in ps]
     else:
-        moments, method, _ = sum_abs_moments(d, a, ps, engine, budget)
-        ests = [NormEstimate(m ** (1.0 / p), method) for m, p in zip(moments, ps)]
+        moments, method, support = sum_abs_moments(d, a, ps, engine, budget)
+        ests = [NormEstimate(lp_root(m, p, support), method) for m, p in zip(moments, ps)]
     ratio = [est.value / float(psi_p) for est, psi_p in zip(ests, psi.values)]
     i = int(np.argmax(ratio))
     return NormEstimate(ratio[i], ests[i].method, meta={"attained_p": ps[i]},

@@ -1,10 +1,12 @@
 """Shared numeric machinery: geometric grids, the one golden-section maximizer
-(a bracket per row), vectorized monotone inversion, simplex projection, the
-candidate sizes of the weight searches, deterministic counter-based random
-streams, and Monte Carlo's row-blocked draws and one moment estimator."""
+(a bracket per row), vectorized monotone inversion, the one candidate
+generator and the one row-batched coordinate search of the weight searches,
+deterministic counter-based random streams, and Monte Carlo's row-blocked
+draws and one moment estimator."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -151,19 +153,67 @@ def two_level_shapes(n_max: int):
                 yield n, j, w
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row (the last axis) of finite v onto the
-    probability simplex; a 1-d v is one row. Rows do not interact, so a row
-    projects to the same bits alone or in a stack."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
-    m = v.shape[-1]
-    cond = u - css / np.arange(1, m + 1) > 0
-    # theta from the last index where cond holds (cond holds at index 0)
-    last = (m - 1 - np.argmax(cond[..., ::-1], axis=-1))[..., None]
-    theta = np.take_along_axis(css, last, axis=-1) / (last + 1)
-    return np.maximum(v - theta, 0.0)
+def weight_candidates(n_max: int, exchangeable: bool):
+    """(kind, a) for the unit weight vectors every weight search scans, in
+    order: equal weights 1/sqrt(n) for n = 1..n_max, the one-hot vector at
+    each position k (length k + 1), and each of `two_level_shapes(n_max)`
+    with its reversal. Exchangeable (i.i.d.) terms make positions and
+    orientations equivalent, so they skip the one-hot vectors and the
+    reversals.
+
+    How the candidates of a weight search grow: more `restarts` only add
+    candidates, and a larger n_max keeps every one from a power-of-two n_max.
+    From any other n_max it can drop a size of `candidate_sizes` (3 -> 4
+    drops n = 3), so the bound need not be monotone in n_max."""
+    for n in range(1, n_max + 1):
+        yield "equal", np.full(n, 1.0 / math.sqrt(n))
+    for k in range(0 if exchangeable else n_max):
+        yield "one_hot", (np.arange(k + 1) == k).astype(float)
+    for n, j, w in two_level_shapes(n_max):
+        a = np.full(n, math.sqrt((1.0 - w) / (n - j)))
+        a[:j] = math.sqrt(w / j)
+        yield "two_level", a
+        if not exchangeable:
+            yield "two_level", a[::-1].copy()
+
+
+def coordinate_search(f, b0, maximize: bool, max_evals: int = 250):
+    """Coordinate ascent (descent when not maximize) of f on the simplex
+    from every row of b0, all rows in lockstep; returns (b, values, evals),
+    one row, value and evaluation count per start.
+
+    b0 is 2-d. f(b, rows) gives one value per row of b, row i being start
+    rows[i]; NaN means refused. A start is normalized to sum 1. Each sweep
+    tries, for every coordinate k in turn, b_k * step and then b_k / step
+    (b_k floored at 1e-12, the vector renormalized), and keeps a move that
+    gains more than 1e-13. A sweep without a gain halves step - 1, from 1.5;
+    a row stops once step <= 1.01 or after max_evals evaluations. A row
+    refused at its start keeps it, with value NaN and one evaluation. The
+    rows share only the calls to f, so each ends on its bits alone."""
+    sign = 1.0 if maximize else -1.0
+    b = b0 / b0.sum(axis=1, keepdims=True)
+    cur = sign * f(b, np.arange(len(b)))
+    step = np.full(len(b), 1.5)
+    count, evals = 1, np.ones(len(b), dtype=int)  # count: each live row's evaluations
+    live = np.flatnonzero(~np.isnan(cur))
+    while live.size and count < max_evals:
+        improved = np.zeros(live.size, dtype=bool)
+        for k, grow in itertools.product(range(b.shape[1]), (True, False)):
+            nb = b[live]
+            nb[:, k] = np.maximum(nb[:, k], 1e-12) * (step[live] if grow else 1.0 / step[live])
+            nb /= nb.sum(axis=1, keepdims=True)
+            val = sign * f(nb, live)
+            count += 1
+            up = val > cur[live] + 1e-13
+            b[live[up]], cur[live[up]] = nb[up], val[up]
+            improved |= up
+            if count >= max_evals:
+                break
+        evals[live] = count
+        flat = live[~improved]
+        step[flat] = 1.0 + (step[flat] - 1.0) * 0.5
+        live = live[step[live] > 1.01]
+    return b, sign * cur, evals
 
 
 def substream(seed: int, *ids: int) -> np.random.Generator:

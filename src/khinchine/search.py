@@ -3,12 +3,14 @@ sup/inf over n and unit-norm weight vectors of the normed weighted sum.
 
 The sup/inf run over all n and the whole unit sphere, so a finite search can
 only certify one side; estimates are reported with an explicit direction and
-the witnessing weight vector. Candidate sets grow monotonically with n_max
-(and with restarts), which makes the reported bounds monotone too.
+the witnessing weight vector. The scan reads `numerics.weight_candidates`
+and the local search is `numerics.coordinate_search`, both shared with
+kappa; `weight_candidates` says when the bounds grow with n_max and restarts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -20,7 +22,8 @@ from .genfun import GeneratingFunction, PsiFunction
 from .norms import (CoefficientVector, EngineRefusal, NormEstimate, bphi_norm,
                     gls_norm, weighted_sum_bphi, weighted_sum_gls,
                     weighted_sum_lp)
-from .numerics import candidate_sizes, substream, two_level_shapes
+from .numerics import (candidate_sizes, coordinate_search, substream,
+                       weight_candidates)
 
 
 @dataclass(frozen=True)
@@ -133,54 +136,6 @@ class KhinchineEstimate:
                 "meta": dict(self.meta)}
 
 
-def _scan_candidates(n_max: int):
-    """Deterministic scan candidates: equal weights for every n, the one-hot
-    vector, and two-level patterns on a geometric n subset. Growing n_max only
-    appends candidates."""
-    yield "one_hot", 1, CoefficientVector.one_hot(1)
-    for n in range(1, n_max + 1):
-        if n > 1:
-            yield "equal", n, CoefficientVector.equal(n)
-    for n, j, w in two_level_shapes(n_max):
-        yield "two_level", n, CoefficientVector.two_level(n, j, w)
-
-
-def _coordinate_search(evaluate, b0: np.ndarray, maximize: bool,
-                       max_evals: int = 250):
-    """Coordinate ascent/descent on b = a^2 over the simplex.
-
-    Multiplicative coordinate moves of step 1.5 shrinking to 1.01; returns
-    (best_b, best_value, evals) or None if the start refuses.
-    """
-    sign = 1.0 if maximize else -1.0
-    b = b0 / b0.sum()
-    cur = evaluate(b)
-    if cur is None:
-        return None
-    cur *= sign
-    evals = 1
-    step = 1.5
-    while step > 1.01 and evals < max_evals:
-        improved = False
-        for k in range(b.size):
-            for factor in (step, 1.0 / step):
-                nb = b.copy()
-                nb[k] = max(nb[k], 1e-12) * factor
-                nb /= nb.sum()
-                val = evaluate(nb)
-                evals += 1
-                if val is not None and sign * val > cur + 1e-13:
-                    b, cur = nb, sign * val
-                    improved = True
-                if evals >= max_evals:
-                    break
-            if evals >= max_evals:
-                break
-        if not improved:
-            step = 1.0 + (step - 1.0) * 0.5
-    return b, sign * cur, evals
-
-
 def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
                       restarts: int, seed: int, maximize: bool,
                       engine: str = "auto", budget: int | None = None) -> KhinchineEstimate:
@@ -202,45 +157,46 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
             if tuple(a.entries) < tuple(best_wit.entries):
                 best_wit = a
 
-    def consider(kind: str, n: int, a: CoefficientVector):
-        nonlocal refusals
+    def norm(a: CoefficientVector) -> float:
+        return sum_norm(d, a, spec, engine=engine, budget=budget, seed=seed).value
+
+    for kind, entries in weight_candidates(n_max, exchangeable=True):
+        a = CoefficientVector(entries)
         try:
-            est = sum_norm(d, a, spec, engine=engine, budget=budget, seed=seed)
+            val = norm(a)
         except EngineRefusal as exc:
             refusals += 1
-            trace.append({"kind": kind, "n": n, "refused": str(exc)})
-            return
-        trace.append({"kind": kind, "n": n, "value": est.value})
-        update(sign * est.value, a)
-
-    for kind, n, a in _scan_candidates(n_max):
-        consider(kind, n, a)
+            trace.append({"kind": kind, "n": a.n, "refused": str(exc)})
+            continue
+        trace.append({"kind": kind, "n": a.n, "value": val})
+        update(sign * val, a)
 
     nonneg = d.is_symmetric  # sign of a_k provably irrelevant there
     for n in candidate_sizes(n_max)[1:]:  # n = 1 has nothing to optimize
+        rngs = [substream(seed, 0x5EA2C4, n, r) for r in range(restarts)]
+        starts = np.reshape([g.dirichlet(np.ones(n)) for g in rngs], (restarts, n))
+        signs = (np.ones((restarts, n)) if nonneg else
+                 np.reshape([g.choice([-1.0, 1.0], size=n) for g in rngs], (restarts, n)))
+
+        def weights(b, r):
+            return CoefficientVector.normalized(signs[r] * np.sqrt(b))
+
+        def f(b, rows):
+            out = np.full(len(rows), math.nan)  # NaN: refused
+            for i, r in enumerate(rows):
+                with contextlib.suppress(EngineRefusal):
+                    out[i] = norm(weights(b[i], r))
+            return out
+
+        b, vals, evals = coordinate_search(f, starts, maximize)
         for r in range(restarts):
-            rng = substream(seed, 0x5EA2C4, n, r)
-            start = rng.dirichlet(np.ones(n))
-            signs = np.ones(n) if nonneg else rng.choice([-1.0, 1.0], size=n)
-
-            def evaluate(b):
-                a = CoefficientVector.normalized(signs * np.sqrt(b))
-                try:
-                    return sum_norm(d, a, spec, engine=engine, budget=budget,
-                                    seed=seed).value
-                except EngineRefusal:
-                    return None
-
-            res = _coordinate_search(evaluate, start, maximize)
-            if res is None:
+            entry = {"kind": "local_search", "n": n, "restart": r}
+            if math.isnan(vals[r]):
                 refusals += 1
-                trace.append({"kind": "local_search", "n": n, "restart": r,
-                              "refused": "engine refusal at start"})
-                continue
-            b, val, evals = res
-            trace.append({"kind": "local_search", "n": n, "restart": r,
-                          "value": val, "evals": evals})
-            update(sign * val, CoefficientVector.normalized(signs * np.sqrt(b)))
+                trace.append({**entry, "refused": "engine refusal at start"})
+            else:
+                trace.append({**entry, "value": float(vals[r]), "evals": int(evals[r])})
+                update(sign * float(vals[r]), weights(b[r], r))
 
     if best_wit is None:
         raise EngineRefusal(
@@ -263,9 +219,11 @@ def khinchine_sup(d: Distribution, spec: NormSpec, n_max: int = 32,
                   budget: int | None = None) -> KhinchineEstimate:
     """Lower bound of sup_n sup_{a in D(n)} ||sum a_k X_k||.
 
-    Candidates: equal weights for every n <= n_max, the one-hot vector,
-    two-level patterns, and coordinate-ascent local search on b = a_k^2 from
-    `restarts` seeded starts. Engine refusals are recorded in the trace and
+    Candidates: `weight_candidates(n_max, exchangeable=True)` (equal
+    weights for every n <= n_max and two-level patterns; its docstring says
+    when the bound is monotone in n_max and restarts), and coordinate ascent
+    on b = a_k^2 from `restarts` seeded starts at each n >= 2 of
+    `candidate_sizes(n_max)`. Engine refusals are recorded in the trace and
     the candidate skipped; nothing silently falls back to sampling. When
     every candidate is refused, EngineRefusal names the monte_carlo engine.
     """

@@ -522,6 +522,19 @@ def test_non_finite_numeric_fields_exit_two(capsys, argv):
                for line in captured.err.splitlines())
 
 
+@pytest.mark.parametrize("law", ["gaussian:inf", "uniform-symmetric:inf", "centered-poisson:inf",
+                                 "symmetrized-poisson:nan", "gaussian:1e200",
+                                 "uniform-symmetric:1e200", "@SPEC"])
+def test_law_parameters_must_be_finite_with_a_finite_variance(capsys, tmp_path, law):
+    # sigma = 1e200 is finite, but its variance is not; the file form reads
+    # the same check
+    path = tmp_path / "spec.json"
+    path.write_text('{"law": "gaussian", "sigma": Infinity}')
+    code = main(["norm", "bphi", "--law", law.replace("SPEC", str(path)), "--phi", "subgaussian"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "finite variance" in captured.err
+
 def test_gaussian_gls_report_is_finite_at_high_p(capsys):
     # ||Z||_p / p^(1/4) grows, so the sup sits at the top of the grid, where
     # E|Z|^p is past the double range

@@ -16,7 +16,7 @@ from khinchine.genfun import (DomainError, GeneratingFunction, PsiFunction,
                               phi_membership_report, phi_natural, phi_power,
                               phi_subgaussian, phi_tabulated, psi_from_phi,
                               tail_envelope)
-from khinchine.numerics import geometric_grid, invert_increasing_vec, project_simplex
+from khinchine.numerics import coordinate_search, geometric_grid, invert_increasing_vec
 
 PHI2 = phi_subgaussian()
 RAD = Distribution.rademacher()
@@ -305,6 +305,18 @@ def test_kappa_identical_lncosh_equal_weights_extremal():
     assert value <= overline_phi(LNCOSH, lam) + 1e-9
 
 
+@pytest.mark.parametrize("N", [3, 8, 32])
+def test_kappa_closed_forms_of_identical_pools(N):
+    # phi(sqrt t) convex (Conv_2): superadditivity puts kappa at phi(lam);
+    # phi(sqrt t) concave (ln cosh): equal weights at n = N, N phi(lam/sqrt N)
+    lams = np.array([0.05, 0.3, 1.0, 2.5, 7.0])
+    for phi in (PHI2, phi_power(2.0), phi_power(3.0)):
+        vals, _, _ = kappa_profile([phi] * N, lams, n_max=N, restarts=2, seed=4)
+        np.testing.assert_allclose(vals, phi(lams), rtol=1e-15, atol=0)
+    vals, _, _ = kappa_profile([LNCOSH] * N, lams, n_max=N, restarts=2, seed=4)
+    np.testing.assert_allclose(vals, N * LNCOSH(lams / math.sqrt(N)), rtol=1e-15, atol=0)
+
+
 def test_kappa_mixed_grid_oracle():
     # 2-d case: sup over b in [0, 1] of phi2(0.1 sqrt(b)) + power4(0.1 sqrt(1-b))
     p4 = phi_power(4.0)
@@ -322,58 +334,50 @@ def test_kappa_dominates_first_component():
         assert value >= float(LNCOSH(lam)) - 1e-12
 
 
-# references for the batched ascent and the witness rule: the per-start
-# ascent, its 1-d simplex projection and the tuple tie-break loop they replaced
+# references for the batched coordinate search and the witness rule: the
+# per-start coordinate search and the tuple tie-break loop they replaced
 
-def _project_simplex_1d(v):
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def _ascend_one(phis, lam, b0, iters=80):
-    groups = genfun._group_phis(phis)
-    b = b0.copy()
-
-    def value(bv):
-        x = lam * np.sqrt(np.maximum(bv, 0.0))
-        return math.fsum(float(np.sum(p(x[idx]))) for p, idx in groups)
-
-    def gradient(bv):
-        x = lam * np.sqrt(np.maximum(bv, 1e-300))
-        g = np.empty_like(bv)
-        for p, idx in groups:
-            g[idx] = p.derivative(x[idx])
-        return g * lam / (2.0 * np.sqrt(np.maximum(bv, 1e-300)))
-
-    cur = value(b)
-    step = 0.5
-    for _ in range(iters):
-        grad = gradient(b)
-        scale = np.max(np.abs(grad))
-        if scale == 0 or not np.isfinite(scale):
-            break
+def _coordinate_search_one(evaluate, b0, maximize, max_evals=250):
+    sign = 1.0 if maximize else -1.0
+    b = b0 / b0.sum()
+    cur = evaluate(b)
+    if cur is None:
+        return None
+    cur *= sign
+    evals = 1
+    step = 1.5
+    while step > 1.01 and evals < max_evals:
         improved = False
-        while step > 1e-10:
-            nb = _project_simplex_1d(b + step * grad / scale)
-            nv = value(nb)
-            if nv > cur + 1e-15:
-                b, cur = nb, nv
-                improved = True
+        for k in range(b.size):
+            for factor in (step, 1.0 / step):
+                nb = b.copy()
+                nb[k] = max(nb[k], 1e-12) * factor
+                nb /= nb.sum()
+                val = evaluate(nb)
+                evals += 1
+                if val is not None and sign * val > cur + 1e-13:
+                    b, cur = nb, sign * val
+                    improved = True
+                if evals >= max_evals:
+                    break
+            if evals >= max_evals:
                 break
-            step *= 0.5
         if not improved:
-            break
-        step = min(step * 2.0, 0.5)
-    return b
+            step = 1.0 + (step - 1.0) * 0.5
+    return b, sign * cur, evals
 
 
-def _per_start(phis, lams, b0):
-    return np.array([_ascend_one(phis, float(lam), row) for lam, row in zip(lams, b0)])
+def _per_row(f, b0, maximize, max_evals=250):
+    """`coordinate_search` as the reference run on each row of b0 alone."""
+    out = []
+    for r, row in enumerate(np.asarray(b0, dtype=float)):
+        def evaluate(b, r=r):
+            v = float(f(b[None, :], np.array([r]))[0])
+            return None if math.isnan(v) else v
+        res = _coordinate_search_one(evaluate, row, maximize, max_evals)
+        out.append(res if res is not None else (row / row.sum(), math.nan, 1))
+    ends, vals, evals = zip(*out)
+    return np.array(ends), np.array(vals), np.array(evals)
 
 
 def _opt_lams(lam_grid):
@@ -410,6 +414,47 @@ def _cycled(pool, n):
     return [pool[k % len(pool)] for k in range(n)]
 
 
+def _targets_f(targets, refuse_from=None, refuse_above=None, seen=None):
+    """f(b, rows) = -|b - targets[r]|^2 per row; NaN for every b of row
+    refuse_from and wherever b_0 > 0.5 on row refuse_above."""
+    def f(b, rows):
+        out = -np.sum((b - targets[rows]) ** 2, axis=1)
+        if refuse_above is not None:
+            cut = (rows == refuse_above) & (b[:, 0] > 0.5)
+            if seen is not None:
+                seen.append(int(np.count_nonzero(cut)))
+            out[cut] = np.nan
+        out[rows == refuse_from] = np.nan
+        return out
+    return f
+
+
+@pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
+@pytest.mark.parametrize("n,max_evals", [(3, 250), (14, 250), (40, 250), (5, 30)])
+def test_coordinate_search_is_bitwise_the_per_start_loop(maximize, n, max_evals):
+    rng = np.random.default_rng(n)
+    b0 = rng.dirichlet(np.ones(n), size=7)
+    targets = rng.dirichlet(np.ones(n), size=7)
+    # row 3 is refused once b_0 passes 0.5, which its first move does;
+    # row 4 starts at its optimum, so it stops after six sweeps without a gain
+    b0[3], targets[3] = 0.55 / (n - 1), np.eye(n)[0]
+    b0[3, 0] = 0.45
+    targets[4] = b0[4] / b0[4].sum()
+    seen = []
+    f = _targets_f(targets, refuse_from=2, refuse_above=3, seen=seen)
+    got = coordinate_search(f, b0, maximize, max_evals)
+    ref = _per_row(f, b0, maximize, max_evals)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+    b, vals, evals = got
+    assert math.isnan(vals[2]) and evals[2] == 1
+    assert b[2].tobytes() == (b0[2] / b0[2].sum()).tobytes()
+    assert np.all(evals <= max_evals) and not np.isnan(np.delete(vals, 2)).any()
+    assert sum(seen) > 0
+    if maximize and n == 3:  # the rows stop on different sweeps
+        assert evals[4] == 12 * n + 1 and len(set(evals.tolist())) > 3
+    else:
+        assert max_evals in evals.tolist()
+
 TAB4 = phi_tabulated([0.0, 0.5, 1.0, 2.0, 3.0], [0.0, 0.125, 0.5, 2.0, 4.5])
 NAT_GAUSS = phi_natural(Distribution.gaussian(1.0))
 
@@ -429,11 +474,11 @@ def test_batched_ascent_is_bitwise_the_per_start_loop(name, monkeypatch):
     phis, grid, n_max, restarts = KAPPA_POOLS[name]
     args = (phis, n_max, restarts, 7, _opt_lams(grid))
     batched = genfun._kappa_candidates(*args)
-    monkeypatch.setattr(genfun, "_ascend_simplex_rows", _per_start)
+    vals, wits, meta = kappa_profile(phis, grid, n_max=n_max, restarts=restarts, seed=7)
+    monkeypatch.setattr(genfun, "coordinate_search", _per_row)
     reference = genfun._kappa_candidates(*args)
     assert len(batched) == len(reference)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(batched, reference))
-    vals, wits, meta = kappa_profile(phis, grid, n_max=n_max, restarts=restarts, seed=7)
     ref_vals, ref_wits, _ = _tie_loop_profile(phis, grid, n_max, restarts, 7)
     assert vals.tobytes() == ref_vals.tobytes()
     assert [w.tobytes() for w in wits] == [w.tobytes() for w in ref_wits]
@@ -450,16 +495,6 @@ def test_witness_ranks_match_the_tuple_tie_loop():
     assert tie_swaps > 0
     assert vals.tobytes() == ref_vals.tobytes()
     assert [w.tobytes() for w in wits] == [w.tobytes() for w in ref_wits]
-
-
-def test_row_projection_is_the_1d_projection():
-    rows = np.random.default_rng(5).normal(size=(40, 7))
-    rows[3] = 0.0
-    rows[4, :3] = 2.0  # tied entries
-    stacked = project_simplex(rows)
-    for row, out in zip(rows, stacked):
-        assert out.tobytes() == _project_simplex_1d(row).tobytes()
-        assert project_simplex(row).tobytes() == out.tobytes()
 
 
 KAPPA_CHOICES = (PHI2, phi_power(3.0), LNCOSH, POIS_NAT)

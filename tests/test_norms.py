@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -216,6 +217,44 @@ def test_odd_moments_vanish_for_symmetric_laws():
                 assert abs(signed) <= 1e-14
 
 
+def _decimal_lp(values, probs, p):
+    """(sum probs |v|^p)^(1/p) in 60-digit decimal arithmetic, which has no
+    overflow, on the exact values of the floats given."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        m = sum(decimal.Decimal(float(q)) * abs(decimal.Decimal(float(v))) ** int(p)
+                for v, q in zip(values, probs))
+        return float(m ** (decimal.Decimal(1) / decimal.Decimal(int(p))))
+
+
+def test_lattice_norms_past_the_moment_overflow_match_a_decimal_reference():
+    # sum_k p_k |v_k|^p leaves the double range past p ~ 250 on Poisson(1)'s
+    # support, where the norm itself is about 13
+    v, pr = CPOIS.finite_support()
+    for p in (263.0, 320.0, 400.0, 1000.0):
+        assert CPOIS.abs_moment(p) == math.inf
+        assert CPOIS.lp_norm(p) == pytest.approx(_decimal_lp(v, pr, p), rel=1e-13)
+    one = weighted_sum_lp(CPOIS, CoefficientVector.equal(1), 320.0)
+    assert one.value == pytest.approx(_decimal_lp(v, pr, 320.0), rel=1e-13)
+    assert one.value == pytest.approx(13.586486, rel=1e-7)
+    a = CoefficientVector.equal(2)
+    psi = PsiFunction.sqrt_p(np.arange(2.0, 401.0))
+    for engine in ("convolution", "exact_enum"):
+        sv, sp, _ = sum_distribution(CPOIS, a, engine)
+        est = weighted_sum_lp(CPOIS, a, 400.0, engine=engine)
+        assert est.meta["moment"] == math.inf
+        assert est.value == pytest.approx(_decimal_lp(sv, sp, 400.0), rel=1e-13)
+        # the sup over p (at 121) sits in the finite-moment range, with its bits
+        low = weighted_sum_gls(CPOIS, a, PsiFunction.sqrt_p(np.arange(2.0, 201.0)), engine)
+        high = weighted_sum_gls(CPOIS, a, psi, engine)
+        assert (high.value, high.meta) == (low.value, low.meta)
+        assert high.meta["attained_p"] == 121.0
+    # below the overflow the plain root keeps its bits
+    for p in (3.0, 61.0, 200.0):
+        assert CPOIS.lp_norm(p) == CPOIS.abs_moment(p) ** (1.0 / p)
+    gls = gls_norm(CPOIS, psi)
+    assert (gls.value, gls.meta["attained_p"]) == (1.1473598651863453, 61.0)
+
 # ---------------------------------------------------------------------------
 # even-moment path (auto engine, symmetric law, even integer p)
 # ---------------------------------------------------------------------------
@@ -409,8 +448,13 @@ def test_weighted_sum_bphi_matches_direct_grid():
 
 
 def test_bphi_norm_accepts_plain_log_mgf_callable():
-    est = bphi_norm(lambda lam: np.asarray(lam) ** 2 / 2.0, PHI2)
+    log_mgf = lambda lam: np.asarray(lam) ** 2 / 2.0  # noqa: E731
+    est = bphi_norm(log_mgf, PHI2, variance=1.0)
     assert est.value == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(ValueError, match="variance"):
+        bphi_norm(log_mgf, PHI2)
+    with pytest.raises(ValueError, match="variance"):
+        bphi_norms([RAD, log_mgf], PHI2, variances=[None, None])
 
 
 # ---------------------------------------------------------------------------
