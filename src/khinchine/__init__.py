@@ -13,8 +13,8 @@ from .genfun import (ConjugateProfile, ConvClassResult, DomainError,
                      phi_natural, phi_power, phi_subgaussian, phi_tabulated,
                      psi_from_phi, tail_envelope)
 from .norms import (CoefficientVector, EngineRefusal, NormEstimate, bphi_norm,
-                    bphi_norms, gls_norm, sum_distribution, weighted_sum_bphi,
-                    weighted_sum_gls, weighted_sum_lp)
+                    bphi_norms, gls_norm, sum_distribution, sum_lp_norms,
+                    weighted_sum_bphi, weighted_sum_gls, weighted_sum_lp)
 from .search import (KhinchineEstimate, NormSpec, khinchine_inf,
                      khinchine_sup, prelim_bounds)
 from .verify import (C_R, PreconditionError, pythagoras_check,

@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: phi, norm, khinchine, verify, entropy. A subcommand is one entry
-of `COMMANDS`: its own arguments, taken after the options every subcommand
-shares, and a handler that returns its report payload. Every run prints one
-JSON report embedding the tool version, the fully resolved configuration, and
-the seed; reports are byte-identical across repeated runs and across
---threads settings. Exit codes: 0 success; 1 when the report says "pass":
-false (a verify suite found its inequality violated); 2 on a precondition or
-configuration error.
+of `COMMANDS`: the arguments its handler reads, after --seed, --format and
+--out, which every subcommand shares, and the handler, which returns its
+report payload; an option the handler would not read exits 2. Every run
+prints one JSON report embedding the tool version, the fully resolved
+configuration, and the seed; reports are byte-identical across repeated runs
+and across --threads settings. Exit codes: 0 success; 1 when the report says
+"pass": false (a verify suite found its inequality violated); 2 on a
+precondition or configuration error.
 """
 
 from __future__ import annotations
@@ -277,6 +278,15 @@ U = arg("--u", type=finite, required=True)
 P = arg("--p", type=finite, required=True)
 NORM = arg("--norm", required=True, help=f"norm spec; known: {NORM_CATALOG}")
 SPACE = arg("--space", required=True, help="CSV or JSON file")
+SAMPLES = arg("--samples", type=int, default=None, help="budget for sampling engines / "
+              "enumeration; --engine auto on a symmetric law with even p needs none. Monte "
+              "Carlo holds samples/16 floats per thread plus one block of draws, not samples x n")
+ENGINE = arg("--engine", default="auto",
+             choices=["auto", "exact_enum", "convolution", "monte_carlo"])
+NMAX, RESTARTS = arg("--nmax", type=int, default=32), arg("--restarts", type=int, default=3)
+TRIALS, THREADS = arg("--trials", type=int, default=1000), arg("--threads", type=int, default=1)
+P_GRID = arg("--p-grid", dest="p_grid", default="2:64", help="grid 'lo:hi[:step]' for psi")
+SEARCH = [P_GRID, NMAX, RESTARTS, ENGINE, SAMPLES]
 
 #: command -> (help, subcommand -> (its arguments, handler args -> report payload)).
 #: Handlers call package functions by their module-level names, so that a
@@ -295,60 +305,63 @@ COMMANDS = {
                     lambda a: {"value": phi_inverse(parse_phi(a.family), a.y)}),
         "tail": ([FAMILY, U, arg("--tau", type=finite, required=True)],
                  lambda a: {"value": tail_envelope(parse_phi(a.family), a.tau, a.u)}),
-        "kappa": ([arg("--phis", required=True, help="comma-separated " + PHI_HELP), LAMBDA],
+        "kappa": ([arg("--phis", required=True, help="comma-separated " + PHI_HELP), LAMBDA,
+                   NMAX, RESTARTS],
                   lambda a: dict(zip(("value", "witness_b", "meta"), kappa(
                       [parse_phi(s) for s in a.phis.split(",")], a.lam, n_max=a.nmax,
                       restarts=a.restarts, seed=a.seed)))),
-        "psi": ([FAMILY, arg("--p", type=finite, default=None)],
+        "psi": ([FAMILY, arg("--p", type=finite, default=None), P_GRID],
                 lambda a: psi_from_phi(parse_phi(a.family), parse_p_grid(a.p_grid)
                                        if a.p is None else np.array([a.p])).to_json()),
     }),
     "norm": ("norm computations", {
         "bphi": ([LAW, PHI],
                  lambda a: bphi_norm(parse_distribution(a.law), parse_phi(a.phi)).to_json()),
-        "lp": ([LAW, WEIGHTS, P],
+        "lp": ([LAW, WEIGHTS, P, ENGINE, SAMPLES, THREADS],
                lambda a: weighted_sum_lp(
                    parse_distribution(a.law), parse_weights(a.weights), a.p, engine=a.engine,
                    budget=a.samples, seed=a.seed, threads=a.threads).to_json()),
-        "gls": ([LAW, arg("--psi", required=True, help=f"psi spec; known: {PSI_CATALOG}")],
+        "gls": ([LAW, arg("--psi", required=True, help=f"psi spec; known: {PSI_CATALOG}"),
+                 P_GRID, ENGINE, SAMPLES, THREADS],
                 lambda a: gls_norm(
                     parse_distribution(a.law), parse_psi(a.psi, parse_p_grid(a.p_grid)),
-                    engine="monte_carlo" if a.engine == "monte_carlo" else "quadrature",
-                    budget=a.samples, seed=a.seed, threads=a.threads).to_json()),
+                    engine=a.engine, budget=a.samples, seed=a.seed, threads=a.threads).to_json()),
     }),
     "khinchine": ("constant estimation", {
-        "sup": ([LAW, NORM], lambda a: khinchine_sup(
+        "sup": ([LAW, NORM, *SEARCH], lambda a: khinchine_sup(
             parse_distribution(a.law), _norm_spec(a), **_search_options(a)).to_json()),
-        "inf": ([LAW, NORM], lambda a: khinchine_inf(
+        "inf": ([LAW, NORM, *SEARCH], lambda a: khinchine_inf(
             parse_distribution(a.law), _norm_spec(a), **_search_options(a)).to_json()),
-        "prelim": ([LAW, NORM],
+        "prelim": ([LAW, NORM, P_GRID],
                    lambda a: prelim_bounds(parse_distribution(a.law), _norm_spec(a))),
     }),
     "verify": ("inequality verification suites", {
-        "thm31": ([LAW, PHI],
+        "thm31": ([LAW, PHI, TRIALS, THREADS],
                   lambda a: verify_thm31(parse_distribution(a.law), parse_phi(a.phi),
                                          trials=a.trials, seed=a.seed, threads=a.threads)),
-        "thm32": ([LAW, PHI],
+        "thm32": ([LAW, PHI, TRIALS, NMAX, RESTARTS, THREADS],
                   lambda a: verify_thm32(parse_distribution(a.law), parse_phi(a.phi),
                                          trials=a.trials, seed=a.seed, n_max=a.nmax,
                                          restarts=a.restarts, threads=a.threads)),
         "thm41": ([arg("--laws", required=True, help="comma-separated " + LAW_HELP),
-                   arg("--phis", required=True, help="'natural' or comma-separated " + PHI_HELP)],
+                   arg("--phis", required=True, help="'natural' or comma-separated " + PHI_HELP),
+                   TRIALS, NMAX, RESTARTS, THREADS],
                   _thm41),
         "thm51": ([LAW, arg("--p-values", dest="p_values", default="2,4,6,8"),
-                   arg("--n-values", dest="n_values", default="4,16,64")],
+                   arg("--n-values", dest="n_values", default="4,16,64"), ENGINE, SAMPLES],
                   lambda a: verify_thm51(
                       parse_distribution(a.law),
                       p_values=tuple(finite(x) for x in a.p_values.split(",")),
                       n_values=tuple(int(x) for x in a.n_values.split(",")),
                       engine=a.engine, budget=a.samples, seed=a.seed)),
-        "rosenthal": ([LAW, P, WEIGHTS],
+        "rosenthal": ([LAW, P, WEIGHTS, ENGINE, SAMPLES],
                       lambda a: rosenthal_verify(
                           parse_distribution(a.law), a.p, parse_weights(a.weights),
                           engine=a.engine, budget=a.samples, seed=a.seed)),
-        "pythagoras": ([PHI, arg("--laws", default=None, help="comma-separated " + LAW_HELP)],
+        "pythagoras": ([PHI, arg("--laws", default=None, help="comma-separated " + LAW_HELP),
+                        TRIALS, THREADS],
                        _pythagoras),
-        "tail": ([LAW, PHI, WEIGHTS, arg("--u", default="0.5,1,1.5,2,2.5,3")],
+        "tail": ([LAW, PHI, WEIGHTS, arg("--u", default="0.5,1,1.5,2,2.5,3"), SAMPLES],
                  lambda a: tail_compare(
                      parse_distribution(a.law), parse_weights(a.weights), parse_phi(a.phi),
                      u_grid=tuple(finite(x) for x in a.u.split(",")),
@@ -366,7 +379,7 @@ COMMANDS = {
         "fieldsim": ([arg("--model", required=True, help="JSON field model"),
                       arg("--weights", default="equal:2",
                           help="semicolon-separated " + WEIGHTS_HELP),
-                      arg("--copies", type=int, default=100_000)],
+                      arg("--copies", type=int, default=100_000), THREADS],
                      _fieldsim),
     }),
 }
@@ -379,21 +392,8 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=None,
-                        help="budget for sampling engines / enumeration; "
-                             "--engine auto on a symmetric law with even p "
-                             "needs none. Monte Carlo holds samples/16 floats "
-                             "per thread plus one block of draws, not samples x n")
-    common.add_argument("--engine", default="auto",
-                        choices=["auto", "exact_enum", "convolution", "monte_carlo"])
-    common.add_argument("--nmax", type=int, default=32)
-    common.add_argument("--restarts", type=int, default=3)
-    common.add_argument("--trials", type=int, default=1000)
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--format", default="json", choices=["json", "csv"])
     common.add_argument("--out", default=None)
-    common.add_argument("--p-grid", dest="p_grid", default="2:64",
-                        help="grid 'lo:hi[:step]' for psi functions")
 
     top = argparse.ArgumentParser(prog="khinchine",
                                   description=__doc__,

@@ -489,7 +489,9 @@ def _kappa_candidates(phis, n_max: int, restarts: int, seed: int,
     """Candidate weight vectors b (b_k = a_k^2 on the simplex over the first
     n coordinates): a * a for every a of `weight_candidates`, then the ends
     of the coordinate ascents of sum_k phi_k(lam sqrt(b_k)), in the order
-    (n, restart, lambda), one `coordinate_search` batch per n."""
+    (n, restart, lambda), one `coordinate_search` batch per n. An ascent
+    refuses (NaN) a b with some lam sqrt(b_k) at or past a finite lambda0,
+    as `candidate_profile` discards it."""
     N = min(n_max, len(phis))
     cands = [a * a for _, a in weight_candidates(N, exchangeable=False)]
     if restarts < 1 or not opt_lams:
@@ -500,8 +502,10 @@ def _kappa_candidates(phis, n_max: int, restarts: int, seed: int,
 
         def value(b, rows):
             x = lams[rows] * np.sqrt(np.maximum(b, 0.0))
+            refused = np.any([np.any(x[:, idx] >= p.lambda0, axis=1) for p, idx in groups], axis=0)
+            x[refused] = 0.0
             sums = [p(x[:, idx].ravel()).reshape(-1, idx.size).sum(axis=1) for p, idx in groups]
-            return np.array([math.fsum(row) for row in zip(*sums)])
+            return np.where(refused, math.nan, [math.fsum(row) for row in zip(*sums)])
 
         starts = [substream(seed, 0xCA11, n, r).dirichlet(np.ones(n)) for r in range(restarts)]
         cands.extend(coordinate_search(value, np.repeat(starts, len(opt_lams), axis=0), True)[0])

@@ -4,6 +4,7 @@ convolution, Monte Carlo), and Grand Lebesgue norms over a p-grid."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -185,8 +186,12 @@ def sum_distribution(d: Distribution, a: CoefficientVector, engine: str = "auto"
 def _even_sum_moments(d: Distribution, a: CoefficientVector, top: int) -> list:
     """E S^(2i) for i = 0..top, S = sum a_k X_k with X symmetric, adding one
     coordinate at a time: m'_{2i} = sum_j C(2i, 2j) a^(2j) mu_{2j} m_{2i-2j}.
-    Odd moments vanish, so every term is >= 0 and nothing cancels."""
-    mu = d.even_moments(top).tolist()
+    Odd moments vanish, so every term is >= 0 and nothing cancels. Raises
+    OverflowError where E X^(2 top) or a sum of terms is past the double range."""
+    with np.errstate(over="ignore"):
+        mu = d.even_moments(top).tolist()
+    if not math.isfinite(mu[-1]):
+        raise OverflowError(f"E X^{2 * top} of {d.label} is past the double range")
     binom = [[float(math.comb(2 * i, 2 * j)) for j in range(i + 1)] for i in range(top + 1)]
     m = [1.0] + [0.0] * top
     for ak in a.entries:
@@ -204,13 +209,15 @@ def sum_abs_moments(d: Distribution, a: CoefficientVector, ps, engine: str = "au
 
     Under engine="auto", a symmetric law with every p an even integer takes
     the even-moment recursion, which builds no support and so needs no
-    budget; anything else builds the law once with `sum_distribution` and
-    evaluates every p from it.
+    budget, where its moments are finite; anything else builds the law once
+    with `sum_distribution` and evaluates every p from it.
     """
     even = all(float(p).is_integer() and int(p) % 2 == 0 for p in ps)
     if engine == "auto" and even and d.is_symmetric:
-        m = _even_sum_moments(d, a, max(int(p) // 2 for p in ps))
-        return [m[int(p) // 2] for p in ps], "even_moments", None
+        with contextlib.suppress(OverflowError):
+            m = _even_sum_moments(d, a, max(int(p) // 2 for p in ps))
+            if all(math.isfinite(m[int(p) // 2]) for p in ps):
+                return [m[int(p) // 2] for p in ps], "even_moments", None
     vals, probs, method = sum_distribution(d, a, engine, budget)
     absv = np.abs(vals)
     with np.errstate(over="ignore"):
@@ -230,7 +237,7 @@ def draw_sums(d: Distribution, a: CoefficientVector, rng, size: int) -> np.ndarr
 
 def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | None,
                     seed: int, threads: int) -> list:
-    """The monte_carlo engine of `weighted_sum_lp` for every p in ps, from
+    """The monte_carlo engine of `sum_lp_norms` for every p in ps, from
     one set of draws (MC_STREAMS chunks, see `mc_abs_moments`)."""
     samples = budget or MC_SAMPLES_DEFAULT
 
@@ -247,30 +254,44 @@ def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | Non
     return out
 
 
+def sum_lp_norms(d: Distribution, a: CoefficientVector, ps, engine: str = "auto",
+                 budget: int | None = None, seed: int = 0, threads: int = 1) -> list:
+    """One NormEstimate of ||sum_k a_k X_k||_p, X_k i.i.d. copies of d, per p.
+
+    Engines: exact_enum (finite support, product states within budget),
+    convolution (lattice laws, support collapsed at 1e-12), monte_carlo (one
+    set of draws for every p, budget = sample count, 3-sigma band on the
+    p-th moment carried through the 1/p root by the delta method), and auto,
+    which never silently samples and tries in order: the law's closed-form
+    sum law (gaussian), even moments (symmetric law, every p an even integer;
+    exact at any n, no budget; skipped past the double range), convolution,
+    enumeration, and last, for one term that no engine takes, |a_1| ||X||_p.
+    """
+    ps = [float(p) for p in ps]
+    if min(ps) < 1:
+        raise ValueError("weighted_sum_lp needs p >= 1")
+    if engine == "monte_carlo":
+        return _monte_carlo_lp(d, a, ps, budget, seed, threads)
+    law = d.sum_law(a.entries) if engine == "auto" else None
+    if law is not None:
+        return [NormEstimate(law.lp_norm(p), "quadrature", meta={"reduced_law": law.label})
+                for p in ps]
+    try:
+        moments, method, support = sum_abs_moments(d, a, ps, engine, budget)
+    except EngineRefusal:
+        if engine != "auto" or a.n > 1:
+            raise
+        return [NormEstimate(abs(float(a.entries[0])) * d.lp_norm(p), "quadrature") for p in ps]
+    meta = {} if support is None else {"support_points": int(support[0].size)}
+    return [NormEstimate(lp_root(m, p, support), method, meta={**meta, "moment": m})
+            for m, p in zip(moments, ps)]
+
+
 def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
                     engine: str = "auto", budget: int | None = None,
                     seed: int = 0, threads: int = 1) -> NormEstimate:
-    """||sum_k a_k X_k||_p with X_k i.i.d. copies of d.
-
-    Engines: exact_enum (finite support, product states within budget),
-    convolution (lattice laws, support collapsed at 1e-12), monte_carlo
-    (budget = sample count, 3-sigma band on the p-th moment carried through
-    the 1/p root by the delta method), and auto, which never silently
-    samples and tries in order: the law's closed-form sum law (gaussian),
-    even moments (symmetric law, even integer p; exact at any n, no budget),
-    convolution, enumeration.
-    """
-    if p < 1:
-        raise ValueError("weighted_sum_lp needs p >= 1")
-    law = d.sum_law(a.entries) if engine in ("auto", "quadrature") else None
-    if law is not None:
-        return NormEstimate(law.lp_norm(p), "quadrature", meta={"reduced_law": law.label})
-    if engine == "monte_carlo":
-        return _monte_carlo_lp(d, a, [p], budget, seed, threads)[0]
-    (moment,), method, support = sum_abs_moments(d, a, [p], engine, budget)
-    meta = {} if support is None else {"support_points": int(support[0].size)}
-    meta["moment"] = moment
-    return NormEstimate(lp_root(moment, p, support), method, meta=meta)
+    """||sum_k a_k X_k||_p: the one-p case of `sum_lp_norms`."""
+    return sum_lp_norms(d, a, [p], engine, budget, seed, threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,43 +447,23 @@ def weighted_sum_bphi(d: Distribution, a: CoefficientVector,
 # Grand Lebesgue norm
 # ---------------------------------------------------------------------------
 
-def gls_norm(d: Distribution, psi: PsiFunction, engine: str = "quadrature",
-             budget: int | None = None, seed: int = 0, threads: int = 1) -> NormEstimate:
-    """sup over the psi grid of ||X||_p / psi(p); reports the attaining p.
-    Monte Carlo is the one-coordinate case of `weighted_sum_gls`."""
-    if engine == "monte_carlo":
-        est = weighted_sum_gls(d, CoefficientVector([1.0]), psi, engine, budget, seed, threads)
-        return NormEstimate(est.value, est.method, est.ci_halfwidth,
-                            meta={**est.meta, "samples": budget or MC_SAMPLES_DEFAULT})
-    norms = np.array([d.lp_norm(float(p)) for p in psi.p_grid])
-    ratio = norms / psi.values
-    i = int(np.argmax(ratio))
-    return NormEstimate(float(ratio[i]), "quadrature",
-                        meta={"attained_p": float(psi.p_grid[i]),
-                              "lp_at_attained": float(norms[i])})
-
-
 def weighted_sum_gls(d: Distribution, a: CoefficientVector, psi: PsiFunction,
                      engine: str = "auto", budget: int | None = None,
                      seed: int = 0, threads: int = 1) -> NormEstimate:
-    """sup over the psi grid of ||sum a_k X_k||_p / psi(p).
-
-    The exact engines evaluate every p from one pass of `sum_abs_moments`
-    (one law build per weight vector), Monte Carlo from one set of draws;
-    a closed-form sum law goes through `weighted_sum_lp` once per p.
-    """
-    ps = [float(p) for p in psi.p_grid]
-    if engine == "monte_carlo":
-        if ps[0] < 1:
-            raise ValueError("weighted_sum_lp needs p >= 1")
-        ests = _monte_carlo_lp(d, a, ps, budget, seed, threads)
-    elif engine in ("auto", "quadrature") and d.is_stable:
-        ests = [weighted_sum_lp(d, a, p, engine=engine, budget=budget, seed=seed)
-                for p in ps]
-    else:
-        moments, method, support = sum_abs_moments(d, a, ps, engine, budget)
-        ests = [NormEstimate(lp_root(m, p, support), method) for m, p in zip(moments, ps)]
+    """sup over the psi grid of ||sum a_k X_k||_p / psi(p), from one
+    `sum_lp_norms` call (one law build or one set of draws); reports the
+    attaining p and the L_p norm there."""
+    ests = sum_lp_norms(d, a, psi.p_grid, engine, budget, seed, threads)
     ratio = [est.value / float(psi_p) for est, psi_p in zip(ests, psi.values)]
     i = int(np.argmax(ratio))
-    return NormEstimate(ratio[i], ests[i].method, meta={"attained_p": ps[i]},
-                        ci_halfwidth=ests[i].ci_halfwidth / float(psi.values[i]))
+    sampled = {"samples": ests[i].meta["samples"]} if ests[i].method == "monte_carlo" else {}
+    return NormEstimate(ratio[i], ests[i].method, ests[i].ci_halfwidth / float(psi.values[i]),
+                        {"attained_p": float(psi.p_grid[i]), "lp_at_attained": ests[i].value,
+                         **sampled})
+
+
+def gls_norm(d: Distribution, psi: PsiFunction, engine: str = "auto",
+             budget: int | None = None, seed: int = 0, threads: int = 1) -> NormEstimate:
+    """The Grand Lebesgue norm of one copy: sup over the psi grid of
+    ||X||_p / psi(p), the one-term case of `weighted_sum_gls`."""
+    return weighted_sum_gls(d, CoefficientVector([1.0]), psi, engine, budget, seed, threads)

@@ -19,9 +19,8 @@ import numpy as np
 
 from .distributions import Distribution
 from .genfun import GeneratingFunction, PsiFunction
-from .norms import (CoefficientVector, EngineRefusal, NormEstimate, bphi_norm,
-                    gls_norm, weighted_sum_bphi, weighted_sum_gls,
-                    weighted_sum_lp)
+from .norms import (CoefficientVector, EngineRefusal, NormEstimate,
+                    weighted_sum_bphi, weighted_sum_gls, weighted_sum_lp)
 from .numerics import (candidate_sizes, coordinate_search, substream,
                        weight_candidates)
 
@@ -79,7 +78,6 @@ class NormKind:
     needs: str  # what the field must hold, for the validation error
     label: Callable  # (v) -> str
     sum_norm: Callable  # (d, a, v, engine, budget, seed) -> NormEstimate of sum a_k X_k
-    single_norm: Callable  # (d, v) -> norm of one copy
     valid: Callable = lambda v: True  # (v) -> whether a value given for the field is valid
 
 
@@ -89,20 +87,17 @@ NORM_KINDS: dict[str, NormKind] = {
         label=lambda p: f"lp({p!r})",
         sum_norm=lambda d, a, p, engine, budget, seed: weighted_sum_lp(
             d, a, p, engine=engine, budget=budget, seed=seed),
-        single_norm=lambda d, p: d.lp_norm(p),
     ),
     "gls": NormKind(
         field="psi", needs="a psi function",
         label=lambda psi: f"gls({psi.provenance})",
         sum_norm=lambda d, a, psi, engine, budget, seed: weighted_sum_gls(
             d, a, psi, engine=engine, budget=budget, seed=seed),
-        single_norm=lambda d, psi: gls_norm(d, psi).value,
     ),
     "bphi": NormKind(
         field="phi", needs="a generating function",
         label=lambda phi: f"bphi({phi.label})",
         sum_norm=lambda d, a, phi, engine, budget, seed: weighted_sum_bphi(d, a, phi),
-        single_norm=lambda d, phi: bphi_norm(d, phi).value,
     ),
 }
 
@@ -115,8 +110,8 @@ def sum_norm(d: Distribution, a: CoefficientVector, spec: NormSpec,
 
 
 def single_norm(d: Distribution, spec: NormSpec) -> float:
-    """Norm of one copy of the law under the spec (the n = 1 anchor)."""
-    return spec.record.single_norm(d, spec.param)
+    """Norm of one copy under the spec: the n = 1 term of the constants."""
+    return sum_norm(d, CoefficientVector([1.0]), spec).value
 
 
 @dataclass(frozen=True)

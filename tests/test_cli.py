@@ -129,10 +129,55 @@ def test_phi_kappa_example(capsys):
 
 
 def test_khinchine_sup_all_refused_exit_two(capsys):
-    code = main(["khinchine", "sup", "--law", "uniform-symmetric:1", "--norm", "lp:3"])
+    # under auto the n = 1 candidate is |a_1| ||X||_3; an explicit exact
+    # engine still refuses every candidate on a continuous law
+    code = main(["khinchine", "sup", "--law", "uniform-symmetric:1", "--norm", "lp:3",
+                 "--engine", "convolution"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and "monte_carlo" in captured.err
+
+
+def test_one_term_uniform_norm_is_the_prelim_law_norm(capsys):
+    code, rep = run_json(capsys, ["norm", "lp", "--law", "uniform-symmetric:1.7",
+                                  "--weights", "equal:1", "--p", "3"])
+    assert code == 0
+    assert rep["report"]["value"] == 1.070932892410642
+    assert rep["report"]["method"] == "quadrature"
+    code, pre = run_json(capsys, ["khinchine", "prelim", "--law", "uniform-symmetric:1.7",
+                                  "--norm", "lp:3"])
+    assert code == 0 and pre["report"]["law_norm"] == rep["report"]["value"]
+    assert main(["norm", "lp", "--law", "uniform-symmetric:1.7", "--weights", "equal:1",
+                 "--p", "3", "--engine", "convolution"]) == 2
+    assert "monte_carlo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["norm", "lp", "--law", "symmetrized-poisson:0.5", "--weights", "equal:2", "--p", "320"],
+     15.031836525094892),
+    (["norm", "lp", "--law", "symmetrized-poisson:0.5", "--weights", "equal:1", "--p", "320"],
+     11.767668651335676),
+    (["khinchine", "sup", "--law", "symmetrized-poisson:0.5", "--norm", "gls:sqrtp",
+      "--p-grid", "2:400:2", "--nmax", "2", "--restarts", "1"], None),
+], ids=["lp-n2", "lp-n1", "sup-gls"])
+def test_even_moment_overflow_takes_the_support_path(capsys, argv, value):
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert isinstance(rep["report"]["value"], float)
+    if value is not None:
+        assert rep["report"]["value"] == value
+        assert rep["report"]["method"] == "convolution"
+
+
+def test_norm_gls_passes_its_engine_through(capsys):
+    argv = ["norm", "gls", "--law", "rademacher", "--psi", "sqrtp", "--p-grid", "2:8"]
+    code, auto = run_json(capsys, argv)
+    assert code == 0 and auto["report"]["method"] == "convolution"
+    code, enum = run_json(capsys, argv + ["--engine", "exact_enum"])
+    assert code == 0 and enum["report"]["method"] == "exact_enum"
+    assert enum["report"]["value"] == auto["report"]["value"]
+    assert main(["norm", "gls", "--law", "gaussian:1", "--psi", "sqrtp",
+                 "--engine", "convolution"]) == 2
 
 
 def test_entropy_dudley_csv_space(capsys, tmp_path):
@@ -186,6 +231,8 @@ def test_report_embeds_version_config_seed(capsys):
 
 
 def test_byte_identical_across_runs_and_threads(capsys):
+    # `phi legendre` and `khinchine sup` take no --threads: they run as given
+    unthreaded = {("phi", "legendre"), ("khinchine", "sup")}
     cmds = [
         ["phi", "legendre", "--family", "natural:rademacher", "--u", "0.5"],
         ["norm", "lp", "--law", "rademacher", "--weights", "equal:4", "--p", "4",
@@ -210,7 +257,8 @@ def test_byte_identical_across_runs_and_threads(capsys):
             cmd = [mp if c == "MODEL" else c for c in cmd]
             outs = []
             for threads in ("1", "4", "1"):
-                code, out = run(capsys, cmd + ["--threads", threads])
+                extra = [] if tuple(cmd[:2]) in unthreaded else ["--threads", threads]
+                code, out = run(capsys, cmd + extra)
                 assert code == 0
                 outs.append(out)
             assert outs[0] == outs[1] == outs[2], f"nondeterministic: {cmd}"
@@ -268,8 +316,7 @@ def test_verify_stdout_identical_across_uneven_thread_blocks(capsys, cmd):
 @pytest.mark.parametrize("cmd", [
     ["verify", "thm41", "--laws", "rademacher,gaussian:1", "--phis", "natural",
      "--trials", "5"],
-    ["phi", "kappa", "--phis", "subgaussian,power:3", "--lambda", "1.5"],
-], ids=["thm41", "kappa"])
+], ids=["thm41"])
 def test_kappa_stdout_identical_across_threads(capsys, cmd):
     outs = {threads: run(capsys, cmd + ["--seed", "4", "--threads", threads])
             for threads in ("1", "2", "3")}
@@ -348,9 +395,11 @@ def test_poisson_law_at_a_former_truncation_hang(capsys):
 # the CLI surface: every subcommand's parsed namespace, every spec spelling
 # ---------------------------------------------------------------------------
 
-COMMON_OPTIONS = {"seed": 0, "samples": None, "engine": "auto", "nmax": 32, "restarts": 3,
-                  "trials": 1000, "threads": 1, "format": "json", "out": None,
-                  "p_grid": "2:64"}
+COMMON_OPTIONS = {"seed": 0, "format": "json", "out": None}
+ENGINE = {"engine": "auto", "samples": None}
+SEARCH = {"nmax": 32, "restarts": 3}
+TRIALS = {"trials": 1000, "threads": 1}
+GRID = {"p_grid": "2:64"}
 
 # (subcommand, its minimal arguments, the options it adds to the common ones)
 SURFACE = [
@@ -362,31 +411,44 @@ SURFACE = [
     ("phi inverse", "--family subgaussian --y 1", {"family": "subgaussian", "y": 1.0}),
     ("phi tail", "--family subgaussian --tau 1 --u 1",
      {"family": "subgaussian", "u": 1.0, "tau": 1.0}),
-    ("phi kappa", "--phis subgaussian --lambda 1", {"phis": "subgaussian", "lam": 1.0}),
-    ("phi psi", "--family subgaussian", {"family": "subgaussian", "p": None}),
+    ("phi kappa", "--phis subgaussian --lambda 1",
+     {"phis": "subgaussian", "lam": 1.0, **SEARCH}),
+    ("phi psi", "--family subgaussian", {"family": "subgaussian", "p": None, **GRID}),
     ("norm bphi", "--law rademacher --phi subgaussian", {"law": "rademacher", "phi": "subgaussian"}),
     ("norm lp", "--law rademacher --weights equal:2 --p 3",
-     {"law": "rademacher", "weights": "equal:2", "p": 3.0}),
-    ("norm gls", "--law rademacher --psi sqrtp", {"law": "rademacher", "psi": "sqrtp"}),
-    ("khinchine sup", "--law rademacher --norm lp:3", {"law": "rademacher", "norm": "lp:3"}),
-    ("khinchine inf", "--law rademacher --norm lp:3", {"law": "rademacher", "norm": "lp:3"}),
-    ("khinchine prelim", "--law rademacher --norm lp:3", {"law": "rademacher", "norm": "lp:3"}),
-    ("verify thm31", "--law rademacher --phi subgaussian", {"law": "rademacher", "phi": "subgaussian"}),
-    ("verify thm32", "--law rademacher --phi subgaussian", {"law": "rademacher", "phi": "subgaussian"}),
-    ("verify thm41", "--laws rademacher --phis natural", {"laws": "rademacher", "phis": "natural"}),
+     {"law": "rademacher", "weights": "equal:2", "p": 3.0, **ENGINE, "threads": 1}),
+    ("norm gls", "--law rademacher --psi sqrtp",
+     {"law": "rademacher", "psi": "sqrtp", **GRID, **ENGINE, "threads": 1}),
+    ("khinchine sup", "--law rademacher --norm lp:3",
+     {"law": "rademacher", "norm": "lp:3", **GRID, **SEARCH, **ENGINE}),
+    ("khinchine inf", "--law rademacher --norm lp:3",
+     {"law": "rademacher", "norm": "lp:3", **GRID, **SEARCH, **ENGINE}),
+    ("khinchine prelim", "--law rademacher --norm lp:3",
+     {"law": "rademacher", "norm": "lp:3", **GRID}),
+    ("verify thm31", "--law rademacher --phi subgaussian",
+     {"law": "rademacher", "phi": "subgaussian", **TRIALS}),
+    ("verify thm32", "--law rademacher --phi subgaussian",
+     {"law": "rademacher", "phi": "subgaussian", **TRIALS, **SEARCH}),
+    ("verify thm41", "--laws rademacher --phis natural",
+     {"laws": "rademacher", "phis": "natural", **TRIALS, **SEARCH}),
     ("verify thm51", "--law rademacher",
-     {"law": "rademacher", "p_values": "2,4,6,8", "n_values": "4,16,64"}),
+     {"law": "rademacher", "p_values": "2,4,6,8", "n_values": "4,16,64", **ENGINE}),
     ("verify rosenthal", "--law rademacher --p 4 --weights equal:2",
-     {"law": "rademacher", "p": 4.0, "weights": "equal:2"}),
-    ("verify pythagoras", "--phi subgaussian", {"phi": "subgaussian", "laws": None}),
+     {"law": "rademacher", "p": 4.0, "weights": "equal:2", **ENGINE}),
+    ("verify pythagoras", "--phi subgaussian", {"phi": "subgaussian", "laws": None, **TRIALS}),
     ("verify tail", "--law rademacher --weights equal:2 --phi subgaussian",
-     {"law": "rademacher", "phi": "subgaussian", "weights": "equal:2", "u": "0.5,1,1.5,2,2.5,3"}),
+     {"law": "rademacher", "phi": "subgaussian", "weights": "equal:2", "u": "0.5,1,1.5,2,2.5,3",
+      "samples": None}),
     ("entropy cover", "--space s.json --eps 1", {"space": "s.json", "eps": 1.0}),
     ("entropy dudley", "--space s.json", {"space": "s.json", "scale": 1.0}),
     ("entropy profile", "--space s.json --eps-grid 1,2", {"space": "s.json", "eps_grid": "1,2"}),
     ("entropy fieldsim", "--model m.json",
-     {"model": "m.json", "weights": "equal:2", "copies": 100000}),
+     {"model": "m.json", "weights": "equal:2", "copies": 100000, "threads": 1}),
 ]
+
+#: the options that only some subcommands take, and a value for each
+OPTION_VALUES = {"samples": "64", "engine": "convolution", "nmax": "3", "restarts": "1",
+                 "trials": "7", "threads": "2", "p_grid": "2:8"}
 
 
 def test_surface_lists_every_subcommand():
@@ -405,6 +467,63 @@ def test_parsed_namespace_is_the_echoed_config(sub, argv, own):
     assert callable(ns.pop("func"))
     want = {"command": command, "subcommand": subcommand, **COMMON_OPTIONS, **own}
     assert json.dumps(ns, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("sub,argv,own", SURFACE, ids=[s for s, _, _ in SURFACE])
+def test_each_subcommand_takes_only_the_options_it_reads(sub, argv, own):
+    """Of the options that only some subcommands take, a subcommand parses
+    exactly those its pinned namespace holds; any other exits 2."""
+    from khinchine.cli import build_parser
+    for dest, value in OPTION_VALUES.items():
+        flag = "--" + dest.replace("_", "-")
+        args = [*sub.split(), *argv.split(), flag, value]
+        if dest in own:
+            assert vars(build_parser().parse_args(args))[dest] is not None
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(args)
+            assert exc.value.code == 2, (sub, flag)
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "eval", "--family", "subgaussian", "--lambda", "1", "--nmax", "3"],
+    ["phi", "eval", "--family", "subgaussian", "--lambda", "1", "--nmax", "3",
+     "--engine", "convolution", "--trials", "7"],
+    ["norm", "bphi", "--law", "rademacher", "--phi", "subgaussian", "--threads", "2"],
+    ["phi", "kappa", "--phis", "subgaussian", "--lambda", "1", "--threads", "2"],
+    ["khinchine", "sup", "--law", "rademacher", "--norm", "lp:4", "--threads", "2"],
+    ["verify", "tail", "--law", "rademacher", "--weights", "equal:2", "--phi", "subgaussian",
+     "--engine", "monte_carlo"],
+], ids=["eval-nmax", "eval-three", "bphi-threads", "kappa-threads", "sup-threads",
+        "tail-engine"])
+def test_an_unread_option_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_every_bench_job_parses(monkeypatch):
+    """The benchmark runs `khinchine` with each job's argv and --seed: the
+    parser takes every one of them (bench files are only read here)."""
+    import string
+    import sys
+    from pathlib import Path
+    from khinchine.cli import build_parser
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+    jobs = [job for w in workloads.WORKLOADS.values() for job in w.jobs]
+    keys = {name for job in jobs for a in job.argv
+            for _, name, _, _ in string.Formatter().parse(a) if name}
+    inputs = workloads.Inputs(1, paths={k: f"{k}.input" for k in keys})
+    for job in jobs:
+        argv = job.command(inputs)
+        assert argv[-2:] == ["--seed", "1"]
+        ns = build_parser().parse_args(argv)
+        assert ns.seed == 1 and callable(ns.func), job.name
 
 
 def _spec_files(tmp_path):

@@ -485,6 +485,18 @@ def test_batched_ascent_is_bitwise_the_per_start_loop(name, monkeypatch):
     assert meta["candidates"] == len(reference)
 
 
+def test_kappa_ascent_refuses_past_a_finite_lambda0():
+    # at lam = 3.5 past TAB4's lambda0 = 3, ascent steps reach lam sqrt(b_k)
+    # >= 3: the row value refuses them (NaN), as the scan discards them
+    grid = [1.0, 3.5]
+    scan, _, _ = kappa_profile([TAB4] * 3, grid, n_max=3, restarts=0)
+    assert scan == pytest.approx([0.585, 6.437], abs=5e-4)
+    for restarts in (1, 3):
+        vals, wits, _ = kappa_profile([TAB4] * 3, grid, n_max=3, restarts=restarts)
+        assert np.all(vals >= scan)
+        assert np.all(3.5 * np.sqrt(wits[1]) < TAB4.lambda0)
+
+
 def test_witness_ranks_match_the_tuple_tie_loop():
     # at lambda <= 1e-4 every candidate's value is within 1e-12 of the best,
     # so the witness there is decided by the tie rule alone

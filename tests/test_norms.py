@@ -255,6 +255,94 @@ def test_lattice_norms_past_the_moment_overflow_match_a_decimal_reference():
     gls = gls_norm(CPOIS, psi)
     assert (gls.value, gls.meta["attained_p"]) == (1.1473598651863453, 61.0)
 
+
+def test_even_moment_overflow_falls_through_to_the_support():
+    # E X^p of symmetrized Poisson(0.5) leaves the double range near p = 278,
+    # the moments of a sum of two copies earlier: auto takes the convolution
+    for n, want in ((2, 15.031836525094892), (1, 11.767668651335676)):
+        a = CoefficientVector.equal(n)
+        sv, sp, _ = sum_distribution(SPOIS, a, "convolution")
+        auto = weighted_sum_lp(SPOIS, a, 320.0)
+        conv = weighted_sum_lp(SPOIS, a, 320.0, engine="convolution")
+        assert (auto.value, auto.method, auto.meta) == (conv.value, conv.method, conv.meta)
+        assert auto.value == want
+        assert auto.value == pytest.approx(_decimal_lp(sv, sp, 320.0), rel=1e-13)
+    # a grid of even p all past the overflow point, and one below it
+    a = CoefficientVector.equal(2)
+    est = weighted_sum_gls(SPOIS, a, PsiFunction.sqrt_p(np.arange(2.0, 401.0, 2.0)))
+    assert est.method == "convolution" and math.isfinite(est.value)
+    # where every moment is finite, the recursion keeps its path and bits
+    for p in (8.0, 200.0):
+        mom = weighted_sum_lp(SPOIS, a, p)
+        assert mom.method == "even_moments"
+        assert mom.meta["moment"] == norms._even_sum_moments(SPOIS, a, int(p) // 2)[-1]
+
+
+def test_one_term_sum_of_a_continuous_law_is_its_norm():
+    # no exact engine builds a uniform law's support; a one-term sum is the
+    # law itself scaled by |a_1|
+    d = Distribution.uniform_symmetric(1.7)
+    est = weighted_sum_lp(d, CoefficientVector.equal(1), 3.0)
+    assert (est.value, est.method) == (1.070932892410642, "quadrature")
+    assert est.value == d.lp_norm(3.0)
+    assert weighted_sum_lp(d, CoefficientVector([-1.0]), 3.0).value == est.value
+    for engine in ("convolution", "exact_enum"):
+        with pytest.raises(EngineRefusal):
+            weighted_sum_lp(d, CoefficientVector.equal(1), 3.0, engine=engine)
+    with pytest.raises(EngineRefusal):
+        weighted_sum_lp(d, CoefficientVector.equal(2), 3.0)
+
+
+def test_sum_lp_norms_rows_are_the_one_p_calls():
+    # a row's path is the grid's (auto takes even moments only when every p
+    # is even), so rows match one-p calls where the grid picks the same path
+    a = CoefficientVector.normalized([1.0, 2.0, 2.0])
+    cases = [(d, ps, engine) for d in (RAD, CPOIS, SPOIS)
+             for ps, engine in (([1.0, 2.0, 3.5, 4.0, 9.0], "convolution"),
+                                ([1.0, 2.0, 3.5, 4.0, 9.0], "exact_enum"),
+                                ([2.0, 4.0, 8.0], "auto"))]
+    for d, ps, engine in cases + [(G1, [1.0, 3.5, 4.0], "auto")]:
+        rows = norms.sum_lp_norms(d, a, ps, engine)
+        assert [e.to_json() for e in rows] == \
+            [weighted_sum_lp(d, a, p, engine).to_json() for p in ps]
+    mc = norms.sum_lp_norms(RAD, a, [2.0, 3.0], "monte_carlo", budget=4096, seed=3)
+    assert [e.meta["samples"] for e in mc] == [4096, 4096]
+    with pytest.raises(ValueError, match="p >= 1"):
+        norms.sum_lp_norms(RAD, a, [0.5, 2.0])
+    # the closed form is auto's first path, not an engine of its own
+    with pytest.raises(ValueError, match="unknown exact engine 'quadrature'"):
+        gls_norm(G1, PsiFunction.sqrt_p([2.0, 4.0]), engine="quadrature")
+
+
+#: one law per catalogue record, the discrete record both symmetric and skewed
+CATALOGUE = [RAD, G1, Distribution.gaussian(0.7), CPOIS, SPOIS,
+             Distribution.uniform_symmetric(1.7), SYM_DISCRETE,
+             Distribution.discrete([-1.0, 0.0, 3.0], [0.6, 0.2, 0.2])]
+#: 'lo:hi[:step]' grids as the CLI builds them
+P_GRIDS = {"2:64": np.arange(2.0, 64.0 + 1e-9), "1:30:0.5": np.arange(1.0, 30.0 + 1e-9, 0.5),
+           "2:400": np.arange(2.0, 400.0 + 1e-9)}
+
+
+def _per_p_gls_norm(d, psi):
+    """The one-copy G(psi) norm as its own loop over ||X||_p (the reference
+    the one-term weighted sum must keep): value, attaining p, ||X||_p there."""
+    lp = np.array([d.lp_norm(float(p)) for p in psi.p_grid])
+    ratio = lp / psi.values
+    i = int(np.argmax(ratio))
+    return float(ratio[i]), float(psi.p_grid[i]), float(lp[i])
+
+
+@pytest.mark.parametrize("grid", sorted(P_GRIDS))
+@pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: d.label)
+def test_gls_norm_is_bitwise_the_per_p_loop(d, grid):
+    p = P_GRIDS[grid]
+    for psi in (PsiFunction.sqrt_p(p), PsiFunction.p_power(4.0, p)):
+        est = gls_norm(d, psi)
+        got = (est.value, est.meta["attained_p"], est.meta["lp_at_attained"])
+        assert got == _per_p_gls_norm(d, psi)
+        assert set(est.meta) == {"attained_p", "lp_at_attained"}
+
+
 # ---------------------------------------------------------------------------
 # even-moment path (auto engine, symmetric law, even integer p)
 # ---------------------------------------------------------------------------

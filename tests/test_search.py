@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from khinchine.distributions import Distribution
-from khinchine.genfun import PsiFunction, phi_subgaussian
+from khinchine.genfun import PsiFunction, phi_power, phi_subgaussian
+from khinchine.norms import bphi_norm
 from khinchine.search import (NormSpec, khinchine_inf, khinchine_sup,
                               prelim_bounds, single_norm)
 
@@ -65,6 +66,36 @@ def test_rademacher_lp4_inf_is_one_at_one_hot():
     assert est.value == pytest.approx(1.0, abs=1e-9)
     b = est.witness.entries**2
     assert float(np.max(b)) == pytest.approx(1.0, abs=1e-6)
+
+
+#: one law per catalogue record, the discrete record both symmetric and skewed
+CATALOGUE = [RAD, G1, Distribution.gaussian(0.7), Distribution.centered_poisson(1.0),
+             Distribution.symmetrized_poisson(0.5), Distribution.uniform_symmetric(1.7),
+             Distribution.discrete([-2.0, -0.5, 0.0, 0.5, 2.0], [0.1, 0.25, 0.3, 0.25, 0.1]),
+             Distribution.discrete([-1.0, 0.0, 3.0], [0.6, 0.2, 0.2])]
+#: 'lo:hi[:step]' grids as the CLI builds them
+P_GRIDS = [np.arange(2.0, 64.0 + 1e-9), np.arange(1.0, 30.0 + 1e-9, 0.5),
+           np.arange(2.0, 400.0 + 1e-9)]
+
+
+def _one_copy_norm(d, spec):
+    """The norm of one copy by kind, each through its own path: the
+    reference for the n = 1 term of the weighted-sum dispatch."""
+    if spec.kind == "lp":
+        return d.lp_norm(spec.p)
+    if spec.kind == "bphi":
+        return bphi_norm(d, spec.phi).value
+    lp = np.array([d.lp_norm(float(p)) for p in spec.psi.p_grid])
+    return float(np.max(lp / spec.psi.values))
+
+
+@pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: d.label)
+def test_single_norm_is_bitwise_each_kind_s_own_path(d):
+    specs = [NormSpec.lp(float(p)) for grid in P_GRIDS for p in grid]
+    specs += [NormSpec.gls(PsiFunction.sqrt_p(grid)) for grid in P_GRIDS]
+    specs += [NormSpec.bphi(phi) for phi in (PHI2, phi_power(3.0))]
+    for spec in specs:
+        assert single_norm(d, spec) == _one_copy_norm(d, spec), spec.label
 
 
 @pytest.mark.parametrize("spec", [NormSpec.lp(4.0),
