@@ -3,12 +3,17 @@
 Subcommands: phi, norm, khinchine, verify, entropy. A subcommand is one entry
 of `COMMANDS`: the arguments its handler reads, after --seed, --format and
 --out, which every subcommand shares, and the handler, which returns its
-report payload; an option the handler would not read exits 2. Every run
-prints one JSON report embedding the tool version, the fully resolved
-configuration, and the seed; reports are byte-identical across repeated runs
-and across --threads settings. Exit codes: 0 success; 1 when the report says
-"pass": false (a verify suite found its inequality violated); 2 on a
-precondition or configuration error.
+report payload; an option the handler would not read exits 2, reported by
+the subcommand's own parser. Every run prints one JSON report embedding the
+tool version, the fully resolved configuration, and the seed; reports are
+byte-identical across repeated runs and across --threads settings. Exit
+codes: 0 success; 1 when the report says "pass": false (a verify suite found
+its inequality violated); 2 on a precondition or configuration error.
+
+Thread policy: --threads is the only parallelism. OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS are set to 1 before numpy loads unless
+the caller set them: no BLAS pool spins beside the work, and a long dot
+product's bits do not follow the pool size.
 """
 
 from __future__ import annotations
@@ -18,8 +23,13 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
+
+# the thread policy (see above), before the first numpy import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -244,8 +254,7 @@ def _thm41(a) -> dict:
 
 def _pythagoras(a) -> dict:
     laws = [parse_distribution(s) for s in a.laws.split(",")] if a.laws else None
-    return pythagoras_check(parse_phi(a.phi), laws=laws, trials=a.trials, seed=a.seed,
-                            threads=a.threads)
+    return pythagoras_check(parse_phi(a.phi), laws=laws, trials=a.trials, seed=a.seed)
 
 
 def _dudley(a) -> dict:
@@ -359,7 +368,7 @@ COMMANDS = {
                           parse_distribution(a.law), a.p, parse_weights(a.weights),
                           engine=a.engine, budget=a.samples, seed=a.seed)),
         "pythagoras": ([PHI, arg("--laws", default=None, help="comma-separated " + LAW_HELP),
-                        TRIALS, THREADS],
+                        TRIALS],
                        _pythagoras),
         "tail": ([LAW, PHI, WEIGHTS, arg("--u", default="0.5,1,1.5,2,2.5,3"), SAMPLES],
                  lambda a: tail_compare(
@@ -389,6 +398,16 @@ COMMANDS = {
 # parser
 # ---------------------------------------------------------------------------
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports an argument its subcommand does not take with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -401,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
     for command, (help_, subcommands) in COMMANDS.items():
-        subs = sub.add_parser(command, help=help_).add_subparsers(dest="subcommand",
-                                                                  required=True)
+        subs = sub.add_parser(command, help=help_).add_subparsers(
+            dest="subcommand", required=True, parser_class=_SubcommandParser)
         for name, (arguments, handler) in subcommands.items():
             sp = subs.add_parser(name, parents=[common])
             for flags, options in arguments:

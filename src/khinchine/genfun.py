@@ -500,7 +500,7 @@ def _kappa_candidates(phis, n_max: int, restarts: int, seed: int,
     for n in candidate_sizes(N):
         groups = _group_phis(phis[:n])
 
-        def value(b, rows):
+        def value(b, rows, k):
             x = lams[rows] * np.sqrt(np.maximum(b, 0.0))
             refused = np.any([np.any(x[:, idx] >= p.lambda0, axis=1) for p, idx in groups], axis=0)
             x[refused] = 0.0

@@ -118,19 +118,19 @@ class NormEstimate:
 # exact weighted-sum distributions
 # ---------------------------------------------------------------------------
 
-def _scaled_supports(d: Distribution, a: CoefficientVector):
+def _scaled_supports(d: Distribution, weights):
     sup = d.finite_support()
     if sup is None:
         raise EngineRefusal(
             f"law {d.label} has no finite support; use the monte_carlo engine")
     v, p = sup
-    return [(ak * v, p) for ak in a.entries]
+    return [(ak * v, p) for ak in weights]
 
 
 def enum_distribution(d: Distribution, a: CoefficientVector,
                       budget: int = ENUM_STATE_BUDGET):
     """Exact product-state enumeration of sum a_k X_k; (values, probs)."""
-    parts = _scaled_supports(d, a)
+    parts = _scaled_supports(d, a.entries)
     states = 1
     for v, _ in parts:
         states *= v.size
@@ -146,16 +146,21 @@ def enum_distribution(d: Distribution, a: CoefficientVector,
     return vals, probs
 
 
-def conv_distribution(d: Distribution, a: CoefficientVector,
-                      max_points: int = CONV_POINT_BUDGET):
-    """Sequential convolution with support collapsed at 1e-12; exact for
-    lattice-aligned weights, refuses when the support would explode."""
-    parts = _scaled_supports(d, a)
-    vals = np.array([0.0])
-    probs = np.array([1.0])
-    for v, p in parts:
+def conv_distribution(d: Distribution, weights, max_points: int = CONV_POINT_BUDGET,
+                      law: tuple | None = None, moments_only: bool = False):
+    """The law (values, probs) of S + sum_k weights[k] X_k, S on law (default
+    0), by sequential convolution with the support collapsed at 1e-12; exact
+    for lattice-aligned weights, refuses when the support would explode. With
+    moments_only a last term that fits max_points is not collapsed: merging
+    points within 1e-12 at their mean moves a moment at second order only,
+    and the sort is most of the cost."""
+    vals, probs = law or (np.array([0.0]), np.array([1.0]))
+    parts = _scaled_supports(d, weights)
+    for i, (v, p) in enumerate(parts, 1):
         vals = (vals[:, None] + v[None, :]).ravel()
         probs = (probs[:, None] * p[None, :]).ravel()
+        if moments_only and i == len(parts) and vals.size <= max_points:
+            break
         vals, probs = collapse_support(vals, probs, COLLAPSE_TOL)
         if vals.size > max_points:
             raise EngineRefusal(
@@ -171,11 +176,11 @@ def sum_distribution(d: Distribution, a: CoefficientVector, engine: str = "auto"
         v, p = enum_distribution(d, a, budget or ENUM_STATE_BUDGET)
         return v, p, "exact_enum"
     if engine == "convolution":
-        v, p = conv_distribution(d, a, budget or CONV_POINT_BUDGET)
+        v, p = conv_distribution(d, a.entries, budget or CONV_POINT_BUDGET)
         return v, p, "convolution"
     if engine == "auto":
         try:
-            v, p = conv_distribution(d, a, budget or CONV_POINT_BUDGET)
+            v, p = conv_distribution(d, a.entries, budget or CONV_POINT_BUDGET)
             return v, p, "convolution"
         except EngineRefusal:
             v, p = enum_distribution(d, a, budget or ENUM_STATE_BUDGET)
@@ -183,9 +188,10 @@ def sum_distribution(d: Distribution, a: CoefficientVector, engine: str = "auto"
     raise ValueError(f"unknown exact engine {engine!r}")
 
 
-def _even_sum_moments(d: Distribution, a: CoefficientVector, top: int) -> list:
-    """E S^(2i) for i = 0..top, S = sum a_k X_k with X symmetric, adding one
-    coordinate at a time: m'_{2i} = sum_j C(2i, 2j) a^(2j) mu_{2j} m_{2i-2j}.
+def _even_sum_moments(d: Distribution, weights, top: int, m: list | None = None) -> list:
+    """E (S + sum_k weights[k] X_k)^(2i) for i = 0..top with X symmetric and
+    S symmetric with even moments m[i] = E S^(2i) (default S = 0), adding
+    one term at a time: m'_{2i} = sum_j C(2i, 2j) a^(2j) mu_{2j} m_{2i-2j}.
     Odd moments vanish, so every term is >= 0 and nothing cancels. Raises
     OverflowError where E X^(2 top) or a sum of terms is past the double range."""
     with np.errstate(over="ignore"):
@@ -193,8 +199,8 @@ def _even_sum_moments(d: Distribution, a: CoefficientVector, top: int) -> list:
     if not math.isfinite(mu[-1]):
         raise OverflowError(f"E X^{2 * top} of {d.label} is past the double range")
     binom = [[float(math.comb(2 * i, 2 * j)) for j in range(i + 1)] for i in range(top + 1)]
-    m = [1.0] + [0.0] * top
-    for ak in a.entries:
+    m = m or [1.0] + [0.0] * top
+    for ak in weights:
         a2 = float(ak) * float(ak)
         w = [mu[j] * a2 ** j for j in range(top + 1)]
         m = [math.fsum(binom[i][j] * w[j] * m[i - j] for j in range(i + 1))
@@ -212,16 +218,72 @@ def sum_abs_moments(d: Distribution, a: CoefficientVector, ps, engine: str = "au
     budget, where its moments are finite; anything else builds the law once
     with `sum_distribution` and evaluates every p from it.
     """
-    even = all(float(p).is_integer() and int(p) % 2 == 0 for p in ps)
-    if engine == "auto" and even and d.is_symmetric:
+    if _takes_even_moments(d, ps, engine):
         with contextlib.suppress(OverflowError):
-            m = _even_sum_moments(d, a, max(int(p) // 2 for p in ps))
+            m = _even_sum_moments(d, a.entries, max(int(p) // 2 for p in ps))
             if all(math.isfinite(m[int(p) // 2]) for p in ps):
                 return [m[int(p) // 2] for p in ps], "even_moments", None
     vals, probs, method = sum_distribution(d, a, engine, budget)
+    return _support_moments(vals, probs, ps), method, (vals, probs)
+
+
+def _takes_even_moments(d: Distribution, ps, engine: str) -> bool:
+    """Whether the exact path tries even moments first (see `sum_lp_norms`)."""
+    return engine == "auto" and d.is_symmetric and all(p % 2 == 0 for p in ps)
+
+
+def _support_moments(vals, probs, ps) -> list:
+    """E|S|^p for every p in ps, S on the support (vals, probs)."""
     absv = np.abs(vals)
     with np.errstate(over="ignore"):
-        return [float(np.dot(probs, absv ** p)) for p in ps], method, (vals, probs)
+        return [float(np.dot(probs, absv ** p)) for p in ps]
+
+
+def _fold_rest(d: Distribution, a: CoefficientVector, ps, rest: dict, engine: str,
+               budget: int | None):
+    """`sum_lp_norms` by one fold, for weight vectors that differ only in
+    coordinate k = rest["k"] up to scale: ||sum a_j X_j||_p = r ||U + (a_k /
+    r) X_k||_p with U = sum_{j != k} a_j X_j / r, r^2 = sum_{j != k} a_j^2,
+    the norm being 1-homogeneous. The first call keeps U's law, on the exact
+    path for ps, as rest["law"]: its even moments, its support, or what
+    refused it. A convolution refusal under engine auto takes the
+    enumeration, as the full path does. None where the full path is no fold
+    (Monte Carlo, enumeration, a closed-form sum law) or overflows."""
+    k = rest["k"]
+    others = np.delete(a.entries, k)
+    r = math.sqrt(float(np.dot(others, others)))
+    if engine not in ("auto", "convolution") or not r > 0 or (
+            engine == "auto" and d.sum_law(a.entries) is not None):
+        return None
+    c, support, even = float(a.entries[k]) / r, None, _takes_even_moments(d, ps, engine)
+    try:
+        if "law" not in rest:
+            try:
+                u = others / r
+                rest["law"] = (_even_sum_moments(d, u, max(int(p) // 2 for p in ps)) if even
+                               else conv_distribution(d, u, budget or CONV_POINT_BUDGET))
+            except (OverflowError, EngineRefusal) as exc:
+                rest["law"] = exc
+        law = rest["law"]
+        if isinstance(law, Exception):
+            raise type(law)(*law.args)
+        if even:
+            m = _even_sum_moments(d, [c], len(law) - 1, law)
+            moments = [m[int(p) // 2] for p in ps]
+            if not all(map(math.isfinite, moments)):
+                return None
+        else:
+            support = conv_distribution(d, [c], budget or CONV_POINT_BUDGET, law, True)
+            moments = _support_moments(*support, ps)
+    except OverflowError:
+        return None
+    except EngineRefusal:
+        if engine != "auto":
+            raise
+        return sum_lp_norms(d, a, ps, "exact_enum", budget)
+    method = "even_moments" if support is None else "convolution"
+    return [NormEstimate(r * lp_root(m, p, support), method, meta={"moment": r ** p * m})
+            for m, p in zip(moments, ps)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +317,8 @@ def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | Non
 
 
 def sum_lp_norms(d: Distribution, a: CoefficientVector, ps, engine: str = "auto",
-                 budget: int | None = None, seed: int = 0, threads: int = 1) -> list:
+                 budget: int | None = None, seed: int = 0, threads: int = 1,
+                 rest: dict | None = None) -> list:
     """One NormEstimate of ||sum_k a_k X_k||_p, X_k i.i.d. copies of d, per p.
 
     Engines: exact_enum (finite support, product states within budget),
@@ -266,10 +329,16 @@ def sum_lp_norms(d: Distribution, a: CoefficientVector, ps, engine: str = "auto"
     sum law (gaussian), even moments (symmetric law, every p an even integer;
     exact at any n, no budget; skipped past the double range), convolution,
     enumeration, and last, for one term that no engine takes, |a_1| ||X||_p.
+    With rest = {"k": k}, shared by calls (same d, ps, engine and budget)
+    whose weights differ only in the k-th coordinate up to scale, only that
+    term is folded onto the others' law (`_fold_rest`).
     """
     ps = [float(p) for p in ps]
     if min(ps) < 1:
         raise ValueError("weighted_sum_lp needs p >= 1")
+    folded = None if rest is None else _fold_rest(d, a, ps, rest, engine, budget)
+    if folded is not None:
+        return folded
     if engine == "monte_carlo":
         return _monte_carlo_lp(d, a, ps, budget, seed, threads)
     law = d.sum_law(a.entries) if engine == "auto" else None
@@ -289,9 +358,9 @@ def sum_lp_norms(d: Distribution, a: CoefficientVector, ps, engine: str = "auto"
 
 def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
                     engine: str = "auto", budget: int | None = None,
-                    seed: int = 0, threads: int = 1) -> NormEstimate:
+                    seed: int = 0, threads: int = 1, rest: dict | None = None) -> NormEstimate:
     """||sum_k a_k X_k||_p: the one-p case of `sum_lp_norms`."""
-    return sum_lp_norms(d, a, [p], engine, budget, seed, threads)[0]
+    return sum_lp_norms(d, a, [p], engine, budget, seed, threads, rest)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +438,7 @@ def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None,
             outs.append(np.full(lams.shape, -np.inf))
             oks.append(ok)
             ys.append(y)
-        stacked = np.concatenate(ys)
+        stacked = np.concatenate(ys) if ys else np.empty(0)
         inv = phi_inverse_vec(phi, stacked) if stacked.size else stacked
         at = 0
         for out, ok, y, lams in zip(outs, oks, ys, lams_by_row):
@@ -437,10 +506,16 @@ def sum_log_mgf(laws, weights):
 
 
 def weighted_sum_bphi(d: Distribution, a: CoefficientVector,
-                      phi: GeneratingFunction, **kw) -> NormEstimate:
+                      phi: GeneratingFunction) -> NormEstimate:
     """Norm of sum a_k X_k from the exact product log-MGF."""
-    return bphi_norm(sum_log_mgf(d, a.entries), phi,
-                     variance=d.variance * float(np.dot(a.entries, a.entries)), **kw)
+    return weighted_sum_bphis(d, [a], phi)[0]
+
+
+def weighted_sum_bphis(d: Distribution, cands, phi: GeneratingFunction) -> list:
+    """`weighted_sum_bphi` of every weight vector of cands from one
+    `bphi_norms` call; estimate i has the bits of its own call."""
+    return bphi_norms([sum_log_mgf(d, a.entries) for a in cands], phi,
+                      variances=[d.variance * float(np.dot(a.entries, a.entries)) for a in cands])
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +524,11 @@ def weighted_sum_bphi(d: Distribution, a: CoefficientVector,
 
 def weighted_sum_gls(d: Distribution, a: CoefficientVector, psi: PsiFunction,
                      engine: str = "auto", budget: int | None = None,
-                     seed: int = 0, threads: int = 1) -> NormEstimate:
+                     seed: int = 0, threads: int = 1, rest: dict | None = None) -> NormEstimate:
     """sup over the psi grid of ||sum a_k X_k||_p / psi(p), from one
-    `sum_lp_norms` call (one law build or one set of draws); reports the
-    attaining p and the L_p norm there."""
-    ests = sum_lp_norms(d, a, psi.p_grid, engine, budget, seed, threads)
+    `sum_lp_norms` call (one law build or one set of draws, or one fold onto
+    `rest`); reports the attaining p and the L_p norm there."""
+    ests = sum_lp_norms(d, a, psi.p_grid, engine, budget, seed, threads, rest)
     ratio = [est.value / float(psi_p) for est, psi_p in zip(ests, psi.values)]
     i = int(np.argmax(ratio))
     sampled = {"samples": ests[i].meta["samples"]} if ests[i].method == "monte_carlo" else {}

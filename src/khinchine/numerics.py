@@ -182,17 +182,20 @@ def coordinate_search(f, b0, maximize: bool, max_evals: int = 250):
     from every row of b0, all rows in lockstep; returns (b, values, evals),
     one row, value and evaluation count per start.
 
-    b0 is 2-d. f(b, rows) gives one value per row of b, row i being start
-    rows[i]; NaN means refused. A start is normalized to sum 1. Each sweep
-    tries, for every coordinate k in turn, b_k * step and then b_k / step
-    (b_k floored at 1e-12, the vector renormalized), and keeps a move that
-    gains more than 1e-13. A sweep without a gain halves step - 1, from 1.5;
-    a row stops once step <= 1.01 or after max_evals evaluations. A row
-    refused at its start keeps it, with value NaN and one evaluation. The
-    rows share only the calls to f, so each ends on its bits alone."""
+    b0 is 2-d. f(b, rows, k) gives one value per row of b, row i being start
+    rows[i]; NaN means refused; k is the coordinate the trial moved (None at
+    the starts), so f may share work between the two trials of a visit,
+    which keep the ratios of the other coordinates. A start is normalized to
+    sum 1. Each sweep tries, for every coordinate k in turn, b_k * step and
+    then b_k / step (b_k floored at 1e-12, the vector renormalized), and
+    keeps a move that gains more than 1e-13. A sweep without a gain halves
+    step - 1, from 1.5; a row stops once step <= 1.01 or after max_evals
+    evaluations. A row refused at its start keeps it, with value NaN and one
+    evaluation. The rows share only the calls to f, so each ends on its bits
+    alone."""
     sign = 1.0 if maximize else -1.0
     b = b0 / b0.sum(axis=1, keepdims=True)
-    cur = sign * f(b, np.arange(len(b)))
+    cur = sign * f(b, np.arange(len(b)), None)
     step = np.full(len(b), 1.5)
     count, evals = 1, np.ones(len(b), dtype=int)  # count: each live row's evaluations
     live = np.flatnonzero(~np.isnan(cur))
@@ -202,7 +205,7 @@ def coordinate_search(f, b0, maximize: bool, max_evals: int = 250):
             nb = b[live]
             nb[:, k] = np.maximum(nb[:, k], 1e-12) * (step[live] if grow else 1.0 / step[live])
             nb /= nb.sum(axis=1, keepdims=True)
-            val = sign * f(nb, live)
+            val = sign * f(nb, live, k)
             count += 1
             up = val > cur[live] + 1e-13
             b[live[up]], cur[live[up]] = nb[up], val[up]

@@ -6,6 +6,15 @@ only certify one side; estimates are reported with an explicit direction and
 the witnessing weight vector. The scan reads `numerics.weight_candidates`
 and the local search is `numerics.coordinate_search`, both shared with
 kappa; `weight_candidates` says when the bounds grow with n_max and restarts.
+
+Leave-one-out trials: the two trials at coordinate k keep the other
+weights' ratios, so for lp and gls norms on the even-moment and convolution
+engines the local search builds the law of U = sum_{j != k} a_j X_j / r,
+r^2 = sum_{j != k} a_j^2, once per visit (`norms._fold_rest`) and scores a
+trial by one more term: ||S|| = r ||U + (a_k / r) X_k||, the norm being
+1-homogeneous. The starts, the scan, Monte Carlo, the closed-form sum law,
+enumeration and any overflow take the full path; a refused U refuses the
+trials before any fold. Bphi rows share one `bphi_norms` call per step.
 """
 
 from __future__ import annotations
@@ -19,8 +28,8 @@ import numpy as np
 
 from .distributions import Distribution
 from .genfun import GeneratingFunction, PsiFunction
-from .norms import (CoefficientVector, EngineRefusal, NormEstimate,
-                    weighted_sum_bphi, weighted_sum_gls, weighted_sum_lp)
+from .norms import (CoefficientVector, EngineRefusal, NormEstimate, weighted_sum_bphi,
+                    weighted_sum_bphis, weighted_sum_gls, weighted_sum_lp)
 from .numerics import (candidate_sizes, coordinate_search, substream,
                        weight_candidates)
 
@@ -77,36 +86,39 @@ class NormKind:
     field: str  # the NormSpec field the kind reads; the CLI form is '<kind>:<field>'
     needs: str  # what the field must hold, for the validation error
     label: Callable  # (v) -> str
-    sum_norm: Callable  # (d, a, v, engine, budget, seed) -> NormEstimate of sum a_k X_k
+    sum_norm: Callable  # (d, a, v, engine, budget, seed, rest) -> NormEstimate of sum a_k X_k
     valid: Callable = lambda v: True  # (v) -> whether a value given for the field is valid
+    rows: Callable | None = None  # (d, [a], v) -> NormEstimates of many sums in one call
 
 
 NORM_KINDS: dict[str, NormKind] = {
     "lp": NormKind(
         field="p", needs="p >= 1", valid=lambda p: not p < 1,
         label=lambda p: f"lp({p!r})",
-        sum_norm=lambda d, a, p, engine, budget, seed: weighted_sum_lp(
-            d, a, p, engine=engine, budget=budget, seed=seed),
+        sum_norm=lambda d, a, p, engine, budget, seed, rest: weighted_sum_lp(
+            d, a, p, engine=engine, budget=budget, seed=seed, rest=rest),
     ),
     "gls": NormKind(
         field="psi", needs="a psi function",
         label=lambda psi: f"gls({psi.provenance})",
-        sum_norm=lambda d, a, psi, engine, budget, seed: weighted_sum_gls(
-            d, a, psi, engine=engine, budget=budget, seed=seed),
+        sum_norm=lambda d, a, psi, engine, budget, seed, rest: weighted_sum_gls(
+            d, a, psi, engine=engine, budget=budget, seed=seed, rest=rest),
     ),
     "bphi": NormKind(
         field="phi", needs="a generating function",
         label=lambda phi: f"bphi({phi.label})",
-        sum_norm=lambda d, a, phi, engine, budget, seed: weighted_sum_bphi(d, a, phi),
+        sum_norm=lambda d, a, phi, engine, budget, seed, rest: weighted_sum_bphi(d, a, phi),
+        rows=lambda d, cands, phi: weighted_sum_bphis(d, cands, phi),
     ),
 }
 
 
 def sum_norm(d: Distribution, a: CoefficientVector, spec: NormSpec,
              engine: str = "auto", budget: int | None = None,
-             seed: int = 0) -> NormEstimate:
-    """Norm of sum a_k X_k under the given spec."""
-    return spec.record.sum_norm(d, a, spec.param, engine, budget, seed)
+             seed: int = 0, rest: dict | None = None) -> NormEstimate:
+    """Norm of sum a_k X_k under the given spec; `rest` as in
+    `norms.sum_lp_norms` (lp and gls)."""
+    return spec.record.sum_norm(d, a, spec.param, engine, budget, seed, rest)
 
 
 def single_norm(d: Distribution, spec: NormSpec) -> float:
@@ -152,13 +164,10 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
             if tuple(a.entries) < tuple(best_wit.entries):
                 best_wit = a
 
-    def norm(a: CoefficientVector) -> float:
-        return sum_norm(d, a, spec, engine=engine, budget=budget, seed=seed).value
-
     for kind, entries in weight_candidates(n_max, exchangeable=True):
         a = CoefficientVector(entries)
         try:
-            val = norm(a)
+            val = sum_norm(d, a, spec, engine=engine, budget=budget, seed=seed).value
         except EngineRefusal as exc:
             refusals += 1
             trace.append({"kind": kind, "n": a.n, "refused": str(exc)})
@@ -176,11 +185,19 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
         def weights(b, r):
             return CoefficientVector.normalized(signs[r] * np.sqrt(b))
 
-        def f(b, rows):
+        visit = {"k": None, "rests": {}}  # the coordinate visited; each start's rest there
+
+        def f(b, rows, k):
+            cands = [weights(b[i], r) for i, r in enumerate(rows)]
+            if spec.record.rows is not None:  # bphi: each row has the bits of its own call
+                return np.array([e.value for e in spec.record.rows(d, cands, spec.param)])
+            if k != visit["k"]:  # a new visit: its two trials share one rest per start
+                visit.update(k=k, rests={r: {"k": k} for r in rows})
             out = np.full(len(rows), math.nan)  # NaN: refused
-            for i, r in enumerate(rows):
+            for i, (r, a) in enumerate(zip(rows, cands)):
                 with contextlib.suppress(EngineRefusal):
-                    out[i] = norm(weights(b[i], r))
+                    out[i] = sum_norm(d, a, spec, engine=engine, budget=budget, seed=seed,
+                                      rest=visit["rests"].get(r)).value
             return out
 
         b, vals, evals = coordinate_search(f, starts, maximize)

@@ -41,6 +41,8 @@ from .numerics import geometric_grid, ordered_map, substream
 C_R = 1.776379
 
 SLACK_TOL = 1e-9
+#: trials per `bphi_norms` call of `pythagoras_check`; the call's arrays grow with it
+PYTHAGORAS_BLOCK = 8
 
 
 class PreconditionError(RuntimeError):
@@ -261,33 +263,38 @@ def verify_thm51(d: Distribution, p_values=(2.0, 4.0, 6.0, 8.0),
 # ---------------------------------------------------------------------------
 
 def pythagoras_check(phi: GeneratingFunction, laws=None, trials: int = 1000,
-                     seed: int = 0, threads: int = 1) -> dict:
+                     seed: int = 0) -> dict:
     """Check ||sum eta_j||^2 <= sum ||eta_j||^2 for 2..5 independent scaled
     summands drawn from the pool, with the sum's norm computed from the exact
-    product log-MGF. Gaussian-only draws must achieve equality."""
+    product log-MGF. Gaussian-only draws must achieve equality. The part
+    norms and sum norms of PYTHAGORAS_BLOCK trials come from one
+    `bphi_norms` call, each with the bits of its own call."""
     _require_conv2(phi)
     pool = list(laws) if laws is not None else [Distribution.rademacher(),
                                                 Distribution.gaussian(1.0)]
-
-    def one_trial(t: int):
-        rng = substream(seed, 0x9717, t)
-        k = int(rng.integers(2, 6))
-        idx = rng.integers(0, len(pool), size=k)
-        scales = rng.uniform(0.5, 1.5, size=k)
-        terms = [pool[i] for i in idx]
-        # the k part norms and the sum's norm in one batch
-        sources = [sum_log_mgf([law], [c]) for law, c in zip(terms, scales)]
-        sources.append(sum_log_mgf(terms, scales))
-        variances = [c * c * law.variance for law, c in zip(terms, scales)]
-        variances.append(sum(variances))
-        *part_norms, sum_norm = bphi_norms(sources, phi, variances=variances)
-        rhs = 0.0
-        for est in part_norms:
-            rhs += est.value * est.value
-        # scaled sums of a stable law (the Gaussian) attain equality
-        return sum_norm.value ** 2 - rhs, all(law.is_stable for law in terms)
-
-    results = ordered_map(one_trial, range(trials), threads)
+    results = []
+    for block in range(0, trials, PYTHAGORAS_BLOCK):
+        sources, variances, draws = [], [], []
+        for t in range(block, min(block + PYTHAGORAS_BLOCK, trials)):
+            rng = substream(seed, 0x9717, t)
+            k = int(rng.integers(2, 6))
+            idx = rng.integers(0, len(pool), size=k)
+            scales = rng.uniform(0.5, 1.5, size=k)
+            terms = [pool[i] for i in idx]
+            # the k part norms, then the sum's norm
+            sources += [sum_log_mgf([law], [c]) for law, c in zip(terms, scales)]
+            sources.append(sum_log_mgf(terms, scales))
+            parts = [c * c * law.variance for law, c in zip(terms, scales)]
+            variances += parts + [sum(parts)]
+            draws.append((k, all(law.is_stable for law in terms)))
+        ests, at = bphi_norms(sources, phi, variances=variances), 0
+        for k, stable in draws:
+            rhs = 0.0
+            for est in ests[at:at + k]:
+                rhs += est.value * est.value
+            # scaled sums of a stable law (the Gaussian) attain equality
+            results.append((ests[at + k].value ** 2 - rhs, stable))
+            at += k + 1
     max_violation = float(np.max([r[0] for r in results]))
     gauss_dev = [abs(r[0]) for r in results if r[1]]
     max_gauss_dev = float(np.max(gauss_dev)) if gauss_dev else 0.0

@@ -231,8 +231,9 @@ def test_report_embeds_version_config_seed(capsys):
 
 
 def test_byte_identical_across_runs_and_threads(capsys):
-    # `phi legendre` and `khinchine sup` take no --threads: they run as given
-    unthreaded = {("phi", "legendre"), ("khinchine", "sup")}
+    # `phi legendre`, `khinchine sup` and `verify pythagoras` take no --threads:
+    # they run as given
+    unthreaded = {("phi", "legendre"), ("khinchine", "sup"), ("verify", "pythagoras")}
     cmds = [
         ["phi", "legendre", "--family", "natural:rademacher", "--u", "0.5"],
         ["norm", "lp", "--law", "rademacher", "--weights", "equal:4", "--p", "4",
@@ -303,8 +304,7 @@ def test_monte_carlo_stdout_independent_of_blas_threads(tmp_path):
     ["verify", "thm31", "--law", "rademacher", "--phi", "subgaussian", "--trials", "7"],
     ["verify", "thm32", "--law", "rademacher", "--phi", "subgaussian", "--trials", "7",
      "--nmax", "6"],
-    ["verify", "pythagoras", "--phi", "subgaussian", "--trials", "5"],
-], ids=["thm31", "thm32", "pythagoras"])
+], ids=["thm31", "thm32"])
 def test_verify_stdout_identical_across_uneven_thread_blocks(capsys, cmd):
     # odd trial counts split into blocks of unequal size
     outs = {threads: run(capsys, cmd + ["--seed", "4", "--threads", threads])
@@ -435,7 +435,8 @@ SURFACE = [
      {"law": "rademacher", "p_values": "2,4,6,8", "n_values": "4,16,64", **ENGINE}),
     ("verify rosenthal", "--law rademacher --p 4 --weights equal:2",
      {"law": "rademacher", "p": 4.0, "weights": "equal:2", **ENGINE}),
-    ("verify pythagoras", "--phi subgaussian", {"phi": "subgaussian", "laws": None, **TRIALS}),
+    ("verify pythagoras", "--phi subgaussian", {"phi": "subgaussian", "laws": None,
+                                                "trials": 1000}),
     ("verify tail", "--law rademacher --weights equal:2 --phi subgaussian",
      {"law": "rademacher", "phi": "subgaussian", "weights": "equal:2", "u": "0.5,1,1.5,2,2.5,3",
       "samples": None}),
@@ -502,6 +503,81 @@ def test_an_unread_option_exits_two(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert "unrecognized arguments" in captured.err
+
+
+def test_an_unread_option_is_reported_by_its_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["phi", "eval", "--family", "subgaussian", "--lambda", "1", "--nmax", "3"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: khinchine phi eval ") and "--lambda LAM" in err
+    assert err.rstrip().endswith("khinchine phi eval: error: unrecognized arguments: --nmax 3")
+    # the parser that reports it leaves nothing in the echoed config
+    code, rep = run_json(capsys, ["phi", "eval", "--family", "subgaussian", "--lambda", "1"])
+    assert code == 0 and sorted(rep["config"]) == [
+        "command", "family", "format", "lam", "seed", "subcommand"]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(code_or_args, given=None):
+    """Run `python` in a fresh process on the package source, with the BLAS
+    thread variables unset except OPENBLAS_NUM_THREADS=given; its stdout."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    args = ["-c", code_or_args] if isinstance(code_or_args, str) else code_or_args
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True, timeout=120).stdout
+
+
+def test_import_khinchine_starts_no_numpy_and_keeps_the_environment():
+    assert _python(
+        "import os, sys\n"
+        "env = dict(os.environ)\n"
+        "import khinchine\n"
+        "assert 'numpy' not in sys.modules and dict(os.environ) == env\n"
+        "assert khinchine.Distribution.rademacher().variance == 1.0\n"
+        "print('numpy' in sys.modules)\n") == "True\n"
+
+
+@pytest.mark.parametrize("given", [None, "2"], ids=["unset", "set"])
+def test_cli_runs_blas_on_one_thread_unless_the_caller_says(given):
+    # khinchine.cli as `python -m` runs it, then the thread variables and the
+    # process's thread count (OpenBLAS starts its pool when numpy loads)
+    out = _python(
+        "import os, runpy, sys\n"
+        "sys.argv = ['khinchine', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('khinchine.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))\n"
+        "status = '/proc/self/status'\n"
+        "print(next((l.split()[1] for l in open(status) if l.startswith('Threads:')), 1)\n"
+        "      if os.path.exists(status) else 1)\n", given).split("\n")
+    assert out[0] == "0.1.0"
+    assert out[1] == ("1 1 1" if given is None else f"{given} 1 1")
+    if given is None:
+        assert out[2] == "1"
+
+
+def test_convolution_report_is_the_same_bytes_with_blas_threads_unset_and_one():
+    # 2^16 support points: numpy's dot of the moment sum goes through
+    # OpenBLAS's threaded kernel, whose bits follow the pool size
+    w = ",".join(repr(float(x)) for x in np.random.default_rng(1).uniform(0.5, 1.5, 16))
+    cmd = ["-m", "khinchine.cli", "norm", "lp", "--law", "rademacher", "--weights",
+           f"list:{w}", "--p", "3", "--engine", "convolution"]
+    unset, one = _python(cmd), _python(cmd, "1")
+    assert json.loads(unset)["report"]["meta"]["support_points"] == 2 ** 16
+    assert unset == one
 
 
 def test_every_bench_job_parses(monkeypatch):

@@ -340,7 +340,7 @@ def test_kappa_dominates_first_component():
 def _coordinate_search_one(evaluate, b0, maximize, max_evals=250):
     sign = 1.0 if maximize else -1.0
     b = b0 / b0.sum()
-    cur = evaluate(b)
+    cur = evaluate(b, None)
     if cur is None:
         return None
     cur *= sign
@@ -353,7 +353,7 @@ def _coordinate_search_one(evaluate, b0, maximize, max_evals=250):
                 nb = b.copy()
                 nb[k] = max(nb[k], 1e-12) * factor
                 nb /= nb.sum()
-                val = evaluate(nb)
+                val = evaluate(nb, k)
                 evals += 1
                 if val is not None and sign * val > cur + 1e-13:
                     b, cur = nb, sign * val
@@ -371,8 +371,8 @@ def _per_row(f, b0, maximize, max_evals=250):
     """`coordinate_search` as the reference run on each row of b0 alone."""
     out = []
     for r, row in enumerate(np.asarray(b0, dtype=float)):
-        def evaluate(b, r=r):
-            v = float(f(b[None, :], np.array([r]))[0])
+        def evaluate(b, k, r=r):
+            v = float(f(b[None, :], np.array([r]), k)[0])
             return None if math.isnan(v) else v
         res = _coordinate_search_one(evaluate, row, maximize, max_evals)
         out.append(res if res is not None else (row / row.sum(), math.nan, 1))
@@ -414,10 +414,13 @@ def _cycled(pool, n):
     return [pool[k % len(pool)] for k in range(n)]
 
 
-def _targets_f(targets, refuse_from=None, refuse_above=None, seen=None):
-    """f(b, rows) = -|b - targets[r]|^2 per row; NaN for every b of row
-    refuse_from and wherever b_0 > 0.5 on row refuse_above."""
-    def f(b, rows):
+def _targets_f(targets, refuse_from=None, refuse_above=None, seen=None, moves=None):
+    """f(b, rows, k) = -|b - targets[r]|^2 per row; NaN for every b of row
+    refuse_from and wherever b_0 > 0.5 on row refuse_above. moves, when
+    given, collects the (row, k) of every row of every call."""
+    def f(b, rows, k):
+        if moves is not None:
+            moves.extend((int(r), k) for r in rows)
         out = -np.sum((b - targets[rows]) ** 2, axis=1)
         if refuse_above is not None:
             cut = (rows == refuse_above) & (b[:, 0] > 0.5)
@@ -454,6 +457,19 @@ def test_coordinate_search_is_bitwise_the_per_start_loop(maximize, n, max_evals)
         assert evals[4] == 12 * n + 1 and len(set(evals.tolist())) > 3
     else:
         assert max_evals in evals.tolist()
+
+
+def test_coordinate_search_tells_f_the_coordinate_each_trial_moved():
+    # each row sees the k of its every trial (None at its start) as the
+    # per-row loop moves it, whichever rows share the call
+    rng = np.random.default_rng(5)
+    b0, targets = rng.dirichlet(np.ones(4), size=3), rng.dirichlet(np.ones(4), size=3)
+    moves, ref_moves = [], []
+    coordinate_search(_targets_f(targets, moves=moves), b0, True, 60)
+    _per_row(_targets_f(targets, moves=ref_moves), b0, True, 60)
+    assert sorted(moves, key=lambda m: m[0]) == ref_moves
+    assert [k for r, k in ref_moves if r == 0][:4] == [None, 0, 0, 1]
+
 
 TAB4 = phi_tabulated([0.0, 0.5, 1.0, 2.0, 3.0], [0.0, 0.125, 0.5, 2.0, 4.5])
 NAT_GAUSS = phi_natural(Distribution.gaussian(1.0))

@@ -275,7 +275,7 @@ def test_even_moment_overflow_falls_through_to_the_support():
     for p in (8.0, 200.0):
         mom = weighted_sum_lp(SPOIS, a, p)
         assert mom.method == "even_moments"
-        assert mom.meta["moment"] == norms._even_sum_moments(SPOIS, a, int(p) // 2)[-1]
+        assert mom.meta["moment"] == norms._even_sum_moments(SPOIS, a.entries, int(p) // 2)[-1]
 
 
 def test_one_term_sum_of_a_continuous_law_is_its_norm():

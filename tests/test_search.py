@@ -110,6 +110,17 @@ def test_one_hot_anchor(spec):
     assert inf.value <= anchor + 1e-9
 
 
+@pytest.mark.parametrize("spec", [NormSpec.lp(3.0),
+                                  NormSpec.gls(PsiFunction.sqrt_p(np.arange(2.0, 9.0))),
+                                  NormSpec.bphi(PHI2)],
+                         ids=["lp", "gls", "bphi"])
+def test_no_restarts_is_the_scan_alone(spec):
+    est = khinchine_sup(RAD, spec, n_max=4, restarts=0, seed=0)
+    assert not any(t["kind"] == "local_search" for t in est.trace)
+    values = [t["value"] for t in est.trace]
+    assert est.value in values and est.value >= max(values) - 1e-12
+
+
 def test_bphi_spec_search_is_flat_for_rademacher():
     est = khinchine_sup(RAD, NormSpec.bphi(PHI2), n_max=8, restarts=1, seed=0)
     assert est.value == pytest.approx(1.0, abs=1e-6)
@@ -194,3 +205,96 @@ def test_scan_and_local_search_share_one_tie_break(monkeypatch, maximize):
     best = min(cands)
     assert best not in scanned
     assert tuple(est.witness.entries) == best
+
+
+# leave-one-out trial moves: the local search scores both trials at
+# coordinate k from one law of the other terms, kept in their shared rest
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from khinchine.norms import CoefficientVector, EngineRefusal  # noqa: E402
+from khinchine.search import sum_norm  # noqa: E402
+
+LOO_LAWS = {"rademacher": RAD,
+            "discrete": Distribution.discrete([-2.0, -0.5, 0.0, 0.5, 2.0],
+                                              [0.1, 0.25, 0.3, 0.25, 0.1]),
+            "centered-poisson:1": Distribution.centered_poisson(1.0)}
+LOO_SPECS = {"lp:1.5": NormSpec.lp(1.5), "lp:3": NormSpec.lp(3.0), "lp:4": NormSpec.lp(4.0),
+             "gls:sqrtp": NormSpec.gls(PsiFunction.sqrt_p(np.arange(2.0, 65.0)))}
+
+
+def _score(d, a, spec, engine, budget, rest=None):
+    try:
+        return sum_norm(d, a, spec, engine=engine, budget=budget, rest=rest).value
+    except EngineRefusal:
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(law=st.sampled_from(sorted(LOO_LAWS)), spec=st.sampled_from(sorted(LOO_SPECS)),
+       engine=st.sampled_from(["auto", "convolution"]),
+       # the Poisson support has 17 points: its default budget is 2^18 points
+       # of 6 terms' worth of sorting per trial, so it runs on 4096
+       small_budget=st.booleans(),
+       terms=st.lists(st.tuples(st.floats(1e-3, 1.0), st.booleans()), min_size=1, max_size=6))
+def test_leave_one_out_trials_are_the_full_path(law, spec, engine, small_budget, terms):
+    d, spec = LOO_LAWS[law], LOO_SPECS[spec]
+    budget = 64 if small_budget else (4096 if law == "centered-poisson:1" else None)
+    b = np.array([t[0] for t in terms])
+    signs = np.array([1.0 if t[1] else -1.0 for t in terms])
+    b /= b.sum()
+    for k in range(b.size):
+        trials = []
+        for factor in (1.5, 1 / 1.5):
+            nb = b.copy()
+            nb[k] *= factor
+            trials.append(CoefficientVector.normalized(signs * np.sqrt(nb / nb.sum())))
+        rest = {"k": k}
+        for a in trials:
+            full = _score(d, a, spec, engine, budget)
+            loo = _score(d, a, spec, engine, budget, rest)
+            # the first trial built the other terms' law; one term has none
+            assert ("law" in rest) == (b.size > 1)
+            assert (loo is None) == (full is None), (k, a.entries)
+            if full is not None:
+                assert abs(loo - full) <= 1e-12 * full, (k, a.entries, loo, full)
+
+
+def test_a_refused_rest_refuses_the_later_trials_before_any_fold(monkeypatch):
+    from khinchine import norms
+    lp3 = LOO_SPECS["lp:3"]
+    a6, a20 = (CoefficientVector.normalized(np.random.default_rng(3).uniform(0.5, 1.5, n))
+               for n in (6, 20))
+    small, large = {"k": 2}, {"k": 2}
+    with pytest.raises(EngineRefusal):  # the other 5 terms: 32 points
+        sum_norm(RAD, a6, lp3, engine="convolution", budget=16, rest=small)
+    # auto: the other 19 terms pass the convolution's 2^18 points, and 20
+    # terms are within the enumeration's 2^22 states, where the full path ends
+    full = sum_norm(RAD, a20, lp3)
+    assert full.method == "exact_enum" and sum_norm(RAD, a20, lp3, rest=large) == full
+    assert isinstance(small["law"], EngineRefusal) and isinstance(large["law"], EngineRefusal)
+    folds = []
+    monkeypatch.setattr(norms, "collapse_support", lambda *x: folds.append(x))
+    with pytest.raises(EngineRefusal):
+        sum_norm(RAD, a6, lp3, engine="convolution", budget=16, rest=small)
+    assert sum_norm(RAD, a20, lp3, rest=large) == full
+    assert folds == []
+
+
+def test_both_trials_of_a_visit_share_one_rest(monkeypatch):
+    from collections import Counter
+    from khinchine import search
+    rests = []
+    full = search.sum_norm
+
+    def counted(*args, rest=None, **kw):
+        rests.append(rest)
+        return full(*args, rest=rest, **kw)
+
+    monkeypatch.setattr(search, "sum_norm", counted)
+    est = khinchine_sup(RAD, NormSpec.lp(3.0), n_max=4, restarts=2, seed=5)
+    local = [t for t in est.trace if t["kind"] == "local_search"]
+    assert all(t["evals"] < 250 for t in local)
+    trials = Counter(id(r) for r in rests if r is not None)
+    assert sum(trials.values()) == sum(t["evals"] - 1 for t in local)
+    assert set(trials.values()) == {2}
