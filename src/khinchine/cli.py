@@ -40,7 +40,7 @@ from .genfun import (DomainError, PsiFunction, conv_r_class, kappa, legendre,
                      orlicz_n, overline_phi, parse_phi, phi_catalog, phi_inverse,
                      phi_membership_report, phi_natural, psi_from_phi,
                      tail_envelope)
-from .norms import (CoefficientVector, EngineRefusal, bphi_norm, gls_norm,
+from .norms import (ENGINES, CoefficientVector, EngineRefusal, bphi_norm, gls_norm,
                     weighted_sum_lp)
 from .search import (NORM_KINDS, NormSpec, khinchine_inf, khinchine_sup,
                      prelim_bounds)
@@ -290,8 +290,7 @@ SPACE = arg("--space", required=True, help="CSV or JSON file")
 SAMPLES = arg("--samples", type=int, default=None, help="budget for sampling engines / "
               "enumeration; --engine auto on a symmetric law with even p needs none. Monte "
               "Carlo holds samples/16 floats per thread plus one block of draws, not samples x n")
-ENGINE = arg("--engine", default="auto",
-             choices=["auto", "exact_enum", "convolution", "monte_carlo"])
+ENGINE = arg("--engine", default="auto", choices=list(ENGINES))
 NMAX, RESTARTS = arg("--nmax", type=int, default=32), arg("--restarts", type=int, default=3)
 TRIALS, THREADS = arg("--trials", type=int, default=1000), arg("--threads", type=int, default=1)
 P_GRID = arg("--p-grid", dest="p_grid", default="2:64", help="grid 'lo:hi[:step]' for psi")

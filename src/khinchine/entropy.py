@@ -173,17 +173,15 @@ def _covers(space: FiniteMetricSpace, eps, exact: bool) -> list[list[int]]:
     return covers
 
 
-def covering_number(space: FiniteMetricSpace, eps: float, method: str = "auto"):
-    """Minimal number of closed eps-balls centered at points covering the set.
-
-    method 'auto': exact branch-and-bound set cover up to 20 points, greedy
-    (standard ln-factor guarantee) above, reported with exact=False. 'exact'
-    and 'greedy' force the respective algorithm.
+def covering_number(space: FiniteMetricSpace, eps: float):
+    """Minimal number of closed eps-balls centered at points covering the set:
+    exact branch-and-bound set cover up to EXACT_COVER_LIMIT points, greedy
+    (standard ln-factor guarantee) above, reported with exact=False.
     Returns (count, exact, center_labels).
     """
     if not eps > 0:
         raise ValueError("covering_number needs eps > 0")
-    exact = method == "exact" or (method != "greedy" and space.n <= EXACT_COVER_LIMIT)
+    exact = space.n <= EXACT_COVER_LIMIT
     (sel,) = _covers(space, [eps], exact)
     centers = tuple(space.labels[i] for i in sorted(sel))
     return len(sel), exact, centers

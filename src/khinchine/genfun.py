@@ -33,6 +33,7 @@ OVERFLOW_EXPONENT = 700.0  # exp argument guard, inside double range with headro
 LEGENDRE_GRID_LO = 1e-6
 LEGENDRE_GRID_HI = 1e6
 LEGENDRE_EXTEND_CAP = 1e15
+CONV_LAMBDA_CAP, CONV_GRID_POINTS = 50.0, 10_000  # the Conv_r grid test's range and size
 
 
 class DomainError(ValueError):
@@ -339,24 +340,6 @@ class ConjugateProfile:
         return {"knots": self.knots.tolist(), "values": self.values.tolist(),
                 "lambda_argmax": self.lambda_argmax.tolist()}
 
-    def validate(self, phi: GeneratingFunction, fy_tol: float = 1e-9) -> dict:
-        """Check convexity/monotonicity of the values and the Fenchel-Young
-        inequality on the grid pairs."""
-        finite = np.isfinite(self.values)
-        v = self.values[finite]
-        ok_monotone = bool(np.all(np.diff(v) >= -1e-12))
-        ok_zero = bool(abs(self.values[0]) <= 1e-12) if self.knots[0] == 0.0 else True
-        t = self.knots[finite]
-        s = np.diff(v) / np.diff(t)
-        ok_convex = bool(np.all(np.diff(s) >= -1e-9 * np.maximum(1.0, np.abs(s[:-1]))))
-        lam = np.concatenate([[0.0], geometric_grid(1e-4, 1e2)])
-        lam = lam[lam < phi.lambda0]
-        gap = lam * t[:, None] - (phi(lam) + v[:, None])  # knots x lambda
-        worst = float(np.max(gap, initial=-np.inf))
-        return {"monotone": ok_monotone, "zero_at_zero": ok_zero,
-                "convex": ok_convex, "fenchel_young_max_gap": worst,
-                "fenchel_young_ok": worst <= fy_tol}
-
 
 def conjugate_profile(phi: GeneratingFunction, u_knots) -> ConjugateProfile:
     """phi*(u) = sup over lambda in [0, lambda0) of lambda*u - phi(lambda) at
@@ -427,17 +410,17 @@ class ConvClassResult:
     witness: tuple | None = None  # (t1, t2, t3) with decreasing slope
 
 
-def conv_r_class(phi: GeneratingFunction, r: float,
-                 lam_cap: float = 50.0, n_points: int = 10_000) -> ConvClassResult:
-    """Grid test of whether t -> phi(t^(1/r)) is convex on (0, min(lambda0, cap)^r].
+def conv_r_class(phi: GeneratingFunction, r: float) -> ConvClassResult:
+    """Grid test of whether t -> phi(t^(1/r)) is convex on (0, min(lambda0, CONV_LAMBDA_CAP)^r].
 
-    Convexity on the (log-spaced, hence non-uniform) grid is checked as
-    monotone chord slopes; on failure the first violating triple is returned.
+    Convexity on the CONV_GRID_POINTS log-spaced (hence non-uniform) grid
+    points is checked as monotone chord slopes; on failure the first
+    violating triple is returned.
     """
     if not 1.0 <= r <= 2.0:
         raise DomainError("conv_r_class needs r in [1, 2]")
-    top = min(phi.lambda0 * (1 - 1e-12), lam_cap) ** r
-    t = np.geomspace(top * 1e-12, top, n_points)
+    top = min(phi.lambda0 * (1 - 1e-12), CONV_LAMBDA_CAP) ** r
+    t = np.geomspace(top * 1e-12, top, CONV_GRID_POINTS)
     f = phi(t ** (1.0 / r))
     s = np.diff(f) / np.diff(t)
     defect = np.diff(s)

@@ -1,12 +1,14 @@
 """Norm computations: the exponential-moment norm via its sup formula, L_p
-norms of weighted sums by three engines (exact enumeration, lattice
-convolution, Monte Carlo), and Grand Lebesgue norms over a p-grid."""
+norms of weighted sums, and Grand Lebesgue norms over a p-grid. Every exact
+weighted-sum law comes from one table, `ENGINES` (--engine -> its `Engine`
+records in the order tried), which `sum_lp_norms`, `sum_distribution` and
+the CLI read."""
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -19,6 +21,7 @@ ENUM_STATE_BUDGET = 1 << 22
 CONV_POINT_BUDGET = 1 << 18
 MC_SAMPLES_DEFAULT = 1_000_000
 COLLAPSE_TOL = 1e-12
+REFINE_ROUNDS = 3  # shrinking windows around the B(phi) grid maximizer
 
 
 class EngineRefusal(RuntimeError):
@@ -83,13 +86,10 @@ class CoefficientVector:
         return CoefficientVector(e)
 
     @staticmethod
-    def random_sphere(n: int, rng: np.random.Generator,
-                      nonnegative: bool = False) -> "CoefficientVector":
+    def random_sphere(n: int, rng: np.random.Generator) -> "CoefficientVector":
         v = rng.standard_normal(n)
         while float(np.dot(v, v)) == 0.0:
             v = rng.standard_normal(n)
-        if nonnegative:
-            v = np.abs(v)
         return CoefficientVector.normalized(v)
 
     def to_json(self) -> list:
@@ -115,7 +115,7 @@ class NormEstimate:
 
 
 # ---------------------------------------------------------------------------
-# exact weighted-sum distributions
+# exact weighted-sum laws: one table of engines
 # ---------------------------------------------------------------------------
 
 def _scaled_supports(d: Distribution, weights):
@@ -127,10 +127,9 @@ def _scaled_supports(d: Distribution, weights):
     return [(ak * v, p) for ak in weights]
 
 
-def enum_distribution(d: Distribution, a: CoefficientVector,
-                      budget: int = ENUM_STATE_BUDGET):
-    """Exact product-state enumeration of sum a_k X_k; (values, probs)."""
-    parts = _scaled_supports(d, a.entries)
+def enum_distribution(d: Distribution, weights, budget: int = ENUM_STATE_BUDGET):
+    """Exact product-state enumeration of sum_k weights[k] X_k; (values, probs)."""
+    parts = _scaled_supports(d, weights)
     states = 1
     for v, _ in parts:
         states *= v.size
@@ -147,19 +146,19 @@ def enum_distribution(d: Distribution, a: CoefficientVector,
 
 
 def conv_distribution(d: Distribution, weights, max_points: int = CONV_POINT_BUDGET,
-                      law: tuple | None = None, moments_only: bool = False):
+                      law: tuple | None = None):
     """The law (values, probs) of S + sum_k weights[k] X_k, S on law (default
     0), by sequential convolution with the support collapsed at 1e-12; exact
-    for lattice-aligned weights, refuses when the support would explode. With
-    moments_only a last term that fits max_points is not collapsed: merging
-    points within 1e-12 at their mean moves a moment at second order only,
-    and the sort is most of the cost."""
+    for lattice-aligned weights, refuses when the support would explode. On
+    a given law (a fold's, read for moments only) a last term that fits
+    max_points is not collapsed: merging points within 1e-12 at their mean
+    moves a moment at second order only, and the sort is most of the cost."""
     vals, probs = law or (np.array([0.0]), np.array([1.0]))
     parts = _scaled_supports(d, weights)
     for i, (v, p) in enumerate(parts, 1):
         vals = (vals[:, None] + v[None, :]).ravel()
         probs = (probs[:, None] * p[None, :]).ravel()
-        if moments_only and i == len(parts) and vals.size <= max_points:
+        if law is not None and i == len(parts) and vals.size <= max_points:
             break
         vals, probs = collapse_support(vals, probs, COLLAPSE_TOL)
         if vals.size > max_points:
@@ -169,31 +168,13 @@ def conv_distribution(d: Distribution, weights, max_points: int = CONV_POINT_BUD
     return vals, probs
 
 
-def sum_distribution(d: Distribution, a: CoefficientVector, engine: str = "auto",
-                     budget: int | None = None):
-    """(values, probs, method) of the law of sum a_k X_k via an exact engine."""
-    if engine == "exact_enum":
-        v, p = enum_distribution(d, a, budget or ENUM_STATE_BUDGET)
-        return v, p, "exact_enum"
-    if engine == "convolution":
-        v, p = conv_distribution(d, a.entries, budget or CONV_POINT_BUDGET)
-        return v, p, "convolution"
-    if engine == "auto":
-        try:
-            v, p = conv_distribution(d, a.entries, budget or CONV_POINT_BUDGET)
-            return v, p, "convolution"
-        except EngineRefusal:
-            v, p = enum_distribution(d, a, budget or ENUM_STATE_BUDGET)
-            return v, p, "exact_enum"
-    raise ValueError(f"unknown exact engine {engine!r}")
-
-
-def _even_sum_moments(d: Distribution, weights, top: int, m: list | None = None) -> list:
-    """E (S + sum_k weights[k] X_k)^(2i) for i = 0..top with X symmetric and
-    S symmetric with even moments m[i] = E S^(2i) (default S = 0), adding
+def _even_sum_moments(d: Distribution, weights, ps, m: list | None = None) -> list:
+    """E (S + sum_k weights[k] X_k)^(2i) for i = 0..max(ps) / 2, X and S
+    symmetric, S with even moments m[i] = E S^(2i) (default S = 0), adding
     one term at a time: m'_{2i} = sum_j C(2i, 2j) a^(2j) mu_{2j} m_{2i-2j}.
     Odd moments vanish, so every term is >= 0 and nothing cancels. Raises
-    OverflowError where E X^(2 top) or a sum of terms is past the double range."""
+    OverflowError where a moment at a p of ps is past the double range."""
+    top = max(int(p) // 2 for p in ps)
     with np.errstate(over="ignore"):
         mu = d.even_moments(top).tolist()
     if not math.isfinite(mu[-1]):
@@ -205,31 +186,9 @@ def _even_sum_moments(d: Distribution, weights, top: int, m: list | None = None)
         w = [mu[j] * a2 ** j for j in range(top + 1)]
         m = [math.fsum(binom[i][j] * w[j] * m[i - j] for j in range(i + 1))
              for i in range(top + 1)]
+    if not all(math.isfinite(m[int(p) // 2]) for p in ps):
+        raise OverflowError("an even moment of the sum is past the double range")
     return m
-
-
-def sum_abs_moments(d: Distribution, a: CoefficientVector, ps, engine: str = "auto",
-                    budget: int | None = None):
-    """(E|S|^p for every p in ps, method, the support (values, probs) or
-    None) for S = sum a_k X_k through an exact path.
-
-    Under engine="auto", a symmetric law with every p an even integer takes
-    the even-moment recursion, which builds no support and so needs no
-    budget, where its moments are finite; anything else builds the law once
-    with `sum_distribution` and evaluates every p from it.
-    """
-    if _takes_even_moments(d, ps, engine):
-        with contextlib.suppress(OverflowError):
-            m = _even_sum_moments(d, a.entries, max(int(p) // 2 for p in ps))
-            if all(math.isfinite(m[int(p) // 2]) for p in ps):
-                return [m[int(p) // 2] for p in ps], "even_moments", None
-    vals, probs, method = sum_distribution(d, a, engine, budget)
-    return _support_moments(vals, probs, ps), method, (vals, probs)
-
-
-def _takes_even_moments(d: Distribution, ps, engine: str) -> bool:
-    """Whether the exact path tries even moments first (see `sum_lp_norms`)."""
-    return engine == "auto" and d.is_symmetric and all(p % 2 == 0 for p in ps)
 
 
 def _support_moments(vals, probs, ps) -> list:
@@ -239,51 +198,80 @@ def _support_moments(vals, probs, ps) -> list:
         return [float(np.dot(probs, absv ** p)) for p in ps]
 
 
-def _fold_rest(d: Distribution, a: CoefficientVector, ps, rest: dict, engine: str,
-               budget: int | None):
-    """`sum_lp_norms` by one fold, for weight vectors that differ only in
-    coordinate k = rest["k"] up to scale: ||sum a_j X_j||_p = r ||U + (a_k /
-    r) X_k||_p with U = sum_{j != k} a_j X_j / r, r^2 = sum_{j != k} a_j^2,
-    the norm being 1-homogeneous. The first call keeps U's law, on the exact
-    path for ps, as rest["law"]: its even moments, its support, or what
-    refused it. A convolution refusal under engine auto takes the
-    enumeration, as the full path does. None where the full path is no fold
-    (Monte Carlo, enumeration, a closed-form sum law) or overflows."""
-    k = rest["k"]
-    others = np.delete(a.entries, k)
-    r = math.sqrt(float(np.dot(others, others)))
-    if engine not in ("auto", "convolution") or not r > 0 or (
-            engine == "auto" and d.sum_law(a.entries) is not None):
-        return None
-    c, support, even = float(a.entries[k]) / r, None, _takes_even_moments(d, ps, engine)
-    try:
-        if "law" not in rest:
+@dataclass(frozen=True)
+class Engine:
+    """One exact engine. `build(d, w, ps, budget, prefix)` makes the law of
+    prefix + sum_k w[k] X_k (prefix None: 0) for the moments at ps, or
+    raises OverflowError or EngineRefusal; `moments(law, ps)` reads E|S|^p at
+    every p. A `support` law is (values, probs), what `sum_distribution`
+    returns; a `folds` engine can build on a kept prefix (see `_engine_law`)."""
+
+    method: str
+    build: Callable
+    moments: Callable = lambda law, ps: _support_moments(*law, ps)
+    applies: Callable = lambda d, ps: True  # (d, ps) -> whether the engine is tried
+    support: bool = True
+    folds: bool = False
+
+
+EVEN_MOMENTS = Engine(
+    "even_moments", lambda d, w, ps, budget, m: _even_sum_moments(d, w, ps, m),
+    moments=lambda m, ps: [m[int(p) // 2] for p in ps], support=False, folds=True,
+    applies=lambda d, ps: d.is_symmetric and all(p % 2 == 0 for p in ps))
+CONVOLUTION = Engine("convolution", lambda d, w, ps, budget, law: conv_distribution(
+    d, w, budget or CONV_POINT_BUDGET, law), folds=True)
+EXACT_ENUM = Engine("exact_enum", lambda d, w, ps, budget, law: enum_distribution(
+    d, w, budget or ENUM_STATE_BUDGET))
+
+#: --engine -> its exact engines in order (monte_carlo builds no exact law)
+ENGINES = {"auto": (EVEN_MOMENTS, CONVOLUTION, EXACT_ENUM), "exact_enum": (EXACT_ENUM,),
+           "convolution": (CONVOLUTION,), "monte_carlo": ()}
+
+
+def _walk(engine: str, use, job):
+    """job(rec) of the first engine rec of ENGINES[engine] with use(rec) that
+    takes it; an OverflowError or EngineRefusal passes on, the last re-raised."""
+    if not ENGINES.get(engine):
+        raise ValueError(f"unknown exact engine {engine!r}")
+    for rec in ENGINES[engine]:
+        if use(rec):
             try:
-                u = others / r
-                rest["law"] = (_even_sum_moments(d, u, max(int(p) // 2 for p in ps)) if even
-                               else conv_distribution(d, u, budget or CONV_POINT_BUDGET))
+                return job(rec)
             except (OverflowError, EngineRefusal) as exc:
-                rest["law"] = exc
-        law = rest["law"]
-        if isinstance(law, Exception):
-            raise type(law)(*law.args)
-        if even:
-            m = _even_sum_moments(d, [c], len(law) - 1, law)
-            moments = [m[int(p) // 2] for p in ps]
-            if not all(map(math.isfinite, moments)):
-                return None
-        else:
-            support = conv_distribution(d, [c], budget or CONV_POINT_BUDGET, law, True)
-            moments = _support_moments(*support, ps)
-    except OverflowError:
-        return None
-    except EngineRefusal:
-        if engine != "auto":
-            raise
-        return sum_lp_norms(d, a, ps, "exact_enum", budget)
-    method = "even_moments" if support is None else "convolution"
-    return [NormEstimate(r * lp_root(m, p, support), method, meta={"moment": r ** p * m})
-            for m, p in zip(moments, ps)]
+                refusal = exc
+    raise refusal
+
+
+def sum_distribution(d: Distribution, a: CoefficientVector, engine: str = "auto",
+                     budget: int | None = None):
+    """(values, probs, method) of the law of sum a_k X_k from the first
+    engine of ENGINES[engine] that builds a support and does not refuse."""
+    return _walk(engine, lambda rec: rec.support,
+                 lambda rec: (*rec.build(d, a.entries, (), budget, None), rec.method))
+
+
+def _engine_law(rec: Engine, d: Distribution, a: CoefficientVector, ps, budget,
+                rest: dict | None):
+    """(law, r): engine rec's law of S / r, S = sum a_j X_j, the norm being
+    1-homogeneous; S itself (r = 1) unless rec folds and rest = {"k": k}.
+    Then S / r = U + (a_k / r) X_k, U = sum_{j != k} a_j X_j / r, r^2 =
+    sum_{j != k} a_j^2: the first call keeps U's law, or what refused it, in
+    rest[rec.method], and each call folds its one term onto it."""
+    if rest is not None and rec.folds:
+        k = rest["k"]
+        others = np.delete(a.entries, k)
+        r = math.sqrt(float(np.dot(others, others)))
+        if r > 0:
+            if rec.method not in rest:
+                try:
+                    rest[rec.method] = rec.build(d, others / r, ps, budget, None)
+                except (OverflowError, EngineRefusal) as exc:
+                    rest[rec.method] = exc
+            u = rest[rec.method]
+            if isinstance(u, Exception):
+                raise type(u)(*u.args)
+            return rec.build(d, [float(a.entries[k]) / r], ps, budget, u), r
+    return rec.build(d, a.entries, ps, budget, None), 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -321,39 +309,39 @@ def sum_lp_norms(d: Distribution, a: CoefficientVector, ps, engine: str = "auto"
                  rest: dict | None = None) -> list:
     """One NormEstimate of ||sum_k a_k X_k||_p, X_k i.i.d. copies of d, per p.
 
-    Engines: exact_enum (finite support, product states within budget),
-    convolution (lattice laws, support collapsed at 1e-12), monte_carlo (one
-    set of draws for every p, budget = sample count, 3-sigma band on the
-    p-th moment carried through the 1/p root by the delta method), and auto,
-    which never silently samples and tries in order: the law's closed-form
-    sum law (gaussian), even moments (symmetric law, every p an even integer;
-    exact at any n, no budget; skipped past the double range), convolution,
-    enumeration, and last, for one term that no engine takes, |a_1| ||X||_p.
-    With rest = {"k": k}, shared by calls (same d, ps, engine and budget)
-    whose weights differ only in the k-th coordinate up to scale, only that
-    term is folded onto the others' law (`_fold_rest`).
+    monte_carlo takes one set of draws for every p (budget = sample count,
+    3-sigma band on the p-th moment carried through the 1/p root by the
+    delta method). Otherwise the exact engines of ENGINES[engine] are tried
+    in order, an overflow or a refusal passing to the next. auto never
+    silently samples: a closed-form sum law (gaussian) comes first, and
+    last, for one term that no engine takes, |a_1| ||X||_p. rest = {"k": k}
+    is shared by calls (same d, ps, engine and budget) whose weights differ
+    only in the k-th coordinate up to scale (`_engine_law`).
     """
     ps = [float(p) for p in ps]
     if min(ps) < 1:
         raise ValueError("weighted_sum_lp needs p >= 1")
-    folded = None if rest is None else _fold_rest(d, a, ps, rest, engine, budget)
-    if folded is not None:
-        return folded
     if engine == "monte_carlo":
         return _monte_carlo_lp(d, a, ps, budget, seed, threads)
     law = d.sum_law(a.entries) if engine == "auto" else None
     if law is not None:
         return [NormEstimate(law.lp_norm(p), "quadrature", meta={"reduced_law": law.label})
                 for p in ps]
+
+    def estimates(rec: Engine) -> list:
+        law, r = _engine_law(rec, d, a, ps, budget, rest)
+        support = law if rec.support else None
+        meta = {} if support is None else {"support_points": int(support[0].size)}
+        return [NormEstimate(r * lp_root(m, p, support), rec.method,
+                             meta={**meta, "moment": r ** p * m})
+                for m, p in zip(rec.moments(law, ps), ps)]
+
     try:
-        moments, method, support = sum_abs_moments(d, a, ps, engine, budget)
+        return _walk(engine, lambda rec: rec.applies(d, ps), estimates)
     except EngineRefusal:
         if engine != "auto" or a.n > 1:
             raise
         return [NormEstimate(abs(float(a.entries[0])) * d.lp_norm(p), "quadrature") for p in ps]
-    meta = {} if support is None else {"support_points": int(support[0].size)}
-    return [NormEstimate(lp_root(m, p, support), method, meta={**meta, "moment": m})
-            for m, p in zip(moments, ps)]
 
 
 def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
@@ -368,7 +356,7 @@ def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
 # ---------------------------------------------------------------------------
 
 def bphi_norm(source, phi: GeneratingFunction, lambda_grid=None,
-              variance: float | None = None, refine_rounds: int = 3) -> NormEstimate:
+              variance: float | None = None) -> NormEstimate:
     """Exponential-moment norm: sup over lambda > 0 and both signs of
     phi^{-1}(ln E exp(+-lambda X)) / lambda.
 
@@ -378,17 +366,16 @@ def bphi_norm(source, phi: GeneratingFunction, lambda_grid=None,
     sqrt(Var / (2 c2)), with c2 the curvature of phi at 0, enters as an
     explicit candidate: the sup is frequently attained only in that limit
     and a pure grid misses it.
-    The incumbent grid maximizer is then refined on shrinking geometric
-    windows. Overflowing grid points truncate the grid and set a flag.
+    The incumbent grid maximizer is then refined on REFINE_ROUNDS shrinking
+    geometric windows. Overflowing grid points truncate the grid and set a flag.
 
     This is the one-source call of `bphi_norms`; the result does not depend
     on being computed alone or in a batch.
     """
-    return bphi_norms([source], phi, lambda_grid, [variance], refine_rounds)[0]
+    return bphi_norms([source], phi, lambda_grid, [variance])[0]
 
 
-def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None,
-               variances=None, refine_rounds: int = 3) -> list:
+def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None, variances=None) -> list:
     """`bphi_norm` of several sources on one lambda grid, one NormEstimate
     per source (variances[r], default None, goes with sources[r]).
 
@@ -399,18 +386,11 @@ def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None,
     inversion works elementwise, estimate r has the bits of
     `bphi_norm(sources[r], phi, lambda_grid, variances[r])`.
     """
-    if variances is None:
-        variances = [None] * len(sources)
-    log_mgfs, vars_ = [], []
-    for source, variance in zip(sources, variances):
-        if isinstance(source, Distribution):
-            log_mgfs.append(source.log_mgf)
-            vars_.append(source.variance)
-        elif variance is None:
-            raise ValueError("a log-MGF callable source needs its variance")
-        else:
-            log_mgfs.append(source)
-            vars_.append(variance)
+    variances = [None] * len(sources) if variances is None else variances
+    if any(v is None and not isinstance(s, Distribution) for s, v in zip(sources, variances)):
+        raise ValueError("a log-MGF callable source needs its variance")
+    log_mgfs = [s.log_mgf if isinstance(s, Distribution) else s for s in sources]
+    vars_ = [s.variance if isinstance(s, Distribution) else v for s, v in zip(sources, variances)]
 
     if lambda_grid is None:
         hi = NORM_GRID_HI if phi.lambda0 == math.inf else phi.lambda0 * (1 - 1e-12)
@@ -451,13 +431,11 @@ def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None,
         i = int(np.argmax(vals))
         best_lam.append(float(grid[i]))
         best_val.append(float(vals[i]))
-    for _ in range(refine_rounds):
+    for _ in range(REFINE_ROUNDS):
         windows = []
         for lam in best_lam:
             local = np.geomspace(lam / step, lam * step, 65)
-            if phi.lambda0 != math.inf:
-                local = local[local < phi.lambda0]
-            windows.append(local)
+            windows.append(local[local < phi.lambda0])
         for r, (local, lv) in enumerate(zip(windows, ratios(windows))):
             j = int(np.argmax(lv))
             if lv[j] > best_val[r]:

@@ -8,13 +8,13 @@ and the local search is `numerics.coordinate_search`, both shared with
 kappa; `weight_candidates` says when the bounds grow with n_max and restarts.
 
 Leave-one-out trials: the two trials at coordinate k keep the other
-weights' ratios, so for lp and gls norms on the even-moment and convolution
-engines the local search builds the law of U = sum_{j != k} a_j X_j / r,
-r^2 = sum_{j != k} a_j^2, once per visit (`norms._fold_rest`) and scores a
-trial by one more term: ||S|| = r ||U + (a_k / r) X_k||, the norm being
-1-homogeneous. The starts, the scan, Monte Carlo, the closed-form sum law,
-enumeration and any overflow take the full path; a refused U refuses the
-trials before any fold. Bphi rows share one `bphi_norms` call per step.
+weights' ratios, so for lp and gls norms each folding engine of
+`norms.ENGINES` builds the law of U = sum_{j != k} a_j X_j / r, r^2 =
+sum_{j != k} a_j^2, once per visit and scores a trial by one more term
+(`norms._engine_law`). The starts, the scan, Monte Carlo, the closed-form
+sum law and enumeration take the full path; a U that overflowed or was
+refused passes the trials on to the next engine before any fold. Bphi rows
+share one `bphi_norms` call per step.
 """
 
 from __future__ import annotations

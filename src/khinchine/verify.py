@@ -181,9 +181,11 @@ def verify_thm41(laws, phis, trials: int = 1000, seed: int = 0,
         raise PreconditionError("laws and phis must be matched nonempty pools")
     grid = _grid(lambda_grid)
     for k, (law, p) in enumerate(zip(laws, phis)):
-        dom = p(grid) - np.maximum(law.log_mgf(grid), law.log_mgf(-grid))
-        if np.min(dom) < -SLACK_TOL:
-            i = int(np.argmin(dom))
+        rhs, lhs = p(grid), np.maximum(law.log_mgf(grid), law.log_mgf(-grid))
+        # equal sides (also both inf) dominate; argmin finds the first NaN, a failure
+        dom = np.subtract(rhs, lhs, out=np.zeros(grid.shape), where=rhs != lhs)
+        i = int(np.argmin(dom))
+        if not dom[i] >= -SLACK_TOL:
             raise PreconditionError(
                 f"phi[{k}] = {p.label} fails to dominate ln mgf of {law.label}",
                 witness={"k": k, "lambda": float(grid[i]), "gap": float(dom[i])})
@@ -266,12 +268,16 @@ def pythagoras_check(phi: GeneratingFunction, laws=None, trials: int = 1000,
                      seed: int = 0) -> dict:
     """Check ||sum eta_j||^2 <= sum ||eta_j||^2 for 2..5 independent scaled
     summands drawn from the pool, with the sum's norm computed from the exact
-    product log-MGF. Gaussian-only draws must achieve equality. The part
-    norms and sum norms of PYTHAGORAS_BLOCK trials come from one
-    `bphi_norms` call, each with the bits of its own call."""
+    product log-MGF. Gaussian-only draws must achieve equality. A part c X
+    scores c ||X|| (1-homogeneity; one `bphi_norms` call on the pool) unless
+    the grid of ||X|| was truncated or unbounded, where the sup can sit at
+    the grid's end, which does not scale: such a part is scored alone. The
+    sums and such parts of PYTHAGORAS_BLOCK trials share one call."""
     _require_conv2(phi)
     pool = list(laws) if laws is not None else [Distribution.rademacher(),
                                                 Distribution.gaussian(1.0)]
+    taus = [None if e.meta["truncated"] or e.meta.get("unbounded") else e.value
+            for e in bphi_norms(pool, phi)]
     results = []
     for block in range(0, trials, PYTHAGORAS_BLOCK):
         sources, variances, draws = [], [], []
@@ -281,20 +287,17 @@ def pythagoras_check(phi: GeneratingFunction, laws=None, trials: int = 1000,
             idx = rng.integers(0, len(pool), size=k)
             scales = rng.uniform(0.5, 1.5, size=k)
             terms = [pool[i] for i in idx]
-            # the k part norms, then the sum's norm
-            sources += [sum_log_mgf([law], [c]) for law, c in zip(terms, scales)]
-            sources.append(sum_log_mgf(terms, scales))
-            parts = [c * c * law.variance for law, c in zip(terms, scales)]
-            variances += parts + [sum(parts)]
-            draws.append((k, all(law.is_stable for law in terms)))
-        ests, at = bphi_norms(sources, phi, variances=variances), 0
-        for k, stable in draws:
-            rhs = 0.0
-            for est in ests[at:at + k]:
-                rhs += est.value * est.value
+            alone = [(pool[i], c) for i, c in zip(idx, scales) if taus[i] is None]
+            sources += [sum_log_mgf([law], [c]) for law, c in alone] + [sum_log_mgf(terms, scales)]
+            variances += [c * c * law.variance for law, c in alone]
+            variances.append(sum(c * c * law.variance for law, c in zip(terms, scales)))
+            draws.append(([None if taus[i] is None else c * taus[i] for i, c in zip(idx, scales)],
+                          all(law.is_stable for law in terms)))
+        ests = iter(bphi_norms(sources, phi, variances=variances))
+        for parts, stable in draws:  # a trial's parts scored alone, then its sum
+            rhs = sum((next(ests).value if v is None else v) ** 2 for v in parts)
             # scaled sums of a stable law (the Gaussian) attain equality
-            results.append((ests[at + k].value ** 2 - rhs, stable))
-            at += k + 1
+            results.append((next(ests).value ** 2 - rhs, stable))
     max_violation = float(np.max([r[0] for r in results]))
     gauss_dev = [abs(r[0]) for r in results if r[1]]
     max_gauss_dev = float(np.max(gauss_dev)) if gauss_dev else 0.0

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from khinchine.cli import (SpecError, main, parse_norm_spec, parse_p_grid, parse_psi,
-                           parse_weights)
+from khinchine.cli import (COMMANDS, SpecError, main, parse_norm_spec, parse_p_grid,
+                           parse_psi, parse_weights)
 from khinchine.entropy import FiniteMetricSpace
 from khinchine.genfun import parse_phi
 
@@ -101,6 +101,13 @@ def test_verify_precondition_exit_two(capsys):
     assert code == 2
 
 
+def test_thm41_domination_failure_past_the_overflow_exits_two(capsys):
+    code = main(["verify", "thm41", "--laws", "centered-poisson:1",
+                 "--phis", "natural:centered-poisson:0.5"])
+    assert code == 2
+    assert "fails to dominate" in capsys.readouterr().err
+
+
 def test_verify_failure_exit_one(capsys, monkeypatch):
     import khinchine.cli as cli
     monkeypatch.setattr(cli, "verify_thm31",
@@ -136,6 +143,21 @@ def test_khinchine_sup_all_refused_exit_two(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and "monte_carlo" in captured.err
+
+
+def test_engine_choices_are_the_engine_table(capsys):
+    from khinchine.norms import ENGINES
+    engines = [(cmd, sub, options["choices"]) for cmd, (_, subs) in COMMANDS.items()
+               for sub, (args, _) in subs.items() for flags, options in args
+               if "--engine" in flags]
+    assert {(cmd, sub) for cmd, sub, _ in engines} == {
+        ("norm", "lp"), ("norm", "gls"), ("khinchine", "sup"), ("khinchine", "inf"),
+        ("verify", "thm51"), ("verify", "rosenthal")}
+    assert all(choices == list(ENGINES) for *_, choices in engines)
+    assert list(ENGINES) == ["auto", "exact_enum", "convolution", "monte_carlo"]
+    with pytest.raises(SystemExit):
+        main(["norm", "lp", "--engine", "quadrature"])
+    assert "'auto', 'exact_enum', 'convolution', 'monte_carlo'" in capsys.readouterr().err
 
 
 def test_one_term_uniform_norm_is_the_prelim_law_norm(capsys):

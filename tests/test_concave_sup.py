@@ -22,6 +22,8 @@ from khinchine.genfun import (biconjugate, conjugate_profile, legendre, orlicz_n
                               phi_tabulated, tail_envelope)
 from khinchine.numerics import GOLDEN, geometric_grid, golden_max
 
+from profile_checks import profile_checks
+
 FAMILIES = {
     "subgaussian": phi_subgaussian(),
     "rademacher": phi_natural(Distribution.rademacher()),
@@ -156,7 +158,7 @@ def test_conjugate_profile_is_bitwise_the_scalar_transform(name, scalar_profiles
     got = list(zip(prof.values.tolist(), prof.lambda_argmax.tolist(),
                    prof.boundary.tolist(), prof.unbounded.tolist()))
     assert repr(got) == repr(ref)
-    gap = prof.validate(phi)["fenchel_young_max_gap"]
+    gap = profile_checks(prof, phi)["fenchel_young_max_gap"]
     assert repr(gap) == repr(scalar_fenchel_young_gap(U, prof.values.tolist(), phi))
     if name == "rademacher":
         assert prof.unbounded.any()

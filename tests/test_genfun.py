@@ -18,6 +18,8 @@ from khinchine.genfun import (DomainError, GeneratingFunction, PsiFunction,
                               tail_envelope)
 from khinchine.numerics import coordinate_search, geometric_grid, invert_increasing_vec
 
+from profile_checks import profile_checks
+
 PHI2 = phi_subgaussian()
 RAD = Distribution.rademacher()
 LNCOSH = phi_natural(RAD)
@@ -595,7 +597,7 @@ def test_biconjugacy(phi, lam_hi):
 
 def test_conjugate_profile_valid():
     prof = conjugate_profile(PHI2, np.linspace(0.0, 10.0, 30))
-    rep = prof.validate(PHI2)
+    rep = profile_checks(prof, PHI2)
     assert rep["monotone"] and rep["convex"] and rep["zero_at_zero"]
     assert rep["fenchel_young_ok"]
     assert prof.values[-1] == pytest.approx(50.0, abs=1e-9)

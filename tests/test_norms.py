@@ -275,7 +275,33 @@ def test_even_moment_overflow_falls_through_to_the_support():
     for p in (8.0, 200.0):
         mom = weighted_sum_lp(SPOIS, a, p)
         assert mom.method == "even_moments"
-        assert mom.meta["moment"] == norms._even_sum_moments(SPOIS, a.entries, int(p) // 2)[-1]
+        assert mom.meta["moment"] == norms._even_sum_moments(SPOIS, a.entries, [p])[-1]
+
+
+def test_even_moment_overflow_in_a_fold_takes_the_convolution_fold():
+    # E S^320 of symmetrized Poisson(0.5) sums is past the double range: the
+    # fold keeps that refusal and the others' convolution law beside it
+    for w, budget in (([1.0, 2.0], None), ([1.0, 2.0, 1.5], None), ([1.0, 2.0, 1.5], 64)):
+        a = CoefficientVector.normalized(w)
+        rest = {"k": 1}
+        full, fold = (_outcome(lambda: weighted_sum_lp(SPOIS, a, 320.0, budget=budget, rest=r))
+                      for r in (None, rest))
+        assert isinstance(rest["even_moments"], OverflowError)
+        if budget is None:
+            assert full.method == fold.method == "convolution"
+            assert isinstance(rest["convolution"], tuple)
+            assert abs(fold.value - full.value) <= 1e-12 * full.value
+        else:  # the same enumeration refusal
+            assert isinstance(rest["convolution"], EngineRefusal)
+            assert full == fold and "enumeration needs" in full
+
+
+def _outcome(call):
+    """call()'s NormEstimate, or the message of its EngineRefusal."""
+    try:
+        return call()
+    except EngineRefusal as exc:
+        return str(exc)
 
 
 def test_one_term_sum_of_a_continuous_law_is_its_norm():
@@ -343,6 +369,27 @@ def test_gls_norm_is_bitwise_the_per_p_loop(d, grid):
         assert set(est.meta) == {"attained_p", "lp_at_attained"}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: d.label)
+def test_sum_distribution_and_sum_lp_norms_name_one_method(d, n):
+    # at an odd p no engine of auto builds a law that sum_distribution would
+    # not; where it refuses, sum_lp_norms refuses or takes a closed form
+    a = CoefficientVector.normalized(np.arange(1.0, n + 1.0))
+    for engine in ("auto", "convolution", "exact_enum"):
+        try:
+            method = sum_distribution(d, a, engine)[2]
+        except EngineRefusal:
+            method = None
+        try:
+            lp = norms.sum_lp_norms(d, a, [3.0], engine)[0].method
+        except EngineRefusal:
+            lp = None
+        if method is None and lp is not None:
+            assert (engine, lp) == ("auto", "quadrature")
+        else:
+            assert lp == method, (engine, lp, method)
+
+
 # ---------------------------------------------------------------------------
 # even-moment path (auto engine, symmetric law, even integer p)
 # ---------------------------------------------------------------------------
@@ -368,10 +415,9 @@ def test_three_exact_engines_agree(d):
     for w in ([1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [0.3, 1.0, 0.7, 0.2]):
         a = CoefficientVector.normalized(w)
         ps = [2.0, 4.0, 6.0, 8.0]
-        mom, method, _ = norms.sum_abs_moments(d, a, ps)
-        conv, _, _ = norms.sum_abs_moments(d, a, ps, engine="convolution")
-        enum, _, _ = norms.sum_abs_moments(d, a, ps, engine="exact_enum")
-        assert method == "even_moments"
+        mom, conv, enum = ([e.meta["moment"] for e in norms.sum_lp_norms(d, a, ps, engine)]
+                           for engine in ("auto", "convolution", "exact_enum"))
+        assert {e.method for e in norms.sum_lp_norms(d, a, ps)} == {"even_moments"}
         for m, c, e in zip(mom, conv, enum):
             assert abs(m - e) <= 1e-13 * e and abs(c - e) <= 1e-13 * e
 
@@ -487,13 +533,13 @@ def test_weighted_sum_gls_equals_per_p_convolution_bitwise():
 
 def test_weighted_sum_gls_builds_the_law_once(monkeypatch):
     calls = []
-    real = norms.sum_distribution
+    real = norms.conv_distribution
 
     def counting(*args, **kw):
         calls.append(args)
         return real(*args, **kw)
 
-    monkeypatch.setattr(norms, "sum_distribution", counting)
+    monkeypatch.setattr(norms, "conv_distribution", counting)
     psi = PsiFunction.sqrt_p(np.arange(2.0, 65.0))
     for a in (CoefficientVector.equal(6), CoefficientVector.two_level(5, 2, 0.3)):
         calls.clear()

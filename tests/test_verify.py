@@ -90,6 +90,29 @@ def test_thm41_refuses_dominance_violation():
         verify_thm41([RAD, RAD], [PHI2, low], trials=10, seed=0, n_max=4)
 
 
+def test_thm41_domination_check_sees_past_the_overflow():
+    # both sides are inf past lambda ~ 710 on the default grid: inf - inf is
+    # equal sides, and the points below still show that natural(Poisson(0.5))
+    # lies under Poisson(1)'s log-MGF
+    with pytest.raises(PreconditionError, match="dominate") as exc:
+        verify_thm41([CPOIS], [phi_natural(Distribution.centered_poisson(0.5))],
+                     trials=5, seed=0, n_max=4)
+    assert exc.value.witness["gap"] < 0
+    # a natural phi equals its law's log-MGF, inf past the overflow included
+    rep = verify_thm41([RAD, CPOIS, UNIF3], [phi_natural(d) for d in (RAD, CPOIS, UNIF3)],
+                       trials=5, seed=4, n_max=7, restarts=1)
+    assert rep["pass"]
+
+
+def test_thm41_domination_check_fails_on_nan():
+    # a log-MGF that is NaN past lambda = 10 and 0 below: only the NaN fails
+    log_mgf = staticmethod(lambda lam: np.where(np.abs(lam) > 10, np.nan, 0.0))
+    broken = type("Broken", (), {"log_mgf": log_mgf, "label": "broken"})()
+    with pytest.raises(PreconditionError, match="dominate") as exc:
+        verify_thm41([broken], [PHI2], trials=1, seed=0, n_max=2)
+    assert math.isnan(exc.value.witness["gap"]) and exc.value.witness["lambda"] > 10
+
+
 # ---------------------------------------------------------------------------
 # Rosenthal
 # ---------------------------------------------------------------------------

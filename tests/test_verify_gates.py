@@ -226,7 +226,32 @@ def test_thm41_matches_the_earlier_loop(laws, phis):
 @pytest.mark.parametrize("pool", [[RAD, G1], [RAD, CPOIS, Distribution.gaussian(0.7)]],
                          ids=["default-pool", "mixed-pool"])
 def test_pythagoras_matches_the_earlier_loop(pool):
-    assert pythagoras_check(PHI2, laws=pool, trials=15, seed=8) == old_pythagoras(PHI2, pool, 15, 8)
+    # a part c X scores c ||X|| (1-homogeneity) where the earlier loop took
+    # its own grid sup, which moves the two maxima by ulps; every other key
+    # keeps its value
+    for seed, trials in ((8, 15), (1, 60), (2, 60)):
+        new, old = pythagoras_check(PHI2, pool, trials, seed), old_pythagoras(PHI2, pool, trials, seed)
+        for key in ("max_violation", "max_gaussian_equality_deviation"):
+            assert abs(new.pop(key) - old.pop(key)) <= 1e-14, (seed, key)
+        assert new == old
+
+
+def test_pythagoras_scores_one_source_per_trial(monkeypatch):
+    # the pool's norms in one call, then only the sums; a law whose grid was
+    # truncated (centered Poisson under the subgaussian phi) keeps its parts
+    sizes = []
+    real = verify.bphi_norms
+
+    def counting(sources, *args, **kw):
+        sizes.append(len(sources))
+        return real(sources, *args, **kw)
+
+    monkeypatch.setattr(verify, "bphi_norms", counting)
+    pythagoras_check(PHI2, [RAD, G1], trials=20, seed=3)
+    assert sizes == [2, 8, 8, 4]
+    sizes.clear()
+    pythagoras_check(PHI2, [RAD, CPOIS], trials=8, seed=3)
+    assert sizes[0] == 2 and sizes[1] > 8
 
 
 @pytest.mark.parametrize("d,a,phi,u_grid,kw", [
