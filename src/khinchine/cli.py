@@ -289,7 +289,10 @@ NORM = arg("--norm", required=True, help=f"norm spec; known: {NORM_CATALOG}")
 SPACE = arg("--space", required=True, help="CSV or JSON file")
 SAMPLES = arg("--samples", type=int, default=None, help="budget for sampling engines / "
               "enumeration; --engine auto on a symmetric law with even p needs none. Monte "
-              "Carlo holds samples/16 floats per thread plus one block of draws, not samples x n")
+              "Carlo holds, per thread, three vectors of samples/16 floats for one p, plus "
+              "floor(log2 max p) for a p-grid, and one block of draws, not samples x n. Its "
+              "Rademacher row sums are within n ulp (of sum |a_k|) of the exact sums, and "
+              "its integer powers within about p/2 ulp of pow")
 ENGINE = arg("--engine", default="auto", choices=list(ENGINES))
 NMAX, RESTARTS = arg("--nmax", type=int, default=32), arg("--restarts", type=int, default=3)
 TRIALS, THREADS = arg("--trials", type=int, default=1000), arg("--threads", type=int, default=1)

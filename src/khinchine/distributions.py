@@ -238,6 +238,13 @@ class Distribution:
         sum_law = self.record.sum_law
         return None if sum_law is None else sum_law(self, np.asarray(weights, dtype=float))
 
+    def row_sums(self, weights):
+        """(block(rng, m), width): m draws of sum_k weights[k] X_k from the
+        stream `draw` reads, each row holding `width` 8-byte words, for a law
+        with a faster way than summing drawn rows; else None."""
+        row_sums = self.record.row_sums
+        return None if row_sums is None else row_sums(self, np.asarray(weights, dtype=float))
+
     def tail(self, u: float) -> float:
         """max(P(X >= u), P(X <= -u)) in closed form; laws with `sum_law`
         have one."""
@@ -289,6 +296,7 @@ class Law:
     log_abs_moment: Callable | None = None  # (d, p) -> ln E|X|^p, past abs_moment's range
     natural_inverse: Callable | None = None  # (d, y) -> its natural phi inverted at y
     sum_law: Callable | None = None  # (d, weights) -> law of sum weights[k] X_k
+    row_sums: Callable | None = None  # (d, weights) -> see Distribution.row_sums
     tail: Callable | None = None  # (d, u) -> max(P(X >= u), P(X <= -u))
 
 
@@ -318,12 +326,45 @@ def _symmetrized_poisson_support(mu):
     return vals, probs
 
 
+def _sign_words(rng, m: int, k: int) -> np.ndarray:
+    """The Philox words of m rows of k Rademacher signs: ceil(k / 64) raw
+    64-bit words a row, little-endian, so sign j is bit j % 8 of byte j // 8."""
+    return rng.bit_generator.random_raw((m, -(-k // 64))).astype("<u8", copy=False)
+
+
 def _rademacher_draw(d, rng, size):
     shape = tuple(int(s) for s in np.atleast_1d(size))
     m, k = (1, shape[0]) if len(shape) == 1 else (shape[0], math.prod(shape[1:]))
-    words = rng.bit_generator.random_raw((m, -(-k // 64))).astype("<u8", copy=False)
-    bits = np.unpackbits(words.view(np.uint8), axis=1, count=k, bitorder="little")
+    bits = np.unpackbits(_sign_words(rng, m, k).view(np.uint8), axis=1, count=k,
+                         bitorder="little")
     return (bits * 2.0 - 1.0).reshape(shape)
+
+
+#: _BYTE_SIGNS[v, j]: sign j (bit j, little-endian) of the byte v
+_BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                            bitorder="little") * 2.0 - 1.0
+
+
+def _rademacher_sums(d, weights):
+    """Row sums of weights[k] eps_k from the words `_rademacher_draw` reads,
+    one byte (8 signs) at a time: table T_b[v] is the fsum of weights
+    8b..8b+7 signed by the bits of v, and a row's sum is T_0[byte_0] +
+    T_1[byte_1] + ..., added left to right, so a sum is within n ulp of
+    sum_k |weights[k]| of the exact one. Returns (block(rng, m) -> m sums,
+    the 8-byte words a row holds: its Philox words, at most as many of byte
+    indices, its sum, one looked-up term and that term's index)."""
+    n = weights.size
+    tables = [np.array([math.fsum(row) for row in (_BYTE_SIGNS[:, :c.size] * c).tolist()])
+              for c in np.split(weights, range(8, n, 8))]
+
+    def block(rng, m):
+        idx = np.ascontiguousarray(_sign_words(rng, m, n).view(np.uint8)[:, :len(tables)].T)
+        acc, term = np.take(tables[0], idx[0]), np.empty(m)
+        for table, col in zip(tables[1:], idx[1:]):
+            acc += np.take(table, col, out=term)
+        return acc
+
+    return block, 2 * -(-n // 64) + 3
 
 
 def _discrete_symmetric(d):
@@ -363,6 +404,7 @@ LAWS: dict[str, Law] = {
         # one Philox bit per sign: a row (a 1-d size is one row) owns whole 64-bit
         # words, sign j is bit j % 64 (little-endian) of word j // 64, bit 1 is +1
         draw=_rademacher_draw,
+        row_sums=_rademacher_sums,
         finite_support=lambda d: (np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
         even_moments=lambda d, i: np.ones(i.size),
         natural_inverse=lambda d, y: y + np.log1p(np.sqrt(-np.expm1(-2.0 * y))),

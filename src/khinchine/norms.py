@@ -278,11 +278,18 @@ def _engine_law(rec: Engine, d: Distribution, a: CoefficientVector, ps, budget,
 # weighted-sum L_p norm
 # ---------------------------------------------------------------------------
 
-def draw_sums(d: Distribution, a: CoefficientVector, rng, size: int) -> np.ndarray:
-    """`size` draws of sum_k a_k X_k in row blocks; numpy sums each row on its
-    own, as a BLAS matrix-vector product's bits for a row depend on its place."""
-    return stream_rows(lambda g, m: np.sum(d.draw(g, (m, a.n)) * a.entries, axis=1),
-                       rng, size, a.n)
+def draw_sums(d: Distribution, a: CoefficientVector) -> Callable:
+    """(rng, size) -> `size` draws of sum_k a_k X_k on rng, in row blocks
+    (`stream_rows`), built once per weight vector. A law's `row_sums`
+    (Rademacher: byte tables, within n ulp of sum_k |a_k| of the exact sum)
+    reads the stream `draw` reads; otherwise numpy sums each drawn row on its
+    own, as a BLAS matrix-vector product's bits for a row depend on its
+    place. Memory: the output and one block, within MC_BLOCK_BYTES for
+    `row_sums`; drawn rows also hold their weighted copy and the law's
+    temporaries, four to six times that."""
+    block, width = d.row_sums(a.entries) or (
+        (lambda g, m: np.sum(d.draw(g, (m, a.n)) * a.entries, axis=1)), a.n)
+    return lambda rng, size: stream_rows(block, rng, size, width)
 
 
 def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | None,
@@ -290,9 +297,10 @@ def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | Non
     """The monte_carlo engine of `sum_lp_norms` for every p in ps, from
     one set of draws (MC_STREAMS chunks, see `mc_abs_moments`)."""
     samples = budget or MC_SAMPLES_DEFAULT
+    sums = draw_sums(d, a)
 
     def sample(chunk, size):
-        return np.abs(draw_sums(d, a, substream(seed, 0x10AD, chunk), size))
+        return np.abs(sums(substream(seed, 0x10AD, chunk), size))
 
     out = []
     for p, (m, se) in zip(ps, mc_abs_moments(sample, ps, samples, threads)):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -234,11 +233,12 @@ def substream(seed: int, *ids: int) -> np.random.Generator:
 
 
 def stream_rows(block, rng, size: int, width: int) -> np.ndarray:
-    """One value for each of `size` rows of `width` floats drawn on rng, from
-    block(rng, m) calls of B = MC_BLOCK_BYTES // (8 * width) rows, at least 2
-    (the last block takes the remainder: numpy multiplies a lone row through
-    another BLAS kernel). Laws draw row by row and blocks reduce each row on
-    its own, so the values do not depend on B. Memory: the output and a block."""
+    """One value for each of `size` rows drawn on rng, from block(rng, m)
+    calls of B = MC_BLOCK_BYTES // (8 * width) rows, at least 2, a row
+    holding `width` 8-byte words while its block works (the last block
+    takes the remainder: numpy multiplies a lone row through another BLAS
+    kernel). Laws draw row by row and blocks reduce each row on its own, so
+    the values do not depend on B. Memory: the output and a block."""
     rows = max(2, MC_BLOCK_BYTES // (8 * width))
     starts = list(range(0, max(size - rows, 0) + 1, rows))
     out = np.empty(size)
@@ -247,24 +247,69 @@ def stream_rows(block, rng, size: int, width: int) -> np.ndarray:
     return out
 
 
-def mc_abs_moments(sample, ps, samples: int, threads: int = 1) -> list:
-    """(mean, standard error) of |x|^p for every p in ps from `samples`
-    draws taken in MC_STREAMS chunks; sample(chunk, size) returns the |x| of
-    one chunk from that chunk's own stream.
+def _int_power(x, p: int, squares: list | None, out, spare):
+    """x^p for an integer p >= 1: the product of the x^(2^k) over the set
+    bits k of p, lowest first, each square the previous one squared. Returns
+    x, a square or out. squares ([x, x^2, ...]) keeps the squares for later
+    p and grows to what p needs; None keeps only the running one, in spare.
+    The bits of x^p do not depend on squares."""
+    acc, cur = None, x
+    for k in range(p.bit_length()):
+        if k and squares is None:
+            cur = np.multiply(cur, cur, out=spare)
+        elif k:
+            if len(squares) == k:
+                squares.append(squares[-1] * squares[-1])
+            cur = squares[k]
+        if p >> k & 1:
+            if acc is None and cur is spare and p >> (k + 1):  # spare squares on
+                out[...] = cur
+                acc = out
+            else:
+                acc = cur if acc is None else np.multiply(acc, cur, out=out)
+    return acc
 
-    Each chunk reduces to a sum and a sum of squares per p, and the chunks
-    are fsum-ed in order, so the result does not depend on `threads`; no
-    reduction goes through BLAS (its threads spin beside the workers). A worker
-    holds |x|, one power of it and its square, plus a block of draws.
+
+def power_sums(x, ps) -> list:
+    """(sum x^p, sum x^(2p)) for every p in ps, x >= 0 a chunk vector.
+
+    An integer p takes `_int_power`: a product of repeated squares, within
+    p - 1 rounding errors (about p / 2 ulp) of x^p, shared by the integer p
+    of a grid; p = 1 and p = 2 keep the bits of x ** p. Any other p takes
+    `pow`. Each p's sums have the same bits alone and inside any grid.
+    Memory: x and two chunk vectors for one p (no square is kept), plus
+    floor(log2 max p) kept squares when ps holds two or more integers."""
+    ints = {p for p in ps if float(p).is_integer() and p >= 1}
+    squares = [x] if len(ints) > 1 else None
+    out, spare = np.empty_like(x), np.empty_like(x)
+    sums = []
+    for p in ps:
+        if p in ints:
+            s = _int_power(x, int(p), squares, out, spare)
+        else:
+            s = np.power(x, p, out=out)
+        total = float(np.sum(s))
+        sq = np.multiply(s, s, out=spare)
+        sums.append((total, float(np.sum(sq))))
+    return sums
+
+
+def mc_abs_moments(sample, ps, samples: int, threads: int = 1) -> list:
+    """(mean, standard error) of |x|^p for every p in ps (p >= 1) from
+    `samples` draws taken in MC_STREAMS chunks; sample(chunk, size) returns
+    the |x| of one chunk from that chunk's own stream.
+
+    Each chunk reduces to a sum and a sum of squares per p (`power_sums`:
+    an integer p from repeated squares, within about p / 2 ulp of `pow`),
+    and the chunks are fsum-ed in order, so the result does not depend on
+    `threads`; no reduction goes through BLAS (its threads spin beside the
+    workers). A worker holds three chunk vectors for one p, plus
+    floor(log2 max p) squares for a grid, and a block of draws.
     """
     sizes = [samples // MC_STREAMS] * MC_STREAMS
     sizes[-1] += samples - sum(sizes)
-
-    def one(chunk):
-        x = sample(chunk, sizes[chunk])
-        return [(float(np.sum(s)), float(np.sum(s * s))) for s in (x ** p for p in ps)]
-
-    parts = ordered_map(one, range(MC_STREAMS), threads)
+    parts = ordered_map(lambda chunk: power_sums(sample(chunk, sizes[chunk]), ps),
+                        range(MC_STREAMS), threads)
     out = []
     for j in range(len(ps)):
         m = math.fsum(x[j][0] for x in parts) / samples
@@ -284,6 +329,9 @@ def ordered_map(fn, items, threads: int = 1) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: concurrent.futures loads logging, a few ms of every CLI start
+    from concurrent.futures import ThreadPoolExecutor
+
     k = min(threads, len(items))
     cuts = [len(items) * i // k for i in range(k + 1)]
     with ThreadPoolExecutor(max_workers=k) as ex:

@@ -41,6 +41,9 @@ from .numerics import geometric_grid, ordered_map, substream
 C_R = 1.776379
 
 SLACK_TOL = 1e-9
+#: a sum within this of u counts as reaching it, exact or sampled: neither the
+#: support collapse nor a row sum's rounding decides a tie
+TAIL_TIE = 1e-12
 #: trials per `bphi_norms` call of `pythagoras_check`; the call's arrays grow with it
 PYTHAGORAS_BLOCK = 8
 
@@ -328,17 +331,18 @@ def _exact_survival(d: Distribution, a: CoefficientVector):
         vals, probs, method = sum_distribution(d, a)
     except EngineRefusal:
         return None
-    return lambda u: (max(float(np.sum(probs[vals >= u - 1e-12])),
-                          float(np.sum(probs[vals <= -u + 1e-12]))), 0.0, method)
+    return lambda u: (max(float(np.sum(probs[vals >= u - TAIL_TIE])),
+                          float(np.sum(probs[vals <= -u + TAIL_TIE]))), 0.0, method)
 
 
 def _sampled_survival(d: Distribution, a: CoefficientVector, samples: int, seed: int):
     """u -> (sampled max of both tail probabilities, its binomial standard
-    error, "monte_carlo") from one set of draws."""
-    x = draw_sums(d, a, substream(seed, 0x7A11), samples)
+    error, "monte_carlo") from one set of draws, ties within TAIL_TIE as
+    in `_exact_survival`."""
+    x = draw_sums(d, a)(substream(seed, 0x7A11), samples)
 
     def at(u):
-        surv = max(float(np.mean(x >= u)), float(np.mean(x <= -u)))
+        surv = max(float(np.mean(x >= u - TAIL_TIE)), float(np.mean(x <= -u + TAIL_TIE)))
         return surv, math.sqrt(max(surv * (1.0 - surv), 1.0 / samples) / samples), "monte_carlo"
 
     return at

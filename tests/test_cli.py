@@ -570,6 +570,18 @@ def test_import_khinchine_starts_no_numpy_and_keeps_the_environment():
         "print('numpy' in sys.modules)\n") == "True\n"
 
 
+def test_single_threaded_modules_load_no_thread_pool():
+    # concurrent.futures loads logging; only a threaded map needs it
+    assert _python(
+        "import sys\n"
+        "import khinchine.cli, khinchine.entropy, khinchine.search, khinchine.verify\n"
+        "from khinchine.numerics import ordered_map\n"
+        "assert ordered_map(abs, [-1, 2]) == [1, 2]\n"
+        "print('logging' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+        "assert ordered_map(abs, [-1, 2, -3], threads=2) == [1, 2, 3]\n"
+        "print('concurrent.futures' in sys.modules)\n") == "False False\nTrue\n"
+
+
 @pytest.mark.parametrize("given", [None, "2"], ids=["unset", "set"])
 def test_cli_runs_blas_on_one_thread_unless_the_caller_says(given):
     # khinchine.cli as `python -m` runs it, then the thread variables and the

@@ -23,6 +23,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from khinchine import entropy, norms, numerics
 from khinchine.distributions import Distribution
@@ -73,15 +75,16 @@ def _key(est):
 # test-local copies of the whole-matrix code
 # ---------------------------------------------------------------------------
 
-def _ref_signs(rng, size):
+def _ref_signs(rng, size, shift=0):
     """Rademacher signs read bit by bit: each row of a (m, *rest) draw (a 1-d
     size is one row) takes ceil(k / 64) raw 64-bit words w, and its sign j is
-    +1 where (w >> j % 64) & 1 of word j // 64 is 1, else -1."""
+    +1 where (w >> j % 64) & 1 of word j // 64 is 1, else -1. A shift reads
+    sign j from bit j + shift of the row's words (a stream that is off)."""
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
     m, k = (1, shape[0]) if len(shape) == 1 else (shape[0], math.prod(shape[1:]))
     words = rng.bit_generator.random_raw((m, (k + 63) // 64)).tolist()
-    signs = [[2.0 * ((row[j // 64] >> (j % 64)) & 1) - 1.0 for j in range(k)]
-             for row in words]
+    rows = [sum(w << (64 * i) for i, w in enumerate(row)) for row in words]
+    signs = [[2.0 * ((row >> (j + shift)) & 1) - 1.0 for j in range(k)] for row in rows]
     return np.array(signs, dtype=float).reshape(shape)
 
 
@@ -146,6 +149,29 @@ def test_rademacher_draw_reads_one_bit_per_sign(skip):
     # and both leave the generator at the same word
     assert np.array_equal(new.integers(0, 1 << 32, 3, dtype=np.uint32),
                           ref.integers(0, 1 << 32, 3, dtype=np.uint32))
+
+
+def _sums_within_n_ulp(got, signs, a):
+    """Whether every row sum is within n ulp of sum_k |a_k| of the fsum of
+    its signed weights."""
+    want = np.array([math.fsum(row) for row in (signs * a.entries).tolist()])
+    return bool(np.all(np.abs(got - want) <= a.n * np.spacing(np.sum(np.abs(a.entries)))))
+
+
+@pytest.mark.parametrize("block", [7, 4093, None], ids=["block7", "block4093", "default"])
+@pytest.mark.parametrize("n", [7, 32, 65])
+def test_rademacher_row_sums_read_the_sign_stream(n, block, monkeypatch):
+    """The byte-table row sums are the signs `_ref_signs` reads, summed: a
+    stream one bit off, or one sign flipped, fails the same comparison."""
+    if block is not None:
+        monkeypatch.setattr(numerics, "MC_BLOCK_BYTES", block)
+    a, rows = _weights(n), 3001
+    got = norms.draw_sums(RAD, a)(substream(9, n), rows)
+    signs = _ref_signs(substream(9, n), (rows, n))
+    assert _sums_within_n_ulp(got, signs, a)
+    assert not _sums_within_n_ulp(got, _ref_signs(substream(9, n), (rows, n), shift=1), a)
+    signs[rows // 2, n - 1] *= -1.0
+    assert not _sums_within_n_ulp(got, signs, a)
 
 
 @pytest.mark.parametrize("n", [1, 7, 32, 63, 64, 65, 130])
@@ -241,6 +267,30 @@ def test_field_standard_errors_within_1e12_of_fsum(monkeypatch):
         assert mom["norm_se"] == pytest.approx(se * m ** (1.0 / p) / (p * m), rel=1e-12)
 
 
+CHUNKS = st.lists(st.one_of(st.just(0.0), st.floats(0.999, 1.001), st.floats(1e-3, 1e3)),
+                  min_size=1, max_size=64)
+P_GRIDS = st.one_of(st.lists(st.integers(1, 24).map(float), min_size=1, max_size=8),
+                    st.lists(st.integers(2, 48).map(lambda k: k / 2.0), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(CHUNKS, P_GRIDS)
+def test_power_sums_are_per_p_and_near_fsum(xs, ps):
+    """Integer, half-integer, unsorted and repeated p-grids: each p's sums have
+    the same bits alone and in the grid, lie within 1e-13 of the exact sums of
+    x ** p and x ** 2p, and keep the bits of x ** p at p = 1, 2 and any other
+    non-integer p."""
+    x = np.array(xs)
+    grid = numerics.power_sums(x, ps)
+    for p, (total, total2) in zip(ps, grid):
+        assert numerics.power_sums(x, [p]) == [(total, total2)]
+        s = x ** p
+        assert total == pytest.approx(math.fsum(s), rel=1e-13, abs=0.0)
+        assert total2 == pytest.approx(math.fsum(s * s), rel=1e-13, abs=0.0)
+        if p in (1.0, 2.0) or not p.is_integer():
+            assert (total, total2) == (float(np.sum(s)), float(np.sum(s * s)))
+
+
 # ---------------------------------------------------------------------------
 # streamed against whole chunks
 # ---------------------------------------------------------------------------
@@ -320,7 +370,7 @@ def test_tail_monte_carlo_matches_old_code_bitwise(n, samples, monkeypatch):
     vals = _old_tail_values(UNIF, a, samples, 3)
     for row, u in zip(rep["rows"], u_grid):
         assert row["method"] == "monte_carlo"
-        surv = max(float(np.mean(vals >= u)), float(np.mean(vals <= -u)))
+        surv = max(float(np.mean(vals >= u - 1e-12)), float(np.mean(vals <= -u + 1e-12)))
         assert repr(row["survival"]) == repr(surv)
 
 

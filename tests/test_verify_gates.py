@@ -176,8 +176,9 @@ def old_tail(d, a, phi, u_grid, samples=200_000, seed=0):
             se = 0.0
         else:
             if mc_vals is None:
-                mc_vals = draw_sums(d, a, substream(seed, 0x7A11), samples)
-            surv = max(float(np.mean(mc_vals >= u)), float(np.mean(mc_vals <= -u)))
+                mc_vals = draw_sums(d, a)(substream(seed, 0x7A11), samples)
+            surv = max(float(np.mean(mc_vals >= u - 1e-12)),
+                       float(np.mean(mc_vals <= -u + 1e-12)))
             se = math.sqrt(max(surv * (1.0 - surv), 1.0 / samples) / samples)
             method = "monte_carlo"
         passed = env >= surv - 3.0 * se
@@ -276,6 +277,44 @@ def test_tail_keeps_the_refusals(monkeypatch):
                         lambda d, a, phi: NormEstimate(0.0, "grid_sup"))
     with pytest.raises(ValueError, match="tau > 0"):
         tail_compare(RAD, a, PHI2, u_grid=(1.0,))
+
+
+class _Words:
+    """A stand-in generator whose raw words are given: one row per word."""
+
+    def __init__(self, words):
+        self.bit_generator, self.words = self, words
+
+    def random_raw(self, shape):
+        return self.words.reshape(shape)
+
+
+def test_sampled_survival_counts_a_sum_rounded_one_ulp_below_u():
+    """A row sum whose exact value is u but that rounds to one ulp below it
+    counts as reaching u, as the exact survival counts a support point."""
+    a = CoefficientVector.normalized(np.arange(1.0, 10.0))
+    patterns = np.arange(512, dtype=np.uint64)
+    block, _ = RAD.row_sums(a.entries)
+    rounded = block(_Words(patterns), 512)
+    signs = ((patterns[:, None] >> np.arange(9, dtype=np.uint64)) & np.uint64(1)) * 2.0 - 1.0
+    exact = np.array([math.fsum(row) for row in (signs * a.entries).tolist()])
+    i = next(i for i in range(512) if rounded[i] == np.nextafter(exact[i], -np.inf) > 0)
+    u = float(exact[i])
+
+    samples, seed = 20_000, 5
+    x = draw_sums(RAD, a)(substream(seed, 0x7A11), samples)
+    drawn = substream(seed, 0x7A11).bit_generator.random_raw(samples) & np.uint64(511)
+    x_exact = exact[drawn.astype(np.intp)]
+    assert np.array_equal(x, rounded[drawn.astype(np.intp)])
+    assert np.any(x == rounded[i])  # the sample holds the rounded sum
+
+    def survival(v, tie):
+        return max(float(np.mean(v >= u - tie)), float(np.mean(v <= -u + tie)))
+
+    # without a slack the rounding decides the count
+    assert survival(x, 0.0) < survival(x_exact, 0.0)
+    surv, _, method = verify._sampled_survival(RAD, a, samples, seed)(u)
+    assert (surv, method) == (survival(x_exact, verify.TAIL_TIE), "monte_carlo")
 
 
 def test_exact_survival_lets_a_non_refusal_error_through(monkeypatch):
