@@ -49,6 +49,7 @@ from .verify import (PreconditionError, pythagoras_check, rosenthal_verify,
                      verify_thm51)
 from .entropy import (FieldModel, covering_number, dudley_integral,
                       entropy_profile, field_sup_stats, load_space)
+from .numerics import MC_BLOCK_BYTES
 
 
 class SpecError(ValueError):
@@ -289,8 +290,9 @@ NORM = arg("--norm", required=True, help=f"norm spec; known: {NORM_CATALOG}")
 SPACE = arg("--space", required=True, help="CSV or JSON file")
 SAMPLES = arg("--samples", type=int, default=None, help="budget for sampling engines / "
               "enumeration; --engine auto on a symmetric law with even p needs none. Monte "
-              "Carlo holds, per thread, three vectors of samples/16 floats for one p, plus "
-              "floor(log2 max p) for a p-grid, and one block of draws, not samples x n. Its "
+              "Carlo holds, per thread, one vector of samples/16 floats for one p, one more "
+              "and up to floor(log2 max p) for a p-grid, and one block of draws of at most "
+              f"{MC_BLOCK_BYTES >> 10} KiB, not samples x n. Its "
               "Rademacher row sums are within n ulp (of sum |a_k|) of the exact sums, and "
               "its integer powers within about p/2 ulp of pow")
 ENGINE = arg("--engine", default="auto", choices=list(ENGINES))

@@ -290,6 +290,7 @@ class Law:
     symmetric: Callable  # (d) -> whether X and -X have the same law
     log_mgf: Callable  # (d, lam as a 1-d array) -> ln E exp(lam X)
     draw: Callable  # (d, rng, size) -> draws
+    draw_words: int  # 8-byte words a drawn element holds at most while it is drawn
     finite_support: Callable | None = None  # (d) -> (values, probs)
     even_moments: Callable | None = None  # (d, i) -> E X^(2i); None: from the support
     abs_moment: Callable | None = None  # (d, p) -> E|X|^p for laws without a support
@@ -333,11 +334,15 @@ def _sign_words(rng, m: int, k: int) -> np.ndarray:
 
 
 def _rademacher_draw(d, rng, size):
-    shape = tuple(int(s) for s in np.atleast_1d(size))
+    # from a list: tuple() of a generator resizes its tuple, and each resized one
+    # freed joins the interpreter's free list (up to 2,000 a size)
+    shape = tuple([int(s) for s in np.atleast_1d(size)])
     m, k = (1, shape[0]) if len(shape) == 1 else (shape[0], math.prod(shape[1:]))
-    bits = np.unpackbits(_sign_words(rng, m, k).view(np.uint8), axis=1, count=k,
-                         bitorder="little")
-    return (bits * 2.0 - 1.0).reshape(shape)
+    signs = np.unpackbits(_sign_words(rng, m, k).view(np.uint8), axis=1, count=k,
+                          bitorder="little").astype(float)
+    signs *= 2.0  # in place: a sign holds its float and its unpacked bit
+    signs -= 1.0
+    return signs.reshape(shape)
 
 
 #: _BYTE_SIGNS[v, j]: sign j (bit j, little-endian) of the byte v
@@ -403,7 +408,7 @@ LAWS: dict[str, Law] = {
         log_mgf=lambda d, lam: log_cosh(lam),
         # one Philox bit per sign: a row (a 1-d size is one row) owns whole 64-bit
         # words, sign j is bit j % 64 (little-endian) of word j // 64, bit 1 is +1
-        draw=_rademacher_draw,
+        draw=_rademacher_draw, draw_words=2,
         row_sums=_rademacher_sums,
         finite_support=lambda d: (np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
         even_moments=lambda d, i: np.ones(i.size),
@@ -414,7 +419,7 @@ LAWS: dict[str, Law] = {
         variance=lambda d: d.params[0] ** 2,
         symmetric=lambda d: True,
         log_mgf=lambda d, lam: 0.5 * (lam * d.params[0]) ** 2,
-        draw=lambda d, rng, size: rng.standard_normal(size) * d.params[0],
+        draw=lambda d, rng, size: rng.standard_normal(size) * d.params[0], draw_words=2,
         # sigma^(2i) (2i - 1)!!
         even_moments=lambda d, i: np.cumprod(
             np.concatenate([[1.0], d.params[0] ** 2 * (2.0 * i[1:] - 1.0)])),
@@ -432,6 +437,7 @@ LAWS: dict[str, Law] = {
         symmetric=lambda d: False,
         log_mgf=lambda d, lam: _centered_poisson_log_mgf(d.params[0], lam),
         draw=lambda d, rng, size: rng.poisson(d.params[0], size=size).astype(float) - d.params[0],
+        draw_words=2,
         finite_support=lambda d: _centered_poisson_support(d.params[0]),
     ),
     "symmetrized_poisson": Law(
@@ -442,6 +448,7 @@ LAWS: dict[str, Law] = {
         # the two Poisson values of an element are adjacent draws, so rows stream
         draw=lambda d, rng, size: np.diff(rng.poisson(d.params[0], (*np.atleast_1d(size), 2))
                                           )[..., 0].astype(float),
+        draw_words=3,  # the pair of counts and their difference
         finite_support=lambda d: _symmetrized_poisson_support(d.params[0]),
     ),
     "uniform_symmetric": Law(
@@ -450,6 +457,7 @@ LAWS: dict[str, Law] = {
         symmetric=lambda d: True,
         log_mgf=lambda d, lam: log_sinhc(d.params[0] * lam),
         draw=lambda d, rng, size: rng.uniform(-d.params[0], d.params[0], size=size),
+        draw_words=1,
         even_moments=lambda d, i: d.params[0] ** (2.0 * i) / (2.0 * i + 1.0),
         abs_moment=lambda d, p: d.params[0] ** p / (p + 1.0),
         log_abs_moment=lambda d, p: p * math.log(d.params[0]) - math.log1p(p),
@@ -459,7 +467,8 @@ LAWS: dict[str, Law] = {
         variance=lambda d: float(np.dot(d.probs, d.support**2)),
         symmetric=_discrete_symmetric,
         log_mgf=_discrete_log_mgf,
-        draw=lambda d, rng, size: rng.choice(d.support, size=size, p=d.probs),
+        # numpy's choice holds the uniforms, their indices and the values
+        draw=lambda d, rng, size: rng.choice(d.support, size=size, p=d.probs), draw_words=3,
         finite_support=lambda d: (d.support.copy(), d.probs.copy()),
     ),
 }

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,10 +44,11 @@ class FiniteMetricSpace:
             raise ValueError("semi-distance matrix must be exactly symmetric")
         if np.any(np.diag(r) != 0.0):
             raise ValueError("semi-distance diagonal must be zero")
-        # through[i, k] = min over j of r[i, j] + r[j, k], in O(n^2) memory
-        through = r[:, 0, None] + r[None, 0, :]
+        # through[i, k] = min over j of r[i, j] + r[j, k], in two n x n buffers
+        through, tmp = r[:, 0, None] + r[None, 0, :], np.empty_like(r)
         for j in range(1, n):
-            np.minimum(through, r[:, j, None] + r[None, j, :], out=through)
+            np.add(r[:, j, None], r[None, j, :], out=tmp)
+            np.minimum(through, tmp, out=through)
         if np.any(r > through + TRIANGLE_TOL):
             i, k = np.unravel_index(np.argmax(r - through), r.shape)
             raise ValueError(f"triangle inequality fails at pair ({i}, {k})")
@@ -83,9 +85,10 @@ def load_space(path: str) -> FiniteMetricSpace:
             obj = json.load(fh)
         return FiniteMetricSpace(tuple(obj["labels"]), np.asarray(obj["rho"], float))
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    labels = tuple(s.strip() for s in rows[0])
-    mat = np.array([[float(x) for x in row] for row in rows[1:]])
+        labels = tuple(s.strip() for s in next(csv.reader(fh), ()))
+        with warnings.catch_warnings():  # no rows: refused below, not square
+            warnings.simplefilter("ignore", UserWarning)
+            mat = np.loadtxt(fh, delimiter=",", ndmin=2)
     return FiniteMetricSpace(labels, mat)
 
 
@@ -302,7 +305,9 @@ def field_sup_stats(model: FieldModel, coeff_sets, copies: int = 100_000,
 
     The moment estimates carry CLT standard errors; the subgaussian signature
     is the boundedness of the ratio sequence, reported, not asserted against
-    any absolute constant.
+    any absolute constant. Memory per thread (`mc_abs_moments`): one vector
+    of copies/16 floats for one p, one more and up to floor(log2 max p) for
+    a p-grid, and one block of copies within MC_BLOCK_BYTES.
     """
     f = model.features  # (L, Z)
     L, n_z = f.shape
@@ -320,9 +325,11 @@ def field_sup_stats(model: FieldModel, coeff_sets, copies: int = 100_000,
             w = np.einsum("cnl,n->cl", driver.draw(rng, (m, ent.size, L)), ent)
             return np.abs(np.max(w @ f, axis=1))
 
+        # a row holds its draws, their weighted sum w, the field w @ f and its sup
+        width = driver.record.draw_words * ent.size * L + L + n_z + 1
+
         def sample(chunk, size):
-            rng = substream(seed, 0xF1E1D, a_idx, chunk)
-            return stream_rows(block, rng, size, ent.size * L + n_z)
+            return stream_rows(block, substream(seed, 0xF1E1D, a_idx, chunk), size, width)
 
         moments = {}
         for p, (m, se) in zip(p_grid, mc_abs_moments(sample, p_grid, copies, threads)):

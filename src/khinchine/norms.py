@@ -282,13 +282,17 @@ def draw_sums(d: Distribution, a: CoefficientVector) -> Callable:
     """(rng, size) -> `size` draws of sum_k a_k X_k on rng, in row blocks
     (`stream_rows`), built once per weight vector. A law's `row_sums`
     (Rademacher: byte tables, within n ulp of sum_k |a_k| of the exact sum)
-    reads the stream `draw` reads; otherwise numpy sums each drawn row on its
-    own, as a BLAS matrix-vector product's bits for a row depend on its
-    place. Memory: the output and one block, within MC_BLOCK_BYTES for
-    `row_sums`; drawn rows also hold their weighted copy and the law's
-    temporaries, four to six times that."""
-    block, width = d.row_sums(a.entries) or (
-        (lambda g, m: np.sum(d.draw(g, (m, a.n)) * a.entries, axis=1)), a.n)
+    reads the stream `draw` reads; otherwise numpy weights each drawn row in
+    place and sums it on its own, as a BLAS matrix-vector product's bits for
+    a row depend on its place, and a row holds the law's `draw_words` for
+    each of its n draws and its sum. Memory: the output and one block, within
+    MC_BLOCK_BYTES."""
+    def drawn(g, m):
+        x = d.draw(g, (m, a.n))
+        x *= a.entries
+        return np.sum(x, axis=1)
+
+    block, width = d.row_sums(a.entries) or (drawn, d.record.draw_words * a.n + 1)
     return lambda rng, size: stream_rows(block, rng, size, width)
 
 
@@ -300,7 +304,8 @@ def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | Non
     sums = draw_sums(d, a)
 
     def sample(chunk, size):
-        return np.abs(sums(substream(seed, 0x10AD, chunk), size))
+        x = sums(substream(seed, 0x10AD, chunk), size)
+        return np.abs(x, out=x)
 
     out = []
     for p, (m, se) in zip(ps, mc_abs_moments(sample, ps, samples, threads)):

@@ -21,7 +21,7 @@ POINTS_PER_DECADE = 64
 #: independent sub-streams (chunks) of every Monte Carlo moment estimate
 MC_STREAMS = 16
 #: bytes of draws in one block of a Monte Carlo chunk (see `stream_rows`)
-MC_BLOCK_BYTES = 1 << 20
+MC_BLOCK_BYTES = 1 << 19
 #: squared weight w of the leading block of a two-level candidate
 TWO_LEVEL_W = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -234,13 +234,17 @@ def substream(seed: int, *ids: int) -> np.random.Generator:
 
 def stream_rows(block, rng, size: int, width: int) -> np.ndarray:
     """One value for each of `size` rows drawn on rng, from block(rng, m)
-    calls of B = MC_BLOCK_BYTES // (8 * width) rows, at least 2, a row
-    holding `width` 8-byte words while its block works (the last block
-    takes the remainder: numpy multiplies a lone row through another BLAS
-    kernel). Laws draw row by row and blocks reduce each row on its own, so
-    the values do not depend on B. Memory: the output and a block."""
-    rows = max(2, MC_BLOCK_BYTES // (8 * width))
-    starts = list(range(0, max(size - rows, 0) + 1, rows))
+    calls of B = MC_BLOCK_BYTES // (8 * width) - 1 rows, at least 2, and a
+    last block of the rest (B + 1 rows where the rest is a lone row: numpy
+    multiplies a lone row through another BLAS kernel). `width` counts every
+    8-byte word a row holds while its block works: its draws and their
+    temporaries, any copy of them and its value. Laws draw row by row and
+    blocks reduce each row on its own, so the values do not depend on B.
+    Memory: the output and one block, within MC_BLOCK_BYTES."""
+    rows = max(2, MC_BLOCK_BYTES // (8 * width) - 1)
+    starts = list(range(0, size, rows))
+    if len(starts) > 1 and starts[-1] == size - 1:
+        starts.pop()
     out = np.empty(size)
     for lo, hi in zip(starts, starts[1:] + [size]):
         out[lo:hi] = block(rng, hi - lo)
@@ -251,7 +255,8 @@ def _int_power(x, p: int, squares: list | None, out, spare):
     """x^p for an integer p >= 1: the product of the x^(2^k) over the set
     bits k of p, lowest first, each square the previous one squared. Returns
     x, a square or out. squares ([x, x^2, ...]) keeps the squares for later
-    p and grows to what p needs; None keeps only the running one, in spare.
+    p and grows to what p needs; None keeps only the running one, in spare,
+    and then out may be x itself (x is last read before out is written).
     The bits of x^p do not depend on squares."""
     acc, cur = None, x
     for k in range(p.bit_length()):
@@ -270,41 +275,64 @@ def _int_power(x, p: int, squares: list | None, out, spare):
     return acc
 
 
+def _power_in_place(x, p: float) -> None:
+    """x <- x^p with the bits `power_sums` gives p: an integer p by
+    `_int_power`, one block of MC_BLOCK_BYTES at a time with one block of
+    scratch for its squares, any other p by `pow`."""
+    if not (float(p).is_integer() and p >= 2):
+        np.power(x, p, out=x)
+        return
+    step = max(1, MC_BLOCK_BYTES // 8)
+    spare = np.empty(min(x.size, step))
+    for lo in range(0, x.size, step):
+        seg = x[lo:lo + step]
+        s = _int_power(seg, int(p), None, seg, spare[:seg.size])
+        if s is not seg:
+            seg[...] = s
+
+
 def power_sums(x, ps) -> list:
-    """(sum x^p, sum x^(2p)) for every p in ps, x >= 0 a chunk vector.
+    """(sum x^p, sum x^(2p)) for every p in ps, x >= 0 a chunk vector that
+    the call may overwrite.
 
     An integer p takes `_int_power`: a product of repeated squares, within
     p - 1 rounding errors (about p / 2 ulp) of x^p, shared by the integer p
     of a grid; p = 1 and p = 2 keep the bits of x ** p. Any other p takes
     `pow`. Each p's sums have the same bits alone and inside any grid.
-    Memory: x and two chunk vectors for one p (no square is kept), plus
-    floor(log2 max p) kept squares when ps holds two or more integers."""
-    ints = {p for p in ps if float(p).is_integer() and p >= 1}
+    Memory: one p is taken in x itself, with one block of scratch; a grid
+    adds a chunk vector for its powers, and for its integers p >= 2 the
+    floor(log2 max p) squares when there are two or more, else one running
+    square."""
+    if len(ps) == 1:
+        _power_in_place(x, ps[0])
+        return [_sums(x, x)]
+    ints = {p for p in ps if float(p).is_integer() and p >= 2}
     squares = [x] if len(ints) > 1 else None
-    out, spare = np.empty_like(x), np.empty_like(x)
-    sums = []
-    for p in ps:
-        if p in ints:
-            s = _int_power(x, int(p), squares, out, spare)
-        else:
-            s = np.power(x, p, out=out)
-        total = float(np.sum(s))
-        sq = np.multiply(s, s, out=spare)
-        sums.append((total, float(np.sum(sq))))
-    return sums
+    spare = np.empty_like(x) if len(ints) == 1 else None
+    out = np.empty_like(x)
+    return [_sums(_int_power(x, int(p), squares, out, spare) if p in ints
+                  else np.power(x, p, out=out), out) for p in ps]
+
+
+def _sums(s, out) -> tuple:
+    """(sum s, sum s^2), s^2 written into out (which may be s)."""
+    total = float(np.sum(s))
+    return total, float(np.sum(np.multiply(s, s, out=out)))
 
 
 def mc_abs_moments(sample, ps, samples: int, threads: int = 1) -> list:
     """(mean, standard error) of |x|^p for every p in ps (p >= 1) from
     `samples` draws taken in MC_STREAMS chunks; sample(chunk, size) returns
-    the |x| of one chunk from that chunk's own stream.
+    the |x| of one chunk from that chunk's own stream, a fresh vector that
+    the estimator overwrites.
 
     Each chunk reduces to a sum and a sum of squares per p (`power_sums`:
     an integer p from repeated squares, within about p / 2 ulp of `pow`),
     and the chunks are fsum-ed in order, so the result does not depend on
     `threads`; no reduction goes through BLAS (its threads spin beside the
-    workers). A worker holds three chunk vectors for one p, plus
-    floor(log2 max p) squares for a grid, and a block of draws.
+    workers). A worker holds one chunk vector for one p, and one block of
+    draws within MC_BLOCK_BYTES; a p-grid adds one chunk vector and at most
+    floor(log2 max p) squares.
     """
     sizes = [samples // MC_STREAMS] * MC_STREAMS
     sizes[-1] += samples - sum(sizes)

@@ -1,9 +1,11 @@
 """One parametrized check over every law record and every phi family: the
 CLI spec -> JSON round trip, variance against the even moments, symmetry
 against the log-MGF, batch independence of log_mgf and phi, and draws that
-stream by rows."""
+stream by rows and hold the words their record counts."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +123,25 @@ def test_law_draw_streams_by_rows(spec, m1, skip, tmp_path):
     parts = np.concatenate([d.draw(two, (m1, n)), d.draw(two, (m2, n))])
     assert whole.shape == (m1 + m2, n)
     assert np.array_equal(whole, parts)
+
+
+@pytest.mark.parametrize("shape", [(64, 32), (200, 7), (4096, 32)])
+@pytest.mark.parametrize("spec", [s for _, s in LAW_SPECS], ids=[k for k, _ in LAW_SPECS])
+def test_law_draw_holds_at_most_its_draw_words(spec, shape, tmp_path):
+    """A drawn element holds at most the record's `draw_words` 8-byte words
+    while it is drawn, small draws too (numpy reuses a temporary only above
+    256 KiB), plus 4 KiB of interpreter objects: Monte Carlo blocks count
+    these words to stay within their budget."""
+    d = parse_distribution(_spec(spec, tmp_path))
+    d.draw(substream(1, 2), shape)
+    rng = substream(1, 2)
+    tracemalloc.start()
+    try:
+        d.draw(rng, shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * d.record.draw_words * math.prod(shape) + 4096
 
 
 @pytest.mark.parametrize("spec", [s for _, s in PHI_SPECS], ids=[k for k, _ in PHI_SPECS])

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from khinchine.cli import main
 from khinchine.entropy import (EXACT_COVER_LIMIT, FieldModel, FiniteMetricSpace,
                                _ball_masks, _covers, covering_number,
                                dudley_integral, entropy_profile,
@@ -385,3 +387,31 @@ def test_load_space_csv_and_json(tmp_path):
         '{"labels": [0, 1], "rho": [[0.0, 0.5], [0.5, 0.0]]}')
     back = load_space(str(json_path))
     assert back.n == 2 and back.diameter == 0.5
+
+
+def test_load_space_reads_the_csv_module_bits(tmp_path):
+    """numpy's CSV parse gives the doubles the csv module and float() give,
+    bit for bit, on repr, %.17g, %.25g and %.20e cells."""
+    pts = np.random.default_rng(4).uniform(size=(60, 2))
+    rho = FiniteMetricSpace.from_points(pts).rho
+    formats = itertools.cycle([repr, "{:.17g}".format, "{:.25g}".format, "{:.20e}".format])
+    cells = [[fmt(float(x)) for fmt, x in zip(formats, row)] for row in rho]
+    path = tmp_path / "space.csv"
+    path.write_text("\n".join([",".join(f"p{i}" for i in range(len(cells)))]
+                              + [",".join(row) for row in cells]) + "\n")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    want = np.array([[float(x) for x in row] for row in rows[1:]])
+    got = load_space(str(path))
+    assert got.labels == tuple(rows[0])
+    assert got.rho.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("body", ["0,x\n1,0\n", "0,1\n1\n", ""],
+                         ids=["malformed", "ragged", "no-rows"])
+def test_bad_csv_space_exits_two(body, tmp_path, capsys):
+    path = tmp_path / "space.csv"
+    path.write_text("a,b\n" + body)
+    assert main(["entropy", "cover", "--space", str(path), "--eps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -216,11 +216,12 @@ def _fsum_moments(x, p):
 
 
 def _recording(seen):
-    """mc_abs_moments keeping every chunk's values in `seen`."""
+    """mc_abs_moments keeping a copy of every chunk's values in `seen` (the
+    estimator may overwrite the vector it is given)."""
     def moments(sample, ps, samples, threads=1):
         def kept(chunk, size):
             seen[chunk] = sample(chunk, size)
-            return seen[chunk]
+            return seen[chunk].copy()
         return mc_abs_moments(kept, ps, samples, threads)
     return moments
 
@@ -279,11 +280,16 @@ def test_power_sums_are_per_p_and_near_fsum(xs, ps):
     """Integer, half-integer, unsorted and repeated p-grids: each p's sums have
     the same bits alone and in the grid, lie within 1e-13 of the exact sums of
     x ** p and x ** 2p, and keep the bits of x ** p at p = 1, 2 and any other
-    non-integer p."""
+    non-integer p. power_sums may overwrite x (one p is taken in x itself, a
+    block at a time), so every call gets a copy, and one p's sums are the
+    same with blocks of 3 values."""
     x = np.array(xs)
-    grid = numerics.power_sums(x, ps)
+    grid = numerics.power_sums(x.copy(), ps)
     for p, (total, total2) in zip(ps, grid):
-        assert numerics.power_sums(x, [p]) == [(total, total2)]
+        assert numerics.power_sums(x.copy(), [p]) == [(total, total2)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "MC_BLOCK_BYTES", 24)
+            assert numerics.power_sums(x.copy(), [p]) == [(total, total2)]
         s = x ** p
         assert total == pytest.approx(math.fsum(s), rel=1e-13, abs=0.0)
         assert total2 == pytest.approx(math.fsum(s * s), rel=1e-13, abs=0.0)
@@ -378,16 +384,67 @@ def test_tail_monte_carlo_matches_old_code_bitwise(n, samples, monkeypatch):
 # memory and the changed symmetrized Poisson draw
 # ---------------------------------------------------------------------------
 
-def test_monte_carlo_peak_memory_is_one_chunk_vector_plus_a_block():
-    a = CoefficientVector.equal(32)
+#: tracemalloc's count of interpreter objects beside the arrays (10-13 KB measured)
+OBJECTS = 24 << 10
+#: more features than points: a row's weighted sums outweigh its field values
+FEATURES = np.random.default_rng(8).standard_normal((8, 3))
+
+
+def _assert_one_chunk_vector_plus_a_block(run, samples, tables=0):
+    """One chunk vector (samples / MC_STREAMS floats), one block within
+    MC_BLOCK_BYTES and the byte tables: a second chunk vector, or a block
+    that holds more words than its width counts, breaks the bound."""
     tracemalloc.start()
     try:
-        weighted_sum_lp(RAD, a, 4.0, engine="monte_carlo", budget=4_000_000)
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the whole-chunk draw of 250,000 x 32 floats alone took 64 MB
-    assert peak < 16 * 2**20
+    chunk = 8 * (samples // numerics.MC_STREAMS)
+    assert peak <= chunk + numerics.MC_BLOCK_BYTES + tables + OBJECTS
+
+
+def test_monte_carlo_peak_memory_is_one_chunk_vector_plus_a_block():
+    """4e6 Rademacher samples (250,000 a chunk) at n = 32 with p = 4, plus
+    the four byte tables."""
+    _assert_one_chunk_vector_plus_a_block(
+        lambda: weighted_sum_lp(RAD, CoefficientVector.equal(32), 4.0, engine="monte_carlo",
+                                budget=4_000_000), 4_000_000, 4 * 256 * 8)
+
+
+#: 8e5 drawn rows at n = 32 with an odd p, and 8e5 field copies on each driver
+DRAWN_ROWS = {
+    "gaussian-rows": lambda: weighted_sum_lp(G1, CoefficientVector.equal(32), 3.0,
+                                             engine="monte_carlo", budget=800_000),
+    **{f"field-{driver}": (lambda driver=driver: field_sup_stats(
+        FieldModel(FEATURES, driver), [CoefficientVector.equal(3)], copies=800_000,
+        p_grid=(4.0,))) for driver in ("gaussian", "rademacher")},
+}
+
+
+@pytest.mark.parametrize("case", list(DRAWN_ROWS))
+def test_drawn_rows_peak_memory_is_one_chunk_vector_plus_a_block(case, monkeypatch):
+    """The field's Dudley covers, which are not Monte Carlo, are patched out."""
+    monkeypatch.setattr(entropy, "dudley_integral", lambda space: 0.0)
+    _assert_one_chunk_vector_plus_a_block(DRAWN_ROWS[case], 800_000)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 5, 6, 7, 11, 1000, 1001, 1023])
+@pytest.mark.parametrize("budget", [7, 80, 4093])
+def test_stream_rows_blocks_stay_within_the_budget(size, budget, monkeypatch):
+    """Blocks of at most MC_BLOCK_BYTES // (8 * width) rows (2 when that is
+    smaller), none a lone row unless the chunk is, covering every row once."""
+    monkeypatch.setattr(numerics, "MC_BLOCK_BYTES", budget)
+    sizes = []
+
+    def block(rng, m):
+        sizes.append(m)
+        return np.zeros(m)
+
+    assert numerics.stream_rows(block, None, size, 1).shape == (size,)
+    assert sum(sizes) == size
+    assert max(sizes, default=0) <= max(3, budget // 8)
+    assert 1 not in sizes or sizes == [1]
 
 
 @pytest.mark.parametrize("weights", [[1.0], [0.6, 0.8], [3.0, 1.0, 2.0, 1.0, 1.0]])
