@@ -31,23 +31,23 @@ class DistributionError(ValueError):
     """Invalid law specification or parameters."""
 
 
-def _poisson_pmf_truncated(mu: float, tail: float = POISSON_TAIL_MASS):
+def _poisson_pmf_truncated(mu: float):
     """Poisson(mu) pmf on 0..K with K chosen so the discarded upper tail mass
-    is below `tail` (bounded by p[K] (K+1)/(K+1-mu), as p[k+1]/p[k] = mu/(k+1);
-    the rounded 1 - sum(p) can stay above it at every K); probabilities
-    renormalized to sum to 1 exactly."""
+    is below tail = POISSON_TAIL_MASS (bounded by p[K] (K+1)/(K+1-mu), as
+    p[k+1]/p[k] = mu/(k+1); the rounded 1 - sum(p) can stay above it at every
+    K); probabilities renormalized to sum to 1 exactly."""
     k_max = int(mu + 20.0 * math.sqrt(mu) + 40.0)  # > mu
     while True:
         ks = np.arange(k_max + 1)
         logp = ks * math.log(mu) - mu - np.array([math.lgamma(k + 1.0) for k in ks])
         p = np.exp(logp)
-        if p[-1] * (k_max + 1) / (k_max + 1 - mu) < tail:
+        if p[-1] * (k_max + 1) / (k_max + 1 - mu) < POISSON_TAIL_MASS:
             break
         k_max *= 2
     # the cumulative sum rises, so the k with prefix mass below 1 - tail are
     # 0..below-1; keep one more, and always k = 0 and k = 1 (at mu below about
     # 1e-14, p[0] alone reaches 1 - tail)
-    below = int(np.count_nonzero(np.cumsum(p) < 1.0 - tail))
+    below = int(np.count_nonzero(np.cumsum(p) < 1.0 - POISSON_TAIL_MASS))
     keep = min(max(below, 1) + 1, p.size)
     p = p[:keep]
     return np.arange(keep), p / p.sum()

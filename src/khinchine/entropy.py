@@ -135,6 +135,7 @@ def _exact_cover(masks: list[int], full: int, upper: list[int]) -> list[int]:
             rec(uncovered & ~masks[i], chosen + [i])
 
     rec(full, [])
+    del rec  # the closure refers to itself: a reference cycle until gc ran
     return best
 
 

@@ -5,7 +5,8 @@ transforms, moment-scale functions, and tail envelopes.
 
 The concave one-dimensional sups (the conjugate, biconjugate and sup over n)
 scan a grid and refine the bracket of its argmax with `numerics.golden_max`;
-`conjugate_profile` is the one Legendre kernel, for every u at once.
+`conjugate_profile` is the one Legendre kernel, for every u at once. kappa's
+one grouped sum is `phi_sums`; its one tie rule is `numerics.incumbent`.
 
 A family is one `Family` record in `FAMILIES`: its evaluation, domain
 radius, curvature at 0, label, JSON fields, closed-form inverse and tail
@@ -26,7 +27,7 @@ import numpy as np
 
 from .distributions import Distribution, parse_distribution, read_spec
 from .numerics import (candidate_sizes, coordinate_search, geometric_grid,
-                       golden_max, invert_increasing_vec, substream,
+                       golden_max, incumbent, invert_increasing_vec, substream,
                        weight_candidates)
 
 OVERFLOW_EXPONENT = 700.0  # exp argument guard, inside double range with headroom
@@ -34,6 +35,7 @@ LEGENDRE_GRID_LO = 1e-6
 LEGENDRE_GRID_HI = 1e6
 LEGENDRE_EXTEND_CAP = 1e15
 CONV_LAMBDA_CAP, CONV_GRID_POINTS = 50.0, 10_000  # the Conv_r grid test's range and size
+OVERLINE_N_CAP = 1_000_000  # the largest n of `overline_phi`
 
 
 class DomainError(ValueError):
@@ -437,12 +439,12 @@ def conv_r_class(phi: GeneratingFunction, r: float) -> ConvClassResult:
 # sup-over-n transform
 # ---------------------------------------------------------------------------
 
-def overline_phi(phi: GeneratingFunction, lam: float, n_cap: int = 1_000_000) -> float:
+def overline_phi(phi: GeneratingFunction, lam: float) -> float:
     """sup over integer n >= 1 of n * phi(lam / sqrt(n)).
 
-    A continuous 1-d search over t in [1, n_cap] brackets the maximizer, then
-    the sup is taken exactly over the integers in the bracket (plus the
-    endpoints, which covers the monotone cases).
+    A continuous 1-d search over t in [1, OVERLINE_N_CAP] brackets the
+    maximizer, then the sup is taken exactly over the integers in the bracket
+    (plus the endpoints, which covers the monotone cases).
     """
     lam = abs(float(lam))
     if lam >= phi.lambda0:
@@ -453,13 +455,13 @@ def overline_phi(phi: GeneratingFunction, lam: float, n_cap: int = 1_000_000) ->
     def h(t, rows=None):  # rows: the golden_max calling convention
         return t * phi(lam / np.sqrt(t))
 
-    grid = np.unique(np.concatenate([[1.0], geometric_grid(1.0, float(n_cap), 64)]))
+    grid = np.unique(np.concatenate([[1.0], geometric_grid(1.0, float(OVERLINE_N_CAP), 64)]))
     i = int(np.argmax(h(grid)))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
     t_star = float(golden_max(h, lo, hi, tol=1e-10)[0][0])
     lo_n = max(1, int(math.floor(t_star)) - 64)
-    hi_n = min(n_cap, int(math.ceil(t_star)) + 64)
-    cands = np.union1d(np.arange(lo_n, hi_n + 1), [1, n_cap]).astype(float)
+    hi_n = min(OVERLINE_N_CAP, int(math.ceil(t_star)) + 64)
+    cands = np.union1d(np.arange(lo_n, hi_n + 1), [1, OVERLINE_N_CAP]).astype(float)
     return max(h(cands).tolist())
 
 
@@ -467,74 +469,52 @@ def overline_phi(phi: GeneratingFunction, lam: float, n_cap: int = 1_000_000) ->
 # kappa: sup over n and unit-norm weights of sums of component functions
 # ---------------------------------------------------------------------------
 
+def phi_sums(phis, x) -> np.ndarray:
+    """sum_k phis[k](x[..., k]) over the last axis of x >= 0. Components that
+    share one GeneratingFunction object are evaluated in one call, and the
+    group sums are added left to right in the order of each group's first
+    component. A row is NaN where some x_k reaches its phi's finite lambda0."""
+    groups: dict[int, tuple[GeneratingFunction, list[int]]] = {}
+    for k, p in enumerate(phis):
+        groups.setdefault(id(p), (p, []))[1].append(k)
+    total, refused = np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], dtype=bool)
+    for p, idx in groups.values():
+        xs = x[..., idx]
+        bad = xs >= p.lambda0
+        refused |= bad.any(axis=-1)
+        total = total + p(np.where(bad, 0.0, xs).ravel()).reshape(xs.shape).sum(axis=-1)
+    return np.where(refused, math.nan, total)
+
+
 def _kappa_candidates(phis, n_max: int, restarts: int, seed: int,
                       opt_lams) -> list[np.ndarray]:
     """Candidate weight vectors b (b_k = a_k^2 on the simplex over the first
     n coordinates): a * a for every a of `weight_candidates`, then the ends
-    of the coordinate ascents of sum_k phi_k(lam sqrt(b_k)), in the order
-    (n, restart, lambda), one `coordinate_search` batch per n. An ascent
-    refuses (NaN) a b with some lam sqrt(b_k) at or past a finite lambda0,
-    as `candidate_profile` discards it."""
+    of the coordinate ascents of `phi_sums` at lam sqrt(b), in the order
+    (n, restart, lambda), one `coordinate_search` batch per n >= 2 (at n = 1
+    every move renormalizes back to b = [1]). An ascent refuses (NaN) a b
+    that `candidate_profile` discards."""
     N = min(n_max, len(phis))
     cands = [a * a for _, a in weight_candidates(N, exchangeable=False)]
     if restarts < 1 or not opt_lams:
         return cands
     lams = np.tile(opt_lams, restarts)[:, None]
-    for n in candidate_sizes(N):
-        groups = _group_phis(phis[:n])
-
+    for n in candidate_sizes(N)[1:]:
         def value(b, rows, k):
-            x = lams[rows] * np.sqrt(np.maximum(b, 0.0))
-            refused = np.any([np.any(x[:, idx] >= p.lambda0, axis=1) for p, idx in groups], axis=0)
-            x[refused] = 0.0
-            sums = [p(x[:, idx].ravel()).reshape(-1, idx.size).sum(axis=1) for p, idx in groups]
-            return np.where(refused, math.nan, [math.fsum(row) for row in zip(*sums)])
+            return phi_sums(phis[:n], lams[rows] * np.sqrt(np.maximum(b, 0.0)))
 
         starts = [substream(seed, 0xCA11, n, r).dirichlet(np.ones(n)) for r in range(restarts)]
         cands.extend(coordinate_search(value, np.repeat(starts, len(opt_lams), axis=0), True)[0])
     return cands
 
 
-def _group_phis(phis):
-    """Group component indices by the identity of their generating function so
-    evaluations vectorize across repeated members of a cycled pool."""
-    groups: dict[int, tuple[GeneratingFunction, list[int]]] = {}
-    for k, p in enumerate(phis):
-        groups.setdefault(id(p), (p, []))[1].append(k)
-    return [(p, np.asarray(idx)) for p, idx in groups.values()]
-
-
 def candidate_profile(phis, b: np.ndarray, lam_grid: np.ndarray):
-    """Values sum_k phi_k(a_k*lam) across the lambda grid for one candidate.
-
-    Candidates driving |a_k * lam| to a finite domain radius are discarded at
-    those lambdas (returned as -inf with a flag).
-    """
-    a = np.sqrt(b)
-    vals = np.zeros_like(lam_grid)
-    flagged = False
-    for p, idx in _group_phis(phis[:b.size]):
-        ak = a[idx]
-        ak = ak[ak > 0.0]
-        if ak.size == 0:
-            continue
-        x = np.abs(np.multiply.outer(lam_grid, ak))
-        if p.lambda0 != math.inf:
-            bad = x >= p.lambda0
-            if np.any(bad):
-                flagged = True
-                vals = np.where(np.any(bad, axis=1), -np.inf, vals)
-                x = np.where(bad, 0.0, x)
-        vals = vals + p(x.ravel()).reshape(x.shape).sum(axis=1)
-    return vals, flagged
-
-
-def _tuple_ranks(cands) -> np.ndarray:
-    """Dense rank of each candidate in Python's tuple order; equal tuples
-    share a rank."""
-    keys = [tuple(b) for b in cands]
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return np.array([rank[k] for k in keys], dtype=np.int64)
+    """Values sum_k phi_k(a_k*lam) across the lambda grid for one candidate
+    (`phi_sums` on |lam a|). Candidates driving |a_k * lam| to a finite domain
+    radius are discarded at those lambdas (returned as -inf with a flag)."""
+    vals = phi_sums(phis[:b.size], np.multiply.outer(np.abs(lam_grid), np.sqrt(b)))
+    refused = np.isnan(vals)
+    return np.where(refused, -np.inf, vals), bool(refused.any())
 
 
 def kappa_profile(phis, lam_grid, n_max: int = 32, restarts: int = 3, seed: int = 0):
@@ -542,10 +522,9 @@ def kappa_profile(phis, lam_grid, n_max: int = 32, restarts: int = 3, seed: int 
     across a lambda grid.
 
     Returns (values, witnesses, meta); witnesses[i] is the best weight vector
-    b at lam_grid[i]: the first candidate that beats every earlier one by more
-    than 1e-12, or, among candidates within 1e-12 of it, the least as a tuple.
-    The value is explicitly a lower bound of the sup: only the scanned and
-    locally optimized candidates are examined (`numerics.weight_candidates`
+    b at lam_grid[i] by `numerics.incumbent`, the one tie rule (keys: b as a
+    tuple). The value is explicitly a lower bound of the sup: only the scanned
+    and locally optimized candidates are examined (`numerics.weight_candidates`
     says when it is monotone in n_max and restarts).
     """
     if n_max < 1:
@@ -556,23 +535,17 @@ def kappa_profile(phis, lam_grid, n_max: int = 32, restarts: int = 3, seed: int 
         idx = np.linspace(0, len(opt_lams) - 1, 8).round().astype(int)
         opt_lams = [opt_lams[i] for i in idx]
     cands = _kappa_candidates(list(phis), n_max, restarts, seed, opt_lams)
-    rank = _tuple_ranks(cands)
-    best = np.full(lam_grid.shape, -np.inf)
-    wi = np.full(lam_grid.shape, -1)  # index into cands of each witness
-    discarded = 0
-    for j, b in enumerate(cands):
-        vals, flagged = candidate_profile(phis, b, lam_grid)
-        discarded += int(flagged)
-        with np.errstate(invalid="ignore"):
-            better = vals > best + 1e-12
-            # a tie needs a finite best, so a witness is held there
-            tie = ~better & (np.abs(vals - best) <= 1e-12)
-        held = wi >= 0
-        tie &= held
-        wi = np.where(better | (tie & (rank[j] < rank[np.where(held, wi, 0)])), j, wi)
-        best = np.where(better, vals, best)
+    flags = []  # whether each profile discarded a lambda
+
+    def profiles():
+        for b in cands:
+            vals, flagged = candidate_profile(phis, b, lam_grid)
+            flags.append(flagged)
+            yield vals
+
+    best, wi = incumbent(profiles(), [tuple(b) for b in cands])
     witness = [cands[w] if w >= 0 else None for w in wi]
-    meta = {"candidates": len(cands), "discarded_domain": discarded,
+    meta = {"candidates": len(cands), "discarded_domain": sum(flags),
             "n_max": min(n_max, len(phis)), "direction": "lower_bound_of_sup"}
     return best, witness, meta
 

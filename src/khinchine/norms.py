@@ -20,7 +20,6 @@ from .numerics import (MC_STREAMS, NORM_GRID_HI, NORM_GRID_LO, collapse_support,
 ENUM_STATE_BUDGET = 1 << 22
 CONV_POINT_BUDGET = 1 << 18
 MC_SAMPLES_DEFAULT = 1_000_000
-COLLAPSE_TOL = 1e-12
 REFINE_ROUNDS = 3  # shrinking windows around the B(phi) grid maximizer
 
 
@@ -160,7 +159,7 @@ def conv_distribution(d: Distribution, weights, max_points: int = CONV_POINT_BUD
         probs = (probs[:, None] * p[None, :]).ravel()
         if law is not None and i == len(parts) and vals.size <= max_points:
             break
-        vals, probs = collapse_support(vals, probs, COLLAPSE_TOL)
+        vals, probs = collapse_support(vals, probs)
         if vals.size > max_points:
             raise EngineRefusal(
                 f"convolution support exceeded {max_points} points; "
@@ -368,8 +367,7 @@ def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
 # exponential-moment norm
 # ---------------------------------------------------------------------------
 
-def bphi_norm(source, phi: GeneratingFunction, lambda_grid=None,
-              variance: float | None = None) -> NormEstimate:
+def bphi_norm(source, phi: GeneratingFunction, variance: float | None = None) -> NormEstimate:
     """Exponential-moment norm: sup over lambda > 0 and both signs of
     phi^{-1}(ln E exp(+-lambda X)) / lambda.
 
@@ -385,10 +383,10 @@ def bphi_norm(source, phi: GeneratingFunction, lambda_grid=None,
     This is the one-source call of `bphi_norms`; the result does not depend
     on being computed alone or in a batch.
     """
-    return bphi_norms([source], phi, lambda_grid, [variance])[0]
+    return bphi_norms([source], phi, [variance])[0]
 
 
-def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None, variances=None) -> list:
+def bphi_norms(sources, phi: GeneratingFunction, variances=None) -> list:
     """`bphi_norm` of several sources on one lambda grid, one NormEstimate
     per source (variances[r], default None, goes with sources[r]).
 
@@ -397,7 +395,7 @@ def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None, variances=Non
     windows, and its `truncated` and `unbounded` flags; a source whose
     log-MGF exceeds a finite phi range is unbounded alone. Because the
     inversion works elementwise, estimate r has the bits of
-    `bphi_norm(sources[r], phi, lambda_grid, variances[r])`.
+    `bphi_norm(sources[r], phi, variances[r])`.
     """
     variances = [None] * len(sources) if variances is None else variances
     if any(v is None and not isinstance(s, Distribution) for s, v in zip(sources, variances)):
@@ -405,10 +403,8 @@ def bphi_norms(sources, phi: GeneratingFunction, lambda_grid=None, variances=Non
     log_mgfs = [s.log_mgf if isinstance(s, Distribution) else s for s in sources]
     vars_ = [s.variance if isinstance(s, Distribution) else v for s, v in zip(sources, variances)]
 
-    if lambda_grid is None:
-        hi = NORM_GRID_HI if phi.lambda0 == math.inf else phi.lambda0 * (1 - 1e-12)
-        lambda_grid = geometric_grid(min(NORM_GRID_LO, hi / 10), hi)
-    grid = np.asarray(lambda_grid, dtype=float)
+    hi = NORM_GRID_HI if phi.lambda0 == math.inf else phi.lambda0 * (1 - 1e-12)
+    grid = geometric_grid(min(NORM_GRID_LO, hi / 10), hi)
     step = grid[1] / grid[0] if grid.size > 1 else 2.0
     limit = phi_range(phi)
     rows = len(log_mgfs)

@@ -1,8 +1,8 @@
 """Shared numeric machinery: geometric grids, the one golden-section maximizer
 (a bracket per row), vectorized monotone inversion, the one candidate
-generator and the one row-batched coordinate search of the weight searches,
-deterministic counter-based random streams, and Monte Carlo's row-blocked
-draws and one moment estimator."""
+generator, the one row-batched coordinate search and the one tie rule
+(`incumbent`) of the weight searches, deterministic counter-based random
+streams, and Monte Carlo's row-blocked draws and one moment estimator."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ MC_STREAMS = 16
 MC_BLOCK_BYTES = 1 << 19
 #: squared weight w of the leading block of a two-level candidate
 TWO_LEVEL_W = (0.1, 0.3, 0.5, 0.7, 0.9)
+BISECT_STEPS = 200  # most bisection steps of `invert_increasing_vec`
 
 
 def geometric_grid(lo: float, hi: float, per_decade: int = POINTS_PER_DECADE) -> np.ndarray:
@@ -72,8 +73,8 @@ def golden_max(f, lo, hi, tol: float = 1e-12, max_iter: int = 400):
     return best_x, best_f
 
 
-def invert_increasing_vec(f, y, hi_start: float = 1.0, iters: int = 200,
-                          seed=None, cap: float = math.inf) -> np.ndarray:
+def invert_increasing_vec(f, y, hi_start: float = 1.0, seed=None,
+                          cap: float = math.inf) -> np.ndarray:
     """Solve f(x) = y elementwise for f increasing on [0, inf), f(0) = 0.
 
     f must be vectorized and may return +inf for large arguments. y must be
@@ -86,14 +87,14 @@ def invert_increasing_vec(f, y, hi_start: float = 1.0, iters: int = 200,
     - seed(y), when given, is an approximate inverse g (a closed form). Where
       [g(1 - 1e-14), g(1 + 1e-14)] satisfies the invariant it replaces the
       bracket above, so bisection starts about 90 ulp wide.
-    - Stop: at most `iters` steps, and none after the first step that
+    - Stop: at most BISECT_STEPS steps, and none after the first step that
       changes neither lo nor hi, because every later step would repeat it.
 
     Neither the seed nor the stop changes a bit of the result. Once lo and hi
     are adjacent floats the midpoint is one of them, and while f does not
     decrease in floating point only one adjacent pair straddles y, so every
-    valid bracket ends on it. A seed below the starting hi times
-    2**(60 - iters) is not used: from [0, hi] that many steps end before the
+    valid bracket ends on it. A seed below the starting hi times 2**(60 -
+    BISECT_STEPS) is not used: from [0, hi] that many steps end before the
     bracket is one ulp wide, and only that bracket reproduces where they end.
     """
     y = np.asarray(y, dtype=float)
@@ -112,7 +113,7 @@ def invert_increasing_vec(f, y, hi_start: float = 1.0, iters: int = 200,
             g_lo = np.minimum(g * (1.0 - 1e-14), top)
             g_hi = np.minimum(g * (1.0 + 1e-14), top)
             f_lo, f_hi = np.split(f(np.concatenate([g_lo, g_hi])), 2)
-            seeded = live & (g_lo >= hi0 * 2.0 ** (60 - iters)) & (f_lo < y) & (f_hi >= y)
+            seeded = live & (g_lo >= hi0 * 2.0 ** (60 - BISECT_STEPS)) & (f_lo < y) & (f_hi >= y)
         lo = np.where(seeded, g_lo, lo)
         hi = np.where(seeded, g_hi, hi)
         grow &= ~seeded
@@ -123,7 +124,7 @@ def invert_increasing_vec(f, y, hi_start: float = 1.0, iters: int = 200,
             grow &= f(hi) < y
         hi = np.where(grow, np.minimum(hi * 4.0, cap), hi)
         grow &= hi < cap
-    for _ in range(iters):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         with np.errstate(over="ignore", invalid="ignore"):
             below = f(mid) < y
@@ -216,6 +217,26 @@ def coordinate_search(f, b0, maximize: bool, max_evals: int = 250):
         step[flat] = 1.0 + (step[flat] - 1.0) * 0.5
         live = live[step[live] > 1.01]
     return b, sign * cur, evals
+
+
+def incumbent(rows, keys):
+    """The one tie rule of the weight searches: per column, the first
+    candidate whose value beats every earlier one by more than 1e-12, or,
+    among later candidates within 1e-12 of the value it set, the one whose
+    key (a tuple) is least. rows yields each candidate's values in candidate
+    order, a scalar or one per column; NaN never wins. Returns (values,
+    index), index -1 and value -inf in a column no candidate won."""
+    order = {k: i for i, k in enumerate(sorted(set(keys)))}
+    rank = np.array([order[k] for k in keys], dtype=np.int64)
+    best, idx = np.float64(-np.inf), np.int64(-1)
+    for j, vals in enumerate(rows):
+        with np.errstate(invalid="ignore"):
+            better = vals > best + 1e-12
+            # a tie needs a held witness, so a finite best
+            tie = ~better & (idx >= 0) & (np.abs(vals - best) <= 1e-12)
+        idx = np.where(better | (tie & (rank[j] < rank[idx])), j, idx)
+        best = np.where(better, vals, best)
+    return best, idx
 
 
 def substream(seed: int, *ids: int) -> np.random.Generator:
@@ -404,8 +425,11 @@ def log_sinhc(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def collapse_support(values: np.ndarray, probs: np.ndarray, tol: float = 1e-12):
-    """Merge support points closer than tol (absolute), summing probabilities.
+COLLAPSE_TOL = 1e-12  # support points closer than this (absolute) merge
+
+
+def collapse_support(values: np.ndarray, probs: np.ndarray):
+    """Merge support points closer than COLLAPSE_TOL, summing probabilities.
 
     The representative of a merged group is the probability-weighted mean, so
     symmetric supports stay symmetric; a point merged with no other keeps its
@@ -418,7 +442,7 @@ def collapse_support(values: np.ndarray, probs: np.ndarray, tol: float = 1e-12):
         return v, p
     new_group = np.empty(v.size + 1, dtype=bool)  # and one past the end
     new_group[0] = new_group[-1] = True
-    new_group[1:-1] = np.diff(v) > tol
+    new_group[1:-1] = np.diff(v) > COLLAPSE_TOL
     starts = np.flatnonzero(new_group[:-1])
     pm = np.add.reduceat(p, starts)
     wv = np.add.reduceat(p * v, starts)

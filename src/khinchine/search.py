@@ -30,7 +30,7 @@ from .distributions import Distribution
 from .genfun import GeneratingFunction, PsiFunction
 from .norms import (CoefficientVector, EngineRefusal, NormEstimate, weighted_sum_bphi,
                     weighted_sum_bphis, weighted_sum_gls, weighted_sum_lp)
-from .numerics import (candidate_sizes, coordinate_search, substream,
+from .numerics import (candidate_sizes, coordinate_search, incumbent, substream,
                        weight_candidates)
 
 
@@ -150,20 +150,8 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
         raise ValueError("n_max must be >= 1")
     sign = 1.0 if maximize else -1.0
     trace: list = []
-    best_val = -math.inf
-    best_wit: CoefficientVector | None = None
+    scores: list = []  # (sign * norm, witness) of every scored candidate, in order
     refusals = 0
-
-    def update(v: float, a: CoefficientVector):
-        """Make a the incumbent if its score v (sign * norm) beats the best by
-        more than 1e-12; within 1e-12 the lexicographically smaller witness wins."""
-        nonlocal best_val, best_wit
-        if v > best_val + 1e-12:
-            best_val, best_wit = v, a
-        elif best_wit is not None and abs(v - best_val) <= 1e-12:
-            if tuple(a.entries) < tuple(best_wit.entries):
-                best_wit = a
-
     for kind, entries in weight_candidates(n_max, exchangeable=True):
         a = CoefficientVector(entries)
         try:
@@ -173,7 +161,7 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
             trace.append({"kind": kind, "n": a.n, "refused": str(exc)})
             continue
         trace.append({"kind": kind, "n": a.n, "value": val})
-        update(sign * val, a)
+        scores.append((sign * val, a))
 
     nonneg = d.is_symmetric  # sign of a_k provably irrelevant there
     for n in candidate_sizes(n_max)[1:]:  # n = 1 has nothing to optimize
@@ -208,18 +196,19 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
                 trace.append({**entry, "refused": "engine refusal at start"})
             else:
                 trace.append({**entry, "value": float(vals[r]), "evals": int(evals[r])})
-                update(sign * float(vals[r]), weights(b[r], r))
+                scores.append((sign * float(vals[r]), weights(b[r], r)))
 
-    if best_wit is None:
+    best, index = incumbent([v for v, _ in scores], [tuple(a.entries) for _, a in scores])
+    if index < 0:
         raise EngineRefusal(
             f"the exact engines refused all {refusals} candidates for {spec.label} "
             f"on {d.label}; use the monte_carlo engine")
     return KhinchineEstimate(
-        value=sign * best_val,
+        value=sign * float(best),
         direction="lower_bound_of_sup" if maximize else "upper_bound_of_inf",
         norm_spec=spec.label,
         n_max=n_max,
-        witness=best_wit,
+        witness=scores[index][1],
         trace=trace,
         meta={"restarts": restarts, "seed": seed, "engine": engine,
               "refusals": refusals, "law": d.label},
@@ -238,6 +227,8 @@ def khinchine_sup(d: Distribution, spec: NormSpec, n_max: int = 32,
     `candidate_sizes(n_max)`. Engine refusals are recorded in the trace and
     the candidate skipped; nothing silently falls back to sampling. When
     every candidate is refused, EngineRefusal names the monte_carlo engine.
+    The witness is picked by `numerics.incumbent`, the one tie rule (keys:
+    the weights as a tuple).
     """
     return _khinchine_search(d, spec, n_max, restarts, seed, True, engine, budget)
 

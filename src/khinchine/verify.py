@@ -35,7 +35,7 @@ from .genfun import (DomainError, GeneratingFunction, PsiFunction,
 from .norms import (CoefficientVector, EngineRefusal, bphi_norm, bphi_norms,
                     draw_sums, sum_distribution, sum_log_mgf, weighted_sum_bphi,
                     weighted_sum_lp)
-from .numerics import geometric_grid, ordered_map, substream
+from .numerics import NORM_GRID_HI, NORM_GRID_LO, geometric_grid, ordered_map, substream
 
 #: optimal-order Rosenthal constant
 C_R = 1.776379
@@ -67,10 +67,6 @@ def rosenthal_psi(psi: PsiFunction) -> PsiFunction:
     """psi_R(p) = C_R * p/(e ln p) * psi(p) on the same grid."""
     scale = np.array([rosenthal_c(float(p)) for p in psi.p_grid])
     return PsiFunction(psi.p_grid, scale * psi.values, "rosenthal_scaled")
-
-
-def _grid(lambda_grid) -> np.ndarray:
-    return geometric_grid(1e-4, 1e3) if lambda_grid is None else np.asarray(lambda_grid, float)
 
 
 def _require_conv2(phi: GeneratingFunction) -> None:
@@ -128,8 +124,7 @@ def _kappa_side(phis, lams, n_max: int, restarts: int, seed: int):
 
 
 def verify_thm31(d: Distribution, phi: GeneratingFunction, trials: int = 1000,
-                 seed: int = 0, n_cap: int = 32, lambda_grid=None,
-                 threads: int = 1) -> dict:
+                 seed: int = 0, n_cap: int = 32, threads: int = 1) -> dict:
     """Check, at the MGF level, that sums with unit-norm weights stay inside
     the envelope exp(phi(lambda * tau)) with tau the single-variable norm.
 
@@ -140,7 +135,7 @@ def verify_thm31(d: Distribution, phi: GeneratingFunction, trials: int = 1000,
     """
     _require_conv2(phi)
     tau = bphi_norm(d, phi).value
-    grid = _grid(lambda_grid)
+    grid = geometric_grid(NORM_GRID_LO, NORM_GRID_HI)
     with np.errstate(over="ignore"):
         rhs = phi(grid * tau)
     suite = _envelope_suite(0x7131, n_cap, lambda a: sum_log_mgf(d, a.entries)(grid),
@@ -152,7 +147,7 @@ def verify_thm31(d: Distribution, phi: GeneratingFunction, trials: int = 1000,
 
 def verify_thm32(d: Distribution, phi: GeneratingFunction, trials: int = 200,
                  seed: int = 0, n_max: int = 32, restarts: int = 2,
-                 lambda_grid=None, threads: int = 1) -> dict:
+                 threads: int = 1) -> dict:
     """Check sum_k ln mgf(a_k lambda) <= kappa(lambda * tau) where kappa is
     built from identical components phi and tau is the single-variable norm.
 
@@ -161,7 +156,7 @@ def verify_thm32(d: Distribution, phi: GeneratingFunction, trials: int = 200,
     linkage flag.
     """
     tau = bphi_norm(d, phi).value
-    grid = _grid(lambda_grid)
+    grid = geometric_grid(NORM_GRID_LO, NORM_GRID_HI)
     _, kmeta, rhs = _kappa_side([phi] * n_max, grid * tau, n_max, restarts, seed)
     suite = _envelope_suite(0x7132, n_max, lambda a: sum_log_mgf(d, a.entries)(grid),
                             rhs, trials, seed, threads)
@@ -171,8 +166,7 @@ def verify_thm32(d: Distribution, phi: GeneratingFunction, trials: int = 200,
 
 
 def verify_thm41(laws, phis, trials: int = 1000, seed: int = 0,
-                 n_max: int = 32, restarts: int = 2, lambda_grid=None,
-                 threads: int = 1) -> dict:
+                 n_max: int = 32, restarts: int = 2, threads: int = 1) -> dict:
     """Check the product-MGF bound prod_k mgf_k(a_k lambda) <= exp(kappa(lambda))
     for mixed laws, with each phi_k required to dominate its law's log-MGF.
 
@@ -182,7 +176,7 @@ def verify_thm41(laws, phis, trials: int = 1000, seed: int = 0,
     phis = list(phis)
     if len(laws) != len(phis) or not laws:
         raise PreconditionError("laws and phis must be matched nonempty pools")
-    grid = _grid(lambda_grid)
+    grid = geometric_grid(NORM_GRID_LO, NORM_GRID_HI)
     for k, (law, p) in enumerate(zip(laws, phis)):
         rhs, lhs = p(grid), np.maximum(law.log_mgf(grid), law.log_mgf(-grid))
         # equal sides (also both inf) dominate; argmin finds the first NaN, a failure

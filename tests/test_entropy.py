@@ -1,4 +1,5 @@
 import csv
+import gc
 import itertools
 import math
 import tracemalloc
@@ -161,6 +162,24 @@ def test_random_spaces_exact_matches_brute_force():
         count, exact, _ = covering_number(sp, eps)
         assert exact
         assert count == brute_cover(sp, eps)
+
+
+def test_exact_cover_leaves_no_reference_cycle():
+    # the branch and bound recursion is a closure that refers to itself; it
+    # must not outlive the call as garbage that only the cycle collector frees
+    sp = FiniteMetricSpace.from_points(np.random.default_rng(0).uniform(size=(9, 2)))
+    dudley_integral(sp)
+    covering_number(sp, 0.3)  # first calls fill caches of their own
+    gc.collect()
+    gc.disable()
+    try:
+        dudley_integral(sp)
+        after_dudley = gc.collect()
+        covering_number(sp, 0.3)
+        after_cover = gc.collect()
+    finally:
+        gc.enable()
+    assert (after_dudley, after_cover) == (0, 0)
 
 
 def test_greedy_flagged_above_exact_limit():
