@@ -69,6 +69,15 @@ def finite(text: str) -> float:
     return x
 
 
+def count(lowest: int):
+    """The `type=` of a count option: an integer >= lowest (else exit 2)."""
+    def integer(text: str) -> int:
+        if int(text) < lowest:
+            raise argparse.ArgumentTypeError(f"need an integer >= {lowest}, got {text}")
+        return int(text)
+    return integer
+
+
 #: weights: name -> (CLI form, the ':'-separated fields after the name -> weights)
 WEIGHT_SPECS = {
     "equal": ("equal:<n>", lambda f: CoefficientVector.equal(int(f[0]))),
@@ -288,16 +297,18 @@ U = arg("--u", type=finite, required=True)
 P = arg("--p", type=finite, required=True)
 NORM = arg("--norm", required=True, help=f"norm spec; known: {NORM_CATALOG}")
 SPACE = arg("--space", required=True, help="CSV or JSON file")
-SAMPLES = arg("--samples", type=int, default=None, help="budget for sampling engines / "
-              "enumeration; --engine auto on a symmetric law with even p needs none. Monte "
-              "Carlo holds, per thread, one vector of samples/16 floats for one p, one more "
-              "and up to floor(log2 max p) for a p-grid, and one block of draws of at most "
-              f"{MC_BLOCK_BYTES >> 10} KiB, not samples x n. Its "
-              "Rademacher row sums are within n ulp (of sum |a_k|) of the exact sums, and "
-              "its integer powers within about p/2 ulp of pow")
+SAMPLES = arg("--samples", type=count(1), default=None, help="budget (at least 1) for "
+              "sampling engines / enumeration; --engine auto on a symmetric law with even p "
+              "needs none. Monte Carlo holds, per thread, one vector of samples/16 floats for "
+              "one p, one more and up to floor(log2 max p) for a p-grid, and one block of "
+              f"draws of at most {MC_BLOCK_BYTES >> 10} KiB, not samples x n. Its Rademacher "
+              "row sums are within n ulp (of sum |a_k|) of the exact sums, and its integer "
+              "powers within about p/2 ulp of pow")
 ENGINE = arg("--engine", default="auto", choices=list(ENGINES))
-NMAX, RESTARTS = arg("--nmax", type=int, default=32), arg("--restarts", type=int, default=3)
-TRIALS, THREADS = arg("--trials", type=int, default=1000), arg("--threads", type=int, default=1)
+NMAX, RESTARTS = (arg("--nmax", type=count(1), default=32, help="at least 1"),
+                  arg("--restarts", type=count(0), default=3, help="at least 0 (0: no restarts)"))
+TRIALS, THREADS = (arg("--trials", type=count(1), default=1000, help="at least 1"),
+                   arg("--threads", type=count(1), default=1, help="at least 1"))
 P_GRID = arg("--p-grid", dest="p_grid", default="2:64", help="grid 'lo:hi[:step]' for psi")
 SEARCH = [P_GRID, NMAX, RESTARTS, ENGINE, SAMPLES]
 
@@ -392,7 +403,7 @@ COMMANDS = {
         "fieldsim": ([arg("--model", required=True, help="JSON field model"),
                       arg("--weights", default="equal:2",
                           help="semicolon-separated " + WEIGHTS_HELP),
-                      arg("--copies", type=int, default=100_000), THREADS],
+                      arg("--copies", type=count(1), default=100_000, help="at least 1"), THREADS],
                      _fieldsim),
     }),
 }

@@ -65,6 +65,14 @@ def lp_root(moment: float, p: float, support=None) -> float:
     return top * float(np.dot(probs, (absv / top) ** p)) ** (1.0 / p)
 
 
+def support_moments(values, probs, ps) -> list:
+    """E|X|^p for every p in ps, X on the finite support (values, probs);
+    inf where a moment leaves the double range."""
+    absv = np.abs(values)
+    with np.errstate(over="ignore"):
+        return [float(np.dot(probs, absv ** p)) for p in ps]
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A centered law from the catalog.
@@ -192,9 +200,7 @@ class Distribution:
             raise DistributionError("abs_moment requires p >= 1")
         sup = self.finite_support()
         if sup is not None:
-            v, pr = sup
-            with np.errstate(over="ignore"):
-                return float(np.dot(pr, np.abs(v) ** p))
+            return support_moments(*sup, [p])[0]
         try:
             m = self.record.abs_moment(self, p)
         except OverflowError:  # Python float powers and math.gamma raise

@@ -4,9 +4,10 @@ Orlicz N-function, convexity-class tests, the sup-over-n and sup-over-weights
 transforms, moment-scale functions, and tail envelopes.
 
 The concave one-dimensional sups (the conjugate, biconjugate and sup over n)
-scan a grid and refine the bracket of its argmax with `numerics.golden_max`;
-`conjugate_profile` is the one Legendre kernel, for every u at once. kappa's
-one grouped sum is `phi_sums`; its one tie rule is `numerics.incumbent`.
+scan a grid and refine the bracket of its argmax with `numerics.golden_max`,
+called as f(x) with entry r of x on row r; `conjugate_profile` is the one
+Legendre kernel, for every u at once. kappa's one grouped sum is `phi_sums`;
+its one tie rule is `numerics.incumbent`.
 
 A family is one `Family` record in `FAMILIES`: its evaluation, domain
 radius, curvature at 0, label, JSON fields, closed-form inverse and tail
@@ -314,7 +315,7 @@ def biconjugate(phi: GeneratingFunction, lam: float) -> float:
     if lam == 0.0:
         return 0.0
 
-    def obj(u, rows=None):  # rows: the golden_max calling convention
+    def obj(u):
         return lam * u - conjugate_profile(phi, u).values
 
     # scan a geometric u grid (one profile) for a bracket, then refine
@@ -346,19 +347,19 @@ class ConjugateProfile:
 def conjugate_profile(phi: GeneratingFunction, u_knots) -> ConjugateProfile:
     """phi*(u) = sup over lambda in [0, lambda0) of lambda*u - phi(lambda) at
     every knot u, with maximizers and flags: the one Legendre kernel. The
-    objective is concave. Each grid level is one (knots x grid) argmax; for
-    lambda0 = inf, knots whose argmax is the last point scan a grid with a
-    100 times higher top while it is below LEGENDRE_EXTEND_CAP, then are
+    objective is concave. Each grid level is one (knots x grid) argmax over
+    the `todo` mask, writing each knot's bracket to lo and hi; for lambda0 =
+    inf, knots whose argmax is the last point stay todo and scan a grid with
+    a 100 times higher top while it is below LEGENDRE_EXTEND_CAP, then are
     `unbounded` (a finite lambda0 gives the `boundary`). One `golden_max`
     call refines every bracket. u = 0 and a sup <= 0 give 0. A knot gets the
     same bits alone or among others."""
     u = np.asarray(u_knots, dtype=float)
     if np.any(np.diff(u) <= 0) or np.any(u < 0):
         raise DomainError("conjugate profile knots must be increasing and >= 0")
-    value, arg = np.zeros(u.shape), np.zeros(u.shape)
+    value, arg, lo, hi = (np.zeros(u.shape) for _ in range(4))
     boundary, unbounded = np.zeros(u.shape, bool), np.zeros(u.shape, bool)
-    todo, brackets = np.flatnonzero(u != 0.0), []
-    top = LEGENDRE_GRID_HI
+    todo, top = u != 0.0, LEGENDRE_GRID_HI
     while True:
         cap = top if phi.lambda0 == math.inf else min(top, phi.lambda0 * (1 - 1e-12))
         grid = np.concatenate([[0.0], geometric_grid(LEGENDRE_GRID_LO, cap)])
@@ -367,17 +368,18 @@ def conjugate_profile(phi: GeneratingFunction, u_knots) -> ConjugateProfile:
         g = np.where(np.isnan(g), -np.inf, g)
         i = np.argmax(g, axis=1)
         inside = i < grid.size - 1
-        brackets.append((todo[inside], grid[np.maximum(i[inside] - 1, 0)], grid[i[inside] + 1]))
-        todo, last = todo[~inside], g[~inside, -1]
-        if not (todo.size and phi.lambda0 == math.inf and top < LEGENDRE_EXTEND_CAP):
+        rows, i = np.flatnonzero(todo)[inside], i[inside]
+        lo[rows], hi[rows], todo[rows] = grid[np.maximum(i - 1, 0)], grid[i + 1], False
+        if not (todo.any() and phi.lambda0 == math.inf and top < LEGENDRE_EXTEND_CAP):
             break
         top *= 100.0
     if phi.lambda0 == math.inf:
         unbounded[todo], value[todo], arg[todo] = True, math.inf, math.inf
     else:
+        last = g[~inside, -1]
         boundary[todo], value[todo], arg[todo] = True, np.where(0.0 > last, 0.0, last), grid[-1]
-    rows, lo, hi = (np.concatenate(c) for c in zip(*brackets))
-    x, fx = golden_max(lambda lam, r: lam * u[rows[r]] - phi(lam), lo, hi)
+    rows = np.flatnonzero(hi)  # hi >= grid[1] > 0 on a bracketed knot, else 0
+    x, fx = golden_max(lambda lam: lam * u[rows] - phi(lam), lo[rows], hi[rows])
     pos = ~(fx <= 0.0)
     value[rows[pos]], arg[rows[pos]] = fx[pos], x[pos]
     return ConjugateProfile(knots=u, values=value, lambda_argmax=arg,
@@ -452,7 +454,7 @@ def overline_phi(phi: GeneratingFunction, lam: float) -> float:
     if lam == 0.0:
         return 0.0
 
-    def h(t, rows=None):  # rows: the golden_max calling convention
+    def h(t):
         return t * phi(lam / np.sqrt(t))
 
     grid = np.unique(np.concatenate([[1.0], geometric_grid(1.0, float(OVERLINE_N_CAP), 64)]))

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import Distribution, lp_root
+from .distributions import Distribution, lp_root, support_moments
 from .genfun import GeneratingFunction, PsiFunction, phi_inverse_vec, phi_range
 from .numerics import (MC_STREAMS, NORM_GRID_HI, NORM_GRID_LO, collapse_support,
                        geometric_grid, mc_abs_moments, stream_rows, substream)
@@ -190,13 +190,6 @@ def _even_sum_moments(d: Distribution, weights, ps, m: list | None = None) -> li
     return m
 
 
-def _support_moments(vals, probs, ps) -> list:
-    """E|S|^p for every p in ps, S on the support (vals, probs)."""
-    absv = np.abs(vals)
-    with np.errstate(over="ignore"):
-        return [float(np.dot(probs, absv ** p)) for p in ps]
-
-
 @dataclass(frozen=True)
 class Engine:
     """One exact engine. `build(d, w, ps, budget, prefix)` makes the law of
@@ -207,7 +200,7 @@ class Engine:
 
     method: str
     build: Callable
-    moments: Callable = lambda law, ps: _support_moments(*law, ps)
+    moments: Callable = lambda law, ps: support_moments(*law, ps)
     applies: Callable = lambda d, ps: True  # (d, ps) -> whether the engine is tried
     support: bool = True
     folds: bool = False
@@ -390,11 +383,13 @@ def bphi_norms(sources, phi: GeneratingFunction, variances=None) -> list:
     """`bphi_norm` of several sources on one lambda grid, one NormEstimate
     per source (variances[r], default None, goes with sources[r]).
 
-    Each round inverts phi once for the finite log-MGF values of every
-    source. Everything else is per source: its argmax, its refinement
-    windows, and its `truncated` and `unbounded` flags; a source whose
-    log-MGF exceeds a finite phi range is unbounded alone. Because the
-    inversion works elementwise, estimate r has the bits of
+    Each round is one sources x points rectangle of lambda: the grid, then
+    REFINE_ROUNDS windows of 65 points around each row's incumbent. Entries
+    at or past lambda0 and non-finite log-MGF values are masked to -inf, and
+    phi is inverted once for every other entry. A row is `truncated` once a
+    log-MGF value below lambda0 is not finite, and `unbounded` once one
+    exceeds a finite phi range; such a row takes no value in that round
+    only. Because every step works elementwise, estimate r has the bits of
     `bphi_norm(sources[r], phi, variances[r])`.
     """
     variances = [None] * len(sources) if variances is None else variances
@@ -407,67 +402,43 @@ def bphi_norms(sources, phi: GeneratingFunction, variances=None) -> list:
     grid = geometric_grid(min(NORM_GRID_LO, hi / 10), hi)
     step = grid[1] / grid[0] if grid.size > 1 else 2.0
     limit = phi_range(phi)
-    rows = len(log_mgfs)
-    truncated = [False] * rows
-    unbounded = [False] * rows
-
-    def ratios(lams_by_row):
-        outs, oks, ys = [], [], []
-        for r, (log_mgf, lams) in enumerate(zip(log_mgfs, lams_by_row)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                y = np.maximum(log_mgf(lams), log_mgf(-lams))
-            ok = np.isfinite(y)
-            if not np.all(ok):
-                truncated[r] = True
-            y = np.maximum(y[ok], 0.0)
-            if np.any(y > limit):
-                # finite phi range exceeded: the norm is infinite
-                unbounded[r] = True
-                ok, y = np.zeros_like(ok), y[:0]
-            outs.append(np.full(lams.shape, -np.inf))
-            oks.append(ok)
-            ys.append(y)
-        stacked = np.concatenate(ys) if ys else np.empty(0)
-        inv = phi_inverse_vec(phi, stacked) if stacked.size else stacked
-        at = 0
-        for out, ok, y, lams in zip(outs, oks, ys, lams_by_row):
-            out[ok] = inv[at:at + y.size] / lams[ok]
-            at += y.size
-        return outs
-
-    best_lam, best_val = [], []
-    for vals in ratios([grid] * rows):
-        i = int(np.argmax(vals))
-        best_lam.append(float(grid[i]))
-        best_val.append(float(vals[i]))
-    for _ in range(REFINE_ROUNDS):
-        windows = []
-        for lam in best_lam:
-            local = np.geomspace(lam / step, lam * step, 65)
-            windows.append(local[local < phi.lambda0])
-        for r, (local, lv) in enumerate(zip(windows, ratios(windows))):
-            j = int(np.argmax(lv))
-            if lv[j] > best_val[r]:
-                best_val[r] = float(lv[j])
-                best_lam[r] = float(local[j])
-        step = step ** 0.25
+    rows = np.arange(len(log_mgfs))
+    truncated, unbounded = np.zeros((2, rows.size), bool)
+    lams = np.broadcast_to(grid, (rows.size, grid.size))
+    best_lam, best_val = np.full(rows.size, grid[0]), np.full(rows.size, -np.inf)
+    for window in range(1 + REFINE_ROUNDS):  # the grid, then the windows
+        if window:
+            lams = np.geomspace(best_lam / step, best_lam * step, 65, axis=1)
+            step = step ** 0.25
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.reshape([np.maximum(f(x), f(-x)) for f, x in zip(log_mgfs, lams)], lams.shape)
+            inside, finite = lams < phi.lambda0, np.isfinite(y)
+            truncated |= (inside & ~finite).any(axis=1)
+            y, ok = np.maximum(y, 0.0), inside & finite
+            over = (ok & (y > limit)).any(axis=1)
+        unbounded |= over
+        ok &= ~over[:, None]
+        vals = np.full(lams.shape, -np.inf)
+        vals[ok] = phi_inverse_vec(phi, y[ok]) / lams[ok]
+        j = np.argmax(vals, axis=1)
+        better = vals[rows, j] > best_val
+        best_val = np.where(better, vals[rows, j], best_val)
+        best_lam = np.where(better, lams[rows, j], best_lam)
 
     c2 = phi.curvature_at_zero
     out = []
-    for r in range(rows):
-        val = best_val[r]
-        meta = {"grid_points": int(grid.size), "argmax_lambda": best_lam[r],
-                "truncated": truncated[r]}
+    for r in rows:
+        val = float(best_val[r])
+        meta = {"grid_points": int(grid.size), "argmax_lambda": float(best_lam[r]),
+                "truncated": bool(truncated[r])}
         var = vars_[r]
         if math.isfinite(var) and var >= 0:
             zero_limit = math.sqrt(var / (2.0 * c2))
             meta["zero_limit_candidate"] = zero_limit
             if zero_limit > val:
-                val = zero_limit
-                meta["argmax_lambda"] = 0.0
+                val, meta["argmax_lambda"] = zero_limit, 0.0
         if unbounded[r]:
-            val = math.inf
-            meta["unbounded"] = True
+            val, meta["unbounded"] = math.inf, True
         out.append(NormEstimate(max(val, 0.0), "grid_sup", meta=meta))
     return out
 

@@ -1,8 +1,9 @@
 """Shared numeric machinery: geometric grids, the one golden-section maximizer
-(a bracket per row), vectorized monotone inversion, the one candidate
-generator, the one row-batched coordinate search and the one tie rule
-(`incumbent`) of the weight searches, deterministic counter-based random
-streams, and Monte Carlo's row-blocked draws and one moment estimator."""
+(f(x) reads entry r of x as row r's point; a mask holds a stopped row),
+vectorized monotone inversion, the one candidate generator, the one
+row-batched coordinate search and the one tie rule (`incumbent`) of the
+weight searches, deterministic counter-based random streams, and Monte
+Carlo's row-blocked draws and one moment estimator."""
 
 from __future__ import annotations
 
@@ -37,37 +38,32 @@ def geometric_grid(lo: float, hi: float, per_decade: int = POINTS_PER_DECADE) ->
 
 def golden_max(f, lo, hi, tol: float = 1e-12, max_iter: int = 400):
     """Golden-section maxima of unimodal functions, one per row r on the
-    bracket [lo[r], hi[r]]; returns (argmax, value) arrays. f(x, rows) gives
-    row rows[i]'s value at x[i], each entry on its own. A row stops once
-    b - a <= tol * max(1, |a|, |b|) or after max_iter steps and returns the
-    best of a, x1, x2, b (ties: the smaller argument, then the earlier
-    candidate), with the same bits alone or among other rows."""
+    bracket [lo[r], hi[r]]; returns (argmax, value) arrays. f(x) gives row
+    r's value at x[r], each entry on its own. A row stops once
+    b - a <= tol * max(1, |a|, |b|) or after max_iter steps; a stopped row is
+    still evaluated, but a mask keeps its state. It returns the best of a,
+    x1, x2, b (ties: the smaller argument, then the earlier candidate), with
+    the same bits alone or among other rows."""
     a, b = (np.array(x, dtype=float, ndmin=1) for x in (lo, hi))
-    rows = every = np.arange(a.size)
     x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-    state = [a, b, x1, x2, f(x1, rows), f(x2, rows)]
-    end = np.empty((6, a.size))
+    state = [a, b, x1, x2, f(x1), f(x2)]
     for _ in range(max_iter):
-        a, b = state[0], state[1]
-        live = (b - a) > tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
-        if not live.all():  # finished rows leave the live set
-            end[:, rows[~live]] = [s[~live] for s in state]
-            state, rows = [s[live] for s in state], rows[live]
-        if rows.size == 0:
-            break
         a, b, x1, x2, f1, f2 = state
+        live = (b - a) > tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+        moving = np.count_nonzero(live)
+        if not moving:
+            break
         up = f1 < f2
-        a = np.where(up, x1, a)
-        b = np.where(up, b, x2)
+        a, b = np.where(up, x1, a), np.where(up, b, x2)
         w = GOLDEN * (b - a)
         xn = np.where(up, a + w, b - w)
-        fn = f(xn, rows)
-        state = [a, b, np.where(up, x2, xn), np.where(up, xn, x1),
-                 np.where(up, f2, fn), np.where(up, fn, f1)]
-    end[:, rows] = state
-    a, b, x1, x2, f1, f2 = end
-    best_x, best_f = a, f(a, every)
-    for x, fx in ((x1, f1), (x2, f2), (b, f(b, every))):
+        fn = f(xn)
+        step = [a, b, np.where(up, x2, xn), np.where(up, xn, x1),
+                np.where(up, f2, fn), np.where(up, fn, f1)]
+        state = step if moving == a.size else [np.where(live, n, s) for n, s in zip(step, state)]
+    a, b, x1, x2, f1, f2 = state
+    best_x, best_f = a, f(a)
+    for x, fx in ((x1, f1), (x2, f2), (b, f(b))):
         better = (fx > best_f) | ((fx == best_f) & (x < best_x))
         best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
     return best_x, best_f
@@ -353,8 +349,10 @@ def mc_abs_moments(sample, ps, samples: int, threads: int = 1) -> list:
     `threads`; no reduction goes through BLAS (its threads spin beside the
     workers). A worker holds one chunk vector for one p, and one block of
     draws within MC_BLOCK_BYTES; a p-grid adds one chunk vector and at most
-    floor(log2 max p) squares.
+    floor(log2 max p) squares. samples < 1 raises ValueError before any draw.
     """
+    if samples < 1:
+        raise ValueError(f"need at least 1 Monte Carlo sample, got {samples}")
     sizes = [samples // MC_STREAMS] * MC_STREAMS
     sizes[-1] += samples - sum(sizes)
     parts = ordered_map(lambda chunk: power_sums(sample(chunk, sizes[chunk]), ps),

@@ -773,3 +773,46 @@ def test_gaussian_gls_report_is_finite_at_high_p(capsys):
     assert rep["report"]["meta"]["attained_p"] == 400.0
     lp400 = math.sqrt(2.0) * math.exp((math.lgamma(200.5) - 0.5 * math.log(math.pi)) / 400)
     assert rep["report"]["value"] == pytest.approx(lp400 / 400 ** 0.25, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# count options
+# ---------------------------------------------------------------------------
+
+LP = ["norm", "lp", "--law", "rademacher", "--weights", "equal:2", "--p", "3"]
+SUP = ["khinchine", "sup", "--law", "rademacher", "--norm", "lp:4"]
+THM31 = ["verify", "thm31", "--law", "rademacher", "--phi", "subgaussian"]
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["entropy", "fieldsim", "--model", "never-read.json"], "--copies", "0"),
+    (LP + ["--engine", "monte_carlo"], "--samples", "0"),
+    (LP + ["--engine", "convolution"], "--samples", "0"),
+    (LP, "--samples", "-5"),
+    (LP, "--samples", "many"),
+    (LP, "--threads", "0"),
+    (THM31, "--trials", "0"),
+    (["verify", "pythagoras", "--phi", "subgaussian"], "--trials", "0"),
+    (SUP, "--restarts", "-1"),
+    (SUP, "--nmax", "0"),
+    (["verify", "thm32", "--law", "rademacher", "--phi", "subgaussian"], "--nmax", "-3"),
+    (["phi", "kappa", "--phis", "subgaussian", "--lambda", "1"], "--restarts", "-2"),
+])
+def test_bad_counts_exit_two_naming_the_option(capsys, argv, option, value):
+    # refused by the parser, before the handler reads a file or draws a sample
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {option}: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "kappa", "--phis", "subgaussian,power:3", "--lambda", "1.5", "--restarts", "0"],
+    SUP + ["--nmax", "3", "--restarts", "0"],
+    THM31 + ["--trials", "1", "--threads", "1"],
+])
+def test_least_counts_are_accepted(capsys, argv):
+    code, _ = run_json(capsys, argv)
+    assert code == 0

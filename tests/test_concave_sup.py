@@ -208,9 +208,10 @@ def test_golden_rows_end_where_they_end_alone():
         return np.where(k == 0, -(x - cc) ** 2, np.where(k == 1, np.minimum(x, cc), 1.0))
 
     for tol, max_iter in ((1e-12, 400), (1e-10, 400), (1e-12, 20)):
-        arg, val = golden_max(f, lo, hi, tol=tol, max_iter=max_iter)
+        arg, val = golden_max(lambda x: f(x, np.arange(c.size)), lo, hi, tol=tol,
+                              max_iter=max_iter)
         for r in range(c.size):
-            one = golden_max(lambda x, rows: f(x, np.full(x.size, r)), lo[r], hi[r],
+            one = golden_max(lambda x: f(x, np.full(x.size, r)), lo[r], hi[r],
                              tol=tol, max_iter=max_iter)
             ref = scalar_golden_max(lambda x: float(f(np.array([x]), np.array([r]))[0]),
                                     lo[r], hi[r], tol=tol, max_iter=max_iter)

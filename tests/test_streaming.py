@@ -230,6 +230,17 @@ def _chunks(seen):
     return np.concatenate([seen[c] for c in sorted(seen)])
 
 
+def test_no_samples_is_refused_before_any_draw():
+    def sample(chunk, size):
+        raise AssertionError("drew a sample")
+
+    with pytest.raises(ValueError, match="at least 1 Monte Carlo sample"):
+        mc_abs_moments(sample, [2.0], 0)
+    model = FieldModel(np.ones((2, 3)), "rademacher")
+    with pytest.raises(ValueError, match="at least 1 Monte Carlo sample"):
+        field_sup_stats(model, [[1.0]], copies=0)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_mc_abs_moments_within_1e12_of_fsum(seed):
     seen = {}
