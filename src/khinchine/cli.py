@@ -307,8 +307,11 @@ SAMPLES = arg("--samples", type=count(1), default=None, help="budget (at least 1
 ENGINE = arg("--engine", default="auto", choices=list(ENGINES))
 NMAX, RESTARTS = (arg("--nmax", type=count(1), default=32, help="at least 1"),
                   arg("--restarts", type=count(0), default=3, help="at least 0 (0: no restarts)"))
-TRIALS, THREADS = (arg("--trials", type=count(1), default=1000, help="at least 1"),
-                   arg("--threads", type=count(1), default=1, help="at least 1"))
+TRIALS = arg("--trials", type=count(1), default=1000, help="at least 1")
+THREADS = arg("--threads", type=count(1), default=1, help=(
+    "workers, at least 1: Monte Carlo splits its 16 chunks over them, a verify suite "
+    "its blocks of trials; they gain where numpy's loops release the GIL (the large "
+    "log-MGF arrays of thm31), and the report does not depend on them"))
 P_GRID = arg("--p-grid", dest="p_grid", default="2:64", help="grid 'lo:hi[:step]' for psi")
 SEARCH = [P_GRID, NMAX, RESTARTS, ENGINE, SAMPLES]
 

@@ -2,9 +2,10 @@
 functions, absolute moments, and deterministic seeded samplers.
 
 A law is one `Law` record in `LAWS`: its parameter, variance, symmetry,
-log-MGF, even moments, finite support, sampler, closed-form absolute moment,
-the closed-form inverse of its natural generating function, and (for the
-Gaussian) the closed-form law of a weighted sum of copies. `Distribution`
+log-MGF (and whether it is even bit for bit), even moments, finite support,
+sampler, closed-form absolute moment, the closed-form inverse of its
+natural generating function, and (for the Gaussian) the closed-form law of
+a weighted sum of copies. `Distribution`
 carries a law's name and parameter, and every method reads the record, so
 adding a law is adding one record.
 
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import collapse_support, log_cosh, log_sinhc
+from .numerics import collapse_support, log_cosh, log_sinhc, two_sided
 
 POISSON_TAIL_MASS = 1e-14
 
@@ -179,6 +180,11 @@ class Distribution:
         out = self.record.log_mgf(self, np.atleast_1d(lam))
         return float(out[0]) if scalar else out
 
+    def two_sided_log_mgf(self, lam) -> np.ndarray:
+        """max(log_mgf(lam), log_mgf(-lam)): one log_mgf call where the
+        record's `bit_even` says the two have the same bits, else two."""
+        return two_sided(self.log_mgf, lam, self.record.bit_even)
+
     def mgf(self, lam) -> np.ndarray:
         """E exp(lam * X); +inf acts as the overflow sentinel."""
         with np.errstate(over="ignore"):
@@ -186,7 +192,7 @@ class Distribution:
 
     def natural_inverse(self):
         """Closed-form inverse y -> lambda of the natural generating function
-        max(log_mgf(lam), log_mgf(-lam)), or None where the law has none."""
+        `two_sided_log_mgf`, or None where the law has none."""
         inverse = self.record.natural_inverse
         return None if inverse is None else (lambda y: inverse(self, y))
 
@@ -297,6 +303,7 @@ class Law:
     log_mgf: Callable  # (d, lam as a 1-d array) -> ln E exp(lam X)
     draw: Callable  # (d, rng, size) -> draws
     draw_words: int  # 8-byte words a drawn element holds at most while it is drawn
+    bit_even: bool = False  # whether log_mgf(-lam) has the bits of log_mgf(lam)
     finite_support: Callable | None = None  # (d) -> (values, probs)
     even_moments: Callable | None = None  # (d, i) -> E X^(2i); None: from the support
     abs_moment: Callable | None = None  # (d, p) -> E|X|^p for laws without a support
@@ -411,7 +418,7 @@ LAWS: dict[str, Law] = {
         build=Distribution.rademacher, fields=(),
         variance=lambda d: 1.0,
         symmetric=lambda d: True,
-        log_mgf=lambda d, lam: log_cosh(lam),
+        log_mgf=lambda d, lam: log_cosh(lam), bit_even=True,
         # one Philox bit per sign: a row (a 1-d size is one row) owns whole 64-bit
         # words, sign j is bit j % 64 (little-endian) of word j // 64, bit 1 is +1
         draw=_rademacher_draw, draw_words=2,
@@ -424,7 +431,7 @@ LAWS: dict[str, Law] = {
         build=Distribution.gaussian, fields=("sigma",),
         variance=lambda d: d.params[0] ** 2,
         symmetric=lambda d: True,
-        log_mgf=lambda d, lam: 0.5 * (lam * d.params[0]) ** 2,
+        log_mgf=lambda d, lam: 0.5 * (lam * d.params[0]) ** 2, bit_even=True,
         draw=lambda d, rng, size: rng.standard_normal(size) * d.params[0], draw_words=2,
         # sigma^(2i) (2i - 1)!!
         even_moments=lambda d, i: np.cumprod(
@@ -451,6 +458,7 @@ LAWS: dict[str, Law] = {
         variance=lambda d: 2.0 * d.params[0],
         symmetric=lambda d: True,
         log_mgf=lambda d, lam: _symmetrized_poisson_log_mgf(d.params[0], lam),
+        bit_even=True,  # numpy's sinh is odd bit for bit
         # the two Poisson values of an element are adjacent draws, so rows stream
         draw=lambda d, rng, size: np.diff(rng.poisson(d.params[0], (*np.atleast_1d(size), 2))
                                           )[..., 0].astype(float),
@@ -461,7 +469,7 @@ LAWS: dict[str, Law] = {
         build=Distribution.uniform_symmetric, fields=("b",),
         variance=lambda d: d.params[0] ** 2 / 3.0,
         symmetric=lambda d: True,
-        log_mgf=lambda d, lam: log_sinhc(d.params[0] * lam),
+        log_mgf=lambda d, lam: log_sinhc(d.params[0] * lam), bit_even=True,
         draw=lambda d, rng, size: rng.uniform(-d.params[0], d.params[0], size=size),
         draw_words=1,
         even_moments=lambda d, i: d.params[0] ** (2.0 * i) / (2.0 * i + 1.0),

@@ -210,7 +210,7 @@ FAMILIES: dict[str, Family] = {
         spec="natural:<law>", parse=lambda rest: phi_natural(parse_distribution(rest)),
         from_json=lambda obj: phi_natural(Distribution.from_json(obj["dist"])),
         json=lambda phi: {"dist": phi.dist.to_json()},
-        evaluate=lambda phi, x: np.maximum(phi.dist.log_mgf(x), phi.dist.log_mgf(-x)),
+        evaluate=lambda phi, x: phi.dist.two_sided_log_mgf(x),
         lambda0=lambda phi: math.inf,
         curvature=lambda phi: phi.dist.variance / 2.0,
         label=lambda phi: f"natural({phi.dist.label})",
@@ -481,7 +481,10 @@ def phi_sums(phis, x) -> np.ndarray:
         groups.setdefault(id(p), (p, []))[1].append(k)
     total, refused = np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], dtype=bool)
     for p, idx in groups.values():
-        xs = x[..., idx]
+        step = idx[1] - idx[0] if len(idx) > 1 else 1
+        # a cycled pool's group is a strided slice: a view, where a fancy index copies
+        arith = idx == list(range(idx[0], idx[-1] + 1, step))
+        xs = x[..., idx[0]:idx[-1] + 1:step] if arith else x[..., idx]
         bad = xs >= p.lambda0
         refused |= bad.any(axis=-1)
         total = total + p(np.where(bad, 0.0, xs).ravel()).reshape(xs.shape).sum(axis=-1)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from .distributions import Distribution, lp_root, support_moments
 from .genfun import GeneratingFunction, PsiFunction, phi_inverse_vec, phi_range
 from .numerics import (MC_STREAMS, NORM_GRID_HI, NORM_GRID_LO, collapse_support,
-                       geometric_grid, mc_abs_moments, stream_rows, substream)
+                       geometric_grid, mc_abs_moments, stream_rows, substream, two_sided)
 
 ENUM_STATE_BUDGET = 1 << 22
 CONV_POINT_BUDGET = 1 << 18
@@ -360,6 +361,14 @@ def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
 # exponential-moment norm
 # ---------------------------------------------------------------------------
 
+def log_mgf_two_sided(source):
+    """lam -> max(L(lam), L(-lam)) for a log-MGF source: its own
+    `two_sided_log_mgf` (a Distribution, a `sum_log_mgf`), else its
+    `log_mgf` or the source itself as L, called at both signs."""
+    own = getattr(source, "two_sided_log_mgf", None)
+    return own or partial(two_sided, getattr(source, "log_mgf", source))
+
+
 def bphi_norm(source, phi: GeneratingFunction, variance: float | None = None) -> NormEstimate:
     """Exponential-moment norm: sup over lambda > 0 and both signs of
     phi^{-1}(ln E exp(+-lambda X)) / lambda.
@@ -384,7 +393,8 @@ def bphi_norms(sources, phi: GeneratingFunction, variances=None) -> list:
     per source (variances[r], default None, goes with sources[r]).
 
     Each round is one sources x points rectangle of lambda: the grid, then
-    REFINE_ROUNDS windows of 65 points around each row's incumbent. Entries
+    REFINE_ROUNDS windows of 65 points around each row's incumbent. A row's
+    log-MGF values are max(L(lam), L(-lam)) (`log_mgf_two_sided`). Entries
     at or past lambda0 and non-finite log-MGF values are masked to -inf, and
     phi is inverted once for every other entry. A row is `truncated` once a
     log-MGF value below lambda0 is not finite, and `unbounded` once one
@@ -395,14 +405,14 @@ def bphi_norms(sources, phi: GeneratingFunction, variances=None) -> list:
     variances = [None] * len(sources) if variances is None else variances
     if any(v is None and not isinstance(s, Distribution) for s, v in zip(sources, variances)):
         raise ValueError("a log-MGF callable source needs its variance")
-    log_mgfs = [s.log_mgf if isinstance(s, Distribution) else s for s in sources]
+    sides = [log_mgf_two_sided(s) for s in sources]
     vars_ = [s.variance if isinstance(s, Distribution) else v for s, v in zip(sources, variances)]
 
     hi = NORM_GRID_HI if phi.lambda0 == math.inf else phi.lambda0 * (1 - 1e-12)
     grid = geometric_grid(min(NORM_GRID_LO, hi / 10), hi)
     step = grid[1] / grid[0] if grid.size > 1 else 2.0
     limit = phi_range(phi)
-    rows = np.arange(len(log_mgfs))
+    rows = np.arange(len(sources))
     truncated, unbounded = np.zeros((2, rows.size), bool)
     lams = np.broadcast_to(grid, (rows.size, grid.size))
     best_lam, best_val = np.full(rows.size, grid[0]), np.full(rows.size, -np.inf)
@@ -411,7 +421,7 @@ def bphi_norms(sources, phi: GeneratingFunction, variances=None) -> list:
             lams = np.geomspace(best_lam / step, best_lam * step, 65, axis=1)
             step = step ** 0.25
         with np.errstate(over="ignore", invalid="ignore"):
-            y = np.reshape([np.maximum(f(x), f(-x)) for f, x in zip(log_mgfs, lams)], lams.shape)
+            y = np.reshape([f(x) for f, x in zip(sides, lams)], lams.shape)
             inside, finite = lams < phi.lambda0, np.isfinite(y)
             truncated |= (inside & ~finite).any(axis=1)
             y, ok = np.maximum(y, 0.0), inside & finite
@@ -443,24 +453,70 @@ def bphi_norms(sources, phi: GeneratingFunction, variances=None) -> list:
     return out
 
 
-def sum_log_mgf(laws, weights):
+def log_mgf_sums(laws, rows, lam) -> list:
+    """[sum_log_mgf(laws, w)(lam) for w in rows] from one log_mgf call per
+    distinct law (by identity) on the outer product of its weights with lam.
+    For a sequence of laws a row of n weights takes laws[:n] (ValueError
+    past its end). A row then sums its own terms as `sum_log_mgf` does, so
+    each row has the bits of its own call."""
+    lam = np.asarray(lam, dtype=float)
+    flat = lam.ravel()
+    rows = [np.asarray(w, dtype=float) for w in rows]
+    if isinstance(laws, Distribution):  # row r: its (lam, k) block, summed on k
+        ends = np.cumsum([flat.size * w.size for w in rows]).tolist()
+        z = np.empty(ends[-1])
+        for w, lo, hi in zip(rows, [0] + ends, ends):
+            np.multiply.outer(flat, w, out=z[lo:hi].reshape(flat.size, w.size))
+        z = laws.log_mgf(z)
+        return [z[lo:hi].reshape(flat.size, w.size).sum(axis=-1).reshape(lam.shape)
+                for w, lo, hi in zip(rows, [0] + ends, ends)]
+    if any(w.size > len(laws) for w in rows):
+        raise ValueError(f"a row has more weights than the {len(laws)} laws")
+    distinct: dict[int, tuple] = {}  # id -> (law, the (row, k) it serves)
+    for r, w in enumerate(rows):
+        for k in range(w.size):
+            distinct.setdefault(id(laws[k]), (laws[k], []))[1].append((r, k))
+    terms = {}
+    for law, at in distinct.values():
+        z = np.multiply.outer([rows[r][k] for r, k in at], flat)
+        terms.update(zip(at, law.log_mgf(z.ravel()).reshape(z.shape)))
+    out = []
+    for r, w in enumerate(rows):  # term by term, in k order
+        total = np.zeros(flat.size)
+        for k in range(w.size):
+            total = total + terms[r, k]
+        out.append(total.reshape(lam.shape))
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SumLogMgf:
     """lam -> sum_k ln E exp(weights[k] lam X_k), the exact log-MGF of a
-    weighted sum of independent terms. `laws` is one Distribution (i.i.d.
-    terms: one log_mgf call on the outer product, summed on the last axis)
-    or a sequence with one law per weight (a running sum, term by term)."""
+    weighted sum of independent terms; see `sum_log_mgf`."""
+
+    laws: object  # one Distribution, or a sequence with one law per weight
+    weights: np.ndarray
+
+    def __call__(self, lam):
+        return log_mgf_sums(self.laws, [self.weights], lam)[0]
+
+    def two_sided_log_mgf(self, lam):
+        """max of the values at lam and -lam: one call where every law is
+        `bit_even`, as then each term, and so the sum, keeps its bits."""
+        laws = [self.laws] if isinstance(self.laws, Distribution) else self.laws
+        return two_sided(self, lam, all(d.record.bit_even for d in laws))
+
+
+def sum_log_mgf(laws, weights) -> SumLogMgf:
+    """lam -> sum_k ln E exp(weights[k] lam X_k). `laws` is one
+    Distribution (i.i.d. terms: one log_mgf call on the outer product,
+    summed on the last axis) or a sequence with one law per weight (one
+    log_mgf call per distinct law, the terms then added in order); a
+    sequence of another length raises ValueError."""
     w = np.asarray(weights, dtype=float)
-
-    def log_mgf(lam):
-        lam = np.asarray(lam, dtype=float)
-        if isinstance(laws, Distribution):
-            z = np.multiply.outer(lam, w)
-            return laws.log_mgf(z.ravel()).reshape(z.shape).sum(axis=-1)
-        out = np.zeros(lam.shape)
-        for law, c in zip(laws, w):
-            out = out + law.log_mgf(lam * c)
-        return out
-
-    return log_mgf
+    if not isinstance(laws, Distribution) and len(laws) != w.size:
+        raise ValueError(f"{len(laws)} laws for {w.size} weights")
+    return SumLogMgf(laws, w)
 
 
 def weighted_sum_bphi(d: Distribution, a: CoefficientVector,

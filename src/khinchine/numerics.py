@@ -26,6 +26,7 @@ MC_BLOCK_BYTES = 1 << 19
 #: squared weight w of the leading block of a two-level candidate
 TWO_LEVEL_W = (0.1, 0.3, 0.5, 0.7, 0.9)
 BISECT_STEPS = 200  # most bisection steps of `invert_increasing_vec`
+SEED_WINDOW = 4  # floats either side of a seed that `invert_increasing_vec` tries
 
 
 def geometric_grid(lo: float, hi: float, per_decade: int = POINTS_PER_DECADE) -> np.ndarray:
@@ -82,7 +83,11 @@ def invert_increasing_vec(f, y, hi_start: float = 1.0, seed=None,
       still brackets.
     - seed(y), when given, is an approximate inverse g (a closed form). Where
       [g(1 - 1e-14), g(1 + 1e-14)] satisfies the invariant it replaces the
-      bracket above, so bisection starts about 90 ulp wide.
+      bracket above, so bisection starts about 90 ulp wide. In the same f
+      call, f runs on the SEED_WINDOW floats either side of g (capped at the
+      widest bracket): an entry whose window lies in that bracket and holds
+      exactly one adjacent pair straddling y takes it as its last bracket,
+      and bisection runs only where some entry has none.
     - Stop: at most BISECT_STEPS steps, and none after the first step that
       changes neither lo nor hi, because every later step would repeat it.
 
@@ -102,16 +107,26 @@ def invert_increasing_vec(f, y, hi_start: float = 1.0, seed=None,
     # y = 0 starts at [0, 0], a fixed point, so it never holds up the stop
     hi = np.where(live, hi0, 0.0)
     grow = live & (hi < cap)
+    done = np.zeros_like(live)  # entries whose last bracket is known
     if seed is not None:
         top = min(cap, hi0 * 4.0**180)  # the widest bracket the growth reaches
         with np.errstate(over="ignore", invalid="ignore"):
             g = seed(y)
             g_lo = np.minimum(g * (1.0 - 1e-14), top)
             g_hi = np.minimum(g * (1.0 + 1e-14), top)
-            f_lo, f_hi = np.split(f(np.concatenate([g_lo, g_hi])), 2)
+            # consecutive bit patterns of doubles >= 0 are consecutive floats
+            bits = np.minimum(g, top).view(np.int64)[:, None]
+            win = (bits + np.arange(-SEED_WINDOW, SEED_WINDOW + 1)).clip(0).view(float)
+            fx = f(np.concatenate([g_lo, g_hi, win.ravel()]))
+            f_lo, f_hi, f_win = fx[:y.size], fx[y.size:2 * y.size], fx[2 * y.size:]
             seeded = live & (g_lo >= hi0 * 2.0 ** (60 - BISECT_STEPS)) & (f_lo < y) & (f_hi >= y)
-        lo = np.where(seeded, g_lo, lo)
-        hi = np.where(seeded, g_hi, hi)
+            f_win = f_win.reshape(win.shape)
+            cross = (f_win[:, :-1] < y[:, None]) & (f_win[:, 1:] >= y[:, None])
+        done = seeded & (cross.sum(axis=1) == 1) & (win[:, 0] >= g_lo) & (win[:, -1] <= g_hi)
+        j = np.argmax(cross, axis=1)
+        pair = np.arange(y.size), j
+        lo = np.where(done, win[pair], np.where(seeded, g_lo, lo))
+        hi = np.where(done, win[pair[0], j + 1], np.where(seeded, g_hi, hi))
         grow &= ~seeded
     for _ in range(180):
         if not grow.any():
@@ -120,7 +135,7 @@ def invert_increasing_vec(f, y, hi_start: float = 1.0, seed=None,
             grow &= f(hi) < y
         hi = np.where(grow, np.minimum(hi * 4.0, cap), hi)
         grow &= hi < cap
-    for _ in range(BISECT_STEPS):
+    for _ in range(BISECT_STEPS if (live & ~done).any() else 0):
         mid = 0.5 * (lo + hi)
         with np.errstate(over="ignore", invalid="ignore"):
             below = f(mid) < y
@@ -384,6 +399,13 @@ def ordered_map(fn, items, threads: int = 1) -> list:
     with ThreadPoolExecutor(max_workers=k) as ex:
         blocks = ex.map(lambda i: [fn(x) for x in items[cuts[i]:cuts[i + 1]]], range(k))
         return [r for block in blocks for r in block]
+
+
+def two_sided(f, x, even: bool = False):
+    """max(f(x), f(-x)) elementwise; f(x) alone where `even` says that
+    f(-x) has the bits of f(x)."""
+    y = f(x)
+    return y if even else np.maximum(y, f(-x))
 
 
 def log_cosh(x: np.ndarray) -> np.ndarray:

@@ -152,10 +152,14 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
     trace: list = []
     scores: list = []  # (sign * norm, witness) of every scored candidate, in order
     refusals = 0
-    for kind, entries in weight_candidates(n_max, exchangeable=True):
-        a = CoefficientVector(entries)
+    scan = [(kind, CoefficientVector(a))
+            for kind, a in weight_candidates(n_max, exchangeable=True)]
+    rows = spec.record.rows  # bphi: the whole scan in one call, each row with its own bits
+    batch = rows(d, [a for _, a in scan], spec.param) if rows is not None else None
+    for i, (kind, a) in enumerate(scan):
         try:
-            val = sum_norm(d, a, spec, engine=engine, budget=budget, seed=seed).value
+            val = (batch[i] if batch is not None else
+                   sum_norm(d, a, spec, engine=engine, budget=budget, seed=seed)).value
         except EngineRefusal as exc:
             refusals += 1
             trace.append({"kind": kind, "n": a.n, "refused": str(exc)})

@@ -5,8 +5,11 @@ worst witness.
 
 The three MGF-envelope theorems share one trial loop, `_envelope_suite`:
 trial t draws n and a unit sphere vector a from substream(seed, tag, t) and
-checks left <= right on a lambda grid. The left side is always
-sum_k ln E exp(a_k lambda X_k) (`norms.sum_log_mgf`); the right sides are
+checks left <= right on a lambda grid. The trials run in contiguous blocks
+of at most ENVELOPE_BLOCK weights x lambdas, which --threads splits over
+workers. The left side is always sum_k ln E exp(a_k lambda X_k), a block's
+from one log-MGF call per distinct law (`norms.log_mgf_sums`); the right
+sides are
 
   thm31, tag 0x7131: phi(lambda tau), identical laws, phi in Conv_2, tau the
                      one-copy norm;
@@ -33,8 +36,8 @@ from .genfun import (DomainError, GeneratingFunction, PsiFunction,
                      candidate_profile, conjugate_profile, conv_r_class,
                      kappa_profile)
 from .norms import (CoefficientVector, EngineRefusal, bphi_norm, bphi_norms,
-                    draw_sums, sum_distribution, sum_log_mgf, weighted_sum_bphi,
-                    weighted_sum_lp)
+                    draw_sums, log_mgf_sums, log_mgf_two_sided, sum_distribution,
+                    sum_log_mgf, weighted_sum_bphi, weighted_sum_lp)
 from .numerics import NORM_GRID_HI, NORM_GRID_LO, geometric_grid, ordered_map, substream
 
 #: optimal-order Rosenthal constant
@@ -46,6 +49,11 @@ SLACK_TOL = 1e-9
 TAIL_TIE = 1e-12
 #: trials per `bphi_norms` call of `pythagoras_check`; the call's arrays grow with it
 PYTHAGORAS_BLOCK = 8
+#: most weights x lambdas of an envelope block: one trial at n = 32 on the
+#: 449-point norm grid, the largest of the default suites. Its arrays stay
+#: below the 128 KiB from which glibc maps each allocation afresh, and a block
+#: past that faulted its pages in on every call (3x the time on one thread).
+ENVELOPE_BLOCK = 449 * 32
 
 
 class PreconditionError(RuntimeError):
@@ -77,15 +85,13 @@ def _require_conv2(phi: GeneratingFunction) -> None:
 
 
 def _min_logspace_slack(rhs: np.ndarray, lhs: np.ndarray):
-    """min over grid of rhs - lhs, ignoring points where either side
-    overflowed; returns (slack, index, masked_count)."""
+    """min over the grid (the last axis) of rhs - lhs, ignoring points where
+    either side overflowed; returns (slack, index, masked_count), one of each
+    per row of a 2-d input (slack inf and index -1 where no point is left)."""
     ok = np.isfinite(rhs) & np.isfinite(lhs)
-    if not np.any(ok):
-        return math.inf, -1, int(ok.size)
-    gap = np.full(rhs.shape, np.inf)
-    gap[ok] = rhs[ok] - lhs[ok]
-    i = int(np.argmin(gap))
-    return float(gap[i]), i, int(np.sum(~ok))
+    gap = np.subtract(rhs, lhs, out=np.full(ok.shape, np.inf), where=ok)
+    i = np.where(ok.any(axis=-1), np.argmin(gap, axis=-1), -1)
+    return gap.min(axis=-1).tolist(), i.tolist(), np.count_nonzero(~ok, axis=-1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -96,31 +102,52 @@ def _min_logspace_slack(rhs: np.ndarray, lhs: np.ndarray):
 VERDICT = ("min_log_slack", "slack_tol", "pass")
 
 
-def _envelope_suite(tag: int, n_hi: int, lhs, rhs, trials: int, seed: int,
+def _envelope_suite(tag: int, n_hi: int, lhs, rhs, points: int, trials: int, seed: int,
                     threads: int) -> dict:
     """Trial t draws n in 1..n_hi and a unit sphere vector a from
-    substream(seed, tag, t) and takes the least slack of rhs(a) - lhs(a) on
-    the grid; the worst trial decides."""
-    def one_trial(t: int):
+    substream(seed, tag, t) and takes the least slack of its right side
+    minus its left side on the grid of `points` lambdas; the worst trial
+    decides. The trials are drawn in order and packed into contiguous
+    blocks of at most ENVELOPE_BLOCK weights x points (a larger trial alone),
+    which `ordered_map` splits over `threads` workers: lhs(block) and
+    rhs(block) give one side per trial of a block (a list of
+    CoefficientVectors), or one for all, and every trial keeps the bits it
+    has alone."""
+    blocks, size = [], ENVELOPE_BLOCK
+    for t in range(trials):
         rng = substream(seed, tag, t)
-        n = int(rng.integers(1, n_hi + 1))
-        a = CoefficientVector.random_sphere(n, rng)
-        return (*_min_logspace_slack(rhs(a), lhs(a)), n)
+        a = CoefficientVector.random_sphere(int(rng.integers(1, n_hi + 1)), rng)
+        if size + a.n * points > ENVELOPE_BLOCK:
+            blocks.append([])
+            size = 0
+        blocks[-1].append(a)
+        size += a.n * points
 
-    results = ordered_map(one_trial, range(trials), threads)
+    def block(cands):
+        slack, _, masked = _min_logspace_slack(np.asarray(rhs(cands)), np.array(lhs(cands)))
+        return list(zip(slack, masked, [a.n for a in cands]))
+
+    results = [r for b in ordered_map(block, blocks, threads) for r in b]
     worst = int(np.argmin([r[0] for r in results]))
     slack = results[worst][0]
-    return {"min_log_slack": slack, "worst_trial": worst, "worst_n": results[worst][3],
-            "masked_grid_points_total": int(sum(r[2] for r in results)),
+    return {"min_log_slack": slack, "worst_trial": worst, "worst_n": results[worst][2],
+            "masked_grid_points_total": int(sum(r[1] for r in results)),
             "slack_tol": SLACK_TOL, "pass": bool(slack >= -SLACK_TOL)}
 
 
+def _sum_side(laws, grid):
+    """block -> the left side of each trial a: sum_k ln E exp(a_k lambda X_k)
+    on the grid, one log_mgf call per distinct law (`norms.log_mgf_sums`)."""
+    return lambda cands: log_mgf_sums(laws, [a.entries for a in cands], grid)
+
+
 def _kappa_side(phis, lams, n_max: int, restarts: int, seed: int):
-    """(kappa on lams, its meta, a -> the right side of trial a): kappa is a
-    lower estimate of its sup, so each tested candidate's own component sum
-    is folded in (the actual proof chain)."""
+    """(kappa on lams, its meta, block -> the right side of each trial a):
+    kappa is a lower estimate of its sup, so each tested candidate's own
+    component sum is folded in (the actual proof chain)."""
     kap, _, meta = kappa_profile(phis, lams, n_max=n_max, restarts=restarts, seed=seed)
-    return kap, meta, lambda a: np.maximum(kap, candidate_profile(phis, a.entries**2, lams)[0])
+    return kap, meta, lambda cands: [
+        np.maximum(kap, candidate_profile(phis, a.entries**2, lams)[0]) for a in cands]
 
 
 def verify_thm31(d: Distribution, phi: GeneratingFunction, trials: int = 1000,
@@ -138,8 +165,8 @@ def verify_thm31(d: Distribution, phi: GeneratingFunction, trials: int = 1000,
     grid = geometric_grid(NORM_GRID_LO, NORM_GRID_HI)
     with np.errstate(over="ignore"):
         rhs = phi(grid * tau)
-    suite = _envelope_suite(0x7131, n_cap, lambda a: sum_log_mgf(d, a.entries)(grid),
-                            lambda a: rhs, trials, seed, threads)
+    suite = _envelope_suite(0x7131, n_cap, _sum_side(d, grid), lambda cands: rhs, grid.size,
+                            trials, seed, threads)
     return {"suite": "thm31", "law": d.label, "phi": phi.to_json(), "tau": tau,
             "trials": trials, "n_cap": n_cap, **suite,
             "lower_half_equality": {"n": 1, "norm": tau}}
@@ -158,8 +185,8 @@ def verify_thm32(d: Distribution, phi: GeneratingFunction, trials: int = 200,
     tau = bphi_norm(d, phi).value
     grid = geometric_grid(NORM_GRID_LO, NORM_GRID_HI)
     _, kmeta, rhs = _kappa_side([phi] * n_max, grid * tau, n_max, restarts, seed)
-    suite = _envelope_suite(0x7132, n_max, lambda a: sum_log_mgf(d, a.entries)(grid),
-                            rhs, trials, seed, threads)
+    suite = _envelope_suite(0x7132, n_max, _sum_side(d, grid), rhs, grid.size,
+                            trials, seed, threads)
     return {"suite": "thm32", "law": d.label, "phi": phi.to_json(), "tau": tau,
             "trials": trials, "hat_transform_via_kappa": True, "kappa_meta": kmeta,
             **{k: suite[k] for k in VERDICT}}
@@ -178,7 +205,7 @@ def verify_thm41(laws, phis, trials: int = 1000, seed: int = 0,
         raise PreconditionError("laws and phis must be matched nonempty pools")
     grid = geometric_grid(NORM_GRID_LO, NORM_GRID_HI)
     for k, (law, p) in enumerate(zip(laws, phis)):
-        rhs, lhs = p(grid), np.maximum(law.log_mgf(grid), law.log_mgf(-grid))
+        rhs, lhs = p(grid), log_mgf_two_sided(law)(grid)
         # equal sides (also both inf) dominate; argmin finds the first NaN, a failure
         dom = np.subtract(rhs, lhs, out=np.zeros(grid.shape), where=rhs != lhs)
         i = int(np.argmin(dom))
@@ -189,9 +216,8 @@ def verify_thm41(laws, phis, trials: int = 1000, seed: int = 0,
     seq_laws = [laws[k % len(laws)] for k in range(n_max)]
     kap, kmeta, rhs = _kappa_side([phis[k % len(phis)] for k in range(n_max)], grid,
                                   n_max, restarts, seed)
-    suite = _envelope_suite(0x7141, n_max,
-                            lambda a: sum_log_mgf(seq_laws[:a.n], a.entries)(grid),
-                            rhs, trials, seed, threads)
+    suite = _envelope_suite(0x7141, n_max, _sum_side(seq_laws, grid), rhs, grid.size,
+                            trials, seed, threads)
     return {"suite": "thm41", "laws": [d.label for d in laws],
             "phis": [p.label for p in phis], "trials": trials, "n_max": n_max,
             "kappa_meta": kmeta,

@@ -337,3 +337,22 @@ def test_sum_log_mgf_iid_and_mixed_forms():
         running = running + RAD.log_mgf(lam * c)
     assert np.array_equal(sum_log_mgf([RAD] * 5, w)(lam), running)
     np.testing.assert_allclose(sum_log_mgf([RAD] * 5, w)(lam), iid, rtol=1e-14)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_envelope_blocks_keep_the_earlier_loops_on_threads(threads, monkeypatch):
+    # trial counts that leave the last block part full, over more blocks than threads
+    blocks = []
+    real = verify.ordered_map
+    monkeypatch.setattr(verify, "ordered_map", lambda fn, items, th=1: (
+        blocks.append([len(b) for b in items]) or real(fn, items, th)))
+    assert (verify_thm31(RAD, PHI2, trials=47, seed=2, n_cap=9, threads=threads)
+            == old_thm31(RAD, PHI2, 47, 2, n_cap=9))
+    assert (verify_thm32(UNIF, PHI2, trials=29, seed=3, n_max=8, restarts=1, threads=threads)
+            == old_thm32(UNIF, PHI2, 29, 3, 8, 1))
+    laws, phis = [RAD, CPOIS, UNIF], [phi_natural(RAD), phi_natural(CPOIS), phi_natural(UNIF)]
+    assert (verify_thm41(laws, phis, trials=37, seed=4, n_max=7, restarts=1, threads=threads)
+            == old_thm41(laws, phis, 37, 4, 7, 1))
+    assert [sum(b) for b in blocks] == [47, 29, 37]
+    for sizes in blocks:
+        assert len(sizes) > 3 and sizes[-1] < max(sizes)
