@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import collapse_support, log_cosh, log_sinhc, two_sided
+from .numerics import collapse_support, log_cosh, log_sinhc
 
 POISSON_TAIL_MASS = 1e-14
 
@@ -183,7 +183,8 @@ class Distribution:
     def two_sided_log_mgf(self, lam) -> np.ndarray:
         """max(log_mgf(lam), log_mgf(-lam)): one log_mgf call where the
         record's `bit_even` says the two have the same bits, else two."""
-        return two_sided(self.log_mgf, lam, self.record.bit_even)
+        y = self.log_mgf(lam)
+        return y if self.record.bit_even else np.maximum(y, self.log_mgf(-lam))
 
     def mgf(self, lam) -> np.ndarray:
         """E exp(lam * X); +inf acts as the overflow sentinel."""

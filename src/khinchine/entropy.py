@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution
-from .numerics import mc_abs_moments, stream_rows, substream
+from .numerics import mc_abs_moments, sorted_distinct, stream_rows, substream
 
 EXACT_COVER_LIMIT = 20
 TRIANGLE_TOL = 1e-12
@@ -228,7 +228,7 @@ def dudley_integral(space: FiniteMetricSpace, sigma_scale: float = 1.0) -> float
     (hi - lo) sqrt(ln N(lo)), added in increasing eps; one engine call
     covers every breakpoint."""
     scaled = space.scaled(sigma_scale)
-    pos = np.unique(scaled.rho[scaled.rho > 0])
+    pos = sorted_distinct(scaled.rho[scaled.rho > 0])
     if pos.size == 0:
         return 0.0
     eps = np.concatenate(([pos[0] * 0.5], pos[:-1]))

@@ -28,8 +28,8 @@ import numpy as np
 
 from .distributions import Distribution, parse_distribution, read_spec
 from .numerics import (candidate_sizes, coordinate_search, geometric_grid,
-                       golden_max, incumbent, invert_increasing_vec, substream,
-                       weight_candidates)
+                       golden_max, incumbent, invert_increasing_vec, sorted_distinct,
+                       substream, weight_candidates)
 
 OVERFLOW_EXPONENT = 700.0  # exp argument guard, inside double range with headroom
 LEGENDRE_GRID_LO = 1e-6
@@ -457,13 +457,13 @@ def overline_phi(phi: GeneratingFunction, lam: float) -> float:
     def h(t):
         return t * phi(lam / np.sqrt(t))
 
-    grid = np.unique(np.concatenate([[1.0], geometric_grid(1.0, float(OVERLINE_N_CAP), 64)]))
+    grid = sorted_distinct(np.concatenate([[1.0], geometric_grid(1.0, float(OVERLINE_N_CAP), 64)]))
     i = int(np.argmax(h(grid)))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
     t_star = float(golden_max(h, lo, hi, tol=1e-10)[0][0])
     lo_n = max(1, int(math.floor(t_star)) - 64)
     hi_n = min(OVERLINE_N_CAP, int(math.ceil(t_star)) + 64)
-    cands = np.union1d(np.arange(lo_n, hi_n + 1), [1, OVERLINE_N_CAP]).astype(float)
+    cands = sorted_distinct(np.concatenate([np.arange(lo_n, hi_n + 1.0), [1, OVERLINE_N_CAP]]))
     return max(h(cands).tolist())
 
 
@@ -535,7 +535,7 @@ def kappa_profile(phis, lam_grid, n_max: int = 32, restarts: int = 3, seed: int 
     if n_max < 1:
         raise DomainError("kappa needs n_max >= 1")
     lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float))
-    opt_lams = [float(x) for x in np.unique(np.abs(lam_grid[lam_grid != 0]))]
+    opt_lams = [float(x) for x in sorted_distinct(np.abs(lam_grid[lam_grid != 0]))]
     if len(opt_lams) > 8:
         idx = np.linspace(0, len(opt_lams) - 1, 8).round().astype(int)
         opt_lams = [opt_lams[i] for i in idx]

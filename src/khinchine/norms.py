@@ -1,14 +1,15 @@
-"""Norm computations: the exponential-moment norm via its sup formula, L_p
-norms of weighted sums, and Grand Lebesgue norms over a p-grid. Every exact
+"""Norm computations: the exponential-moment norm of weighted sums (laws, w)
+of independent terms via its sup formula on the product log-MGF, L_p norms
+of weighted sums, and Grand Lebesgue norms over a p-grid. Every exact
 weighted-sum law comes from one table, `ENGINES` (--engine -> its `Engine`
 records in the order tried), which `sum_lp_norms`, `sum_distribution` and
 the CLI read."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .distributions import Distribution, lp_root, support_moments
 from .genfun import GeneratingFunction, PsiFunction, phi_inverse_vec, phi_range
 from .numerics import (MC_STREAMS, NORM_GRID_HI, NORM_GRID_LO, collapse_support,
-                       geometric_grid, mc_abs_moments, stream_rows, substream, two_sided)
+                       geometric_grid, mc_abs_moments, stream_rows, substream)
 
 ENUM_STATE_BUDGET = 1 << 22
 CONV_POINT_BUDGET = 1 << 18
@@ -361,58 +362,44 @@ def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
 # exponential-moment norm
 # ---------------------------------------------------------------------------
 
-def log_mgf_two_sided(source):
-    """lam -> max(L(lam), L(-lam)) for a log-MGF source: its own
-    `two_sided_log_mgf` (a Distribution, a `sum_log_mgf`), else its
-    `log_mgf` or the source itself as L, called at both signs."""
-    own = getattr(source, "two_sided_log_mgf", None)
-    return own or partial(two_sided, getattr(source, "log_mgf", source))
-
-
-def bphi_norm(source, phi: GeneratingFunction, variance: float | None = None) -> NormEstimate:
+def bphi_norm(d: Distribution, phi: GeneratingFunction) -> NormEstimate:
     """Exponential-moment norm: sup over lambda > 0 and both signs of
-    phi^{-1}(ln E exp(+-lambda X)) / lambda.
-
-    source is a Distribution or a callable interpreted as the LOG of the
-    moment generating function; a callable comes with its `variance`
-    (ValueError otherwise, before any work). The lambda -> 0 limit
-    sqrt(Var / (2 c2)), with c2 the curvature of phi at 0, enters as an
-    explicit candidate: the sup is frequently attained only in that limit
-    and a pure grid misses it.
-    The incumbent grid maximizer is then refined on REFINE_ROUNDS shrinking
-    geometric windows. Overflowing grid points truncate the grid and set a flag.
-
-    This is the one-source call of `bphi_norms`; the result does not depend
-    on being computed alone or in a batch.
-    """
-    return bphi_norms([source], phi, [variance])[0]
+    phi^{-1}(ln E exp(+-lambda X)) / lambda; the one-term sum of
+    `bphi_norms`, whose estimate does not depend on being computed alone."""
+    return bphi_norms([(d, [1.0])], phi)[0]
 
 
-def bphi_norms(sources, phi: GeneratingFunction, variances=None) -> list:
-    """`bphi_norm` of several sources on one lambda grid, one NormEstimate
-    per source (variances[r], default None, goes with sources[r]).
+def bphi_norms(sums, phi: GeneratingFunction) -> list:
+    """The B(phi) norm of each weighted sum (laws, w) of sums: laws one
+    Distribution (i.i.d. terms) or one law per weight. One NormEstimate per
+    sum, of sup over lambda > 0 and both signs of phi^{-1}(L(+-lambda)) /
+    lambda, L the exact product log-MGF (`log_mgf_sums`).
 
-    Each round is one sources x points rectangle of lambda: the grid, then
-    REFINE_ROUNDS windows of 65 points around each row's incumbent. A row's
-    log-MGF values are max(L(lam), L(-lam)) (`log_mgf_two_sided`). Entries
+    Each round is one sums x points rectangle of lambda: the grid, then
+    REFINE_ROUNDS windows of 65 points around each row's incumbent, read
+    through one `log_mgf_sums` call. A row whose laws are not all `bit_even`
+    enters that call again at -lambda and takes the max of the two. Entries
     at or past lambda0 and non-finite log-MGF values are masked to -inf, and
     phi is inverted once for every other entry. A row is `truncated` once a
     log-MGF value below lambda0 is not finite, and `unbounded` once one
     exceeds a finite phi range; such a row takes no value in that round
-    only. Because every step works elementwise, estimate r has the bits of
-    `bphi_norm(sources[r], phi, variances[r])`.
+    only. The lambda -> 0 limit sqrt(Var / (2 c2)), c2 the curvature of phi
+    at 0, enters as an explicit candidate: the sup is frequently attained
+    only in that limit and a grid misses it. Because every step works
+    elementwise, estimate r has the bits of its own call.
     """
-    variances = [None] * len(sources) if variances is None else variances
-    if any(v is None and not isinstance(s, Distribution) for s, v in zip(sources, variances)):
-        raise ValueError("a log-MGF callable source needs its variance")
-    sides = [log_mgf_two_sided(s) for s in sources]
-    vars_ = [s.variance if isinstance(s, Distribution) else v for s, v in zip(sources, variances)]
+    sums = [(laws, np.asarray(w, dtype=float)) for laws, w in sums]
+    variances = [laws.variance * float(np.dot(w, w)) if isinstance(laws, Distribution)
+                 else sum(c * c * law.variance for law, c in zip(laws, w)) for laws, w in sums]
+    odd = [r for r, (laws, _) in enumerate(sums) if not all(
+        d.record.bit_even for d in ([laws] if isinstance(laws, Distribution) else laws))]
+    both = sums + [sums[r] for r in odd]
 
     hi = NORM_GRID_HI if phi.lambda0 == math.inf else phi.lambda0 * (1 - 1e-12)
     grid = geometric_grid(min(NORM_GRID_LO, hi / 10), hi)
     step = grid[1] / grid[0] if grid.size > 1 else 2.0
     limit = phi_range(phi)
-    rows = np.arange(len(sources))
+    rows = np.arange(len(sums))
     truncated, unbounded = np.zeros((2, rows.size), bool)
     lams = np.broadcast_to(grid, (rows.size, grid.size))
     best_lam, best_val = np.full(rows.size, grid[0]), np.full(rows.size, -np.inf)
@@ -421,7 +408,9 @@ def bphi_norms(sources, phi: GeneratingFunction, variances=None) -> list:
             lams = np.geomspace(best_lam / step, best_lam * step, 65, axis=1)
             step = step ** 0.25
         with np.errstate(over="ignore", invalid="ignore"):
-            y = np.reshape([f(x) for f, x in zip(sides, lams)], lams.shape)
+            y = log_mgf_sums(both, np.concatenate([lams, -lams[odd]]))
+            y[odd] = np.maximum(y[odd], y[rows.size:])
+            y = y[:rows.size]
             inside, finite = lams < phi.lambda0, np.isfinite(y)
             truncated |= (inside & ~finite).any(axis=1)
             y, ok = np.maximum(y, 0.0), inside & finite
@@ -441,7 +430,7 @@ def bphi_norms(sources, phi: GeneratingFunction, variances=None) -> list:
         val = float(best_val[r])
         meta = {"grid_points": int(grid.size), "argmax_lambda": float(best_lam[r]),
                 "truncated": bool(truncated[r])}
-        var = vars_[r]
+        var = variances[r]
         if math.isfinite(var) and var >= 0:
             zero_limit = math.sqrt(var / (2.0 * c2))
             meta["zero_limit_candidate"] = zero_limit
@@ -453,83 +442,52 @@ def bphi_norms(sources, phi: GeneratingFunction, variances=None) -> list:
     return out
 
 
-def log_mgf_sums(laws, rows, lam) -> list:
-    """[sum_log_mgf(laws, w)(lam) for w in rows] from one log_mgf call per
-    distinct law (by identity) on the outer product of its weights with lam.
-    For a sequence of laws a row of n weights takes laws[:n] (ValueError
-    past its end). A row then sums its own terms as `sum_log_mgf` does, so
-    each row has the bits of its own call."""
+def log_mgf_sums(sums, lam) -> np.ndarray:
+    """One row per weighted sum (laws, w) of sums: sum_k ln E exp(w[k] lam
+    X_k) on lam, a 1-d lambda shared by every sum or one lambda row per sum.
+    laws is one Distribution (i.i.d. terms) or a sequence with one law per
+    weight (ValueError otherwise). Each distinct law (by identity) is called
+    once, on every lambda x weight product it serves. An i.i.d. row sums its
+    (lambda, k) block on the last axis; a sequence row adds its terms in k
+    order, starting from zeros; so each row has the bits of its own call."""
+    sums = [(laws, np.asarray(w, dtype=float)) for laws, w in sums]
     lam = np.asarray(lam, dtype=float)
-    flat = lam.ravel()
-    rows = [np.asarray(w, dtype=float) for w in rows]
-    if isinstance(laws, Distribution):  # row r: its (lam, k) block, summed on k
-        ends = np.cumsum([flat.size * w.size for w in rows]).tolist()
-        z = np.empty(ends[-1])
-        for w, lo, hi in zip(rows, [0] + ends, ends):
-            np.multiply.outer(flat, w, out=z[lo:hi].reshape(flat.size, w.size))
-        z = laws.log_mgf(z)
-        return [z[lo:hi].reshape(flat.size, w.size).sum(axis=-1).reshape(lam.shape)
-                for w, lo, hi in zip(rows, [0] + ends, ends)]
-    if any(w.size > len(laws) for w in rows):
-        raise ValueError(f"a row has more weights than the {len(laws)} laws")
-    distinct: dict[int, tuple] = {}  # id -> (law, the (row, k) it serves)
-    for r, w in enumerate(rows):
-        for k in range(w.size):
-            distinct.setdefault(id(laws[k]), (laws[k], []))[1].append((r, k))
+    points = lam.shape[-1]
+    lams = [lam] * len(sums) if lam.ndim == 1 else lam  # row r's lambda
+    out = np.zeros((len(sums), points))
+    groups: dict[int, tuple] = {}  # id -> (law, its i.i.d. rows, its (row, k) terms)
+    for r, (laws, w) in enumerate(sums):
+        if isinstance(laws, Distribution):
+            groups.setdefault(id(laws), (laws, [], []))[1].append(r)
+        elif len(laws) != w.size:
+            raise ValueError(f"{len(laws)} laws for {w.size} weights")
+        else:
+            for k, law in enumerate(laws):
+                groups.setdefault(id(law), (law, [], []))[2].append((r, k))
     terms = {}
-    for law, at in distinct.values():
-        z = np.multiply.outer([rows[r][k] for r, k in at], flat)
-        terms.update(zip(at, law.log_mgf(z.ravel()).reshape(z.shape)))
-    out = []
-    for r, w in enumerate(rows):  # term by term, in k order
-        total = np.zeros(flat.size)
-        for k in range(w.size):
-            total = total + terms[r, k]
-        out.append(total.reshape(lam.shape))
+    for law, iid, seq in groups.values():
+        ends = list(itertools.accumulate((points * sums[r][1].size for r in iid), initial=0))
+        z = np.empty(ends[-1] + points * len(seq))
+        for r, lo, hi in zip(iid, ends, ends[1:]):
+            w = sums[r][1]
+            np.multiply.outer(lams[r], w, out=z[lo:hi].reshape(points, w.size))
+        if seq:
+            np.multiply([[sums[r][1][k]] for r, k in seq],
+                        lam if lam.ndim == 1 else lam[[r for r, _ in seq]],
+                        out=z[ends[-1]:].reshape(len(seq), points))
+        z = law.log_mgf(z)
+        for r, lo, hi in zip(iid, ends, ends[1:]):
+            z[lo:hi].reshape(points, sums[r][1].size).sum(axis=-1, out=out[r])
+        terms.update(zip(seq, z[ends[-1]:].reshape(len(seq), points)))
+    for r, k in sorted(terms):  # sequence rows: term by term, in k order
+        out[r] += terms[r, k]
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class SumLogMgf:
-    """lam -> sum_k ln E exp(weights[k] lam X_k), the exact log-MGF of a
-    weighted sum of independent terms; see `sum_log_mgf`."""
-
-    laws: object  # one Distribution, or a sequence with one law per weight
-    weights: np.ndarray
-
-    def __call__(self, lam):
-        return log_mgf_sums(self.laws, [self.weights], lam)[0]
-
-    def two_sided_log_mgf(self, lam):
-        """max of the values at lam and -lam: one call where every law is
-        `bit_even`, as then each term, and so the sum, keeps its bits."""
-        laws = [self.laws] if isinstance(self.laws, Distribution) else self.laws
-        return two_sided(self, lam, all(d.record.bit_even for d in laws))
-
-
-def sum_log_mgf(laws, weights) -> SumLogMgf:
-    """lam -> sum_k ln E exp(weights[k] lam X_k). `laws` is one
-    Distribution (i.i.d. terms: one log_mgf call on the outer product,
-    summed on the last axis) or a sequence with one law per weight (one
-    log_mgf call per distinct law, the terms then added in order); a
-    sequence of another length raises ValueError."""
-    w = np.asarray(weights, dtype=float)
-    if not isinstance(laws, Distribution) and len(laws) != w.size:
-        raise ValueError(f"{len(laws)} laws for {w.size} weights")
-    return SumLogMgf(laws, w)
 
 
 def weighted_sum_bphi(d: Distribution, a: CoefficientVector,
                       phi: GeneratingFunction) -> NormEstimate:
     """Norm of sum a_k X_k from the exact product log-MGF."""
-    return weighted_sum_bphis(d, [a], phi)[0]
-
-
-def weighted_sum_bphis(d: Distribution, cands, phi: GeneratingFunction) -> list:
-    """`weighted_sum_bphi` of every weight vector of cands from one
-    `bphi_norms` call; estimate i has the bits of its own call."""
-    return bphi_norms([sum_log_mgf(d, a.entries) for a in cands], phi,
-                      variances=[d.variance * float(np.dot(a.entries, a.entries)) for a in cands])
+    return bphi_norms([(d, a.entries)], phi)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,15 @@ def geometric_grid(lo: float, hi: float, per_decade: int = POINTS_PER_DECADE) ->
     return np.geomspace(lo, hi, n)
 
 
+def sorted_distinct(x) -> np.ndarray:
+    """The distinct values of x in increasing order, what np.unique gives,
+    without the numpy.ma import that np.unique makes on first use."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.size, bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def golden_max(f, lo, hi, tol: float = 1e-12, max_iter: int = 400):
     """Golden-section maxima of unimodal functions, one per row r on the
     bracket [lo[r], hi[r]]; returns (argmax, value) arrays. f(x) gives row
@@ -399,13 +408,6 @@ def ordered_map(fn, items, threads: int = 1) -> list:
     with ThreadPoolExecutor(max_workers=k) as ex:
         blocks = ex.map(lambda i: [fn(x) for x in items[cuts[i]:cuts[i + 1]]], range(k))
         return [r for block in blocks for r in block]
-
-
-def two_sided(f, x, even: bool = False):
-    """max(f(x), f(-x)) elementwise; f(x) alone where `even` says that
-    f(-x) has the bits of f(x)."""
-    y = f(x)
-    return y if even else np.maximum(y, f(-x))
 
 
 def log_cosh(x: np.ndarray) -> np.ndarray:

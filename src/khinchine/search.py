@@ -14,7 +14,8 @@ sum_{j != k} a_j^2, once per visit and scores a trial by one more term
 (`norms._engine_law`). The starts, the scan, Monte Carlo, the closed-form
 sum law and enumeration take the full path; a U that overflowed or was
 refused passes the trials on to the next engine before any fold. Bphi rows
-share one `bphi_norms` call per step.
+are the sums (d, a) of one `norms.bphi_norms` call per step: the scan in
+one call, then each step's trials in one.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 
 from .distributions import Distribution
 from .genfun import GeneratingFunction, PsiFunction
-from .norms import (CoefficientVector, EngineRefusal, NormEstimate, weighted_sum_bphi,
-                    weighted_sum_bphis, weighted_sum_gls, weighted_sum_lp)
+from .norms import (CoefficientVector, EngineRefusal, NormEstimate, bphi_norms,
+                    weighted_sum_bphi, weighted_sum_gls, weighted_sum_lp)
 from .numerics import (candidate_sizes, coordinate_search, incumbent, substream,
                        weight_candidates)
 
@@ -108,7 +109,7 @@ NORM_KINDS: dict[str, NormKind] = {
         field="phi", needs="a generating function",
         label=lambda phi: f"bphi({phi.label})",
         sum_norm=lambda d, a, phi, engine, budget, seed, rest: weighted_sum_bphi(d, a, phi),
-        rows=lambda d, cands, phi: weighted_sum_bphis(d, cands, phi),
+        rows=lambda d, cands, phi: bphi_norms([(d, a.entries) for a in cands], phi),
     ),
 }
 

@@ -8,8 +8,8 @@ trial t draws n and a unit sphere vector a from substream(seed, tag, t) and
 checks left <= right on a lambda grid. The trials run in contiguous blocks
 of at most ENVELOPE_BLOCK weights x lambdas, which --threads splits over
 workers. The left side is always sum_k ln E exp(a_k lambda X_k), a block's
-from one log-MGF call per distinct law (`norms.log_mgf_sums`); the right
-sides are
+weighted sums (law, a) or (laws[:n], a) from one log-MGF call per distinct
+law (`norms.log_mgf_sums`); the right sides are
 
   thm31, tag 0x7131: phi(lambda tau), identical laws, phi in Conv_2, tau the
                      one-copy norm;
@@ -35,9 +35,8 @@ from .distributions import Distribution
 from .genfun import (DomainError, GeneratingFunction, PsiFunction,
                      candidate_profile, conjugate_profile, conv_r_class,
                      kappa_profile)
-from .norms import (CoefficientVector, EngineRefusal, bphi_norm, bphi_norms,
-                    draw_sums, log_mgf_sums, log_mgf_two_sided, sum_distribution,
-                    sum_log_mgf, weighted_sum_bphi, weighted_sum_lp)
+from .norms import (CoefficientVector, EngineRefusal, bphi_norm, bphi_norms, draw_sums,
+                    log_mgf_sums, sum_distribution, weighted_sum_bphi, weighted_sum_lp)
 from .numerics import NORM_GRID_HI, NORM_GRID_LO, geometric_grid, ordered_map, substream
 
 #: optimal-order Rosenthal constant
@@ -137,8 +136,11 @@ def _envelope_suite(tag: int, n_hi: int, lhs, rhs, points: int, trials: int, see
 
 def _sum_side(laws, grid):
     """block -> the left side of each trial a: sum_k ln E exp(a_k lambda X_k)
-    on the grid, one log_mgf call per distinct law (`norms.log_mgf_sums`)."""
-    return lambda cands: log_mgf_sums(laws, [a.entries for a in cands], grid)
+    on the grid, X_k i.i.d. copies of laws or laws[k], one log_mgf call per
+    distinct law (`norms.log_mgf_sums`)."""
+    iid = isinstance(laws, Distribution)
+    return lambda cands: log_mgf_sums(
+        [(laws if iid else laws[:a.n], a.entries) for a in cands], grid)
 
 
 def _kappa_side(phis, lams, n_max: int, restarts: int, seed: int):
@@ -205,7 +207,7 @@ def verify_thm41(laws, phis, trials: int = 1000, seed: int = 0,
         raise PreconditionError("laws and phis must be matched nonempty pools")
     grid = geometric_grid(NORM_GRID_LO, NORM_GRID_HI)
     for k, (law, p) in enumerate(zip(laws, phis)):
-        rhs, lhs = p(grid), log_mgf_two_sided(law)(grid)
+        rhs, lhs = p(grid), law.two_sided_log_mgf(grid)
         # equal sides (also both inf) dominate; argmin finds the first NaN, a failure
         dom = np.subtract(rhs, lhs, out=np.zeros(grid.shape), where=rhs != lhs)
         i = int(np.argmin(dom))
@@ -295,28 +297,27 @@ def pythagoras_check(phi: GeneratingFunction, laws=None, trials: int = 1000,
     scores c ||X|| (1-homogeneity; one `bphi_norms` call on the pool) unless
     the grid of ||X|| was truncated or unbounded, where the sup can sit at
     the grid's end, which does not scale: such a part is scored alone. The
-    sums and such parts of PYTHAGORAS_BLOCK trials share one call."""
+    sums (terms, scales) and such parts ([X], [c]) of PYTHAGORAS_BLOCK trials
+    share one call."""
     _require_conv2(phi)
     pool = list(laws) if laws is not None else [Distribution.rademacher(),
                                                 Distribution.gaussian(1.0)]
     taus = [None if e.meta["truncated"] or e.meta.get("unbounded") else e.value
-            for e in bphi_norms(pool, phi)]
+            for e in bphi_norms([(d, [1.0]) for d in pool], phi)]
     results = []
     for block in range(0, trials, PYTHAGORAS_BLOCK):
-        sources, variances, draws = [], [], []
+        sums, draws = [], []
         for t in range(block, min(block + PYTHAGORAS_BLOCK, trials)):
             rng = substream(seed, 0x9717, t)
             k = int(rng.integers(2, 6))
             idx = rng.integers(0, len(pool), size=k)
             scales = rng.uniform(0.5, 1.5, size=k)
             terms = [pool[i] for i in idx]
-            alone = [(pool[i], c) for i, c in zip(idx, scales) if taus[i] is None]
-            sources += [sum_log_mgf([law], [c]) for law, c in alone] + [sum_log_mgf(terms, scales)]
-            variances += [c * c * law.variance for law, c in alone]
-            variances.append(sum(c * c * law.variance for law, c in zip(terms, scales)))
+            sums += [([pool[i]], [c]) for i, c in zip(idx, scales) if taus[i] is None]
+            sums.append((terms, scales))
             draws.append(([None if taus[i] is None else c * taus[i] for i, c in zip(idx, scales)],
                           all(law.is_stable for law in terms)))
-        ests = iter(bphi_norms(sources, phi, variances=variances))
+        ests = iter(bphi_norms(sums, phi))
         for parts, stable in draws:  # a trial's parts scored alone, then its sum
             rhs = sum((next(ests).value if v is None else v) ** 2 for v in parts)
             # scaled sums of a stable law (the Gaussian) attain equality

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from khinchine.cli import (COMMANDS, SpecError, main, parse_norm_spec, parse_p_grid,
                            parse_psi, parse_weights)
 from khinchine.entropy import FiniteMetricSpace
 from khinchine.genfun import parse_phi
+from khinchine.numerics import sorted_distinct
 
 
 def run(capsys, argv):
@@ -580,6 +583,36 @@ def test_single_threaded_modules_load_no_thread_pool():
         "print('logging' in sys.modules, 'concurrent.futures' in sys.modules)\n"
         "assert ordered_map(abs, [-1, 2, -3], threads=2) == [1, 2, 3]\n"
         "print('concurrent.futures' in sys.modules)\n") == "False False\nTrue\n"
+
+
+def test_reports_load_no_numpy_ma(tmp_path):
+    # np.unique and np.union1d import numpy.ma on first use, about 5 ms a process
+    (tmp_path / "space.json").write_text(
+        '{"labels": ["a", "b", "c"], "rho": [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]}')
+    (tmp_path / "model.json").write_text(
+        json.dumps({"features": np.eye(3).tolist(), "driver": "rademacher"}))
+    jobs = ["verify thm41 --laws rademacher,gaussian:1 --phis natural --trials 5 --nmax 4",
+            "verify thm32 --law rademacher --phi subgaussian --trials 5 --nmax 4",
+            "phi overline --family natural:rademacher --lambda 2",
+            "phi kappa --phis subgaussian,power:3 --lambda 1.5",
+            f"entropy dudley --space {tmp_path / 'space.json'}",
+            f"entropy fieldsim --model {tmp_path / 'model.json'} --weights equal:2 --copies 500"]
+    out = _python(
+        "import contextlib, io, sys\n"
+        "from khinchine.cli import main\n"
+        f"for job in {jobs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(job.split()) == 0, job\n"
+        "    print('numpy.ma' in sys.modules)\n")
+    assert out.split() == ["False"] * len(jobs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=st.lists(st.one_of(st.integers(1, 6).map(float), st.floats(1e-300, 1e300)),
+                  min_size=1, max_size=40), shape=st.sampled_from([(-1,), (2, -1)]))
+def test_sorted_distinct_gives_the_values_of_np_unique(x, shape):
+    a = np.array(x + x[:len(x) % 2], dtype=float).reshape(shape)  # even size, repeats
+    assert sorted_distinct(a).tobytes() == np.unique(a).tobytes()
 
 
 @pytest.mark.parametrize("given", [None, "2"], ids=["unset", "set"])

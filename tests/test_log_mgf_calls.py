@@ -1,6 +1,6 @@
 """Gates for one log-MGF call per law and value: the `bit_even` law fact
-behind `Distribution.two_sided_log_mgf`, the grouped calls of
-`norms.log_mgf_sums`, the seed window of `numerics.invert_increasing_vec`,
+behind `Distribution.two_sided_log_mgf` and the mirrored rows of
+`norms.bphi_norms`, the grouped calls of `norms.log_mgf_sums`, the seed window of `numerics.invert_increasing_vec`,
 the strided group gather of `genfun.phi_sums` and the one-call B(phi) scan
 of the Khintchine search. Test-local copies of the earlier code are the
 reference, and every value must keep its bits."""
@@ -16,10 +16,10 @@ from khinchine import norms, search
 from khinchine.distributions import LAWS, Distribution
 from khinchine.genfun import (GeneratingFunction, phi_inverse_vec, phi_natural, phi_power,
                               phi_range, phi_subgaussian, phi_sums, phi_tabulated)
-from khinchine.norms import (CoefficientVector, bphi_norms, log_mgf_sums, sum_log_mgf,
-                             weighted_sum_bphi)
+from khinchine.norms import CoefficientVector, bphi_norms, log_mgf_sums, weighted_sum_bphi
 from khinchine.numerics import BISECT_STEPS, geometric_grid, invert_increasing_vec
 from khinchine.search import NormSpec, khinchine_sup
+from test_masked_kernels import old_bphi_norms, sum_callable
 
 RAD = Distribution.rademacher()
 G1 = Distribution.gaussian(1.0)
@@ -85,13 +85,26 @@ def test_two_sided_log_mgf_is_the_max_of_both_signs(law, monkeypatch):
 @pytest.mark.parametrize("laws,even", [
     (RAD, True), (CPOIS, False), ([RAD, G1, RAD], True), ([RAD, CPOIS, UNIF], False),
     ([SPOIS, UNIF], True), ([DSYM, RAD], False)], ids=str)
-def test_a_sum_source_is_two_sided_in_one_call_where_every_law_is_bit_even(laws, even):
+def test_a_sum_source_is_two_sided_in_one_call_where_every_law_is_bit_even(laws, even,
+                                                                          monkeypatch):
     seq = not isinstance(laws, Distribution)
-    src = sum_log_mgf(laws, np.linspace(-0.9, 1.3, len(laws) if seq else 3))
+    s = (laws, np.linspace(-0.9, 1.3, len(laws) if seq else 3))
     lam = geometric_grid(1e-4, 1e3)
     with np.errstate(over="ignore"):
-        assert bits(src.two_sided_log_mgf(lam)) == bits(np.maximum(src(lam), src(-lam)))
+        plus, minus = log_mgf_sums([s, s], np.stack([lam, -lam]))
     assert all(d.record.bit_even for d in (laws if seq else [laws])) == even
+    if even:  # the mirrored row would add nothing
+        assert bits(plus) == bits(minus)
+    # bphi_norms enters the sum once a round where every law is bit-even, else
+    # twice, at lambda and -lambda, and takes the max of the two
+    rows = []
+    real = norms.log_mgf_sums
+    monkeypatch.setattr(norms, "log_mgf_sums",
+                        lambda sums, x: rows.append(len(sums)) or real(sums, x))
+    est = bphi_norms([s], phi_subgaussian())[0]
+    assert rows == [1 if even else 2] * (1 + norms.REFINE_ROUNDS)
+    log_mgf, var = sum_callable(*s)
+    assert repr(est) == repr(old_bphi_norms([log_mgf], phi_subgaussian(), [var])[0])
 
 
 def test_bphi_norms_and_the_natural_phi_take_one_call_on_a_bit_even_law(monkeypatch):
@@ -101,8 +114,9 @@ def test_bphi_norms_and_the_natural_phi_take_one_call_on_a_bit_even_law(monkeypa
     phi_natural(RAD)(np.array([0.5, 2.0]))
     assert len(calls) == 1
     calls.clear()
-    bphi_norms([RAD, CPOIS], phi_subgaussian())
-    assert len(calls) == (1 + norms.REFINE_ROUNDS) * 3  # one call for RAD, two for CPOIS a round
+    bphi_norms([(RAD, [1.0]), (CPOIS, [1.0])], phi_subgaussian())
+    # one call for each law a round: CPOIS takes lambda and -lambda in its one
+    assert len(calls) == (1 + norms.REFINE_ROUNDS) * 2
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +144,35 @@ def test_log_mgf_sums_give_each_row_the_bits_of_the_earlier_sum(pool, sizes, see
     laws = [pool[k % len(pool)] for k in range(max(sizes))]
     rows = [rng.standard_normal(n) for n in sizes]
     lam = geometric_grid(1e-4, 1e3)
+    iid = [(law, row) for law in pool for row in rows]
+    seq = [(laws[:row.size], row) for row in rows]
     with np.errstate(over="ignore"):
-        for law in pool:
-            for row, got in zip(rows, log_mgf_sums(law, rows, lam)):
-                assert bits(got) == bits(old_sum_log_mgf(law, row, lam))
-        for row, got in zip(rows, log_mgf_sums(laws, rows, lam)):
-            assert bits(got) == bits(old_sum_log_mgf(laws[:row.size], row, lam))
-            assert bits(sum_log_mgf(laws[:row.size], row)(lam)) == bits(got)
+        for (law, row), got in zip(iid, log_mgf_sums(iid, lam)):
+            assert bits(got) == bits(old_sum_log_mgf(law, row, lam))
+        for (laws_, row), got in zip(seq, log_mgf_sums(seq, lam)):
+            assert bits(got) == bits(old_sum_log_mgf(laws_, row, lam))
+            assert bits(log_mgf_sums([(laws_, row)], lam)[0]) == bits(got)
+        # i.i.d. and sequence rows in one call, where they share laws
+        mixed = log_mgf_sums(seq + iid, lam)
+        assert bits(mixed) == bits(np.concatenate([log_mgf_sums(seq, lam),
+                                                   log_mgf_sums(iid, lam)]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pool=st.lists(st.sampled_from(ALL_LAWS), min_size=1, max_size=3),
+       sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5), seed=st.integers(0, 99))
+def test_log_mgf_sums_give_a_lambda_row_the_bits_of_its_own_1d_call(pool, sizes, seed):
+    rng = np.random.default_rng(seed)
+    sums = [(pool[0], rng.standard_normal(sizes[0]))]
+    sums += [([pool[k % len(pool)] for k in range(n)], rng.standard_normal(n))
+             for n in sizes[1:]]
+    lam = rng.choice([-1.0, 1.0], (len(sums), 1)) * geometric_grid(1e-4, 1e3)
+    lam[:, ::7] *= rng.uniform(0.5, 2.0, (len(sums), 1))  # rows on different points
+    with np.errstate(over="ignore"):
+        got = log_mgf_sums(sums, lam)
+        for s, row, x in zip(sums, got, lam):
+            assert bits(row) == bits(log_mgf_sums([s], x)[0])
+            assert bits(row) == bits(old_sum_log_mgf(*s, x))
 
 
 def test_log_mgf_sums_call_each_distinct_law_once(monkeypatch):
@@ -146,21 +182,29 @@ def test_log_mgf_sums_call_each_distinct_law_once(monkeypatch):
                         lambda self, x: calls.append(self.law) or real(self, x))
     laws = [RAD, G1] * 8
     rows = [np.full(n, 1.0 / math.sqrt(n)) for n in (16, 3, 7)]
-    log_mgf_sums(laws, rows, geometric_grid(1e-2, 1e2))
+    log_mgf_sums([(laws[:w.size], w) for w in rows], geometric_grid(1e-2, 1e2))
     assert sorted(calls) == ["gaussian", "rademacher"]
     calls.clear()
-    log_mgf_sums(RAD, rows, geometric_grid(1e-2, 1e2))
+    log_mgf_sums([(RAD, w) for w in rows], geometric_grid(1e-2, 1e2))
     assert calls == ["rademacher"]
+    calls.clear()  # i.i.d. and sequence rows of one law share its call
+    log_mgf_sums([(RAD, rows[0]), (laws[:3], rows[1]), (G1, rows[2])], geometric_grid(1e-2, 1e2))
+    assert sorted(calls) == ["gaussian", "rademacher"]
 
 
-def test_a_length_mismatch_raises():
+def test_a_length_mismatch_raises(monkeypatch):
     with pytest.raises(ValueError, match="2 laws for 3 weights"):
-        sum_log_mgf([RAD, G1], [0.5, 0.5, 0.5])
+        log_mgf_sums([([RAD, G1], [0.5, 0.5, 0.5])], [1.0])
+    with pytest.raises(ValueError, match="2 laws for 3 weights"):  # a later row
+        log_mgf_sums([(RAD, [1.0]), ([RAD, G1], np.ones(3))], [1.0])
+    calls = []
+    monkeypatch.setattr(Distribution, "log_mgf", lambda self, x: calls.append(1))
     with pytest.raises(ValueError, match="3 laws for 1 weights"):
-        sum_log_mgf([RAD, G1, RAD], [1.0])
-    with pytest.raises(ValueError, match="more weights than the 2 laws"):
-        log_mgf_sums([RAD, G1], [np.ones(2), np.ones(3)], [1.0])
-    assert sum_log_mgf(RAD, [0.6, 0.8])(1.0) > 0  # one law takes any number of weights
+        bphi_norms([(RAD, [1.0]), ([RAD, G1, RAD], [1.0])], phi_subgaussian())
+    assert not calls  # refused before any work
+    monkeypatch.undo()
+    # one law takes any number of weights
+    assert log_mgf_sums([(RAD, [0.6, 0.8])], [1.0])[0, 0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +383,9 @@ def test_phi_sums_keep_their_bits_on_strided_groups(pool, n):
 
 def test_the_bphi_scan_is_one_call_with_the_values_of_its_own_calls(monkeypatch):
     rows, alone = [], []
-    real_rows, real_one = search.weighted_sum_bphis, search.weighted_sum_bphi
-    monkeypatch.setattr(search, "weighted_sum_bphis",
-                        lambda d, cands, phi: rows.append(len(cands)) or real_rows(d, cands, phi))
+    real_rows, real_one = search.bphi_norms, search.weighted_sum_bphi
+    monkeypatch.setattr(search, "bphi_norms",
+                        lambda sums, phi: rows.append(len(sums)) or real_rows(sums, phi))
     monkeypatch.setattr(search, "weighted_sum_bphi",
                         lambda d, a, phi: alone.append(1) or real_one(d, a, phi))
     spec = NormSpec.bphi(phi_subgaussian())

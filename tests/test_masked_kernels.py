@@ -1,8 +1,10 @@
-"""Gates for the masked batched sups: `norms.bphi_norms` (one sources x
+"""Gates for the masked batched sups: `norms.bphi_norms` (one sums x
 points rectangle per round) and `numerics.golden_max` (a stopped row keeps
 its state under a mask). Test-local copies of the earlier per-row code, a
 ragged list per source and a shrinking live set, are the reference: every
-value, argmax and flag must keep its bits (compared by repr)."""
+value, argmax and flag must keep its bits (compared by repr). The B(phi)
+reference takes each weighted sum as a log-MGF callable with its variance,
+built here from the sum's laws and weights."""
 
 import math
 
@@ -13,7 +15,7 @@ from khinchine.distributions import Distribution
 from khinchine.genfun import (phi_inverse_vec, phi_natural, phi_power, phi_range,
                               phi_subgaussian, phi_tabulated)
 from khinchine.norms import (REFINE_ROUNDS, CoefficientVector, NormEstimate, bphi_norm,
-                             bphi_norms, sum_log_mgf)
+                             bphi_norms)
 from khinchine.numerics import GOLDEN, NORM_GRID_HI, NORM_GRID_LO, geometric_grid, golden_max
 
 RAD = Distribution.rademacher()
@@ -147,25 +149,47 @@ PHIS = {"subgaussian": phi_subgaussian(), "power:3": phi_power(3.0),
         "natural:centered-poisson:1": phi_natural(CPOIS), "tabulated": TAB}
 
 
-def _callables():
-    """sum_log_mgf sources with their variances: i.i.d. and mixed-law sums,
-    and one without a variance (nan: no zero-limit candidate)."""
+def sum_callable(laws, w):
+    """The log-MGF of the weighted sum (laws, w) and its variance, as the
+    earlier code took them: one law on the outer product summed on the last
+    axis, else a running sum of the terms in k order."""
+    w = np.asarray(w, dtype=float)
+    if isinstance(laws, Distribution):
+        def log_mgf(lam):
+            z = np.multiply.outer(lam, w)
+            return laws.log_mgf(z.ravel()).reshape(z.shape).sum(axis=-1)
+        return log_mgf, laws.variance * float(np.dot(w, w))
+
+    def log_mgf(lam):
+        out = np.zeros(np.shape(lam))
+        for law, c in zip(laws, w):
+            out = out + law.log_mgf(lam * c)
+        return out
+    return log_mgf, sum(c * c * law.variance for law, c in zip(laws, w))
+
+
+def old_sums_bphi_norms(sums, phi):
+    """`old_bphi_norms` on the callables of `sum_callable`."""
+    calls, variances = zip(*(sum_callable(laws, w) for laws, w in sums))
+    return old_bphi_norms(list(calls), phi, list(variances))
+
+
+def _sums():
+    """One-term sums of every law, then i.i.d., mixed-law and scaled sums."""
     a = CoefficientVector.normalized([3.0, 2.0, 1.0])
     b = CoefficientVector.normalized([1.0, 1.0])
-    return ([sum_log_mgf(RAD, a.entries), sum_log_mgf(CPOIS, b.entries),
-             sum_log_mgf([RAD, CPOIS], b.entries), CPOIS.log_mgf],
-            [1.0, 1.0, 1.0, math.nan])
+    return [(d, [1.0]) for d in LAWS] + [
+        (RAD, a.entries), (CPOIS, b.entries), ([RAD, CPOIS], b.entries), ([CPOIS], [0.5])]
 
 
 @pytest.mark.parametrize("name", sorted(PHIS))
 def test_bphi_norms_match_the_per_row_code(name):
     phi = PHIS[name]
-    calls, call_vars = _callables()
-    sources = LAWS + calls
-    variances = [None] * len(LAWS) + call_vars
-    new = bphi_norms(sources, phi, variances=variances)
-    old = old_bphi_norms(sources, phi, variances=variances)
+    new = bphi_norms(_sums(), phi)
+    old = old_sums_bphi_norms(_sums(), phi)
     assert [_bits(e) for e in new] == [_bits(e) for e in old]
+    # a one-term sum of a law is the law itself to the reference
+    assert [_bits(e) for e in old[:len(LAWS)]] == [_bits(e) for e in old_bphi_norms(LAWS, phi)]
 
 
 @pytest.mark.parametrize("law, phi, flag", [
@@ -177,23 +201,26 @@ def test_bphi_flag_cases_match_the_per_row_code(law, phi, flag):
     assert new.meta.get(flag) is True
     assert _bits(new) == _bits(old)
     # the same row among bounded ones keeps its bits
-    batch = bphi_norms([RAD, law, Distribution.gaussian(1.0)], phi)
+    batch = bphi_norms([(d, [1.0]) for d in (RAD, law, Distribution.gaussian(1.0))], phi)
     assert _bits(batch[1]) == _bits(old)
 
 
 def test_unbounded_row_takes_values_in_later_windows():
-    # under the tabulated phi (lambda0 = 3) the centered Poisson's log-MGF
-    # passes the phi range on the grid but not in the refinement windows, so
-    # the unbounded mask holds for the grid round only. A Distribution's
-    # zero-limit candidate beats those window values (the tabulated phi is
-    # linear near 0); a callable without a variance (nan) has none, so its
-    # argmax shows where the windows ended
-    est = bphi_norm(CPOIS.log_mgf, TAB, variance=math.nan)
+    # under the tabulated phi (lambda0 = 3) a skewed law on 1e4 x {-1, 0, 3}
+    # passes the phi range on the grid, so the grid round gives it no value;
+    # the windows around the grid's first point (1e-4, one unit of lambda at
+    # the law's scale) stay inside the range, and a window value beats the
+    # zero-limit candidate, so the argmax shows where the windows ended
+    big = Distribution.discrete([-1e4, 0.0, 3e4], [0.6, 0.2, 0.2])
+    est = bphi_norm(big, TAB)
     assert est.meta["unbounded"] and est.value == math.inf
-    assert "zero_limit_candidate" not in est.meta
-    assert est.meta["argmax_lambda"] > NORM_GRID_LO  # not the grid's first point
-    assert _bits(est) == _bits(old_bphi_norms([CPOIS.log_mgf], TAB, [math.nan])[0])
-    assert _bits(bphi_norm(CPOIS, TAB)) == _bits(old_bphi_norms([CPOIS], TAB)[0])
+    assert est.meta["argmax_lambda"] > NORM_GRID_LO  # not the grid's first point, nor 0
+    assert _bits(est) == _bits(old_bphi_norms([big], TAB)[0])
+    # the centered Poisson's zero-limit candidate beats its window values
+    # (the tabulated phi is linear near 0)
+    est = bphi_norm(CPOIS, TAB)
+    assert est.meta["unbounded"] and est.meta["argmax_lambda"] == 0.0
+    assert _bits(est) == _bits(old_bphi_norms([CPOIS], TAB)[0])
 
 
 def test_bphi_norms_of_no_source_is_empty():

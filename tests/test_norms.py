@@ -583,49 +583,46 @@ def test_weighted_sum_bphi_matches_direct_grid():
     assert est.value == pytest.approx(1.0, abs=1e-6)
 
 
-def test_bphi_norm_accepts_plain_log_mgf_callable():
-    log_mgf = lambda lam: np.asarray(lam) ** 2 / 2.0  # noqa: E731
-    est = bphi_norm(log_mgf, PHI2, variance=1.0)
-    assert est.value == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(ValueError, match="variance"):
-        bphi_norm(log_mgf, PHI2)
-    with pytest.raises(ValueError, match="variance"):
-        bphi_norms([RAD, log_mgf], PHI2, variances=[None, None])
+def test_bphi_norm_of_a_gaussian_sum_is_its_sigma():
+    # the subgaussian norm of a centered Gaussian is its sigma, and a sum of
+    # independent Gaussians is Gaussian: i.i.d. or mixed, scaled or not
+    g2 = Distribution.gaussian(2.0)
+    ests = bphi_norms([(G1, [1.0]), (G1, [0.6, 0.8]), ([G1, g2], [0.6, 0.8]), ([g2], [0.5])],
+                      PHI2)
+    for est, sigma in zip(ests, [1.0, 1.0, math.sqrt(0.36 + 0.64 * 4.0), 1.0]):
+        assert est.value == pytest.approx(sigma, abs=1e-6)
+        assert est.meta["zero_limit_candidate"] == pytest.approx(sigma, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# several sources in one B(phi) sup
+# several sums in one B(phi) sup
 # ---------------------------------------------------------------------------
-
-def _scaled(d, c):
-    return lambda lam: d.log_mgf(np.asarray(lam) * c)
-
 
 TAB_PHI = phi_tabulated([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 8.0])  # lambda0 = 4
 
-# (phi, sources, variances)
+# (phi, weighted sums)
 BPHI_BATCHES = {
     "scaled_rademacher_and_gaussian": (
-        PHI2, [_scaled(RAD, 0.5), _scaled(RAD, 1.3), Distribution.gaussian(1.5),
-               _scaled(RAD, 2.0)], [0.25, 1.69, None, 4.0]),
+        PHI2, [(RAD, [0.5]), ([RAD], [1.3]), (Distribution.gaussian(1.5), [1.0]),
+               (RAD, [2.0])]),
     # ln E e^{lam X} = 2 lam^2 passes phi's range 8 at lambda0; 0.125 lam^2 does not
     "tabulated_unbounded_then_finite": (
-        TAB_PHI, [Distribution.gaussian(2.0), Distribution.gaussian(0.5), _scaled(RAD, 1.5)],
-        [None, None, 2.25]),
+        TAB_PHI, [(Distribution.gaussian(2.0), [1.0]), (Distribution.gaussian(0.5), [1.0]),
+                  (RAD, [1.5])]),
     # only the centered Poisson log-MGF overflows on the 1e3-wide grid
     "one_row_truncated": (
-        PHI2, [RAD, CPOIS, _scaled(G1, 2.0), Distribution.uniform_symmetric(1.0)],
-        [None, None, 4.0, None]),
+        PHI2, [(RAD, [1.0]), (CPOIS, [1.0]), ([G1], [2.0]),
+               (Distribution.uniform_symmetric(1.0), [1.0])]),
     "power3_and_natural": (
-        phi_power(3.0), [RAD, CPOIS, SYM_DISCRETE], [None, None, None]),
+        phi_power(3.0), [(RAD, [1.0]), (CPOIS, [1.0]), (SYM_DISCRETE, [1.0])]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BPHI_BATCHES))
 def test_bphi_norms_rows_are_bitwise_single_calls(name):
-    phi, sources, variances = BPHI_BATCHES[name]
-    batch = bphi_norms(sources, phi, variances=variances)
-    singles = [bphi_norm(s, phi, variance=v) for s, v in zip(sources, variances)]
+    phi, sums = BPHI_BATCHES[name]
+    batch = bphi_norms(sums, phi)
+    singles = [bphi_norms([s], phi)[0] for s in sums]
     # repr round-trips floats exactly, so equal reprs mean equal bits
     assert [repr((e.value, e.method, e.meta)) for e in batch] == \
         [repr((e.value, e.method, e.meta)) for e in singles]

@@ -107,7 +107,8 @@ def test_thm41_domination_check_sees_past_the_overflow():
 def test_thm41_domination_check_fails_on_nan():
     # a log-MGF that is NaN past lambda = 10 and 0 below: only the NaN fails
     log_mgf = staticmethod(lambda lam: np.where(np.abs(lam) > 10, np.nan, 0.0))
-    broken = type("Broken", (), {"log_mgf": log_mgf, "label": "broken"})()
+    broken = type("Broken", (), {"log_mgf": log_mgf, "two_sided_log_mgf": log_mgf,
+                                 "label": "broken"})()
     with pytest.raises(PreconditionError, match="dominate") as exc:
         verify_thm41([broken], [PHI2], trials=1, seed=0, n_max=2)
     assert math.isnan(exc.value.witness["gap"]) and exc.value.witness["lambda"] > 10

@@ -1,7 +1,8 @@
-"""Gates for the shared MGF-envelope suite, `norms.sum_log_mgf` and the one
+"""Gates for the shared MGF-envelope suite, `norms.log_mgf_sums` and the one
 conjugate profile of `tail_compare`: test-local copies of the earlier
-per-suite trial loops (three envelope loops, the Pythagoras loop and the
-per-u tail loop) must give reports equal, value for value, to the package's."""
+per-suite trial loops (three envelope loops, the Pythagoras loop on the
+per-row B(phi) reference of test_masked_kernels, and the per-u tail loop)
+must give reports equal, value for value, to the package's."""
 
 import math
 
@@ -13,13 +14,13 @@ from khinchine.distributions import Distribution
 from khinchine.genfun import (candidate_profile, conv_r_class, kappa_profile,
                               phi_natural, phi_power, phi_subgaussian,
                               tail_envelope)
-from khinchine.norms import (CoefficientVector, NormEstimate, bphi_norm,
-                             bphi_norms, draw_sums, sum_distribution,
-                             sum_log_mgf, weighted_sum_bphi)
+from khinchine.norms import (CoefficientVector, NormEstimate, bphi_norm, draw_sums,
+                             log_mgf_sums, sum_distribution, weighted_sum_bphi)
 from khinchine.numerics import geometric_grid, ordered_map, substream
 from khinchine.verify import (SLACK_TOL, _min_logspace_slack, pythagoras_check,
                               tail_compare, verify_thm31, verify_thm32,
                               verify_thm41)
+from test_masked_kernels import old_bphi_norms
 
 RAD = Distribution.rademacher()
 G1 = Distribution.gaussian(1.0)
@@ -132,7 +133,7 @@ def old_pythagoras(phi, pool, trials, seed):
                    for law, c in parts] + [log_mgf_sum]
         variances = [c * c * law.variance for law, c in parts]
         variances.append(sum(variances))
-        *part_norms, sum_norm = bphi_norms(sources, phi, variances=variances)
+        *part_norms, sum_norm = old_bphi_norms(sources, phi, variances)
         rhs = 0.0
         for est in part_norms:
             rhs += est.value * est.value
@@ -243,9 +244,9 @@ def test_pythagoras_scores_one_source_per_trial(monkeypatch):
     sizes = []
     real = verify.bphi_norms
 
-    def counting(sources, *args, **kw):
-        sizes.append(len(sources))
-        return real(sources, *args, **kw)
+    def counting(sums, phi):
+        sizes.append(len(sums))
+        return real(sums, phi)
 
     monkeypatch.setattr(verify, "bphi_norms", counting)
     pythagoras_check(PHI2, [RAD, G1], trials=20, seed=3)
@@ -326,17 +327,18 @@ def test_exact_survival_lets_a_non_refusal_error_through(monkeypatch):
         tail_compare(RAD, CoefficientVector.equal(4), PHI2, u_grid=(1.0,))
 
 
-def test_sum_log_mgf_iid_and_mixed_forms():
+def test_log_mgf_sums_iid_and_mixed_forms():
     lam = geometric_grid(1e-3, 1e2)
     w = CoefficientVector.equal(5).entries
     z = np.multiply.outer(lam, w)
     iid = RAD.log_mgf(z.ravel()).reshape(z.shape).sum(axis=-1)
-    assert np.array_equal(sum_log_mgf(RAD, w)(lam), iid)
     running = np.zeros_like(lam)
     for c in w:
         running = running + RAD.log_mgf(lam * c)
-    assert np.array_equal(sum_log_mgf([RAD] * 5, w)(lam), running)
-    np.testing.assert_allclose(sum_log_mgf([RAD] * 5, w)(lam), iid, rtol=1e-14)
+    got_iid, got_seq = log_mgf_sums([(RAD, w), ([RAD] * 5, w)], lam)
+    assert np.array_equal(got_iid, iid)
+    assert np.array_equal(got_seq, running)
+    np.testing.assert_allclose(got_seq, iid, rtol=1e-14)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
