@@ -8,7 +8,8 @@ the subcommand's own parser. Every run prints one JSON report embedding the
 tool version, the fully resolved configuration, and the seed; reports are
 byte-identical across repeated runs and across --threads settings. Exit
 codes: 0 success; 1 when the report says "pass": false (a verify suite found
-its inequality violated); 2 on a precondition or configuration error.
+its inequality violated); 2 on a precondition or configuration error, a
+malformed input document, or an array larger than memory.
 
 Thread policy: --threads is the only parallelism. OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS are set to 1 before numpy loads unless
@@ -34,9 +35,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import __version__
-from .distributions import (DistributionError, law_catalog, parse_distribution,
-                            read_spec)
-from .genfun import (DomainError, PsiFunction, conv_r_class, kappa, legendre,
+from .distributions import law_catalog, parse_distribution, read_json, read_spec
+from .genfun import (PsiFunction, conv_r_class, kappa, legendre,
                      orlicz_n, overline_phi, parse_phi, phi_catalog, phi_inverse,
                      phi_membership_report, phi_natural, psi_from_phi,
                      tail_envelope)
@@ -98,12 +98,12 @@ PSI_SPECS = {
     "fromphi": ("fromphi:<phi>", lambda rest, grid: psi_from_phi(parse_phi(rest), grid)),
 }
 
-#: the field a norm kind of `NORM_KINDS` reads: (text after the kind, p grid)
-#: -> value; an unparsable p is None, which NormSpec refuses
-NORM_FIELDS = {
-    "p": lambda rest, grid: _number(rest),
-    "psi": lambda rest, grid: parse_psi(rest, grid),
-    "phi": lambda rest, grid: parse_phi(rest),
+#: a norm kind of `NORM_KINDS` -> ((text after the kind, p grid) -> its param);
+#: an unparsable p is None, which NormSpec refuses
+NORM_PARAMS = {
+    "lp": lambda rest, grid: _number(rest),
+    "gls": lambda rest, grid: parse_psi(rest, grid),
+    "bphi": lambda rest, grid: parse_phi(rest),
 }
 
 WEIGHTS_CATALOG = ", ".join([form for form, _ in WEIGHT_SPECS.values()] + ["@file.json"])
@@ -154,12 +154,12 @@ def parse_psi(spec: str, p_grid: np.ndarray) -> PsiFunction:
 
 
 def parse_norm_spec(spec: str, p_grid: np.ndarray) -> NormSpec:
-    """A kind of `search.NORM_KINDS` and the spec of the field it reads:
+    """A kind of `search.NORM_KINDS` and the spec of the param it reads:
     'lp:p', 'gls:<psi spec>' or 'bphi:<phi spec>'."""
     def parse(kind, rec, rest):
-        value = NORM_FIELDS[rec.field](rest, p_grid)
+        value = NORM_PARAMS[kind](rest, p_grid)
         try:
-            return NormSpec(kind, **{rec.field: value})
+            return NormSpec(kind, value)
         except ValueError as exc:
             raise SpecError(f"bad {kind} norm spec {spec!r}") from exc
 
@@ -274,8 +274,7 @@ def _dudley(a) -> dict:
 
 
 def _fieldsim(a) -> dict:
-    with open(a.model, "r", encoding="utf-8") as fh:
-        model = FieldModel.from_json(json.load(fh))
+    model = read_json(a.model, FieldModel.from_json, f"model {a.model!r}", SpecError)
     coeffs = [parse_weights(s) for s in a.weights.split(";")]
     return field_sup_stats(model, coeffs, copies=a.copies, seed=a.seed, threads=a.threads)
 
@@ -454,8 +453,7 @@ def main(argv=None) -> int:
     try:
         payload = args.func(args)
         emit_report(args, payload)
-    except (SpecError, DomainError, DistributionError, PreconditionError,
-            EngineRefusal, ValueError, OSError) as exc:
+    except (ValueError, PreconditionError, EngineRefusal, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0 if payload.get("pass", True) else 1

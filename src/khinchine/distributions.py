@@ -501,22 +501,34 @@ def _fold(name: str) -> str:
     return name.replace("-", "").replace("_", "").lower()
 
 
+def read_json(path: str, build: Callable, what: str, error: type):
+    """The one reader of outside JSON documents: `build(obj)` of the document
+    at `path`. A missing field (KeyError) raises `error` naming the field; a
+    field of the wrong type (TypeError, AttributeError or IndexError) raises
+    `error` naming the document by `what`. The ValueErrors `build` raises
+    itself pass through."""
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise error(f"{what} lacks the field {exc}") from exc
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise error(f"{what} has a field of the wrong type: {exc}") from exc
+
+
 def read_spec(spec: str, what: str, table: dict, parse: Callable,
               from_json: Callable | None, catalog: str, error: type):
     """The one reader of CLI spec strings, for every kind of spec.
 
-    '@file.json' is read by `from_json` (None: the kind has no file form).
-    Otherwise 'name[:rest]' looks the name up in `table`, ignoring case, '-'
-    and '_', and returns `parse(key, table[key], rest)`. An unknown name
-    raises `error`, naming the `catalog` of accepted specs."""
+    '@file.json' is `read_json(file, from_json, ...)` (from_json None: the
+    kind has no file form). Otherwise 'name[:rest]' looks the name up in
+    `table`, ignoring case, '-' and '_', and returns
+    `parse(key, table[key], rest)`. An unknown name raises `error`, naming
+    the `catalog` of accepted specs."""
     spec = spec.strip()
     if from_json is not None and spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        try:
-            return from_json(obj)
-        except KeyError as exc:
-            raise error(f"{what} spec {spec!r} lacks the field {exc}") from exc
+        return read_json(spec[1:], from_json, f"{what} spec {spec!r}", error)
     name, _, rest = spec.partition(":")
     key = next((k for k in table if _fold(k) == _fold(name)), None)
     if key is None:

@@ -9,14 +9,13 @@ integral is their exact finite sum over the distinct distances."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, read_json
 from .numerics import mc_abs_moments, sorted_distinct, stream_rows, substream
 
 EXACT_COVER_LIMIT = 20
@@ -81,9 +80,8 @@ def load_space(path: str) -> FiniteMetricSpace:
     """Read a space from CSV (header row of labels, then the square matrix)
     or from JSON ({'labels': [...], 'rho': [[...]]})."""
     if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return FiniteMetricSpace(tuple(obj["labels"]), np.asarray(obj["rho"], float))
+        return read_json(path, lambda obj: FiniteMetricSpace(
+            tuple(obj["labels"]), np.asarray(obj["rho"], float)), f"space {path!r}", ValueError)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         labels = tuple(s.strip() for s in next(csv.reader(fh), ()))
         with warnings.catch_warnings():  # no rows: refused below, not square
@@ -267,10 +265,6 @@ class FieldModel:
             object.__setattr__(self, "labels", tuple(range(f.shape[1])))
         else:
             object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def n_points(self) -> int:
-        return self.features.shape[1]
 
     @property
     def sigma(self) -> float:

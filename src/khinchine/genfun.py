@@ -339,10 +339,6 @@ class ConjugateProfile:
     boundary: np.ndarray
     unbounded: np.ndarray
 
-    def to_json(self) -> dict:
-        return {"knots": self.knots.tolist(), "values": self.values.tolist(),
-                "lambda_argmax": self.lambda_argmax.tolist()}
-
 
 def conjugate_profile(phi: GeneratingFunction, u_knots) -> ConjugateProfile:
     """phi*(u) = sup over lambda in [0, lambda0) of lambda*u - phi(lambda) at
@@ -393,14 +389,20 @@ def orlicz_n(phi: GeneratingFunction, u: float) -> float:
     return math.inf if val > OVERFLOW_EXPONENT else math.expm1(val)
 
 
-def tail_envelope(phi: GeneratingFunction, tau: float, u: float) -> float:
-    """Chernoff-type tail bound exp(-phi*(u/tau)) for a variable of norm tau."""
+def tail_envelope(phi: GeneratingFunction, tau: float, u):
+    """Chernoff-type tail bound exp(-phi*(u/tau)) for a variable of norm tau,
+    at one u (a float) or at each u of a sequence (a list). One
+    `conjugate_profile` on the distinct u/tau serves every u; a knot gets the
+    same bits alone or among others, so each u gets its bits alone."""
     if not tau > 0:
         raise DomainError("tail_envelope needs tau > 0")
-    if u < 0:
+    x = np.asarray(u, dtype=float) / tau
+    if not np.all(x >= 0):
         raise DomainError("tail_envelope needs u >= 0")
-    val = legendre(phi, u / tau).value
-    return math.exp(-val) if math.isfinite(val) else 0.0
+    knots = sorted_distinct(x)
+    conj = conjugate_profile(phi, knots).values[np.searchsorted(knots, x.ravel())]
+    env = [math.exp(-v) if math.isfinite(v) else 0.0 for v in conj.tolist()]
+    return env if x.ndim else env[0]
 
 
 # ---------------------------------------------------------------------------

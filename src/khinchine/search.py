@@ -37,20 +37,18 @@ from .numerics import (candidate_sizes, coordinate_search, incumbent, substream,
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm the constants are taken in: lp(p), gls(psi), or bphi(phi).
-    `kind` names a record of `NORM_KINDS`, which says the field it reads."""
+    """Which norm the constants are taken in: lp(p), gls(psi) or bphi(phi).
+    `kind` names a record of `NORM_KINDS`; `param` is the one value that kind
+    reads (its p, psi or phi), which the record validates."""
 
     kind: str  # lp | gls | bphi
-    p: float | None = None
-    psi: PsiFunction | None = None
-    phi: GeneratingFunction | None = None
+    param: float | PsiFunction | GeneratingFunction | None
 
     def __post_init__(self):
         rec = NORM_KINDS.get(self.kind)
         if rec is None:
             raise ValueError(f"unknown norm spec kind {self.kind!r}")
-        param = getattr(self, rec.field)
-        if param is None or not rec.valid(param):
+        if self.param is None or not rec.valid(self.param):
             raise ValueError(f"{self.kind} norm spec needs {rec.needs}")
 
     @property
@@ -58,25 +56,20 @@ class NormSpec:
         return NORM_KINDS[self.kind]
 
     @property
-    def param(self):
-        """The field the kind reads: p, psi or phi."""
-        return getattr(self, self.record.field)
-
-    @property
     def label(self) -> str:
         return self.record.label(self.param)
 
     @staticmethod
     def lp(p: float) -> "NormSpec":
-        return NormSpec("lp", p=float(p))
+        return NormSpec("lp", float(p))
 
     @staticmethod
     def gls(psi: PsiFunction) -> "NormSpec":
-        return NormSpec("gls", psi=psi)
+        return NormSpec("gls", psi)
 
     @staticmethod
     def bphi(phi: GeneratingFunction) -> "NormSpec":
-        return NormSpec("bphi", phi=phi)
+        return NormSpec("bphi", phi)
 
 
 @dataclass(frozen=True)
@@ -84,11 +77,11 @@ class NormKind:
     """One kind of norm. Each function takes the spec's `param` v (its p,
     psi or phi)."""
 
-    field: str  # the NormSpec field the kind reads; the CLI form is '<kind>:<field>'
-    needs: str  # what the field must hold, for the validation error
+    field: str  # the word for the param in the CLI form '<kind>:<field>'
+    needs: str  # what the param must be, for the validation error
     label: Callable  # (v) -> str
     sum_norm: Callable  # (d, a, v, engine, budget, seed, rest) -> NormEstimate of sum a_k X_k
-    valid: Callable = lambda v: True  # (v) -> whether a value given for the field is valid
+    valid: Callable = lambda v: True  # (v) -> whether a param is valid
     rows: Callable | None = None  # (d, [a], v) -> NormEstimates of many sums in one call
 
 

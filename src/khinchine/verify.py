@@ -32,9 +32,8 @@ import math
 import numpy as np
 
 from .distributions import Distribution
-from .genfun import (DomainError, GeneratingFunction, PsiFunction,
-                     candidate_profile, conjugate_profile, conv_r_class,
-                     kappa_profile)
+from .genfun import (GeneratingFunction, PsiFunction, candidate_profile, conv_r_class,
+                     kappa_profile, tail_envelope)
 from .norms import (CoefficientVector, EngineRefusal, bphi_norm, bphi_norms, draw_sums,
                     log_mgf_sums, sum_distribution, weighted_sum_bphi, weighted_sum_lp)
 from .numerics import NORM_GRID_HI, NORM_GRID_LO, geometric_grid, ordered_map, substream
@@ -375,26 +374,20 @@ def tail_compare(d: Distribution, a: CoefficientVector,
     """Compare the conjugate tail envelope exp(-phi*(u/tau)) of the weighted
     sum against its exact (or sampled) survival function.
 
-    Every phi* comes from one `conjugate_profile` on the distinct u/tau.
-    Passes when the envelope dominates the empirical survival minus 3
-    binomial standard errors at every u. Also reports the fitted empirical
-    constant of an exp(-c u^m') tail, m' = min(m, 2) for power members and 2
-    otherwise; that constant is a surrogate only, never asserted against.
+    The envelopes are one `tail_envelope` call. Passes when the envelope
+    dominates the empirical survival minus 3 binomial standard errors at
+    every u. Also reports the fitted empirical constant of an exp(-c u^m')
+    tail, m' = min(m, 2) for power members and 2 otherwise; that constant is
+    a surrogate only, never asserted against.
     """
     tau = weighted_sum_bphi(d, a, phi).value
     us = [float(u) for u in u_grid]
-    if not tau > 0:
-        raise DomainError("tail envelope needs tau > 0")
-    if any(u < 0 for u in us):
-        raise DomainError("tail envelope needs u >= 0")
-    knots, inverse = np.unique(np.array(us) / tau, return_inverse=True)
-    conj = conjugate_profile(phi, knots).values[inverse].tolist()
+    envelopes = tail_envelope(phi, tau, us)
     survival = _exact_survival(d, a) or _sampled_survival(d, a, samples, seed)
     m_exp = phi.tail_exponent
     rows = []
     fitted = math.inf
-    for u, val in zip(us, conj):
-        env = math.exp(-val) if math.isfinite(val) else 0.0
+    for u, env in zip(us, envelopes):
         surv, se, method = survival(u)
         if u > 0 and surv > 0:
             fitted = min(fitted, -math.log(surv) / u**m_exp)

@@ -745,6 +745,44 @@ def test_spec_file_lacking_a_field_exits_two(capsys, tmp_path, argv, obj):
     assert "lacks the field" in captured.err
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["norm", "bphi", "--law", "@DOC", "--phi", "subgaussian"], "[1, 2]"),
+    (["norm", "bphi", "--law", "rademacher", "--phi", "@DOC"], "[1, 2]"),
+    (["norm", "gls", "--law", "rademacher", "--psi", "@DOC"], "[1, 2]"),
+    (["entropy", "fieldsim", "--model", "DOC"], "[1, 2]"),
+    (["entropy", "dudley", "--space", "DOC"], "[1, 2]"),
+    (["norm", "lp", "--law", "rademacher", "--weights", "@DOC", "--p", "3"], '{"a": 1}'),
+    (["norm", "bphi", "--law", "@DOC", "--phi", "subgaussian"],
+     '{"law": "gaussian", "sigma": [1]}'),
+    (["norm", "bphi", "--law", "rademacher", "--phi", "@DOC"], '{"family": "power", "m": "x"}'),
+    (["entropy", "dudley", "--space", "DOC"], '{"labels": ["a", "b"]}'),
+    (["entropy", "fieldsim", "--model", "DOC"], '{"driver": "gaussian"}'),
+], ids=["law-list", "phi-list", "psi-list", "model-list", "space-list", "weights-dict",
+        "law-sigma-list", "phi-m-string", "space-no-rho", "model-no-features"])
+def test_malformed_json_documents_exit_two_naming_the_file(capsys, tmp_path, argv, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([a.replace("DOC", str(path)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "gls", "--law", "rademacher", "--psi", "sqrtp", "--p-grid", "2:1e16"],
+    ["norm", "lp", "--law", "rademacher", "--weights", "equal:10000000000000000", "--p", "3"],
+    ["verify", "thm51", "--law", "rademacher", "--n-values", "10000000000000000"],
+], ids=["p-grid", "weights", "thm51-n"])
+def test_arrays_past_any_address_space_exit_two(capsys, argv):
+    # 10^16 floats are 71 PiB, more than a 64-bit user address space, so
+    # the allocation fails at once
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_unknown_cli_specs_name_their_catalog():
     grid = parse_p_grid("2:4")
     with pytest.raises(SpecError, match=r"unknown weights spec 'diag:3'; known: equal:<n>, .*@file\.json"):

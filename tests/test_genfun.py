@@ -226,6 +226,24 @@ def test_tail_envelope_values():
     assert tail_envelope(LNCOSH, 1.0, 1.5) >= surv
 
 
+#: CI's tabulated phi: a finite lambda0, so some envelopes end on its boundary
+TAIL_PHIS = {"subgaussian": PHI2, "power3": phi_power(3.0), "rademacher": LNCOSH,
+             "poisson": POIS_NAT,
+             "tabulated": phi_tabulated([0, 0.5, 1, 2, 3], [0, 0.125, 0.5, 2, 4.5])}
+
+
+@pytest.mark.parametrize("name", TAIL_PHIS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(tau=st.floats(0.1, 4.0),
+       us=st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5]) | st.floats(0.0, 12.0),
+                   min_size=1, max_size=8))
+def test_tail_envelope_of_many_u_is_each_u_alone(name, tau, us):
+    phi = TAIL_PHIS[name]
+    us = us + us[:2] + [0.0]  # repeated values and u = 0
+    many = tail_envelope(phi, tau, us)
+    assert [repr(e) for e in many] == [repr(tail_envelope(phi, tau, u)) for u in us]
+
+
 # ---------------------------------------------------------------------------
 # convexity classes
 # ---------------------------------------------------------------------------

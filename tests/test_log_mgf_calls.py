@@ -393,4 +393,4 @@ def test_the_bphi_scan_is_one_call_with_the_values_of_its_own_calls(monkeypatch)
     scanned = [e for e in est.trace if e["kind"] != "local_search"]
     assert rows[0] == len(scanned) == 19 and not alone
     for entry, n in zip(scanned, range(1, 5)):  # equal weights first
-        assert entry["value"] == weighted_sum_bphi(RAD, CoefficientVector.equal(n), spec.phi).value
+        assert entry["value"] == weighted_sum_bphi(RAD, CoefficientVector.equal(n), spec.param).value

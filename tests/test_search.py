@@ -17,9 +17,9 @@ PHI2 = phi_subgaussian()
 
 def test_norm_spec_validation():
     with pytest.raises(ValueError):
-        NormSpec("lp")
+        NormSpec("lp", None)
     with pytest.raises(ValueError):
-        NormSpec("weird", p=2.0)
+        NormSpec("weird", 2.0)
     assert NormSpec.lp(4).label == "lp(4.0)"
 
 
@@ -82,11 +82,11 @@ def _one_copy_norm(d, spec):
     """The norm of one copy by kind, each through its own path: the
     reference for the n = 1 term of the weighted-sum dispatch."""
     if spec.kind == "lp":
-        return d.lp_norm(spec.p)
+        return d.lp_norm(spec.param)
     if spec.kind == "bphi":
-        return bphi_norm(d, spec.phi).value
-    lp = np.array([d.lp_norm(float(p)) for p in spec.psi.p_grid])
-    return float(np.max(lp / spec.psi.values))
+        return bphi_norm(d, spec.param).value
+    lp = np.array([d.lp_norm(float(p)) for p in spec.param.p_grid])
+    return float(np.max(lp / spec.param.values))
 
 
 @pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: d.label)
