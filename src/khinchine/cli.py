@@ -4,7 +4,10 @@ Subcommands: phi, norm, khinchine, verify, entropy. A subcommand is one entry
 of `COMMANDS`: the arguments its handler reads, after --seed, --format and
 --out, which every subcommand shares, and the handler, which returns its
 report payload; an option the handler would not read exits 2, reported by
-the subcommand's own parser. Every run prints one JSON report embedding the
+the subcommand's own parser. A spec option (a law, phi, psi, weights, norm,
+space, model or list) names its one reader by `read=`: the handler receives
+the values read, never the text, and a malformed spec exits 2 with its
+reason before the handler runs. Every run prints one JSON report embedding the
 tool version, the fully resolved configuration, and the seed; reports are
 byte-identical across repeated runs and across --threads settings. Exit
 codes: 0 success; 1 when the report says "pass": false (a verify suite found
@@ -161,7 +164,7 @@ def parse_norm_spec(spec: str, p_grid: np.ndarray) -> NormSpec:
         try:
             return NormSpec(kind, value)
         except ValueError as exc:
-            raise SpecError(f"bad {kind} norm spec {spec!r}") from exc
+            raise SpecError(f"bad {kind} norm spec {spec!r}: {exc}") from exc
 
     return read_spec(spec, "norm", NORM_KINDS, parse, None, NORM_CATALOG, SpecError)
 
@@ -239,63 +242,36 @@ def emit_report(args, payload: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _phi_eval(a) -> dict:
-    phi = parse_phi(a.family)
-    return {"value": float(phi(a.lam)), "phi": phi.to_json(),
-            "membership": phi_membership_report(phi)}
-
-
-def _norm_spec(a) -> NormSpec:
-    return parse_norm_spec(a.norm, parse_p_grid(a.p_grid))
-
-
 def _search_options(a) -> dict:
     return dict(n_max=a.nmax, restarts=a.restarts, seed=a.seed, engine=a.engine,
                 budget=a.samples)
 
 
-def _thm41(a) -> dict:
-    laws = [parse_distribution(s) for s in a.laws.split(",")]
-    phis = ([phi_natural(d) for d in laws] if a.phis == "natural"
-            else [parse_phi(s) for s in a.phis.split(",")])
-    return verify_thm41(laws, phis, trials=a.trials, seed=a.seed, n_max=a.nmax,
-                        restarts=a.restarts, threads=a.threads)
-
-
-def _pythagoras(a) -> dict:
-    laws = [parse_distribution(s) for s in a.laws.split(",")] if a.laws else None
-    return pythagoras_check(parse_phi(a.phi), laws=laws, trials=a.trials, seed=a.seed)
-
-
-def _dudley(a) -> dict:
-    space = load_space(a.space)
-    return {"value": dudley_integral(space, sigma_scale=a.scale),
-            "diameter": space.diameter, "points": space.n}
-
-
-def _fieldsim(a) -> dict:
-    model = read_json(a.model, FieldModel.from_json, f"model {a.model!r}", SpecError)
-    coeffs = [parse_weights(s) for s in a.weights.split(";")]
-    return field_sup_stats(model, coeffs, copies=a.copies, seed=a.seed, threads=a.threads)
+def split(text: str, read, sep: str = ",") -> list:
+    """The reader of a list option: `read` of each `sep`-separated item."""
+    return [read(s) for s in text.split(sep)]
 
 
 def arg(*flags, **options) -> tuple:
-    """One add_argument call of a subcommand."""
+    """One add_argument call of a subcommand; a spec option adds `read=`, the
+    function of the parsed namespace that turns its text into a value."""
     return flags, options
 
 
 LAW_HELP = f"law spec; known: {law_catalog()}"
 PHI_HELP = f"phi spec; known: {phi_catalog()} (<law>: a law spec)"
 WEIGHTS_HELP = f"weights spec; known: {WEIGHTS_CATALOG}"
-LAW = arg("--law", required=True, help=LAW_HELP)
-PHI = arg("--phi", required=True, help=PHI_HELP)
-FAMILY = arg("--family", required=True, help=PHI_HELP)
-WEIGHTS = arg("--weights", required=True, help=WEIGHTS_HELP)
+LAW = arg("--law", required=True, help=LAW_HELP, read=lambda a: parse_distribution(a.law))
+PHI = arg("--phi", required=True, help=PHI_HELP, read=lambda a: parse_phi(a.phi))
+FAMILY = arg("--family", required=True, help=PHI_HELP, read=lambda a: parse_phi(a.family))
+WEIGHTS = arg("--weights", required=True, help=WEIGHTS_HELP,
+              read=lambda a: parse_weights(a.weights))
 LAMBDA = arg("--lambda", dest="lam", type=finite, required=True)
 U = arg("--u", type=finite, required=True)
 P = arg("--p", type=finite, required=True)
-NORM = arg("--norm", required=True, help=f"norm spec; known: {NORM_CATALOG}")
-SPACE = arg("--space", required=True, help="CSV or JSON file")
+NORM = arg("--norm", required=True, help=f"norm spec; known: {NORM_CATALOG}",
+           read=lambda a: parse_norm_spec(a.norm, parse_p_grid(a.p_grid)))
+SPACE = arg("--space", required=True, help="CSV or JSON file", read=lambda a: load_space(a.space))
 SAMPLES = arg("--samples", type=count(1), default=None, help="budget (at least 1) for "
               "sampling engines / enumeration; --engine auto on a symmetric law with even p "
               "needs none. Monte Carlo holds, per thread, one vector of samples/16 floats for "
@@ -315,98 +291,103 @@ P_GRID = arg("--p-grid", dest="p_grid", default="2:64", help="grid 'lo:hi[:step]
 SEARCH = [P_GRID, NMAX, RESTARTS, ENGINE, SAMPLES]
 
 #: command -> (help, subcommand -> (its arguments, handler args -> report payload)).
-#: Handlers call package functions by their module-level names, so that a
-#: function replaced on this module (a test's monkeypatch, a tracer) is the
-#: one called.
+#: A handler reads each spec option as the value its `read=` returned (a law,
+#: phi, weights, norm spec, space, ...), never its text. Readers and handlers
+#: call package functions by their module-level names, so that a function
+#: replaced on this module (a test's monkeypatch, a tracer) is the one called.
 COMMANDS = {
     "phi": ("generating-function calculus", {
-        "eval": ([FAMILY, LAMBDA], _phi_eval),
-        "legendre": ([FAMILY, U], lambda a: asdict(legendre(parse_phi(a.family), a.u))),
-        "orlicz": ([FAMILY, U], lambda a: {"value": orlicz_n(parse_phi(a.family), a.u)}),
+        "eval": ([FAMILY, LAMBDA], lambda a: {
+            "value": float(a.family(a.lam)), "phi": a.family.to_json(),
+            "membership": phi_membership_report(a.family)}),
+        "legendre": ([FAMILY, U], lambda a: asdict(legendre(a.family, a.u))),
+        "orlicz": ([FAMILY, U], lambda a: {"value": orlicz_n(a.family, a.u)}),
         "convclass": ([FAMILY, arg("--r", type=finite, required=True)],
-                      lambda a: asdict(conv_r_class(parse_phi(a.family), a.r))),
-        "overline": ([FAMILY, LAMBDA],
-                     lambda a: {"value": overline_phi(parse_phi(a.family), a.lam)}),
+                      lambda a: asdict(conv_r_class(a.family, a.r))),
+        "overline": ([FAMILY, LAMBDA], lambda a: {"value": overline_phi(a.family, a.lam)}),
         "inverse": ([FAMILY, arg("--y", type=finite, required=True)],
-                    lambda a: {"value": phi_inverse(parse_phi(a.family), a.y)}),
+                    lambda a: {"value": phi_inverse(a.family, a.y)}),
         "tail": ([FAMILY, U, arg("--tau", type=finite, required=True)],
-                 lambda a: {"value": tail_envelope(parse_phi(a.family), a.tau, a.u)}),
-        "kappa": ([arg("--phis", required=True, help="comma-separated " + PHI_HELP), LAMBDA,
-                   NMAX, RESTARTS],
+                 lambda a: {"value": tail_envelope(a.family, a.tau, a.u)}),
+        "kappa": ([arg("--phis", required=True, help="comma-separated " + PHI_HELP,
+                       read=lambda a: split(a.phis, parse_phi)), LAMBDA, NMAX, RESTARTS],
                   lambda a: dict(zip(("value", "witness_b", "meta"), kappa(
-                      [parse_phi(s) for s in a.phis.split(",")], a.lam, n_max=a.nmax,
-                      restarts=a.restarts, seed=a.seed)))),
+                      a.phis, a.lam, n_max=a.nmax, restarts=a.restarts, seed=a.seed)))),
         "psi": ([FAMILY, arg("--p", type=finite, default=None), P_GRID],
-                lambda a: psi_from_phi(parse_phi(a.family), parse_p_grid(a.p_grid)
+                lambda a: psi_from_phi(a.family, parse_p_grid(a.p_grid)
                                        if a.p is None else np.array([a.p])).to_json()),
     }),
     "norm": ("norm computations", {
-        "bphi": ([LAW, PHI],
-                 lambda a: bphi_norm(parse_distribution(a.law), parse_phi(a.phi)).to_json()),
+        "bphi": ([LAW, PHI], lambda a: bphi_norm(a.law, a.phi).to_json()),
         "lp": ([LAW, WEIGHTS, P, ENGINE, SAMPLES, THREADS],
-               lambda a: weighted_sum_lp(
-                   parse_distribution(a.law), parse_weights(a.weights), a.p, engine=a.engine,
-                   budget=a.samples, seed=a.seed, threads=a.threads).to_json()),
-        "gls": ([LAW, arg("--psi", required=True, help=f"psi spec; known: {PSI_CATALOG}"),
+               lambda a: weighted_sum_lp(a.law, a.weights, a.p, engine=a.engine, budget=a.samples,
+                                         seed=a.seed, threads=a.threads).to_json()),
+        "gls": ([LAW, arg("--psi", required=True, help=f"psi spec; known: {PSI_CATALOG}",
+                          read=lambda a: parse_psi(a.psi, parse_p_grid(a.p_grid))),
                  P_GRID, ENGINE, SAMPLES, THREADS],
-                lambda a: gls_norm(
-                    parse_distribution(a.law), parse_psi(a.psi, parse_p_grid(a.p_grid)),
-                    engine=a.engine, budget=a.samples, seed=a.seed, threads=a.threads).to_json()),
+                lambda a: gls_norm(a.law, a.psi, engine=a.engine, budget=a.samples,
+                                   seed=a.seed, threads=a.threads).to_json()),
     }),
     "khinchine": ("constant estimation", {
-        "sup": ([LAW, NORM, *SEARCH], lambda a: khinchine_sup(
-            parse_distribution(a.law), _norm_spec(a), **_search_options(a)).to_json()),
-        "inf": ([LAW, NORM, *SEARCH], lambda a: khinchine_inf(
-            parse_distribution(a.law), _norm_spec(a), **_search_options(a)).to_json()),
-        "prelim": ([LAW, NORM, P_GRID],
-                   lambda a: prelim_bounds(parse_distribution(a.law), _norm_spec(a))),
+        "sup": ([LAW, NORM, *SEARCH],
+                lambda a: khinchine_sup(a.law, a.norm, **_search_options(a)).to_json()),
+        "inf": ([LAW, NORM, *SEARCH],
+                lambda a: khinchine_inf(a.law, a.norm, **_search_options(a)).to_json()),
+        "prelim": ([LAW, NORM, P_GRID], lambda a: prelim_bounds(a.law, a.norm)),
     }),
     "verify": ("inequality verification suites", {
         "thm31": ([LAW, PHI, TRIALS, THREADS],
-                  lambda a: verify_thm31(parse_distribution(a.law), parse_phi(a.phi),
-                                         trials=a.trials, seed=a.seed, threads=a.threads)),
+                  lambda a: verify_thm31(a.law, a.phi, trials=a.trials, seed=a.seed,
+                                         threads=a.threads)),
         "thm32": ([LAW, PHI, TRIALS, NMAX, RESTARTS, THREADS],
-                  lambda a: verify_thm32(parse_distribution(a.law), parse_phi(a.phi),
-                                         trials=a.trials, seed=a.seed, n_max=a.nmax,
+                  lambda a: verify_thm32(a.law, a.phi, trials=a.trials, seed=a.seed, n_max=a.nmax,
                                          restarts=a.restarts, threads=a.threads)),
-        "thm41": ([arg("--laws", required=True, help="comma-separated " + LAW_HELP),
-                   arg("--phis", required=True, help="'natural' or comma-separated " + PHI_HELP),
+        "thm41": ([arg("--laws", required=True, help="comma-separated " + LAW_HELP,
+                       read=lambda a: split(a.laws, parse_distribution)),
+                   arg("--phis", required=True, help="'natural' or comma-separated " + PHI_HELP,
+                       read=lambda a: None if a.phis == "natural" else split(a.phis, parse_phi)),
                    TRIALS, NMAX, RESTARTS, THREADS],
-                  _thm41),
-        "thm51": ([LAW, arg("--p-values", dest="p_values", default="2,4,6,8"),
-                   arg("--n-values", dest="n_values", default="4,16,64"), ENGINE, SAMPLES],
-                  lambda a: verify_thm51(
-                      parse_distribution(a.law),
-                      p_values=tuple(finite(x) for x in a.p_values.split(",")),
-                      n_values=tuple(int(x) for x in a.n_values.split(",")),
-                      engine=a.engine, budget=a.samples, seed=a.seed)),
+                  lambda a: verify_thm41(
+                      a.laws, a.phis or [phi_natural(d) for d in a.laws], trials=a.trials,
+                      seed=a.seed, n_max=a.nmax, restarts=a.restarts, threads=a.threads)),
+        "thm51": ([LAW, arg("--p-values", dest="p_values", default="2,4,6,8",
+                            read=lambda a: tuple(split(a.p_values, finite))),
+                   arg("--n-values", dest="n_values", default="4,16,64",
+                       read=lambda a: tuple(split(a.n_values, int))), ENGINE, SAMPLES],
+                  lambda a: verify_thm51(a.law, p_values=a.p_values, n_values=a.n_values,
+                                         engine=a.engine, budget=a.samples, seed=a.seed)),
         "rosenthal": ([LAW, P, WEIGHTS, ENGINE, SAMPLES],
-                      lambda a: rosenthal_verify(
-                          parse_distribution(a.law), a.p, parse_weights(a.weights),
-                          engine=a.engine, budget=a.samples, seed=a.seed)),
-        "pythagoras": ([PHI, arg("--laws", default=None, help="comma-separated " + LAW_HELP),
-                        TRIALS],
-                       _pythagoras),
-        "tail": ([LAW, PHI, WEIGHTS, arg("--u", default="0.5,1,1.5,2,2.5,3"), SAMPLES],
-                 lambda a: tail_compare(
-                     parse_distribution(a.law), parse_weights(a.weights), parse_phi(a.phi),
-                     u_grid=tuple(finite(x) for x in a.u.split(",")),
-                     samples=a.samples or 200_000, seed=a.seed)),
+                      lambda a: rosenthal_verify(a.law, a.p, a.weights, engine=a.engine,
+                                                 budget=a.samples, seed=a.seed)),
+        "pythagoras": ([arg("--laws", default=None, help="comma-separated " + LAW_HELP,
+                            read=lambda a: split(a.laws, parse_distribution) if a.laws else None),
+                        PHI, TRIALS],
+                       lambda a: pythagoras_check(a.phi, laws=a.laws, trials=a.trials,
+                                                  seed=a.seed)),
+        "tail": ([LAW, WEIGHTS, PHI, arg("--u", default="0.5,1,1.5,2,2.5,3",
+                                         read=lambda a: tuple(split(a.u, finite))), SAMPLES],
+                 lambda a: tail_compare(a.law, a.weights, a.phi, u_grid=a.u,
+                                        samples=a.samples or 200_000, seed=a.seed)),
     }),
     "entropy": ("metric entropy and field simulator", {
-        "cover": ([SPACE, arg("--eps", type=finite, required=True)],
-                  lambda a: dict(zip(("count", "exact", "centers"),
-                                     covering_number(load_space(a.space), a.eps)))),
-        "dudley": ([SPACE, arg("--scale", type=finite, default=1.0)], _dudley),
+        "cover": ([SPACE, arg("--eps", type=finite, required=True)], lambda a: dict(
+            zip(("count", "exact", "centers"), covering_number(a.space, a.eps)))),
+        "dudley": ([SPACE, arg("--scale", type=finite, default=1.0)], lambda a: {
+            "value": dudley_integral(a.space, sigma_scale=a.scale),
+            "diameter": a.space.diameter, "points": a.space.n}),
         "profile": ([SPACE, arg("--eps-grid", dest="eps_grid", required=True,
-                                help="comma-separated eps values")],
-                    lambda a: entropy_profile(load_space(a.space), np.array(sorted(
-                        (finite(x) for x in a.eps_grid.split(",")), reverse=True))).to_json()),
-        "fieldsim": ([arg("--model", required=True, help="JSON field model"),
+                                help="comma-separated eps values", read=lambda a: np.array(
+                                    sorted(split(a.eps_grid, finite), reverse=True)))],
+                    lambda a: entropy_profile(a.space, a.eps_grid).to_json()),
+        "fieldsim": ([arg("--model", required=True, help="JSON field model",
+                          read=lambda a: read_json(a.model, FieldModel.from_json,
+                                                   f"model {a.model!r}", SpecError)),
                       arg("--weights", default="equal:2",
-                          help="semicolon-separated " + WEIGHTS_HELP),
+                          help="semicolon-separated " + WEIGHTS_HELP,
+                          read=lambda a: split(a.weights, parse_weights, ";")),
                       arg("--copies", type=count(1), default=100_000, help="at least 1"), THREADS],
-                     _fieldsim),
+                     lambda a: field_sup_stats(a.model, a.weights, copies=a.copies, seed=a.seed,
+                                               threads=a.threads)),
     }),
 }
 
@@ -425,6 +406,14 @@ class _SubcommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
+def reading(readers: list, handler):
+    """A subcommand's `func`: each (dest, read) of its spec options runs on
+    the parsed namespace, in argument order, and the handler runs on a copy
+    in which each read value replaces its text (the report echoes the text)."""
+    return lambda args: handler(argparse.Namespace(
+        **{**vars(args), **{dest: read(args) for dest, read in readers}}))
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -441,9 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
             dest="subcommand", required=True, parser_class=_SubcommandParser)
         for name, (arguments, handler) in subcommands.items():
             sp = subs.add_parser(name, parents=[common])
+            readers = []
             for flags, options in arguments:
-                sp.add_argument(*flags, **options)
-            sp.set_defaults(func=handler)
+                options = dict(options)
+                read = options.pop("read", None)
+                action = sp.add_argument(*flags, **options)
+                if read:
+                    readers.append((action.dest, read))
+            sp.set_defaults(func=reading(readers, handler))
     return top
 
 

@@ -237,14 +237,18 @@ class Distribution:
     # -- finite support and weighted sums ---------------------------------------
 
     def finite_support(self):
-        """(values, probs) for lattice laws; None for continuous ones.
+        """(values, probs) for lattice laws, atoms of positive mass only (a
+        Poisson pmf underflows to 0 far from mu); None for continuous ones.
 
         Poisson-family supports are truncated at upper-tail mass below 1e-14
         and renormalized, which keeps the truncation error under the
         1e-12 tolerances elsewhere in the package.
         """
         support = self.record.finite_support
-        return None if support is None else support(self)
+        if support is None:
+            return None
+        vals, probs = support(self)
+        return vals[probs > 0.0], probs[probs > 0.0]
 
     def sum_law(self, weights):
         """The law of sum_k weights[k] X_k in closed form, or None."""
@@ -484,7 +488,7 @@ LAWS: dict[str, Law] = {
         log_mgf=_discrete_log_mgf,
         # numpy's choice holds the uniforms, their indices and the values
         draw=lambda d, rng, size: rng.choice(d.support, size=size, p=d.probs), draw_words=3,
-        finite_support=lambda d: (d.support.copy(), d.probs.copy()),
+        finite_support=lambda d: (d.support, d.probs),
     ),
 }
 

@@ -25,7 +25,8 @@ TRIANGLE_TOL = 1e-12
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """Point labels plus a symmetric semi-distance matrix with zero diagonal;
-    the triangle inequality is enforced at construction (tolerance 1e-12)."""
+    the triangle inequality is enforced at construction (tolerance 1e-12,
+    times the diameter where it exceeds 1)."""
 
     labels: tuple
     rho: np.ndarray
@@ -48,7 +49,7 @@ class FiniteMetricSpace:
         for j in range(1, n):
             np.add(r[:, j, None], r[None, j, :], out=tmp)
             np.minimum(through, tmp, out=through)
-        if np.any(r > through + TRIANGLE_TOL):
+        if np.any(r > through + TRIANGLE_TOL * max(1.0, float(np.max(r)))):
             i, k = np.unravel_index(np.argmax(r - through), r.shape)
             raise ValueError(f"triangle inequality fails at pair ({i}, {k})")
 

@@ -47,6 +47,14 @@ def test_parse_norm_spec():
     assert parse_norm_spec("bphi:subgaussian", grid).kind == "bphi"
 
 
+@pytest.mark.parametrize("norm", ["lp:0.5", "lp:x"])
+def test_a_refused_norm_spec_names_its_rule(capsys, norm):
+    code = main(["khinchine", "prelim", "--law", "rademacher", "--norm", norm])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: bad lp norm spec {norm!r}: lp norm spec needs p >= 1\n"
+
+
 # ---------------------------------------------------------------------------
 # spec'd command examples
 # ---------------------------------------------------------------------------
@@ -509,6 +517,35 @@ def test_each_subcommand_takes_only_the_options_it_reads(sub, argv, own):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(args)
             assert exc.value.code == 2, (sub, flag)
+
+
+#: a malformed value of each option that names a reader; its error line
+#: repeats the last comma-separated item
+BAD_VALUES = {"--law": "nolaw", "--laws": "rademacher,nolaw", "--phi": "nophi",
+              "--family": "nophi", "--phis": "subgaussian,nophi", "--weights": "noweights:2",
+              "--norm": "nonorm:3", "--psi": "nopsi", "--space": "nospace.csv",
+              "--model": "nomodel.json", "--p-values": "2,nop", "--n-values": "non",
+              "--u": "1,nou", "--eps-grid": "1,noeps"}
+READ_OPTIONS = [(sub, flags[0]) for sub, _, _ in SURFACE
+                for flags, options in COMMANDS[sub.split()[0]][1][sub.split()[1]][0]
+                if "read" in options]
+
+
+@pytest.mark.parametrize("sub,flag", READ_OPTIONS, ids=[f"{s} {f}" for s, f in READ_OPTIONS])
+def test_every_reader_refuses_a_malformed_value(capsys, tmp_path, monkeypatch, sub, flag):
+    """Each option with a `read=`, in each subcommand that takes it: a
+    malformed value, the other specs valid, exits 2 with one error line
+    naming it and no report."""
+    assert {f for _, f in READ_OPTIONS} == set(BAD_VALUES)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text('{"labels": ["a", "b"], "rho": [[0.0, 1.0], [1.0, 0.0]]}')
+    (tmp_path / "m.json").write_text(json.dumps({"features": np.eye(3).tolist()}))
+    argv = next(argv for s, argv, _ in SURFACE if s == sub)
+    code = main([*sub.split(), *argv.split(), flag, BAD_VALUES[flag]])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 2 and captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error: ") and BAD_VALUES[flag].split(",")[-1] in lines[0]
 
 
 @pytest.mark.parametrize("argv", [

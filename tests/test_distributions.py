@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,27 @@ def test_symmetrized_support_has_total_mass_exactly_one(mu):
 def test_continuous_laws_have_no_finite_support():
     assert G1.finite_support() is None
     assert UNIF.finite_support() is None
+
+
+@pytest.mark.parametrize("mu", [1.0, 800.0, 1e4])
+@pytest.mark.parametrize("law", ["centered-poisson", "symmetrized-poisson"])
+def test_poisson_supports_hold_no_zero_mass(law, mu):
+    # far below mu the pmf underflows to 0.0: such atoms would be states of
+    # the exact engines and 0 * inf terms of the even moments
+    vals, probs = parse_distribution(f"{law}:{mu!r}").finite_support()
+    assert vals.shape == probs.shape and np.all(probs > 0.0)
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_high_moment_of_a_wide_poisson_warns_nothing(capsys):
+    from khinchine.cli import main
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["norm", "lp", "--law", "symmetrized-poisson:800", "--weights", "equal:1",
+                     "--p", "120"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert math.isfinite(json.loads(captured.out)["report"]["value"])
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,24 @@ def test_triangle_check_memory_is_quadratic():
     assert peak < 10 * n * n * 8
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6, 1e9])
+def test_triangle_check_accepts_valid_spaces_at_every_scale(scale):
+    # the rounding of a sum of distances grows with them, and collinear
+    # points meet the triangle inequality with equality
+    x = np.linspace(0.0, 1.0, 50)
+    for rho in (np.abs(x[:, None] - x[None, :]) * scale, _planar(60, 3) * scale):
+        FiniteMetricSpace(tuple(range(len(rho))), rho)
+        bumped, others = rho.copy(), list(range(1, len(rho) - 1))
+        # 0 - n-1 longer than its shortest path through another point
+        bumped[0, -1] = bumped[-1, 0] = (np.min(rho[0, others] + rho[others, -1])
+                                         + 1e-6 * np.max(rho))
+        with pytest.raises(ValueError, match="triangle inequality fails"):
+            FiniteMetricSpace(tuple(range(len(rho))), bumped)
+    line = FiniteMetricSpace.from_points(x[:, None])
+    assert dudley_integral(line, sigma_scale=scale) == pytest.approx(
+        scale * dudley_integral(line), rel=1e-12)
+
+
 def _shortcut_space(s, a, b):
     # all distances 3, except a - s - b at 1 + 1: (a, b) violates through s only
     rho = np.full((5, 5), 3.0)
