@@ -7,9 +7,12 @@ report payload; an option the handler would not read exits 2, reported by
 the subcommand's own parser. A spec option (a law, phi, psi, weights, norm,
 space, model or list) names its one reader by `read=`: the handler receives
 the values read, never the text, and a malformed spec exits 2 with its
-reason before the handler runs. Every run prints one JSON report embedding the
-tool version, the fully resolved configuration, and the seed; reports are
-byte-identical across repeated runs and across --threads settings. Exit
+reason before the handler runs. `distributions.read_spec` reads a law, phi,
+psi, weights or norm spec in its name's form ('known:' in its help) or from
+'@file.json' (strict JSON), and refuses a stray, missing or unreadable param
+as "bad <kind> spec '<spec>': <reason>". Every run prints one JSON report
+embedding the tool version, the fully resolved configuration, and the seed;
+reports are byte-identical across repeated runs and --threads settings. Exit
 codes: 0 success; 1 when the report says "pass": false (a verify suite found
 its inequality violated); 2 on a precondition or configuration error, a
 malformed input document, or an array larger than memory.
@@ -38,9 +41,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import __version__
-from .distributions import law_catalog, parse_distribution, read_json, read_spec
-from .genfun import (PsiFunction, conv_r_class, kappa, legendre,
-                     orlicz_n, overline_phi, parse_phi, phi_catalog, phi_inverse,
+from .distributions import (LAW_FORMS, catalog, finite, parse_distribution, read_json,
+                            read_spec)
+from .genfun import (PHI_FORMS, PsiFunction, conv_r_class, kappa, legendre,
+                     orlicz_n, overline_phi, parse_phi, phi_inverse,
                      phi_membership_report, phi_natural, psi_from_phi,
                      tail_envelope)
 from .norms import (ENGINES, CoefficientVector, EngineRefusal, bphi_norm, gls_norm,
@@ -62,15 +66,6 @@ class SpecError(ValueError):
 # ---------------------------------------------------------------------------
 # spec-string parsing: one table per kind, read by `read_spec`
 # ---------------------------------------------------------------------------
-
-def finite(text: str) -> float:
-    """The one reader of numeric fields, for `type=` and every spec: a finite
-    float, else ValueError (which argparse reports as an invalid value)."""
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"{text.strip()!r} is not a finite number")
-    return x
-
 
 def count(lowest: int):
     """The `type=` of a count option: an integer >= lowest (else exit 2)."""
@@ -101,38 +96,25 @@ PSI_SPECS = {
     "fromphi": ("fromphi:<phi>", lambda rest, grid: psi_from_phi(parse_phi(rest), grid)),
 }
 
-#: a norm kind of `NORM_KINDS` -> ((text after the kind, p grid) -> its param);
-#: an unparsable p is None, which NormSpec refuses
+#: a norm kind of `NORM_KINDS` -> ((text after the kind, p grid) -> its param)
 NORM_PARAMS = {
-    "lp": lambda rest, grid: _number(rest),
+    "lp": lambda rest, grid: finite(rest),
     "gls": lambda rest, grid: parse_psi(rest, grid),
     "bphi": lambda rest, grid: parse_phi(rest),
 }
 
-WEIGHTS_CATALOG = ", ".join([form for form, _ in WEIGHT_SPECS.values()] + ["@file.json"])
-PSI_CATALOG = ", ".join([form for form, _ in PSI_SPECS.values()] + ["@file.json"])
-NORM_CATALOG = ", ".join(f"{kind}:<{rec.field}>" for kind, rec in NORM_KINDS.items())
-
-
-def _number(text: str) -> float | None:
-    try:
-        return finite(text)
-    except ValueError:
-        return None
+#: name -> CLI form, for each kind `read_spec` reads here
+WEIGHT_FORMS = {name: form for name, (form, _) in WEIGHT_SPECS.items()}
+PSI_FORMS = {name: form for name, (form, _) in PSI_SPECS.items()}
+NORM_FORMS = {kind: f"{kind}:<{rec.field}>" for kind, rec in NORM_KINDS.items()}
 
 
 def parse_weights(spec: str) -> CoefficientVector:
     """A spec of `WEIGHT_SPECS` ('list' values are normalized) or
     '@file.json' holding a list."""
-    def parse(name, entry, rest):
-        try:
-            return entry[1](rest.split(":") if rest else [])
-        except (IndexError, ValueError) as exc:
-            raise SpecError(f"bad weights spec {spec.strip()!r}: field {exc}") from exc
-
-    return read_spec(spec, "weights", WEIGHT_SPECS, parse,
-                     lambda obj: CoefficientVector.normalized(np.asarray(obj, float)),
-                     WEIGHTS_CATALOG, SpecError)
+    return read_spec(spec, "weights", WEIGHT_FORMS,
+                     lambda name, rest: WEIGHT_SPECS[name][1](rest.split(":")),
+                     lambda obj: CoefficientVector.normalized(np.asarray(obj, float)), SpecError)
 
 
 def parse_p_grid(spec: str) -> np.ndarray:
@@ -152,21 +134,15 @@ def parse_p_grid(spec: str) -> np.ndarray:
 
 def parse_psi(spec: str, p_grid: np.ndarray) -> PsiFunction:
     """A spec of `PSI_SPECS` on the grid, or '@file.json' with its own grid."""
-    return read_spec(spec, "psi", PSI_SPECS, lambda name, entry, rest: entry[1](rest, p_grid),
-                     PsiFunction.from_json, PSI_CATALOG, SpecError)
+    return read_spec(spec, "psi", PSI_FORMS, lambda name, rest: PSI_SPECS[name][1](rest, p_grid),
+                     PsiFunction.from_json, SpecError)
 
 
 def parse_norm_spec(spec: str, p_grid: np.ndarray) -> NormSpec:
     """A kind of `search.NORM_KINDS` and the spec of the param it reads:
     'lp:p', 'gls:<psi spec>' or 'bphi:<phi spec>'."""
-    def parse(kind, rec, rest):
-        value = NORM_PARAMS[kind](rest, p_grid)
-        try:
-            return NormSpec(kind, value)
-        except ValueError as exc:
-            raise SpecError(f"bad {kind} norm spec {spec!r}: {exc}") from exc
-
-    return read_spec(spec, "norm", NORM_KINDS, parse, None, NORM_CATALOG, SpecError)
+    return read_spec(spec, "norm", NORM_FORMS, lambda kind, rest: NormSpec(
+        kind, NORM_PARAMS[kind](rest, p_grid)), None, SpecError)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +234,9 @@ def arg(*flags, **options) -> tuple:
     return flags, options
 
 
-LAW_HELP = f"law spec; known: {law_catalog()}"
-PHI_HELP = f"phi spec; known: {phi_catalog()} (<law>: a law spec)"
-WEIGHTS_HELP = f"weights spec; known: {WEIGHTS_CATALOG}"
+LAW_HELP = f"law spec; known: {catalog(LAW_FORMS)}"
+PHI_HELP = f"phi spec; known: {catalog(PHI_FORMS)} (<law>: a law spec)"
+WEIGHTS_HELP = f"weights spec; known: {catalog(WEIGHT_FORMS)}"
 LAW = arg("--law", required=True, help=LAW_HELP, read=lambda a: parse_distribution(a.law))
 PHI = arg("--phi", required=True, help=PHI_HELP, read=lambda a: parse_phi(a.phi))
 FAMILY = arg("--family", required=True, help=PHI_HELP, read=lambda a: parse_phi(a.family))
@@ -269,7 +245,7 @@ WEIGHTS = arg("--weights", required=True, help=WEIGHTS_HELP,
 LAMBDA = arg("--lambda", dest="lam", type=finite, required=True)
 U = arg("--u", type=finite, required=True)
 P = arg("--p", type=finite, required=True)
-NORM = arg("--norm", required=True, help=f"norm spec; known: {NORM_CATALOG}",
+NORM = arg("--norm", required=True, help=f"norm spec; known: {catalog(NORM_FORMS, file=False)}",
            read=lambda a: parse_norm_spec(a.norm, parse_p_grid(a.p_grid)))
 SPACE = arg("--space", required=True, help="CSV or JSON file", read=lambda a: load_space(a.space))
 SAMPLES = arg("--samples", type=count(1), default=None, help="budget (at least 1) for "
@@ -322,7 +298,7 @@ COMMANDS = {
         "lp": ([LAW, WEIGHTS, P, ENGINE, SAMPLES, THREADS],
                lambda a: weighted_sum_lp(a.law, a.weights, a.p, engine=a.engine, budget=a.samples,
                                          seed=a.seed, threads=a.threads).to_json()),
-        "gls": ([LAW, arg("--psi", required=True, help=f"psi spec; known: {PSI_CATALOG}",
+        "gls": ([LAW, arg("--psi", required=True, help=f"psi spec; known: {catalog(PSI_FORMS)}",
                           read=lambda a: parse_psi(a.psi, parse_p_grid(a.p_grid))),
                  P_GRID, ENGINE, SAMPLES, THREADS],
                 lambda a: gls_norm(a.law, a.psi, engine=a.engine, budget=a.samples,

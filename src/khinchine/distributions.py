@@ -33,25 +33,25 @@ class DistributionError(ValueError):
 
 
 def _poisson_pmf_truncated(mu: float):
-    """Poisson(mu) pmf on 0..K with K chosen so the discarded upper tail mass
-    is below tail = POISSON_TAIL_MASS (bounded by p[K] (K+1)/(K+1-mu), as
-    p[k+1]/p[k] = mu/(k+1); the rounded 1 - sum(p) can stay above it at every
-    K); probabilities renormalized to sum to 1 exactly."""
+    """Poisson(mu) pmf on k_lo..K, renormalized to sum to 1. Below k_lo =
+    ceil(mu - 39 sqrt(mu)) (0 for mu <= 1521) every mass is under half the
+    smallest subnormal (Chernoff: P(X <= mu - t) <= exp(-t^2 / 2mu)), so it
+    would round to 0. The discarded upper tail mass, bounded by
+    p[K] (K+1)/(K+1-mu) as p[k+1]/p[k] = mu/(k+1), is at most 1e-75 at
+    K = mu + 20 sqrt(mu) + 40 for every mu from 1e-300 to 1e12; the k past
+    prefix mass 1 - POISSON_TAIL_MASS are dropped (the rounded 1 - sum(p)
+    can stay above it at every K)."""
     k_max = int(mu + 20.0 * math.sqrt(mu) + 40.0)  # > mu
-    while True:
-        ks = np.arange(k_max + 1)
-        logp = ks * math.log(mu) - mu - np.array([math.lgamma(k + 1.0) for k in ks])
-        p = np.exp(logp)
-        if p[-1] * (k_max + 1) / (k_max + 1 - mu) < POISSON_TAIL_MASS:
-            break
-        k_max *= 2
+    ks = np.arange(max(0, math.ceil(mu - 39.0 * math.sqrt(mu))), k_max + 1)
+    logp = ks * math.log(mu) - mu - np.array([math.lgamma(k + 1.0) for k in ks])
+    p = np.exp(logp)
     # the cumulative sum rises, so the k with prefix mass below 1 - tail are
-    # 0..below-1; keep one more, and always k = 0 and k = 1 (at mu below about
-    # 1e-14, p[0] alone reaches 1 - tail)
+    # the first `below`; keep one more, and always the first two (at mu below
+    # about 1e-14, p[0] alone reaches 1 - tail)
     below = int(np.count_nonzero(np.cumsum(p) < 1.0 - POISSON_TAIL_MASS))
     keep = min(max(below, 1) + 1, p.size)
     p = p[:keep]
-    return np.arange(keep), p / p.sum()
+    return ks[:keep], p / p.sum()
 
 
 def lp_root(moment: float, p: float, support=None) -> float:
@@ -97,9 +97,9 @@ class Distribution:
             var = d.variance if value > 0 else math.nan
         except OverflowError:  # Python float powers raise
             var = math.inf
-        if not math.isfinite(var):
+        if not 0.0 < var < math.inf:  # a variance can also underflow to 0
             raise DistributionError(f"{law} {LAWS[law].fields[0]} must be > 0 and "
-                                    f"finite, with a finite variance; got {value!r}")
+                                    f"finite, with a finite variance > 0; got {value!r}")
         return d
 
     @staticmethod
@@ -173,11 +173,12 @@ class Distribution:
 
     def log_mgf(self, lam) -> np.ndarray:
         """ln E exp(lam * X), exact closed form, vectorized and overflow-safe
-        (returns +inf where the value exceeds the double range). Each entry
-        gets the same bits whatever else is in lam."""
+        (+inf, without a warning, where the value exceeds the double range).
+        Each entry gets the same bits whatever else is in lam."""
         lam = np.asarray(lam, dtype=float)
         scalar = lam.ndim == 0
-        out = self.record.log_mgf(self, np.atleast_1d(lam))
+        with np.errstate(over="ignore"):
+            out = self.record.log_mgf(self, np.atleast_1d(lam))
         return float(out[0]) if scalar else out
 
     def two_sided_log_mgf(self, lam) -> np.ndarray:
@@ -319,15 +320,9 @@ class Law:
     tail: Callable | None = None  # (d, u) -> max(P(X >= u), P(X <= -u))
 
 
-def _centered_poisson_log_mgf(mu, lam):
-    with np.errstate(over="ignore"):
-        return mu * (np.expm1(lam) - lam)
-
-
 def _symmetrized_poisson_log_mgf(mu, lam):
-    with np.errstate(over="ignore"):
-        s = np.sinh(0.5 * lam)  # cosh(x) - 1 = 2 sinh^2(x/2), no cancellation
-        return 4.0 * mu * s * s
+    s = np.sinh(0.5 * lam)  # cosh(x) - 1 = 2 sinh^2(x/2), no cancellation
+    return 4.0 * mu * s * s
 
 
 def _centered_poisson_support(mu):
@@ -413,8 +408,7 @@ def _discrete_log_mgf(d, lam):
     if (~small).any():
         zb = z[~small]
         m = zb.max(axis=1, keepdims=True)
-        with np.errstate(over="ignore"):
-            out[~small] = m[:, 0] + np.log((np.exp(zb - m) * p).sum(axis=1))
+        out[~small] = m[:, 0] + np.log((np.exp(zb - m) * p).sum(axis=1))
     return out
 
 
@@ -453,7 +447,7 @@ LAWS: dict[str, Law] = {
         build=Distribution.centered_poisson, fields=("mu",),
         variance=lambda d: d.params[0],
         symmetric=lambda d: False,
-        log_mgf=lambda d, lam: _centered_poisson_log_mgf(d.params[0], lam),
+        log_mgf=lambda d, lam: d.params[0] * (np.expm1(lam) - lam),
         draw=lambda d, rng, size: rng.poisson(d.params[0], size=size).astype(float) - d.params[0],
         draw_words=2,
         finite_support=lambda d: _centered_poisson_support(d.params[0]),
@@ -493,26 +487,42 @@ LAWS: dict[str, Law] = {
 }
 
 
-def law_catalog() -> str:
-    """The law specs `parse_distribution` accepts, for help and errors.
-    Laws with array fields come only from a JSON file."""
-    specs = [name.replace("_", "-") + "".join(f":<{f}>" for f in rec.fields)
-             for name, rec in LAWS.items() if len(rec.fields) <= 1]
-    return ", ".join(specs + ["@file.json"])
+#: law name -> its CLI form; laws with array fields come only from a JSON file
+LAW_FORMS = {name: name.replace("_", "-") + "".join(f":<{f}>" for f in rec.fields)
+             for name, rec in LAWS.items() if len(rec.fields) <= 1}
+
+
+def catalog(forms: dict, file: bool = True) -> str:
+    """The 'known:' list of one kind's CLI forms, for help texts and errors."""
+    return ", ".join(list(forms.values()) + ["@file.json"] * file)
 
 
 def _fold(name: str) -> str:
     return name.replace("-", "").replace("_", "").lower()
 
 
+def finite(text: str) -> float:
+    """The one reader of numeric fields, for `type=`, every spec and every
+    JSON number: a finite float, else ValueError (which argparse reports as
+    an invalid value)."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return x
+
+
 def read_json(path: str, build: Callable, what: str, error: type):
-    """The one reader of outside JSON documents: `build(obj)` of the document
-    at `path`. A missing field (KeyError) raises `error` naming the field; a
-    field of the wrong type (TypeError, AttributeError or IndexError) raises
-    `error` naming the document by `what`. The ValueErrors `build` raises
-    itself pass through."""
+    """The one reader of outside JSON documents: `build(obj)` of the strict
+    JSON document at `path`. A syntax error, NaN, Infinity or a number past
+    the double range raises `error` naming the document by `what`; so do a
+    missing field (KeyError, naming the field) and a field of the wrong type
+    (TypeError, AttributeError or IndexError). The ValueErrors `build`
+    raises itself pass through."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh, parse_float=finite, parse_constant=finite)
+        except ValueError as exc:
+            raise error(f"{what} is not strict JSON: {exc}") from exc
     try:
         return build(obj)
     except KeyError as exc:
@@ -521,39 +531,39 @@ def read_json(path: str, build: Callable, what: str, error: type):
         raise error(f"{what} has a field of the wrong type: {exc}") from exc
 
 
-def read_spec(spec: str, what: str, table: dict, parse: Callable,
-              from_json: Callable | None, catalog: str, error: type):
-    """The one reader of CLI spec strings, for every kind of spec.
+def read_spec(spec: str, what: str, forms: dict, parse: Callable,
+              from_json: Callable | None, error: type):
+    """The one reader of CLI spec strings and of their grammar, for every kind.
 
-    '@file.json' is `read_json(file, from_json, ...)` (from_json None: the
-    kind has no file form). Otherwise 'name[:rest]' looks the name up in
-    `table`, ignoring case, '-' and '_', and returns
-    `parse(key, table[key], rest)`. An unknown name raises `error`, naming
-    the `catalog` of accepted specs."""
+    '@file.json' is `read_json(file, from_json, ...)` (from_json None: no file
+    form). Otherwise 'name[:rest]' looks the name up in `forms` (name -> CLI
+    form, e.g. 'gaussian' -> 'gaussian:<sigma>'), ignoring case, '-' and '_',
+    and returns `parse(name, rest)`. An unknown name raises `error` naming the
+    `catalog`; a ':' the form lacks or needs, an IndexError of `parse` (a
+    missing field) or its ValueError raises "bad <what> spec '<spec>': " and
+    the reason: "the form is <form>", or the ValueError's."""
     spec = spec.strip()
     if from_json is not None and spec.startswith("@"):
         return read_json(spec[1:], from_json, f"{what} spec {spec!r}", error)
-    name, _, rest = spec.partition(":")
-    key = next((k for k in table if _fold(k) == _fold(name)), None)
+    name, colon, rest = spec.partition(":")
+    key = next((k for k in forms if _fold(k) == _fold(name)), None)
     if key is None:
-        raise error(f"unknown {what} spec {spec!r}; known: {catalog}")
-    return parse(key, table[key], rest)
-
-
-def _parse_law(name: str, rec: Law, rest: str) -> Distribution:
-    if not rec.fields:
-        return rec.build()
-    if not rest:
-        raise DistributionError(f"law {name!r} needs a parameter, e.g. {name}:1")
+        raise error(f"unknown {what} spec {spec!r}; known: "
+                    f"{catalog(forms, from_json is not None)}")
     try:
-        return rec.build(float(rest))
+        if bool(colon) != (":" in forms[key]):  # a stray or a missing parameter
+            raise IndexError(key)
+        return parse(key, rest)
+    except IndexError as exc:
+        raise error(f"bad {what} spec {spec!r}: the form is {forms[key]}") from exc
     except ValueError as exc:
-        raise DistributionError(f"bad parameter {rest!r} for law {name!r}: {exc}") from exc
+        raise error(f"bad {what} spec {spec!r}: {exc}") from exc
 
 
 def parse_distribution(spec: str) -> Distribution:
     """Parse CLI specs like 'rademacher', 'gaussian:1', 'centered-poisson:1',
     'uniform-symmetric:1.732', or '@file.json' for a JSON law descriptor.
     Laws with array fields come only from a file."""
-    return read_spec(spec, "law", {k: r for k, r in LAWS.items() if len(r.fields) <= 1},
-                     _parse_law, Distribution.from_json, law_catalog(), DistributionError)
+    # a law's one field, if any, is its CLI parameter
+    return read_spec(spec, "law", LAW_FORMS, lambda name, rest: LAWS[name].build(
+        *(float(rest) for _ in LAWS[name].fields)), Distribution.from_json, DistributionError)

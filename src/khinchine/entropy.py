@@ -24,9 +24,9 @@ TRIANGLE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Point labels plus a symmetric semi-distance matrix with zero diagonal;
-    the triangle inequality is enforced at construction (tolerance 1e-12,
-    times the diameter where it exceeds 1)."""
+    """Point labels plus a finite, symmetric semi-distance matrix with zero
+    diagonal; the triangle inequality is enforced at construction (tolerance
+    1e-12, times the diameter where it exceeds 1)."""
 
     labels: tuple
     rho: np.ndarray
@@ -38,6 +38,8 @@ class FiniteMetricSpace:
         n = r.shape[0]
         if r.ndim != 2 or r.shape != (n, n) or len(self.labels) != n or n == 0:
             raise ValueError("rho must be square and match the labels")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("semi-distances must be finite")
         if np.any(r < 0):
             raise ValueError("semi-distances must be nonnegative")
         if not np.array_equal(r, r.T):

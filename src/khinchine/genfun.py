@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import Distribution, parse_distribution, read_spec
+from .distributions import Distribution, finite, parse_distribution, read_spec
 from .numerics import (candidate_sizes, coordinate_search, geometric_grid,
                        golden_max, incumbent, invert_increasing_vec, sorted_distinct,
                        substream, weight_candidates)
@@ -93,7 +93,8 @@ class GeneratingFunction:
         lambda0 = self.lambda0
         if lambda0 != math.inf and np.any(x > lambda0 * (1 + 1e-12)):
             raise DomainError(f"|lambda| exceeds domain radius {lambda0!r}")
-        out = self.record.evaluate(self, x)
+        with np.errstate(over="ignore"):  # phi is +inf past the double range
+            out = self.record.evaluate(self, x)
         return float(out[0]) if scalar else out
 
     # -- serialization --------------------------------------------------------
@@ -165,21 +166,9 @@ class Family:
     tail_exponent: Callable = lambda phi: 2.0  # (phi) -> m' of exp(-c u^m')
 
 
-def _power_eval(phi, x):
-    with np.errstate(over="ignore"):
-        return np.where(x <= 1.0, x * x / phi.m, x**phi.m / phi.m)
-
-
 def _power_inverse(m: float, y: np.ndarray) -> np.ndarray:
     my = m * y
     return np.where(my <= 1.0, np.sqrt(my), my ** (1.0 / m))
-
-
-def _parse_power(rest: str) -> GeneratingFunction:
-    try:
-        return phi_power(float(rest))
-    except ValueError as exc:
-        raise DomainError(f"bad power exponent {rest!r}") from exc
 
 
 # A seed (`inverse`) only has to be accurate to about 1e-14 relative; a phi
@@ -196,10 +185,10 @@ FAMILIES: dict[str, Family] = {
         inverse=lambda phi: lambda y: np.sqrt(2.0 * y),
     ),
     "power": Family(
-        spec="power:<m>", parse=_parse_power,
+        spec="power:<m>", parse=lambda rest: phi_power(finite(rest)),
         from_json=lambda obj: phi_power(obj["m"]),
         json=lambda phi: {"m": phi.m, "splice": "quadratic-value"},
-        evaluate=_power_eval,
+        evaluate=lambda phi, x: np.where(x <= 1.0, x * x / phi.m, x**phi.m / phi.m),
         lambda0=lambda phi: math.inf,
         curvature=lambda phi: 1.0 / phi.m,
         label=lambda phi: f"power({phi.m!r})",
@@ -229,17 +218,16 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def phi_catalog() -> str:
-    """The phi specs `parse_phi` accepts, for help and errors."""
-    return ", ".join([f.spec for f in FAMILIES.values() if f.spec] + ["@file.json"])
+#: family name -> its CLI form, for the families that have one
+PHI_FORMS = {name: fam.spec for name, fam in FAMILIES.items() if fam.spec}
 
 
 def parse_phi(spec: str) -> GeneratingFunction:
     """Parse CLI specs: 'subgaussian', 'power:3', 'natural:<law spec>',
     or '@file.json'."""
-    return read_spec(spec, "generating-function", {k: f for k, f in FAMILIES.items() if f.parse},
-                     lambda name, fam, rest: fam.parse(rest), GeneratingFunction.from_json,
-                     phi_catalog(), DomainError)
+    return read_spec(spec, "generating-function", PHI_FORMS,
+                     lambda name, rest: FAMILIES[name].parse(rest),
+                     GeneratingFunction.from_json, DomainError)
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +570,10 @@ class PsiFunction:
         object.__setattr__(self, "values", v)
         if p.ndim != 1 or p.shape != v.shape or p.size == 0:
             raise DomainError("psi needs matching 1-d p_grid/values")
-        if np.any(np.diff(p) <= 0):
-            raise DomainError("psi p_grid must be strictly increasing")
-        if np.any(v <= 0):
-            raise DomainError("psi values must be strictly positive")
+        if not np.all(np.isfinite(p)) or np.any(np.diff(p) <= 0):
+            raise DomainError("psi p_grid must be finite and strictly increasing")
+        if not np.all(np.isfinite(v) & (v > 0)):
+            raise DomainError("psi values must be finite and strictly positive")
 
     @staticmethod
     def sqrt_p(p_grid) -> "PsiFunction":
@@ -597,7 +585,8 @@ class PsiFunction:
         if not m > 0:
             raise DomainError("psi power needs m > 0")
         p = np.asarray(p_grid, dtype=float)
-        return PsiFunction(p, p ** (1.0 / m), "explicit")
+        with np.errstate(over="ignore"):  # an overflowed value is refused as such
+            return PsiFunction(p, p ** (1.0 / m), "explicit")
 
     @staticmethod
     def natural(dist: Distribution, p_grid) -> "PsiFunction":

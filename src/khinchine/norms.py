@@ -55,7 +55,11 @@ class CoefficientVector:
     @staticmethod
     def normalized(values) -> "CoefficientVector":
         v = np.asarray(values, dtype=float)
-        nrm = math.sqrt(float(np.dot(v, v)))
+        with np.errstate(over="ignore"):
+            nrm = math.sqrt(float(np.dot(v, v)))
+        if not 0.0 < nrm < math.inf and np.any(v) and np.all(np.isfinite(v)):
+            v = v / np.max(np.abs(v))  # the sum of squares under- or overflows: scale first
+            nrm = math.sqrt(float(np.dot(v, v)))
         if nrm == 0:
             raise ValueError("cannot normalize the zero vector")
         if not math.isfinite(nrm):

@@ -6,6 +6,7 @@ stream by rows and hold the words their record counts."""
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -167,3 +168,22 @@ def test_unknown_specs_name_the_catalog():
         Distribution.from_json({"law": "cauchy"})
     with pytest.raises(DomainError, match=r"known: subgaussian, power:<m>, natural:<law>, @file\.json"):
         parse_phi("tabulated:3")
+
+
+@pytest.mark.parametrize("spec", [s for _, s in LAW_SPECS], ids=[k for k, _ in LAW_SPECS])
+def test_log_mgf_past_the_double_range_warns_nothing(spec, tmp_path):
+    d = parse_distribution(_spec(spec, tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = d.log_mgf(np.array([1e200, -1e200]))
+    assert not np.any(np.isnan(y))
+
+
+@pytest.mark.parametrize("spec", [s for _, s in PHI_SPECS], ids=[k for k, _ in PHI_SPECS])
+def test_phi_past_the_double_range_warns_nothing(spec, tmp_path):
+    phi = _phi(spec, tmp_path)
+    lam = np.clip([1e200, -1e200], -phi.lambda0, phi.lambda0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = phi(lam)
+    assert not np.any(np.isnan(y))

@@ -47,12 +47,138 @@ def test_parse_norm_spec():
     assert parse_norm_spec("bphi:subgaussian", grid).kind == "bphi"
 
 
-@pytest.mark.parametrize("norm", ["lp:0.5", "lp:x"])
-def test_a_refused_norm_spec_names_its_rule(capsys, norm):
+@pytest.mark.parametrize("norm, reason", [
+    ("lp:0.5", "lp norm spec needs p >= 1"),
+    ("lp:x", "could not convert string to float: 'x'"),
+], ids=["lp:0.5", "lp:x"])
+def test_a_refused_norm_spec_names_its_rule(capsys, norm, reason):
     code = main(["khinchine", "prelim", "--law", "rademacher", "--norm", norm])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: bad lp norm spec {norm!r}: lp norm spec needs p >= 1\n"
+    assert captured.err == f"error: bad norm spec {norm!r}: {reason}\n"
+
+
+#: kind -> the argv that reads one spec of it, the spec last
+SPEC_ARGV = {
+    "law": ["norm", "bphi", "--phi", "subgaussian", "--law"],
+    "generating-function": ["norm", "bphi", "--law", "rademacher", "--phi"],
+    "psi": ["norm", "gls", "--law", "rademacher", "--p-grid", "2:4", "--psi"],
+    "weights": ["norm", "lp", "--law", "rademacher", "--p", "3", "--weights"],
+    "norm": ["khinchine", "prelim", "--law", "rademacher", "--p-grid", "2:4", "--norm"],
+}
+FLOAT_X = "could not convert string to float: 'x'"
+#: (kind, spec, its reason): a stray parameter, a missing one, an unparsable
+#: one, one out of range and a nested spec of each kind; every weights form
+#: takes a parameter and nests no spec
+MALFORMED_SPECS = [
+    ("law", "rademacher:5", "the form is rademacher"),
+    ("law", "rademacher:", "the form is rademacher"),
+    ("law", "gaussian", "the form is gaussian:<sigma>"),
+    ("law", "gaussian:x", FLOAT_X),
+    ("law", "gaussian:-1", "gaussian sigma must be > 0 and finite"),
+    ("generating-function", "subgaussian:7", "the form is subgaussian"),
+    ("generating-function", "power", "the form is power:<m>"),
+    ("generating-function", "power:x", FLOAT_X),
+    ("generating-function", "power:0.5", "power family needs m >= 1"),
+    ("generating-function", "power:inf", "'inf' is not a finite number"),
+    ("generating-function", "natural:gaussian:-1",
+     "bad law spec 'gaussian:-1': gaussian sigma must be > 0 and finite"),
+    ("psi", "sqrtp:9", "the form is sqrtp"),
+    ("psi", "power", "the form is power:<m>"),
+    ("psi", "power:x", FLOAT_X),
+    ("psi", "power:0", "psi power needs m > 0"),
+    ("psi", "fromphi:power:0.5", "bad generating-function spec 'power:0.5': power family"),
+    ("weights", "equal", "the form is equal:<n>"),
+    ("weights", "twolevel:3", "the form is twolevel:<n>:<j>:<w>"),
+    ("weights", "list:1,x", FLOAT_X),
+    ("weights", "equal:0", "equal weights need n >= 1"),
+    ("norm", "lp", "the form is lp:<p>"),
+    ("norm", "lp:x", FLOAT_X),
+    ("norm", "lp:0.5", "lp norm spec needs p >= 1"),
+    ("norm", "bphi:subgaussian:7",
+     "bad generating-function spec 'subgaussian:7': the form is subgaussian"),
+    ("norm", "gls:natural:cauchy", "bad psi spec 'natural:cauchy': unknown law spec 'cauchy'"),
+]
+
+
+@pytest.mark.parametrize("kind,spec,reason", MALFORMED_SPECS,
+                         ids=[f"{k}-{s}" for k, s, _ in MALFORMED_SPECS])
+def test_a_malformed_spec_is_refused_with_its_reason(capsys, kind, spec, reason):
+    code = main(SPEC_ARGV[kind] + [spec])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 2 and captured.out == "" and len(lines) == 1
+    assert lines[0].startswith(f"error: bad {kind} spec {spec!r}: {reason}")
+
+
+OUTSIDE_TABULATED = '{"family": "tabulated", "knots": [0, 1, Infinity], "values": [0, 1, 2]}'
+
+
+@pytest.mark.parametrize("argv,text,reason", [
+    (["norm", "gls", "--law", "rademacher", "--psi", "@DOC"],
+     '{"p_grid": [2, 4], "values": [NaN, 1]}', "'NaN' is not a finite number"),
+    (["norm", "gls", "--law", "rademacher", "--psi", "@DOC"],
+     '{"p_grid": [2, Infinity], "values": [1, 2]}', "'Infinity' is not a finite number"),
+    (["phi", "eval", "--family", "@DOC", "--lambda", "1"], OUTSIDE_TABULATED,
+     "'Infinity' is not a finite number"),
+    (["norm", "bphi", "--law", "rademacher", "--phi", "@DOC"], OUTSIDE_TABULATED,
+     "'Infinity' is not a finite number"),
+    (["norm", "lp", "--law", "rademacher", "--p", "3", "--weights", "@DOC"], "[1, 1e400]",
+     "'1e400' is not a finite number"),
+    (["entropy", "fieldsim", "--model", "DOC"], '{"features": [[1, -Infinity]]}',
+     "'-Infinity' is not a finite number"),
+    (["norm", "gls", "--law", "rademacher", "--psi", "@DOC"], '{"p_grid":\n',
+     "Expecting value: line 2 column 1"),
+], ids=["psi-nan", "psi-grid-inf", "phi-eval-knot-inf", "bphi-knot-inf", "weights-1e400",
+        "model-minus-inf", "truncated"])
+def test_outside_json_is_strict_and_its_refusal_names_the_file(capsys, tmp_path, argv, text,
+                                                                reason):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code = main([a.replace("DOC", str(path)) for a in argv])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 2 and captured.out == "" and len(lines) == 1
+    assert str(path) in lines[0] and f"is not strict JSON: {reason}" in lines[0]
+
+
+@pytest.mark.parametrize("rows", [["0,inf", "inf,0"], ["0,nan", "nan,0"]], ids=["inf", "nan"])
+def test_a_non_finite_distance_is_refused_as_such(capsys, tmp_path, rows):
+    path = tmp_path / "space.csv"
+    path.write_text("\n".join(["a,b", *rows]) + "\n")
+    code = main(["entropy", "dudley", "--space", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: semi-distances must be finite\n"
+
+
+def test_a_psi_past_the_double_range_is_refused_without_a_warning(capsys):
+    # psi = p^(1/m) = p^1e300 overflows at every p > 1
+    code = main(SPEC_ARGV["psi"] + ["power:1e-300"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: bad psi spec 'power:1e-300': "
+                            "psi values must be finite and strictly positive\n")
+
+
+@pytest.mark.parametrize("entries", ["1e300,1e300", "1e-320,1e-320"])
+def test_weights_past_the_double_range_of_their_squares_are_a_direction(capsys, entries):
+    argv = ["norm", "lp", "--law", "rademacher", "--p", "3", "--weights"]
+    code, rep = run_json(capsys, argv + [f"list:{entries}"])
+    _, unit = run_json(capsys, argv + ["list:1,1"])
+    assert code == 0 and rep["report"] == unit["report"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "overline", "--family", "subgaussian", "--lambda", "1e200"],
+    ["phi", "eval", "--family", "subgaussian", "--lambda=-1e200"],
+    ["phi", "eval", "--family", "natural:gaussian:1", "--lambda", "1e200"],
+])
+def test_phi_past_the_double_range_is_inf_without_a_warning(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["report"]["value"] == "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -861,16 +987,18 @@ def test_non_finite_numeric_fields_exit_two(capsys, argv):
 
 @pytest.mark.parametrize("law", ["gaussian:inf", "uniform-symmetric:inf", "centered-poisson:inf",
                                  "symmetrized-poisson:nan", "gaussian:1e200",
-                                 "uniform-symmetric:1e200", "@SPEC"])
+                                 "uniform-symmetric:1e200", "gaussian:1e-200",
+                                 "uniform-symmetric:1e-300", "@SPEC"])
 def test_law_parameters_must_be_finite_with_a_finite_variance(capsys, tmp_path, law):
-    # sigma = 1e200 is finite, but its variance is not; the file form reads
-    # the same check
+    # sigma = 1e200 is finite, but its variance is not, and sigma = 1e-200's
+    # variance underflows to 0; a file holding Infinity is not strict JSON
     path = tmp_path / "spec.json"
     path.write_text('{"law": "gaussian", "sigma": Infinity}')
     code = main(["norm", "bphi", "--law", law.replace("SPEC", str(path)), "--phi", "subgaussian"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ") and "finite variance" in captured.err
+    reason = "'Infinity' is not a finite number" if law == "@SPEC" else "finite variance"
+    assert captured.err.startswith("error: ") and reason in captured.err
 
 def test_gaussian_gls_report_is_finite_at_high_p(capsys):
     # ||Z||_p / p^(1/4) grows, so the sup sits at the top of the grid, where

@@ -287,6 +287,48 @@ def test_poisson_supports_hold_no_zero_mass(law, mu):
     assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
+def _pmf_from_zero(mu):
+    """Oracle of `_poisson_pmf_truncated`: the Poisson pmf from k = 0, its
+    upper tail bound checked in a loop."""
+    k_max = int(mu + 20.0 * math.sqrt(mu) + 40.0)
+    while True:
+        ks = np.arange(k_max + 1)
+        logp = ks * math.log(mu) - mu - np.array([math.lgamma(k + 1.0) for k in ks])
+        p = np.exp(logp)
+        if p[-1] * (k_max + 1) / (k_max + 1 - mu) < POISSON_TAIL_MASS:
+            break
+        k_max *= 2
+    below = int(np.count_nonzero(np.cumsum(p) < 1.0 - POISSON_TAIL_MASS))
+    keep = min(max(below, 1) + 1, p.size)
+    p = p[:keep]
+    return np.arange(keep), p / p.sum()
+
+
+@pytest.mark.parametrize("mu", [1.0, 36.9, 800.0])
+def test_poisson_pmf_keeps_its_bits_where_it_starts_at_zero(mu):
+    ks, p = _poisson_pmf_truncated(mu)
+    ref_ks, ref_p = _pmf_from_zero(mu)
+    assert np.array_equal(ks, ref_ks) and p.tobytes() == ref_p.tobytes()
+
+
+def test_poisson_pmf_starts_where_the_mass_starts():
+    # every k below mu - 39 sqrt(mu) has a mass that rounds to 0
+    mu = 1e4
+    ks, p = _poisson_pmf_truncated(mu)
+    ref_ks, ref_p = _pmf_from_zero(mu)
+    assert ks[0] == math.ceil(mu - 39.0 * math.sqrt(mu)) and np.all(ref_p[:ks[0]] == 0.0)
+    assert np.array_equal(ks[p > 0], ref_ks[ref_p > 0])
+    assert np.max(np.abs(p[p > 0] - ref_p[ref_p > 0])) <= 1e-15
+    assert _poisson_pmf_truncated(1e6)[0][0] == 961_000
+
+
+@pytest.mark.parametrize("make,value", [(Distribution.gaussian, 1e-200),
+                                        (Distribution.uniform_symmetric, 1e-300)])
+def test_a_variance_that_underflows_is_refused(make, value):
+    with pytest.raises(DistributionError, match="finite variance > 0"):
+        make(value)
+
+
 def test_high_moment_of_a_wide_poisson_warns_nothing(capsys):
     from khinchine.cli import main
     with warnings.catch_warnings():

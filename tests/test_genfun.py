@@ -587,6 +587,13 @@ def test_psi_validation():
         PsiFunction(np.array([2.0, 4.0]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("grid,values", [([2.0, np.inf], [1.0, 2.0]), ([np.nan, 4.0], [1.0, 2.0]),
+                                         ([2.0, 4.0], [1.0, np.inf]), ([2.0, 4.0], [np.nan, 1.0])])
+def test_psi_is_finite(grid, values):
+    with pytest.raises(DomainError, match="finite"):
+        PsiFunction(np.array(grid), np.array(values))
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

@@ -41,6 +41,20 @@ def test_coefficient_vector_unit_norm_enforced():
     assert a.entries == pytest.approx([0.6, 0.8])
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-320, 1e-200, 1e200])
+def test_normalized_scales_only_where_the_sum_of_squares_leaves_the_range(scale):
+    # squares of 1e300 and 1e200 overflow and of 1e-320 and 1e-200 underflow,
+    # so those vectors are scaled by max |v| first; every vector whose sum of
+    # squares stays in range keeps the bits of v / |v|
+    v = np.array([scale, -2.0 * scale])
+    assert np.array_equal(CoefficientVector.normalized(v).entries,
+                          np.array([1.0, -2.0]) / math.sqrt(5.0))
+    for w in ([3.0, 4.0], [1e-150, 3e-150], [0.1, 0.2, 0.3]):
+        w = np.array(w)
+        assert np.array_equal(CoefficientVector.normalized(w).entries,
+                              w / math.sqrt(float(np.dot(w, w))))
+
+
 def test_lp_norm_bounded_by_one_for_p_ge_2():
     rng = np.random.default_rng(0)
     for _ in range(20):
