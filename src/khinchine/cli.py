@@ -8,8 +8,9 @@ the subcommand's own parser. A spec option (a law, phi, psi, weights, norm,
 space, model or list) names its one reader by `read=`: the handler receives
 the values read, never the text, and a malformed spec exits 2 with its
 reason before the handler runs. `distributions.read_spec` reads a law, phi,
-psi, weights or norm spec in its name's form ('known:' in its help) or from
-'@file.json' (strict JSON), and refuses a stray, missing or unreadable param
+psi, weights or norm spec from '@file.json' (strict JSON) or by its kind's one
+table of forms ('known:' in its help), split at ':' as --p-grid is (the last
+field keeps any further ':'), and refuses a stray, missing or unreadable field
 as "bad <kind> spec '<spec>': <reason>". Every run prints one JSON report
 embedding the tool version, the fully resolved configuration, and the seed;
 reports are byte-identical across repeated runs and --threads settings. Exit
@@ -41,15 +42,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import __version__
-from .distributions import (LAW_FORMS, catalog, finite, parse_distribution, read_json,
+from .distributions import (LAW_SPECS, catalog, finite, parse_distribution, read_json,
                             read_spec)
-from .genfun import (PHI_FORMS, PsiFunction, conv_r_class, kappa, legendre,
+from .genfun import (PHI_SPECS, PsiFunction, conv_r_class, kappa, legendre,
                      orlicz_n, overline_phi, parse_phi, phi_inverse,
                      phi_membership_report, phi_natural, psi_from_phi,
                      tail_envelope)
 from .norms import (ENGINES, CoefficientVector, EngineRefusal, bphi_norm, gls_norm,
                     weighted_sum_lp)
-from .search import (NORM_KINDS, NormSpec, khinchine_inf, khinchine_sup,
+from .search import (NormSpec, khinchine_inf, khinchine_sup,
                      prelim_bounds)
 from .verify import (PreconditionError, pythagoras_check, rosenthal_verify,
                      tail_compare, verify_thm31, verify_thm32, verify_thm41,
@@ -76,56 +77,52 @@ def count(lowest: int):
     return integer
 
 
-#: weights: name -> (CLI form, the ':'-separated fields after the name -> weights)
+#: weights: name -> (CLI form, its fields -> weights)
 WEIGHT_SPECS = {
-    "equal": ("equal:<n>", lambda f: CoefficientVector.equal(int(f[0]))),
-    "one_hot": ("onehot:<n>[:<i>]", lambda f: CoefficientVector.one_hot(
-        int(f[0]), int(f[1]) if len(f) > 1 else 0)),
-    "two_level": ("twolevel:<n>:<j>:<w>", lambda f: CoefficientVector.two_level(
-        int(f[0]), int(f[1]), finite(f[2]))),
-    "list": ("list:<v1,v2,...>", lambda f: CoefficientVector.normalized(
-        [finite(x) for x in f[0].split(",")])),
+    "equal": ("equal:<n>", lambda n: CoefficientVector.equal(int(n))),
+    "one_hot": ("onehot:<n>[:<i>]", lambda n, i="0": CoefficientVector.one_hot(int(n), int(i))),
+    "two_level": ("twolevel:<n>:<j>:<w>", lambda n, j, w: CoefficientVector.two_level(
+        int(n), int(j), finite(w))),
+    "list": ("list:<v1,v2,...>", lambda v: CoefficientVector.normalized(split(v, finite))),
 }
 
-#: psi: name -> (CLI form, (text after the name, p grid) -> psi)
-PSI_SPECS = {
-    "sqrtp": ("sqrtp", lambda rest, grid: PsiFunction.sqrt_p(grid)),
-    "power": ("power:<m>", lambda rest, grid: PsiFunction.p_power(finite(rest), grid)),
-    "natural": ("natural:<law>", lambda rest, grid: PsiFunction.natural(
-        parse_distribution(rest), grid)),
-    "fromphi": ("fromphi:<phi>", lambda rest, grid: psi_from_phi(parse_phi(rest), grid)),
-}
 
-#: a norm kind of `NORM_KINDS` -> ((text after the kind, p grid) -> its param)
-NORM_PARAMS = {
-    "lp": lambda rest, grid: finite(rest),
-    "gls": lambda rest, grid: parse_psi(rest, grid),
-    "bphi": lambda rest, grid: parse_phi(rest),
-}
+def psi_specs(p_grid) -> dict:
+    """psi: name -> (CLI form, its fields -> psi on the p grid)."""
+    return {
+        "sqrtp": ("sqrtp", lambda: PsiFunction.sqrt_p(p_grid)),
+        "power": ("power:<m>", lambda m: PsiFunction.p_power(finite(m), p_grid)),
+        "natural": ("natural:<law>", lambda law: PsiFunction.natural(
+            parse_distribution(law), p_grid)),
+        "fromphi": ("fromphi:<phi>", lambda phi: psi_from_phi(parse_phi(phi), p_grid)),
+    }
 
-#: name -> CLI form, for each kind `read_spec` reads here
-WEIGHT_FORMS = {name: form for name, (form, _) in WEIGHT_SPECS.items()}
-PSI_FORMS = {name: form for name, (form, _) in PSI_SPECS.items()}
-NORM_FORMS = {kind: f"{kind}:<{rec.field}>" for kind, rec in NORM_KINDS.items()}
+
+def norm_specs(p_grid) -> dict:
+    """A kind of `search.NORM_KINDS` -> (CLI form, its field -> NormSpec)."""
+    return {
+        "lp": ("lp:<p>", lambda p: NormSpec("lp", finite(p))),
+        "gls": ("gls:<psi>", lambda psi: NormSpec("gls", parse_psi(psi, p_grid))),
+        "bphi": ("bphi:<phi>", lambda phi: NormSpec("bphi", parse_phi(phi))),
+    }
 
 
 def parse_weights(spec: str) -> CoefficientVector:
-    """A spec of `WEIGHT_SPECS` ('list' values are normalized) or
-    '@file.json' holding a list."""
-    return read_spec(spec, "weights", WEIGHT_FORMS,
-                     lambda name, rest: WEIGHT_SPECS[name][1](rest.split(":")),
+    """A spec of `WEIGHT_SPECS` ('list' values are normalized) or '@file.json', a list."""
+    return read_spec(spec, "weights", WEIGHT_SPECS,
                      lambda obj: CoefficientVector.normalized(np.asarray(obj, float)), SpecError)
 
 
 def parse_p_grid(spec: str) -> np.ndarray:
     """'lo:hi[:step]' inclusive grid, default step 1; finite fields, hi >= lo
-    and step > 0."""
-    parts = spec.split(":")
+    and step > 0. Split as `read_spec` splits: a fourth field stays in step."""
+    fields = spec.split(":", 2)
+    if len(fields) < 2:
+        raise SpecError(f"bad p-grid spec {spec!r}: the form is lo:hi[:step]")
     try:
-        lo, hi = finite(parts[0]), finite(parts[1])
-        step = finite(parts[2]) if len(parts) > 2 else 1.0
-    except (IndexError, ValueError) as exc:
-        raise SpecError(f"bad p-grid spec {spec!r}") from exc
+        lo, hi, step = [*map(finite, fields), 1.0][:3]
+    except ValueError as exc:
+        raise SpecError(f"bad p-grid spec {spec!r}: {exc}") from exc
     for name, ok, rule in (("hi", hi >= lo, ">= lo"), ("step", step > 0, "> 0")):
         if not ok:
             raise SpecError(f"bad p-grid spec {spec!r}: field {name!r} must be {rule}")
@@ -133,16 +130,13 @@ def parse_p_grid(spec: str) -> np.ndarray:
 
 
 def parse_psi(spec: str, p_grid: np.ndarray) -> PsiFunction:
-    """A spec of `PSI_SPECS` on the grid, or '@file.json' with its own grid."""
-    return read_spec(spec, "psi", PSI_FORMS, lambda name, rest: PSI_SPECS[name][1](rest, p_grid),
-                     PsiFunction.from_json, SpecError)
+    """A spec of `psi_specs` on the grid, or '@file.json' with its own grid."""
+    return read_spec(spec, "psi", psi_specs(p_grid), PsiFunction.from_json, SpecError)
 
 
 def parse_norm_spec(spec: str, p_grid: np.ndarray) -> NormSpec:
-    """A kind of `search.NORM_KINDS` and the spec of the param it reads:
-    'lp:p', 'gls:<psi spec>' or 'bphi:<phi spec>'."""
-    return read_spec(spec, "norm", NORM_FORMS, lambda kind, rest: NormSpec(
-        kind, NORM_PARAMS[kind](rest, p_grid)), None, SpecError)
+    """A spec of `norm_specs`: 'lp:p', 'gls:<psi spec>' or 'bphi:<phi spec>'."""
+    return read_spec(spec, "norm", norm_specs(p_grid), None, SpecError)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +228,10 @@ def arg(*flags, **options) -> tuple:
     return flags, options
 
 
-LAW_HELP = f"law spec; known: {catalog(LAW_FORMS)}"
-PHI_HELP = f"phi spec; known: {catalog(PHI_FORMS)} (<law>: a law spec)"
-WEIGHTS_HELP = f"weights spec; known: {catalog(WEIGHT_FORMS)}"
+LAW_HELP = f"law spec; known: {catalog(LAW_SPECS)}"
+PHI_HELP = f"phi spec; known: {catalog(PHI_SPECS)} (<law>: a law spec)"
+WEIGHTS_HELP = f"weights spec; known: {catalog(WEIGHT_SPECS)}"
+PSI_HELP = f"psi spec; known: {catalog(psi_specs(None))}"
 LAW = arg("--law", required=True, help=LAW_HELP, read=lambda a: parse_distribution(a.law))
 PHI = arg("--phi", required=True, help=PHI_HELP, read=lambda a: parse_phi(a.phi))
 FAMILY = arg("--family", required=True, help=PHI_HELP, read=lambda a: parse_phi(a.family))
@@ -245,7 +240,7 @@ WEIGHTS = arg("--weights", required=True, help=WEIGHTS_HELP,
 LAMBDA = arg("--lambda", dest="lam", type=finite, required=True)
 U = arg("--u", type=finite, required=True)
 P = arg("--p", type=finite, required=True)
-NORM = arg("--norm", required=True, help=f"norm spec; known: {catalog(NORM_FORMS, file=False)}",
+NORM = arg("--norm", required=True, help=f"norm spec; known: {catalog(norm_specs(None), False)}",
            read=lambda a: parse_norm_spec(a.norm, parse_p_grid(a.p_grid)))
 SPACE = arg("--space", required=True, help="CSV or JSON file", read=lambda a: load_space(a.space))
 SAMPLES = arg("--samples", type=count(1), default=None, help="budget (at least 1) for "
@@ -298,7 +293,7 @@ COMMANDS = {
         "lp": ([LAW, WEIGHTS, P, ENGINE, SAMPLES, THREADS],
                lambda a: weighted_sum_lp(a.law, a.weights, a.p, engine=a.engine, budget=a.samples,
                                          seed=a.seed, threads=a.threads).to_json()),
-        "gls": ([LAW, arg("--psi", required=True, help=f"psi spec; known: {catalog(PSI_FORMS)}",
+        "gls": ([LAW, arg("--psi", required=True, help=PSI_HELP,
                           read=lambda a: parse_psi(a.psi, parse_p_grid(a.p_grid))),
                  P_GRID, ENGINE, SAMPLES, THREADS],
                 lambda a: gls_norm(a.law, a.psi, engine=a.engine, budget=a.samples,

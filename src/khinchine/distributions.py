@@ -487,14 +487,15 @@ LAWS: dict[str, Law] = {
 }
 
 
-#: law name -> its CLI form; laws with array fields come only from a JSON file
-LAW_FORMS = {name: name.replace("_", "-") + "".join(f":<{f}>" for f in rec.fields)
+#: law name -> (CLI form, build from its fields); laws with array fields come only from a file
+LAW_SPECS = {name: (name.replace("_", "-") + "".join(f":<{f}>" for f in rec.fields),
+                    lambda *fields, build=rec.build: build(*map(float, fields)))
              for name, rec in LAWS.items() if len(rec.fields) <= 1}
 
 
-def catalog(forms: dict, file: bool = True) -> str:
+def catalog(table: dict, file: bool = True) -> str:
     """The 'known:' list of one kind's CLI forms, for help texts and errors."""
-    return ", ".join(list(forms.values()) + ["@file.json"] * file)
+    return ", ".join([form for form, _ in table.values()] + ["@file.json"] * file)
 
 
 def _fold(name: str) -> str:
@@ -504,7 +505,7 @@ def _fold(name: str) -> str:
 def finite(text: str) -> float:
     """The one reader of numeric fields, for `type=`, every spec and every
     JSON number: a finite float, else ValueError (which argparse reports as
-    an invalid value)."""
+    an invalid value). A JSON integer it passes stays an int."""
     x = float(text)
     if not math.isfinite(x):
         raise ValueError(f"{text.strip()!r} is not a finite number")
@@ -520,7 +521,8 @@ def read_json(path: str, build: Callable, what: str, error: type):
     raises itself pass through."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh, parse_float=finite, parse_constant=finite)
+            obj = json.load(fh, parse_float=finite, parse_constant=finite,
+                            parse_int=lambda text: int(text) if finite(text) else 0)
         except ValueError as exc:
             raise error(f"{what} is not strict JSON: {exc}") from exc
     try:
@@ -531,31 +533,32 @@ def read_json(path: str, build: Callable, what: str, error: type):
         raise error(f"{what} has a field of the wrong type: {exc}") from exc
 
 
-def read_spec(spec: str, what: str, forms: dict, parse: Callable,
-              from_json: Callable | None, error: type):
+def read_spec(spec: str, what: str, table: dict, from_json: Callable | None, error: type):
     """The one reader of CLI spec strings and of their grammar, for every kind.
 
     '@file.json' is `read_json(file, from_json, ...)` (from_json None: no file
-    form). Otherwise 'name[:rest]' looks the name up in `forms` (name -> CLI
-    form, e.g. 'gaussian' -> 'gaussian:<sigma>'), ignoring case, '-' and '_',
-    and returns `parse(name, rest)`. An unknown name raises `error` naming the
-    `catalog`; a ':' the form lacks or needs, an IndexError of `parse` (a
-    missing field) or its ValueError raises "bad <what> spec '<spec>': " and
-    the reason: "the form is <form>", or the ValueError's."""
+    form). Otherwise 'name[:fields]' looks the name up in `table`, name ->
+    (CLI form, build) (e.g. 'gaussian' -> ('gaussian:<sigma>', ...)), ignoring
+    case, '-' and '_', and returns build(*fields), the rest split at ':' once
+    per '<...>' field of the form but one, so the last keeps any further ':'. An
+    unknown name raises `error` naming the `catalog`, a field count outside
+    the form's (a bracketed field is optional) "bad <what> spec '<spec>': the
+    form is <form>", and a ValueError of `build` the same with its reason."""
     spec = spec.strip()
     if from_json is not None and spec.startswith("@"):
         return read_json(spec[1:], from_json, f"{what} spec {spec!r}", error)
     name, colon, rest = spec.partition(":")
-    key = next((k for k in forms if _fold(k) == _fold(name)), None)
+    key = next((k for k in table if _fold(k) == _fold(name)), None)
     if key is None:
         raise error(f"unknown {what} spec {spec!r}; known: "
-                    f"{catalog(forms, from_json is not None)}")
+                    f"{catalog(table, from_json is not None)}")
+    form, build = table[key]
+    most = form.count("<")
+    fields = rest.split(":", most - 1) if colon else []  # most = 0: any ':' is too many
+    if not most - form.count("[") <= len(fields) <= most:
+        raise error(f"bad {what} spec {spec!r}: the form is {form}")
     try:
-        if bool(colon) != (":" in forms[key]):  # a stray or a missing parameter
-            raise IndexError(key)
-        return parse(key, rest)
-    except IndexError as exc:
-        raise error(f"bad {what} spec {spec!r}: the form is {forms[key]}") from exc
+        return build(*fields)
     except ValueError as exc:
         raise error(f"bad {what} spec {spec!r}: {exc}") from exc
 
@@ -564,6 +567,4 @@ def parse_distribution(spec: str) -> Distribution:
     """Parse CLI specs like 'rademacher', 'gaussian:1', 'centered-poisson:1',
     'uniform-symmetric:1.732', or '@file.json' for a JSON law descriptor.
     Laws with array fields come only from a file."""
-    # a law's one field, if any, is its CLI parameter
-    return read_spec(spec, "law", LAW_FORMS, lambda name, rest: LAWS[name].build(
-        *(float(rest) for _ in LAWS[name].fields)), Distribution.from_json, DistributionError)
+    return read_spec(spec, "law", LAW_SPECS, Distribution.from_json, DistributionError)

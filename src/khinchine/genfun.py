@@ -10,9 +10,9 @@ Legendre kernel, for every u at once. kappa's one grouped sum is `phi_sums`;
 its one tie rule is `numerics.incumbent`.
 
 A family is one `Family` record in `FAMILIES`: its evaluation, domain
-radius, curvature at 0, label, JSON fields, closed-form inverse and tail
-exponent. `GeneratingFunction` reads the record, so adding a family is
-adding one record.
+radius, curvature at 0, label, JSON fields, closed-form inverse, tail
+exponent and CLI form. `GeneratingFunction` reads the record, so adding a
+family is adding one record.
 
 A member of the admissible class is even, convex, vanishes at 0, behaves like
 a multiple of lambda^2 near 0, and is strictly increasing on [0, lambda0).
@@ -154,8 +154,6 @@ class Family:
     """Everything the package uses about one generating-function family.
     Each function takes the GeneratingFunction phi first."""
 
-    spec: str | None  # CLI form, None where the family comes only from a file
-    parse: Callable | None  # (text after 'name:' in the CLI spec) -> phi
     from_json: Callable  # (JSON object) -> phi
     json: Callable  # (phi) -> the family's own JSON fields
     evaluate: Callable  # (phi, |lam| as a 1-d array) -> phi(lam)
@@ -164,6 +162,7 @@ class Family:
     label: Callable  # (phi) -> str
     inverse: Callable  # (phi) -> closed-form inverse y -> lambda, or None
     tail_exponent: Callable = lambda phi: 2.0  # (phi) -> m' of exp(-c u^m')
+    cli: tuple | None = None  # (CLI form, its fields -> phi); None: only from a file
 
 
 def _power_inverse(m: float, y: np.ndarray) -> np.ndarray:
@@ -175,7 +174,7 @@ def _power_inverse(m: float, y: np.ndarray) -> np.ndarray:
 # without one is inverted from the plain bracket.
 FAMILIES: dict[str, Family] = {
     "subgaussian": Family(
-        spec="subgaussian", parse=lambda rest: phi_subgaussian(),
+        cli=("subgaussian", phi_subgaussian),
         from_json=lambda obj: phi_subgaussian(),
         json=lambda phi: {},
         evaluate=lambda phi, x: 0.5 * x * x,
@@ -185,7 +184,7 @@ FAMILIES: dict[str, Family] = {
         inverse=lambda phi: lambda y: np.sqrt(2.0 * y),
     ),
     "power": Family(
-        spec="power:<m>", parse=lambda rest: phi_power(finite(rest)),
+        cli=("power:<m>", lambda m: phi_power(finite(m))),
         from_json=lambda obj: phi_power(obj["m"]),
         json=lambda phi: {"m": phi.m, "splice": "quadratic-value"},
         evaluate=lambda phi, x: np.where(x <= 1.0, x * x / phi.m, x**phi.m / phi.m),
@@ -196,7 +195,7 @@ FAMILIES: dict[str, Family] = {
         tail_exponent=lambda phi: min(phi.m, 2.0),
     ),
     "natural": Family(
-        spec="natural:<law>", parse=lambda rest: phi_natural(parse_distribution(rest)),
+        cli=("natural:<law>", lambda law: phi_natural(parse_distribution(law))),
         from_json=lambda obj: phi_natural(Distribution.from_json(obj["dist"])),
         json=lambda phi: {"dist": phi.dist.to_json()},
         evaluate=lambda phi, x: phi.dist.two_sided_log_mgf(x),
@@ -206,7 +205,6 @@ FAMILIES: dict[str, Family] = {
         inverse=lambda phi: phi.dist.natural_inverse(),
     ),
     "tabulated": Family(
-        spec=None, parse=None,
         from_json=lambda obj: phi_tabulated(obj["knots"], obj["values"]),
         json=lambda phi: {"knots": phi.knots.tolist(), "values": phi.knot_values.tolist()},
         evaluate=lambda phi, x: np.interp(x, phi.knots, phi.knot_values),
@@ -218,16 +216,14 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-#: family name -> its CLI form, for the families that have one
-PHI_FORMS = {name: fam.spec for name, fam in FAMILIES.items() if fam.spec}
+#: family name -> (CLI form, build from its fields), for the families that have one
+PHI_SPECS = {name: fam.cli for name, fam in FAMILIES.items() if fam.cli}
 
 
 def parse_phi(spec: str) -> GeneratingFunction:
-    """Parse CLI specs: 'subgaussian', 'power:3', 'natural:<law spec>',
-    or '@file.json'."""
-    return read_spec(spec, "generating-function", PHI_FORMS,
-                     lambda name, rest: FAMILIES[name].parse(rest),
-                     GeneratingFunction.from_json, DomainError)
+    """Parse CLI specs: 'subgaussian', 'power:3', 'natural:<law spec>' or '@file.json'."""
+    return read_spec(spec, "generating-function", PHI_SPECS, GeneratingFunction.from_json,
+                     DomainError)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +404,15 @@ def conv_r_class(phi: GeneratingFunction, r: float) -> ConvClassResult:
     """Grid test of whether t -> phi(t^(1/r)) is convex on (0, min(lambda0, CONV_LAMBDA_CAP)^r].
 
     Convexity on the CONV_GRID_POINTS log-spaced (hence non-uniform) grid
-    points is checked as monotone chord slopes; on failure the first
-    violating triple is returned.
+    points where phi is finite is checked as monotone chord slopes; on
+    failure the first violating triple is returned.
     """
     if not 1.0 <= r <= 2.0:
         raise DomainError("conv_r_class needs r in [1, 2]")
     top = min(phi.lambda0 * (1 - 1e-12), CONV_LAMBDA_CAP) ** r
     t = np.geomspace(top * 1e-12, top, CONV_GRID_POINTS)
     f = phi(t ** (1.0 / r))
+    t, f = t[np.isfinite(f)], f[np.isfinite(f)]
     s = np.diff(f) / np.diff(t)
     defect = np.diff(s)
     tol = -1e-9 * np.maximum(1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
@@ -614,20 +611,23 @@ def psi_from_phi(phi: GeneratingFunction, p_grid) -> PsiFunction:
 # ---------------------------------------------------------------------------
 
 def phi_membership_report(phi: GeneratingFunction) -> dict:
-    """Finite-grid checks of the admissibility conditions: evenness, zero at
-    zero, convexity and strict increase on the positive axis, quadratic
-    behavior near 0, and (for infinite domain radius) growth of phi(lam)/lam
-    along the grid."""
+    """Finite-grid checks of the admissibility conditions: evenness (equal
+    infinities are even), zero at zero, convexity and strict increase on the
+    positive axis where phi is finite, quadratic behavior near 0, and (for
+    infinite domain radius) growth of phi(lam)/lam along the grid."""
     top = 50.0 if phi.lambda0 == math.inf else phi.lambda0 * (1 - 1e-9)
     grid = geometric_grid(1e-6, top)
     f_pos = phi(grid)
     f_neg = phi(-grid)
-    even = bool(np.all(np.abs(f_pos - f_neg) <= 1e-12 * np.maximum(1.0, np.abs(f_pos))))
     zero = abs(float(phi(0.0))) <= 1e-300
-    first = np.diff(f_pos)
-    increasing = bool(np.all(first > 0))
-    s = first / np.diff(grid)
-    convex = bool(np.all(np.diff(s) >= -1e-10 * np.maximum(1.0, np.abs(s[:-1]))))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, a slope past the range
+        even = bool(np.all((f_pos == f_neg)
+                           | (np.abs(f_pos - f_neg) <= 1e-12 * np.maximum(1.0, np.abs(f_pos)))))
+        grid, f_pos = grid[np.isfinite(f_pos)], f_pos[np.isfinite(f_pos)]
+        first = np.diff(f_pos)
+        increasing = bool(np.all(first > 0))
+        s = first / np.diff(grid)
+        convex = bool(np.all(np.diff(s) >= -1e-10 * np.maximum(1.0, np.abs(s[:-1]))))
     small = geometric_grid(1e-6, 1e-3)
     ratio = phi(small) / small**2
     quad = bool(np.all(ratio > 0) and np.max(ratio) / np.min(ratio) < 1e6)

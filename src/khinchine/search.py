@@ -77,7 +77,6 @@ class NormKind:
     """One kind of norm. Each function takes the spec's `param` v (its p,
     psi or phi)."""
 
-    field: str  # the word for the param in the CLI form '<kind>:<field>'
     needs: str  # what the param must be, for the validation error
     label: Callable  # (v) -> str
     sum_norm: Callable  # (d, a, v, engine, budget, seed, rest) -> NormEstimate of sum a_k X_k
@@ -87,19 +86,19 @@ class NormKind:
 
 NORM_KINDS: dict[str, NormKind] = {
     "lp": NormKind(
-        field="p", needs="p >= 1", valid=lambda p: not p < 1,
+        needs="p >= 1", valid=lambda p: not p < 1,
         label=lambda p: f"lp({p!r})",
         sum_norm=lambda d, a, p, engine, budget, seed, rest: weighted_sum_lp(
             d, a, p, engine=engine, budget=budget, seed=seed, rest=rest),
     ),
     "gls": NormKind(
-        field="psi", needs="a psi function",
+        needs="a psi function",
         label=lambda psi: f"gls({psi.provenance})",
         sum_norm=lambda d, a, psi, engine, budget, seed, rest: weighted_sum_gls(
             d, a, psi, engine=engine, budget=budget, seed=seed, rest=rest),
     ),
     "bphi": NormKind(
-        field="phi", needs="a generating function",
+        needs="a generating function",
         label=lambda phi: f"bphi({phi.label})",
         sum_norm=lambda d, a, phi, engine, budget, seed, rest: weighted_sum_bphi(d, a, phi),
         rows=lambda d, cands, phi: bphi_norms([(d, a.entries) for a in cands], phi),

@@ -45,10 +45,8 @@ SLACK_TOL = 1e-9
 #: a sum within this of u counts as reaching it, exact or sampled: neither the
 #: support collapse nor a row sum's rounding decides a tie
 TAIL_TIE = 1e-12
-#: trials per `bphi_norms` call of `pythagoras_check`; the call's arrays grow with it
-PYTHAGORAS_BLOCK = 8
-#: most weights x lambdas of an envelope block: one trial at n = 32 on the
-#: 449-point norm grid, the largest of the default suites. Its arrays stay
+#: most weights x lambdas of a block of `_trial_blocks`: one trial at n = 32 on
+#: the 449-point norm grid, the largest of the default suites. Its arrays stay
 #: below the 128 KiB from which glibc maps each allocation afresh, and a block
 #: past that faulted its pages in on every call (3x the time on one thread).
 ENVELOPE_BLOCK = 449 * 32
@@ -60,6 +58,20 @@ class PreconditionError(RuntimeError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+def _trial_blocks(tag: int, seed: int, trials: int, draw, size) -> list:
+    """Trials draw(substream(seed, tag, t)), t < trials, in order, in blocks
+    of at most ENVELOPE_BLOCK total size(trial), weights x lambdas (a larger
+    trial alone)."""
+    blocks, used = [], ENVELOPE_BLOCK
+    for trial in (draw(substream(seed, tag, t)) for t in range(trials)):
+        if used + size(trial) > ENVELOPE_BLOCK:
+            blocks.append([])
+            used = 0
+        blocks[-1].append(trial)
+        used += size(trial)
+    return blocks
 
 
 def rosenthal_c(p: float) -> float:
@@ -105,21 +117,12 @@ def _envelope_suite(tag: int, n_hi: int, lhs, rhs, points: int, trials: int, see
     """Trial t draws n in 1..n_hi and a unit sphere vector a from
     substream(seed, tag, t) and takes the least slack of its right side
     minus its left side on the grid of `points` lambdas; the worst trial
-    decides. The trials are drawn in order and packed into contiguous
-    blocks of at most ENVELOPE_BLOCK weights x points (a larger trial alone),
-    which `ordered_map` splits over `threads` workers: lhs(block) and
-    rhs(block) give one side per trial of a block (a list of
-    CoefficientVectors), or one for all, and every trial keeps the bits it
-    has alone."""
-    blocks, size = [], ENVELOPE_BLOCK
-    for t in range(trials):
-        rng = substream(seed, tag, t)
-        a = CoefficientVector.random_sphere(int(rng.integers(1, n_hi + 1)), rng)
-        if size + a.n * points > ENVELOPE_BLOCK:
-            blocks.append([])
-            size = 0
-        blocks[-1].append(a)
-        size += a.n * points
+    decides. `_trial_blocks` packs the trials by n x points into blocks, which
+    `ordered_map` splits over `threads` workers: lhs(block) and rhs(block)
+    give one side per trial of a block (a list of CoefficientVectors), or
+    one for all, and every trial keeps the bits it has alone."""
+    blocks = _trial_blocks(tag, seed, trials, lambda rng: CoefficientVector.random_sphere(
+        int(rng.integers(1, n_hi + 1)), rng), lambda a: a.n * points)
 
     def block(cands):
         slack, _, masked = _min_logspace_slack(np.asarray(rhs(cands)), np.array(lhs(cands)))
@@ -164,8 +167,7 @@ def verify_thm31(d: Distribution, phi: GeneratingFunction, trials: int = 1000,
     _require_conv2(phi)
     tau = bphi_norm(d, phi).value
     grid = geometric_grid(NORM_GRID_LO, NORM_GRID_HI)
-    with np.errstate(over="ignore"):
-        rhs = phi(grid * tau)
+    rhs = phi(grid * tau)  # +inf past the double range, without a warning
     suite = _envelope_suite(0x7131, n_cap, _sum_side(d, grid), lambda cands: rhs, grid.size,
                             trials, seed, threads)
     return {"suite": "thm31", "law": d.label, "phi": phi.to_json(), "tau": tau,
@@ -173,8 +175,8 @@ def verify_thm31(d: Distribution, phi: GeneratingFunction, trials: int = 1000,
             "lower_half_equality": {"n": 1, "norm": tau}}
 
 
-def verify_thm32(d: Distribution, phi: GeneratingFunction, trials: int = 200,
-                 seed: int = 0, n_max: int = 32, restarts: int = 2,
+def verify_thm32(d: Distribution, phi: GeneratingFunction, trials: int = 1000,
+                 seed: int = 0, n_max: int = 32, restarts: int = 3,
                  threads: int = 1) -> dict:
     """Check sum_k ln mgf(a_k lambda) <= kappa(lambda * tau) where kappa is
     built from identical components phi and tau is the single-variable norm.
@@ -194,7 +196,7 @@ def verify_thm32(d: Distribution, phi: GeneratingFunction, trials: int = 200,
 
 
 def verify_thm41(laws, phis, trials: int = 1000, seed: int = 0,
-                 n_max: int = 32, restarts: int = 2, threads: int = 1) -> dict:
+                 n_max: int = 32, restarts: int = 3, threads: int = 1) -> dict:
     """Check the product-MGF bound prod_k mgf_k(a_k lambda) <= exp(kappa(lambda))
     for mixed laws, with each phi_k required to dominate its law's log-MGF.
 
@@ -296,21 +298,24 @@ def pythagoras_check(phi: GeneratingFunction, laws=None, trials: int = 1000,
     scores c ||X|| (1-homogeneity; one `bphi_norms` call on the pool) unless
     the grid of ||X|| was truncated or unbounded, where the sup can sit at
     the grid's end, which does not scale: such a part is scored alone. The
-    sums (terms, scales) and such parts ([X], [c]) of PYTHAGORAS_BLOCK trials
-    share one call."""
+    sums (terms, scales) and such parts ([X], [c]) of one of the
+    `_trial_blocks` (by terms x norm grid points) share one call."""
     _require_conv2(phi)
     pool = list(laws) if laws is not None else [Distribution.rademacher(),
                                                 Distribution.gaussian(1.0)]
     taus = [None if e.meta["truncated"] or e.meta.get("unbounded") else e.value
             for e in bphi_norms([(d, [1.0]) for d in pool], phi)]
+    points = geometric_grid(NORM_GRID_LO, NORM_GRID_HI).size
+
+    def draw(rng):
+        idx = rng.integers(0, len(pool), size=int(rng.integers(2, 6)))
+        return idx, rng.uniform(0.5, 1.5, size=idx.size)
+
     results = []
-    for block in range(0, trials, PYTHAGORAS_BLOCK):
+    for block in _trial_blocks(0x9717, seed, trials, draw,
+                              lambda trial: sum(1 + (taus[i] is None) for i in trial[0]) * points):
         sums, draws = [], []
-        for t in range(block, min(block + PYTHAGORAS_BLOCK, trials)):
-            rng = substream(seed, 0x9717, t)
-            k = int(rng.integers(2, 6))
-            idx = rng.integers(0, len(pool), size=k)
-            scales = rng.uniform(0.5, 1.5, size=k)
+        for idx, scales in block:
             terms = [pool[i] for i in idx]
             sums += [([pool[i]], [c]) for i, c in zip(idx, scales) if taus[i] is None]
             sums.append((terms, scales))

@@ -56,11 +56,11 @@ def _phi_specs():
     """(id, phi spec) for every family; natural over every law."""
     out = []
     for name, fam in FAMILIES.items():
-        if fam.spec is None:
+        if fam.cli is None:
             out.append((name, TABULATED))
-        elif fam.spec.endswith("<law>"):
+        elif fam.cli[0].endswith("<law>"):
             out += [(f"{name}-{key}", (name, spec)) for key, spec in LAW_SPECS]
-        elif ":" in fam.spec:
+        elif ":" in fam.cli[0]:
             out.append((name, f"{name}:3"))
         else:
             out.append((name, name))

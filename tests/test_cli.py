@@ -1,16 +1,22 @@
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khinchine.cli import (COMMANDS, SpecError, main, parse_norm_spec, parse_p_grid,
-                           parse_psi, parse_weights)
+from khinchine.cli import (COMMANDS, WEIGHT_SPECS, SpecError, main, norm_specs,
+                           parse_norm_spec, parse_p_grid, parse_psi, parse_weights, psi_specs)
+from khinchine.distributions import LAW_SPECS, parse_distribution
 from khinchine.entropy import FiniteMetricSpace
-from khinchine.genfun import parse_phi
+from khinchine.genfun import PHI_SPECS, kappa, parse_phi
 from khinchine.numerics import sorted_distinct
+from khinchine.search import khinchine_inf, khinchine_sup
+from khinchine.verify import (pythagoras_check, verify_thm31, verify_thm32,
+                              verify_thm41)
 
 
 def run(capsys, argv):
@@ -69,7 +75,7 @@ SPEC_ARGV = {
 FLOAT_X = "could not convert string to float: 'x'"
 #: (kind, spec, its reason): a stray parameter, a missing one, an unparsable
 #: one, one out of range and a nested spec of each kind; every weights form
-#: takes a parameter and nests no spec
+#: takes a parameter and nests no spec, so a stray field is read with its last
 MALFORMED_SPECS = [
     ("law", "rademacher:5", "the form is rademacher"),
     ("law", "rademacher:", "the form is rademacher"),
@@ -92,6 +98,10 @@ MALFORMED_SPECS = [
     ("weights", "twolevel:3", "the form is twolevel:<n>:<j>:<w>"),
     ("weights", "list:1,x", FLOAT_X),
     ("weights", "equal:0", "equal weights need n >= 1"),
+    ("weights", "equal:3:9", "invalid literal for int() with base 10: '3:9'"),
+    ("weights", "onehot:3:1:7", "invalid literal for int() with base 10: '1:7'"),
+    ("weights", "twolevel:4:1:0.5:2", "could not convert string to float: '0.5:2'"),
+    ("weights", "list:1,2:3", "could not convert string to float: '2:3'"),
     ("norm", "lp", "the form is lp:<p>"),
     ("norm", "lp:x", FLOAT_X),
     ("norm", "lp:0.5", "lp norm spec needs p >= 1"),
@@ -111,7 +121,50 @@ def test_a_malformed_spec_is_refused_with_its_reason(capsys, kind, spec, reason)
     assert lines[0].startswith(f"error: bad {kind} spec {spec!r}: {reason}")
 
 
+@pytest.mark.parametrize("grid,reason", [
+    ("2:8:1:5", "could not convert string to float: '1:5'"),
+    ("2", "the form is lo:hi[:step]"),
+    ("a:b", "could not convert string to float: 'a'"),
+])
+def test_a_malformed_p_grid_is_refused_with_its_reason(capsys, grid, reason):
+    code = main(["norm", "gls", "--law", "rademacher", "--psi", "sqrtp", "--p-grid", grid])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: bad p-grid spec {grid!r}: {reason}\n"
+
+
+SPEC_GRID = parse_p_grid("2:4")
+#: (reader, CLI form) of every form of every kind `read_spec` reads
+FORMS = [(read, form) for read, table in (
+    (parse_distribution, LAW_SPECS), (parse_phi, PHI_SPECS), (parse_weights, WEIGHT_SPECS),
+    (lambda s: parse_psi(s, SPEC_GRID), psi_specs(SPEC_GRID)),
+    (lambda s: parse_norm_spec(s, SPEC_GRID), norm_specs(SPEC_GRID)))
+    for form, _ in table.values()]
+#: a readable value of each field a form names
+FIELD_TEXT = {"sigma": "1", "mu": "1", "b": "1", "m": "3", "law": "rademacher",
+              "phi": "subgaussian", "psi": "sqrtp", "p": "3", "n": "4", "i": "1", "j": "1",
+              "w": "0.5", "v1,v2,...": "1,2"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(FORMS), count=st.integers(0, 5))
+def test_a_spec_parses_exactly_when_it_has_a_field_count_of_its_form(case, count):
+    # a field more is read with the last field (a nested spec included), so
+    # it is refused as unreadable; a field fewer as not the form
+    read, form = case
+    names = re.findall(r"<([^>]+)>", form)
+    fields = ([FIELD_TEXT[f] for f in names] + ["1"] * 5)[:count]
+    spec = ":".join([form.partition(":")[0], *fields])
+    if len(names) - form.count("[") <= count <= len(names):
+        read(spec)
+    else:
+        with pytest.raises(ValueError, match=f"^bad .* spec {re.escape(repr(spec))}: "):
+            read(spec)
+
+
 OUTSIDE_TABULATED = '{"family": "tabulated", "knots": [0, 1, Infinity], "values": [0, 1, 2]}'
+#: an integer past the double range
+HUGE = "1" + "0" * 400
 
 
 @pytest.mark.parametrize("argv,text,reason", [
@@ -129,8 +182,18 @@ OUTSIDE_TABULATED = '{"family": "tabulated", "knots": [0, 1, Infinity], "values"
      "'-Infinity' is not a finite number"),
     (["norm", "gls", "--law", "rademacher", "--psi", "@DOC"], '{"p_grid":\n',
      "Expecting value: line 2 column 1"),
+    (["norm", "lp", "--law", "rademacher", "--p", "3", "--weights", "@DOC"], f"[1, {HUGE}]",
+     f"'{HUGE}' is not a finite number"),
+    (["entropy", "fieldsim", "--model", "DOC"], f'{{"features": [[1, {HUGE}]]}}',
+     f"'{HUGE}' is not a finite number"),
+    (["entropy", "dudley", "--space", "DOC"],
+     f'{{"labels": [0, 1], "rho": [[0, {HUGE}], [{HUGE}, 0]]}}',
+     f"'{HUGE}' is not a finite number"),
+    (["norm", "gls", "--law", "rademacher", "--psi", "@DOC"],
+     f'{{"p_grid": [2, 4], "values": [1, {HUGE}]}}', f"'{HUGE}' is not a finite number"),
 ], ids=["psi-nan", "psi-grid-inf", "phi-eval-knot-inf", "bphi-knot-inf", "weights-1e400",
-        "model-minus-inf", "truncated"])
+        "model-minus-inf", "truncated", "weights-int-1e400", "model-int-1e400",
+        "space-int-1e400", "psi-int-1e400"])
 def test_outside_json_is_strict_and_its_refusal_names_the_file(capsys, tmp_path, argv, text,
                                                                 reason):
     path = tmp_path / "doc.json"
@@ -295,6 +358,27 @@ def test_engine_choices_are_the_engine_table(capsys):
     with pytest.raises(SystemExit):
         main(["norm", "lp", "--engine", "quadrature"])
     assert "'auto', 'exact_enum', 'convolution', 'monte_carlo'" in capsys.readouterr().err
+
+
+#: (command, subcommand) -> the function its handler passes --trials,
+#: --restarts and --nmax to; each CLI option -> that function's parameter
+KNOB_FUNCTIONS = {
+    ("phi", "kappa"): kappa, ("khinchine", "sup"): khinchine_sup,
+    ("khinchine", "inf"): khinchine_inf, ("verify", "thm31"): verify_thm31,
+    ("verify", "thm32"): verify_thm32, ("verify", "thm41"): verify_thm41,
+    ("verify", "pythagoras"): pythagoras_check}
+KNOBS = {"--trials": "trials", "--restarts": "restarts", "--nmax": "n_max"}
+
+
+def test_each_knob_has_one_default_in_the_cli_and_the_library():
+    knobs = {(cmd, sub): [(flags[0], options["default"]) for flags, options in args
+                          if flags[0] in KNOBS]
+             for cmd, (_, subs) in COMMANDS.items() for sub, (args, _) in subs.items()}
+    assert {key for key, found in knobs.items() if found} == set(KNOB_FUNCTIONS)
+    for key, fn in KNOB_FUNCTIONS.items():
+        params = inspect.signature(fn).parameters
+        for flag, default in knobs[key]:
+            assert default == params[KNOBS[flag]].default, (key, flag)
 
 
 def test_one_term_uniform_norm_is_the_prelim_law_norm(capsys):

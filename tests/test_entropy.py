@@ -424,6 +424,7 @@ def test_load_space_csv_and_json(tmp_path):
         '{"labels": [0, 1], "rho": [[0.0, 0.5], [0.5, 0.0]]}')
     back = load_space(str(json_path))
     assert back.n == 2 and back.diameter == 0.5
+    assert back.labels == (0, 1) and all(type(x) is int for x in back.labels)
 
 
 def test_load_space_reads_the_csv_module_bits(tmp_path):

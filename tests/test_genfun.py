@@ -657,6 +657,17 @@ def test_membership_report():
     assert not rep["convex"]  # value splice below m = 2 kinks
 
 
+@pytest.mark.parametrize("m", [200.0, 1e308])
+def test_grid_checks_read_a_power_phi_where_it_is_finite(m):
+    # x^m is inf on part of both checks' grids (every x > 1 at m = 1e308);
+    # inf - inf there neither warns nor decides a verdict, and phi is an
+    # admissible Conv_r member for m >= 2
+    phi = phi_power(m)
+    rep = phi_membership_report(phi)
+    assert all(rep[k] for k in ("even", "strictly_increasing", "convex", "admissible"))
+    assert conv_r_class(phi, 1.0).member and conv_r_class(phi, 2.0).member
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

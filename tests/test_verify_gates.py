@@ -240,17 +240,21 @@ def test_pythagoras_matches_the_earlier_loop(pool):
 
 def test_pythagoras_scores_one_source_per_trial(monkeypatch):
     # the pool's norms in one call, then only the sums; a law whose grid was
-    # truncated (centered Poisson under the subgaussian phi) keeps its parts
-    sizes = []
+    # truncated (centered Poisson under the subgaussian phi) keeps its parts.
+    # The trials are packed in order while their terms x 449 grid points fit
+    # in ENVELOPE_BLOCK, 32 terms
+    sizes, terms = [], []
     real = verify.bphi_norms
 
     def counting(sums, phi):
         sizes.append(len(sums))
+        terms.append(sum(len(w) for _, w in sums))
         return real(sums, phi)
 
     monkeypatch.setattr(verify, "bphi_norms", counting)
     pythagoras_check(PHI2, [RAD, G1], trials=20, seed=3)
-    assert sizes == [2, 8, 8, 4]
+    assert sizes == [2, 8, 9, 3] and terms == [2, 29, 31, 8]
+    assert verify.ENVELOPE_BLOCK == 449 * 32
     sizes.clear()
     pythagoras_check(PHI2, [RAD, CPOIS], trials=8, seed=3)
     assert sizes[0] == 2 and sizes[1] > 8
