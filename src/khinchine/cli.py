@@ -228,6 +228,10 @@ def arg(*flags, **options) -> tuple:
     return flags, options
 
 
+#: the options every subcommand takes, ahead of its own
+COMMON_OPTIONS = [arg("--seed", type=int, default=0),
+                  arg("--format", default="json", choices=["json", "csv"]),
+                  arg("--out", default=None)]
 LAW_HELP = f"law spec; known: {catalog(LAW_SPECS)}"
 PHI_HELP = f"phi spec; known: {catalog(PHI_SPECS)} (<law>: a law spec)"
 WEIGHTS_HELP = f"weights spec; known: {catalog(WEIGHT_SPECS)}"
@@ -368,9 +372,24 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 class _SubcommandParser(argparse.ArgumentParser):
-    """Reports an argument its subcommand does not take with its own usage."""
+    """Reports an argument its subcommand does not take with its own usage.
+    Its options (COMMON_OPTIONS, then its `spec`) are added when it first
+    parses, so a run builds the options of the one subcommand it names."""
+
+    spec = None  # (arguments, handler) of the COMMANDS entry, until added
 
     def parse_known_args(self, args=None, namespace=None):
+        if self.spec is not None:
+            arguments, handler = self.spec
+            self.spec = None
+            readers = []
+            for flags, options in COMMON_OPTIONS + arguments:
+                options = dict(options)
+                read = options.pop("read", None)
+                action = self.add_argument(*flags, **options)
+                if read:
+                    readers.append((action.dest, read))
+            self.set_defaults(func=reading(readers, handler))
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error("unrecognized arguments: " + " ".join(extras))
@@ -386,11 +405,6 @@ def reading(readers: list, handler):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", default="json", choices=["json", "csv"])
-    common.add_argument("--out", default=None)
-
     top = argparse.ArgumentParser(prog="khinchine",
                                   description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -399,16 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_, subcommands) in COMMANDS.items():
         subs = sub.add_parser(command, help=help_).add_subparsers(
             dest="subcommand", required=True, parser_class=_SubcommandParser)
-        for name, (arguments, handler) in subcommands.items():
-            sp = subs.add_parser(name, parents=[common])
-            readers = []
-            for flags, options in arguments:
-                options = dict(options)
-                read = options.pop("read", None)
-                action = sp.add_argument(*flags, **options)
-                if read:
-                    readers.append((action.dest, read))
-            sp.set_defaults(func=reading(readers, handler))
+        for name, spec in subcommands.items():
+            subs.add_parser(name).spec = spec
     return top
 
 

@@ -508,8 +508,18 @@ def finite(text: str) -> float:
     an invalid value). A JSON integer it passes stays an int."""
     x = float(text)
     if not math.isfinite(x):
-        raise ValueError(f"{text.strip()!r} is not a finite number")
+        raise ValueError(f"{shorten(text.strip())!r} is not a finite number")
     return x
+
+
+def shorten(text: str, most: int = 40) -> str:
+    """text itself if it has at most `most` characters, else its first and
+    last most / 2 - 2 joined by '...' and its length: how an error line
+    quotes an outside field."""
+    if len(text) <= most:
+        return text
+    half = most // 2 - 2
+    return f"{text[:half]}...{text[-half:]} ({len(text)} characters)"
 
 
 def read_json(path: str, build: Callable, what: str, error: type):

@@ -29,7 +29,7 @@ import numpy as np
 from .distributions import Distribution, finite, parse_distribution, read_spec
 from .numerics import (candidate_sizes, coordinate_search, geometric_grid,
                        golden_max, incumbent, invert_increasing_vec, sorted_distinct,
-                       substream, weight_candidates)
+                       substream, trial_point, weight_candidates)
 
 OVERFLOW_EXPONENT = 700.0  # exp argument guard, inside double range with headroom
 LEGENDRE_GRID_LO = 1e-6
@@ -492,7 +492,8 @@ def _kappa_candidates(phis, n_max: int, restarts: int, seed: int,
         return cands
     lams = np.tile(opt_lams, restarts)[:, None]
     for n in candidate_sizes(N)[1:]:
-        def value(b, rows, k):
+        def value(b, rows, k, t):
+            b = b if k is None else trial_point(b, k, t)
             return phi_sums(phis[:n], lams[rows] * np.sqrt(np.maximum(b, 0.0)))
 
         starts = [substream(seed, 0xCA11, n, r).dirichlet(np.ones(n)) for r in range(restarts)]
@@ -618,11 +619,11 @@ def phi_membership_report(phi: GeneratingFunction) -> dict:
     top = 50.0 if phi.lambda0 == math.inf else phi.lambda0 * (1 - 1e-9)
     grid = geometric_grid(1e-6, top)
     f_pos = phi(grid)
-    f_neg = phi(-grid)
     zero = abs(float(phi(0.0))) <= 1e-300
+    # phi reads |lambda|, so phi(-grid) has the bits of phi(grid): what the
+    # evenness check can still refuse is a NaN
+    even = not np.isnan(f_pos).any()
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, a slope past the range
-        even = bool(np.all((f_pos == f_neg)
-                           | (np.abs(f_pos - f_neg) <= 1e-12 * np.maximum(1.0, np.abs(f_pos)))))
         grid, f_pos = grid[np.isfinite(f_pos)], f_pos[np.isfinite(f_pos)]
         first = np.diff(f_pos)
         increasing = bool(np.all(first > 0))

@@ -7,22 +7,27 @@ the CLI read."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .distributions import Distribution, lp_root, support_moments
 from .genfun import GeneratingFunction, PsiFunction, phi_inverse_vec, phi_range
 from .numerics import (MC_STREAMS, NORM_GRID_HI, NORM_GRID_LO, collapse_support,
-                       geometric_grid, mc_abs_moments, stream_rows, substream)
+                       geometric_grid, mc_abs_moments, stream_rows, substream, trial_point)
 
 ENUM_STATE_BUDGET = 1 << 22
 CONV_POINT_BUDGET = 1 << 18
 MC_SAMPLES_DEFAULT = 1_000_000
 REFINE_ROUNDS = 3  # shrinking windows around the B(phi) grid maximizer
+#: a row-batched convolution join refuses a row with more point pairs than
+#: this many times its budget (a bound on its memory, see `_support_join`)
+JOIN_SLACK = 16
 
 
 class EngineRefusal(RuntimeError):
@@ -150,21 +155,14 @@ def enum_distribution(d: Distribution, weights, budget: int = ENUM_STATE_BUDGET)
     return vals, probs
 
 
-def conv_distribution(d: Distribution, weights, max_points: int = CONV_POINT_BUDGET,
-                      law: tuple | None = None):
-    """The law (values, probs) of S + sum_k weights[k] X_k, S on law (default
-    0), by sequential convolution with the support collapsed at 1e-12; exact
-    for lattice-aligned weights, refuses when the support would explode. On
-    a given law (a fold's, read for moments only) a last term that fits
-    max_points is not collapsed: merging points within 1e-12 at their mean
-    moves a moment at second order only, and the sort is most of the cost."""
-    vals, probs = law or (np.array([0.0]), np.array([1.0]))
-    parts = _scaled_supports(d, weights)
-    for i, (v, p) in enumerate(parts, 1):
+def conv_distribution(d: Distribution, weights, max_points: int = CONV_POINT_BUDGET):
+    """The law (values, probs) of sum_k weights[k] X_k by sequential
+    convolution with the support collapsed at 1e-12; exact for
+    lattice-aligned weights, refuses when the support would explode."""
+    vals, probs = np.array([0.0]), np.array([1.0])
+    for v, p in _scaled_supports(d, weights):
         vals = (vals[:, None] + v[None, :]).ravel()
         probs = (probs[:, None] * p[None, :]).ravel()
-        if law is not None and i == len(parts) and vals.size <= max_points:
-            break
         vals, probs = collapse_support(vals, probs)
         if vals.size > max_points:
             raise EngineRefusal(
@@ -173,52 +171,239 @@ def conv_distribution(d: Distribution, weights, max_points: int = CONV_POINT_BUD
     return vals, probs
 
 
-def _even_sum_moments(d: Distribution, weights, ps, m: list | None = None) -> list:
-    """E (S + sum_k weights[k] X_k)^(2i) for i = 0..max(ps) / 2, X and S
-    symmetric, S with even moments m[i] = E S^(2i) (default S = 0), adding
-    one term at a time: m'_{2i} = sum_j C(2i, 2j) a^(2j) mu_{2j} m_{2i-2j}.
-    Odd moments vanish, so every term is >= 0 and nothing cancels. Raises
-    OverflowError where a moment at a p of ps is past the double range."""
+# Row-batched laws: a folding engine's `fold(d, ps, budget)` keeps one law
+# per row of a batch. Scales are squared (b = a^2 space) and a scale None is
+# 1; a law None is the law of 0 in every row. add(L, s, b, signs) is the law
+# of sqrt(s_r) L_r + signs_r sqrt(b_r) X in row r; join(L1, L2, s2) that of
+# L1_r + sqrt(s2_r) L2_r; rest(U) prepares a leave-one-out law for its
+# trials, and trial(R, tau, signs) gives the rows x len(ps) norms of
+# U_r + signs_r sqrt(tau_r) X, NaN or inf in a row the engine refused (past
+# its budget, or an overflow). Every step works row by row, so a row's bits do
+# not depend on the other rows; the caller silences numpy's overflow
+# warnings.
+
+@functools.lru_cache(maxsize=None)
+def _binomials(top: int) -> tuple:
+    """(C, J): C[i, j] = C(2i, 2j) for j <= i, else 0, and J[i, j] = i - j
+    clipped at 0, for even moments 0..top."""
+    i, j = np.indices((top + 1, top + 1))
+    binom = np.array([[float(math.comb(2 * r, 2 * c)) if c <= r else 0.0
+                       for c in range(top + 1)] for r in range(top + 1)])
+    return binom, np.maximum(i - j, 0)
+
+
+def even_moment_conv(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The even moments of A + B, A and B independent and symmetric, from
+    rows x (top + 1) arrays of their even moments m[:, i] = E X^(2i): the
+    binomial convolution E (A + B)^(2i) = sum_j C(2i, 2j) E A^(2j) E B^(2i-2j)
+    of each row. Odd moments vanish, so every term is >= 0 and nothing
+    cancels: a moment is within about log2(top) + 3 ulp of its exact sum.
+    Each row is multiplied and summed on its own, so its bits do not depend
+    on the other rows. A moment past the double range is inf or NaN; the
+    caller silences numpy's overflow warnings."""
+    binom, back = _binomials(m1.shape[1] - 1)
+    return np.add.reduce(binom * m1[:, None, :] * m2[:, back], axis=2)
+
+
+def _even_unit(d: Distribution, ps) -> np.ndarray:
+    """E X^(2i) for i = 0..max(ps) / 2; OverflowError past the double range."""
     top = max(int(p) // 2 for p in ps)
     with np.errstate(over="ignore"):
-        mu = d.even_moments(top).tolist()
+        mu = d.even_moments(top)
     if not math.isfinite(mu[-1]):
         raise OverflowError(f"E X^{2 * top} of {d.label} is past the double range")
-    binom = [[float(math.comb(2 * i, 2 * j)) for j in range(i + 1)] for i in range(top + 1)]
-    m = m or [1.0] + [0.0] * top
-    for ak in weights:
-        a2 = float(ak) * float(ak)
-        w = [mu[j] * a2 ** j for j in range(top + 1)]
-        m = [math.fsum(binom[i][j] * w[j] * m[i - j] for j in range(i + 1))
-             for i in range(top + 1)]
+    return mu
+
+
+def even_sum_moments(d: Distribution, weights, ps) -> np.ndarray:
+    """E (sum_k weights[k] X_k)^(2i) for i = 0..max(ps) / 2, X symmetric:
+    the terms' moments joined pairwise by `even_moment_conv`, a tree of
+    log2(n) row-batched calls. Raises OverflowError where a moment at a p
+    of ps is past the double range."""
+    w = np.asarray(weights, dtype=float)
+    mu = _even_unit(d, ps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = mu * (w * w)[:, None] ** np.arange(mu.size)
+        while len(m) > 1:
+            half = len(m) // 2
+            m = np.concatenate([even_moment_conv(m[:half], m[half:2 * half]), m[2 * half:]])
+    m = m[0]
     if not all(math.isfinite(m[int(p) // 2]) for p in ps):
         raise OverflowError("an even moment of the sum is past the double range")
     return m
 
 
+class _MomentFold:
+    """Row-batched even moments (rows x (top + 1)) of symmetric laws."""
+
+    def __init__(self, d: Distribution, ps, budget):
+        self.mu = _even_unit(d, ps)
+        self.j = np.arange(self.mu.size)
+        binom, back = _binomials(self.mu.size - 1)
+        at = [int(p) // 2 for p in ps]  # the moment each p reads
+        self.binom, self.back, self.inv = binom[at], back[at], 1.0 / np.array(ps)
+
+    def _scaled(self, m, s):
+        return m if s is None else m * s[:, None] ** self.j
+
+    def add(self, m, s, b, signs):
+        term = self.mu * b[:, None] ** self.j
+        return term if m is None else even_moment_conv(self._scaled(m, s), term)
+
+    def join(self, m1, m2, s2):
+        return self._scaled(m2, s2) if m1 is None else (
+            m1 if m2 is None else even_moment_conv(m1, self._scaled(m2, s2)))
+
+    def rest(self, u):
+        """The terms C(2i, 2j) E U^(2i-2j) E X^(2j) of the moments the norms
+        read; a trial weighs term j by tau^j."""
+        return self.binom * u[:, self.back] * self.mu
+
+    def trial(self, r, tau, signs):
+        return np.add.reduce(r * tau[:, None, None] ** self.j, axis=2) ** self.inv
+
+
+class Support(NamedTuple):
+    """Row-batched finite laws: the points of row r are where rows == r, in
+    increasing row order; a refused row has no points."""
+
+    values: np.ndarray
+    probs: np.ndarray
+    rows: np.ndarray
+    refused: np.ndarray  # bool per row
+
+
+class _SupportFold:
+    """Row-batched finite supports, folded as `conv_distribution` folds:
+    every pair of a row's points (the first law's outer), collapsed at 1e-12,
+    a row refused once it passes the budget. An add (a prefix, suffix or
+    trial grown by one term) collapses only the rows past the budget: in
+    general position no two points merge, and a merge moves a moment at
+    second order only. The join U = P + Q collapses every row, so the law
+    of the other terms is refused as the full path's would be. A row whose
+    pairs pass budget x JOIN_SLACK is refused before any pair is made, which
+    bounds the memory by what one convolution step of the full path holds."""
+
+    def __init__(self, d: Distribution, ps, budget):
+        (self.v, self.p), = _scaled_supports(d, [1.0])
+        self.ps, self.budget = np.asarray(ps, dtype=float), budget or CONV_POINT_BUDGET
+
+    def add(self, s, c, b, signs):
+        w = signs * np.sqrt(b)
+        if s is None:
+            return Support((w[:, None] * self.v).ravel(), np.tile(self.p, w.size),
+                           np.repeat(np.arange(w.size), self.v.size), np.zeros(w.size, bool))
+        values = s.values if c is None else s.values * np.sqrt(c)[s.rows]
+        return self._settle((values[:, None] + w[s.rows, None] * self.v).ravel(),
+                            (s.probs[:, None] * self.p).ravel(),
+                            np.repeat(s.rows, self.v.size), s.refused, True)
+
+    def join(self, s1, s2, c2):
+        if s1 is None or s2 is None:  # one law: collapsed as a join's
+            s = s1 if s2 is None else (
+                s2 if c2 is None else s2._replace(values=s2.values * np.sqrt(c2)[s2.rows]))
+            return self._settle(s.values, s.probs, s.rows, s.refused, False)
+        count = s1.refused.size
+        n1, n2 = (np.bincount(s.rows, minlength=count) for s in (s1, s2))
+        sizes = n1 * n2
+        refused = s1.refused | s2.refused | (sizes > self.budget * JOIN_SLACK)
+        sizes[refused] = 0
+        rows = np.repeat(np.arange(count), sizes)
+        q = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        i1 = (np.cumsum(n1) - n1)[rows] + q // n2[rows]
+        i2 = (np.cumsum(n2) - n2)[rows] + q % n2[rows]
+        v2 = s2.values[i2]
+        return self._settle(s1.values[i1] + (v2 if c2 is None else np.sqrt(c2)[rows] * v2),
+                            s1.probs[i1] * s2.probs[i2], rows, refused, False)
+
+    def _settle(self, values, probs, rows, refused, lazy) -> Support:
+        """Collapse each row of a row-batched law made of pairs on its own
+        (when lazy, the rows past the budget only) and refuse the rows still
+        past it."""
+        sizes = np.bincount(rows, minlength=refused.size)
+        collapse = sizes > (self.budget if lazy else 0)
+        if collapse.any():
+            parts = [(values[e - m:e], probs[e - m:e]) for m, e in zip(sizes, np.cumsum(sizes))]
+            parts = [collapse_support(*part) if c else part for part, c in zip(parts, collapse)]
+            values, probs = (np.concatenate(x) for x in zip(*parts))
+            sizes = np.array([v.size for v, _ in parts])
+            rows = np.repeat(np.arange(refused.size), sizes)
+        refused = refused | (sizes > self.budget)
+        keep = ~refused[rows]
+        return Support(values[keep], probs[keep], rows[keep], refused)
+
+    def rest(self, u):
+        """U with the mass of each of its trials' pairs, its filled rows and
+        where their pairs start, and the p blocks of the trials' powers
+        (None where a row's trial passes the budget)."""
+        m = self.v.size
+        counts = np.bincount(u.rows, minlength=u.refused.size)
+        filled = np.flatnonzero(counts)
+        step = max(1, (1 << 16) // max(1, u.values.size * m))  # powers at a time
+        blocks = None if (counts * m > self.budget).any() else [
+            (lo, lo + step, self.ps[lo:lo + step, None], 1.0 / self.ps[lo:lo + step, None])
+            for lo in range(0, self.ps.size, step)]
+        mass = (u.probs[:, None] * self.p).ravel()
+        return u, mass, filled, m * (np.cumsum(counts) - counts)[filled], blocks
+
+    def trial(self, rest, tau, signs):
+        """E|U + w X|^p of each row's pairs; a row past the budget, or whose
+        plain moment overflowed, takes `add` and `norms`."""
+        u, mass, filled, starts, blocks = rest
+        out = np.full((u.refused.size, self.ps.size), math.nan)
+        if blocks is not None and filled.size:
+            s = np.abs((u.values[:, None] + (signs * np.sqrt(tau))[u.rows, None] * self.v).ravel())
+            for lo, hi, power, inverse in blocks:
+                m = np.add.reduceat(mass * s ** power, starts, axis=1)
+                out[filled, lo:hi] = (m ** inverse).T
+            if np.isfinite(out[filled]).all():
+                return out
+        return np.where(np.isfinite(out), out, self.norms(self.add(u, None, tau, signs)))
+
+    def norms(self, s: Support) -> np.ndarray:
+        """Rows x len(ps) of ||S||_p in the scaled form M (E (|S| / M)^p)^(1/p),
+        M = max |S| per row, which neither overflows nor underflows."""
+        out = np.full((s.refused.size, self.ps.size), math.nan)
+        counts = np.bincount(s.rows, minlength=s.refused.size)
+        filled = np.flatnonzero(counts)
+        if not filled.size:
+            return out
+        starts = (np.cumsum(counts) - counts)[filled]
+        absv = np.abs(s.values)
+        top = np.maximum.reduceat(absv, starts)
+        x = absv / np.repeat(top, counts[filled])
+        step = max(1, (1 << 16) // x.size)  # at most 2^16 powers at a time
+        for lo in range(0, self.ps.size, step):
+            pb = self.ps[lo:lo + step, None]
+            m = np.add.reduceat(s.probs * x ** pb, starts, axis=1)
+            out[filled, lo:lo + step] = (top * m ** (1.0 / pb)).T
+        return out
+
+
 @dataclass(frozen=True)
 class Engine:
-    """One exact engine. `build(d, w, ps, budget, prefix)` makes the law of
-    prefix + sum_k w[k] X_k (prefix None: 0) for the moments at ps, or
-    raises OverflowError or EngineRefusal; `moments(law, ps)` reads E|S|^p at
-    every p. A `support` law is (values, probs), what `sum_distribution`
-    returns; a `folds` engine can build on a kept prefix (see `_engine_law`)."""
+    """One exact engine. `build(d, w, ps, budget)` makes the law of
+    sum_k w[k] X_k for the moments at ps, or raises OverflowError or
+    EngineRefusal; `moments(law, ps)` reads E|S|^p at every p. A `support`
+    law is (values, probs), what `sum_distribution` returns. A folding
+    engine's `fold(d, ps, budget)` works on row-batched laws (see above) and
+    may raise as build does."""
 
     method: str
     build: Callable
     moments: Callable = lambda law, ps: support_moments(*law, ps)
     applies: Callable = lambda d, ps: True  # (d, ps) -> whether the engine is tried
     support: bool = True
-    folds: bool = False
+    fold: Callable | None = None
 
 
 EVEN_MOMENTS = Engine(
-    "even_moments", lambda d, w, ps, budget, m: _even_sum_moments(d, w, ps, m),
-    moments=lambda m, ps: [m[int(p) // 2] for p in ps], support=False, folds=True,
-    applies=lambda d, ps: d.is_symmetric and all(p % 2 == 0 for p in ps))
-CONVOLUTION = Engine("convolution", lambda d, w, ps, budget, law: conv_distribution(
-    d, w, budget or CONV_POINT_BUDGET, law), folds=True)
-EXACT_ENUM = Engine("exact_enum", lambda d, w, ps, budget, law: enum_distribution(
+    "even_moments", lambda d, w, ps, budget: even_sum_moments(d, w, ps),
+    moments=lambda m, ps: [float(m[int(p) // 2]) for p in ps], support=False,
+    applies=lambda d, ps: d.is_symmetric and all(p % 2 == 0 for p in ps), fold=_MomentFold)
+CONVOLUTION = Engine("convolution", lambda d, w, ps, budget: conv_distribution(
+    d, w, budget or CONV_POINT_BUDGET), fold=_SupportFold)
+EXACT_ENUM = Engine("exact_enum", lambda d, w, ps, budget: enum_distribution(
     d, w, budget or ENUM_STATE_BUDGET))
 
 #: --engine -> its exact engines in order (monte_carlo builds no exact law)
@@ -245,36 +430,111 @@ def sum_distribution(d: Distribution, a: CoefficientVector, engine: str = "auto"
     """(values, probs, method) of the law of sum a_k X_k from the first
     engine of ENGINES[engine] that builds a support and does not refuse."""
     return _walk(engine, lambda rec: rec.support,
-                 lambda rec: (*rec.build(d, a.entries, (), budget, None), rec.method))
+                 lambda rec: (*rec.build(d, a.entries, (), budget), rec.method))
 
 
-def _engine_law(rec: Engine, d: Distribution, a: CoefficientVector, ps, budget,
-                rest: dict | None):
-    """(law, r): engine rec's law of S / r, S = sum a_j X_j, the norm being
-    1-homogeneous; S itself (r = 1) unless rec folds and rest = {"k": k}.
-    Then S / r = U + (a_k / r) X_k, U = sum_{j != k} a_j X_j / r, r^2 =
-    sum_{j != k} a_j^2: the first call keeps U's law, or what refused it, in
-    rest[rec.method], and each call folds its one term onto it."""
-    if rest is not None and rec.folds:
-        k = rest["k"]
-        others = np.delete(a.entries, k)
-        r = math.sqrt(float(np.dot(others, others)))
-        if r > 0:
-            if rec.method not in rest:
-                try:
-                    rest[rec.method] = rec.build(d, others / r, ps, budget, None)
-                except (OverflowError, EngineRefusal) as exc:
-                    rest[rec.method] = exc
-            u = rest[rec.method]
-            if isinstance(u, Exception):
-                raise type(u)(*u.args)
-            return rec.build(d, [float(a.entries[k]) / r], ps, budget, u), r
-    return rec.build(d, a.entries, ps, budget, None), 1.0
+class LeaveOneOut:
+    """The lp norms (rows x len(ps)) of the trials of a
+    `numerics.coordinate_search` on b = a^2, a_j = signs[r, j] sqrt(b_j),
+    from the engines of ENGINES[engine] in order; call it as that search
+    calls f with a trial.
 
+    Prefix and suffix laws. At its first trial of a sweep (k below the last
+    call's) a folding engine builds, from the accepted points, the suffix
+    laws Q_k of the coordinates after k, for every later k. At each visit it
+    grows the prefix law P_k of the coordinates before k by the one just
+    visited, at its accepted value, and joins U_k = P_k + Q_k, the law of
+    the other terms, which both trials of the visit read. A trial adds its
+    one term to U_k. The sweep moves the coordinates it has left or not yet
+    reached by a common scale only, so each join scales a law to the
+    accepted point by a ratio of sums of such coordinates; a trial's norm
+    is divided by its weights' Euclidean norm. An engine not reached at a
+    visit rebuilds P_k when it is next reached.
 
-# ---------------------------------------------------------------------------
-# weighted-sum L_p norm
-# ---------------------------------------------------------------------------
+    Bits. A trial's norm is within a few ulp of the full path's on the
+    trial point (1e-12 relative is the tested bound), not bitwise: its terms
+    are summed in another order. A row's bits do not depend on the other
+    rows.
+
+    Refusals. A row an engine refuses (a law past its budget, an overflow)
+    passes to the next engine, as in `sum_lp_norms`; a refused U_k refuses
+    both trials of its visit before any join. An engine that does not fold
+    (exact_enum) takes the full path of each row it gets. A row no engine
+    takes is NaN."""
+
+    def __init__(self, d: Distribution, signs, ps, engine: str = "auto",
+                 budget: int | None = None):
+        self.d, self.signs, self.ps, self.budget = d, signs, [float(p) for p in ps], budget
+        self.recs = [rec for rec in ENGINES[engine] if rec.applies(d, self.ps)]
+        self.folds: dict = {}  # method -> its fold, or what refused it
+        self.last_k, self.laws = None, {}
+
+    def __call__(self, b, rows, k: int, t) -> np.ndarray:
+        if self.last_k is None or k < self.last_k:  # a new sweep
+            self.laws = {rec.method: {} for rec in self.recs}
+            self.sweep = self.signs[rows], ~np.eye(b.shape[1], dtype=bool)
+        self.last_k = k
+        out, pending = None, None
+        for rec in self.recs:
+            if rec.fold is None:
+                vals = np.full((len(rows), len(self.ps)), math.nan)
+                for i in (range(len(rows)) if pending is None else np.flatnonzero(pending)):
+                    point = trial_point(b[i:i + 1], k, t[i:i + 1])[0]
+                    a = CoefficientVector.normalized(self.signs[rows[i]] * np.sqrt(point))
+                    with contextlib.suppress(OverflowError, EngineRefusal):
+                        vals[i] = _engine_norms(rec, self.d, a.entries, self.ps, self.budget)[2]
+            else:
+                if rec.method not in self.folds:
+                    try:
+                        self.folds[rec.method] = rec.fold(self.d, self.ps, self.budget)
+                    except (OverflowError, EngineRefusal) as exc:
+                        self.folds[rec.method] = exc
+                fold = self.folds[rec.method]
+                if isinstance(fold, Exception):
+                    continue
+                with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                    vals = self._fold(fold, self.laws[rec.method], b, k, t)
+            if out is None:
+                if np.isfinite(vals).all():
+                    return vals
+                out = vals
+            else:
+                out[pending] = vals[pending]
+            pending = ~np.isfinite(out).all(axis=1)
+            if not pending.any():
+                return out
+        if out is None:
+            return np.full((len(rows), len(self.ps)), math.nan)
+        out[pending] = math.nan  # no engine took them
+        return out
+
+    def _fold(self, fold, st: dict, b, k: int, t) -> np.ndarray:
+        n, (signs, others_of) = b.shape[1], self.sweep
+
+        def ratio(now, then, lo, hi):  # the common scale of coordinates lo..hi - 1
+            return now[:, lo:hi].sum(axis=1) / then[:, lo:hi].sum(axis=1)
+
+        if "Q" not in st:  # the suffix laws, from this visit's accepted point
+            q = [None] * n
+            for j in range(n - 1, k, -1):
+                q[j - 1] = fold.add(q[j], None, b[:, j], signs[:, j])
+            st.update(Q=q, bQ=b.copy())
+        others = b.sum(axis=1, where=others_of[k])
+        if st.get("k") != k:
+            if st.get("k") == k - 1:  # the sweep's prefix grows by coordinate k - 1
+                p = fold.add(st["P"], ratio(b, st["b"], 0, k - 1) if k > 1 else None,
+                             b[:, k - 1], signs[:, k - 1])
+            else:
+                p = None
+                for j in range(k):
+                    p = fold.add(p, None, b[:, j], signs[:, j])
+            q = st["Q"][k]
+            u = fold.join(p, q, ratio(b, st["bQ"], k + 1, n) if q is not None else None)
+            st.update(k=k, P=p, b=b.copy(), others=others, U=u, rest=fold.rest(u))
+        # in the visit's frame the trial's coordinate is tau, the others as they were
+        tau = t * st["others"] / others
+        return fold.trial(st["rest"], tau, signs[:, k]) / np.sqrt(st["others"] + tau)[:, None]
+
 
 def draw_sums(d: Distribution, a: CoefficientVector) -> Callable:
     """(rng, size) -> `size` draws of sum_k a_k X_k on rng, in row blocks
@@ -315,9 +575,17 @@ def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | Non
     return out
 
 
+def _engine_norms(rec: Engine, d: Distribution, w, ps, budget) -> tuple:
+    """(law, moments, norms) of engine rec's law of sum_k w[k] X_k at
+    every p of ps; raises as rec.build does."""
+    law = rec.build(d, w, ps, budget)
+    moments = rec.moments(law, ps)
+    support = law if rec.support else None
+    return law, moments, [lp_root(m, p, support) for m, p in zip(moments, ps)]
+
+
 def sum_lp_norms(d: Distribution, a: CoefficientVector, ps, engine: str = "auto",
-                 budget: int | None = None, seed: int = 0, threads: int = 1,
-                 rest: dict | None = None) -> list:
+                 budget: int | None = None, seed: int = 0, threads: int = 1) -> list:
     """One NormEstimate of ||sum_k a_k X_k||_p, X_k i.i.d. copies of d, per p.
 
     monte_carlo takes one set of draws for every p (budget = sample count,
@@ -325,9 +593,7 @@ def sum_lp_norms(d: Distribution, a: CoefficientVector, ps, engine: str = "auto"
     delta method). Otherwise the exact engines of ENGINES[engine] are tried
     in order, an overflow or a refusal passing to the next. auto never
     silently samples: a closed-form sum law (gaussian) comes first, and
-    last, for one term that no engine takes, |a_1| ||X||_p. rest = {"k": k}
-    is shared by calls (same d, ps, engine and budget) whose weights differ
-    only in the k-th coordinate up to scale (`_engine_law`).
+    last, for one term that no engine takes, |a_1| ||X||_p.
     """
     ps = [float(p) for p in ps]
     if min(ps) < 1:
@@ -340,12 +606,10 @@ def sum_lp_norms(d: Distribution, a: CoefficientVector, ps, engine: str = "auto"
                 for p in ps]
 
     def estimates(rec: Engine) -> list:
-        law, r = _engine_law(rec, d, a, ps, budget, rest)
-        support = law if rec.support else None
-        meta = {} if support is None else {"support_points": int(support[0].size)}
-        return [NormEstimate(r * lp_root(m, p, support), rec.method,
-                             meta={**meta, "moment": r ** p * m})
-                for m, p in zip(rec.moments(law, ps), ps)]
+        law, moments, norms = _engine_norms(rec, d, a.entries, ps, budget)
+        meta = {"support_points": int(law[0].size)} if rec.support else {}
+        return [NormEstimate(v, rec.method, meta={**meta, "moment": m})
+                for m, v in zip(moments, norms)]
 
     try:
         return _walk(engine, lambda rec: rec.applies(d, ps), estimates)
@@ -357,9 +621,9 @@ def sum_lp_norms(d: Distribution, a: CoefficientVector, ps, engine: str = "auto"
 
 def weighted_sum_lp(d: Distribution, a: CoefficientVector, p: float,
                     engine: str = "auto", budget: int | None = None,
-                    seed: int = 0, threads: int = 1, rest: dict | None = None) -> NormEstimate:
+                    seed: int = 0, threads: int = 1) -> NormEstimate:
     """||sum_k a_k X_k||_p: the one-p case of `sum_lp_norms`."""
-    return sum_lp_norms(d, a, [p], engine, budget, seed, threads, rest)[0]
+    return sum_lp_norms(d, a, [p], engine, budget, seed, threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +764,11 @@ def weighted_sum_bphi(d: Distribution, a: CoefficientVector,
 
 def weighted_sum_gls(d: Distribution, a: CoefficientVector, psi: PsiFunction,
                      engine: str = "auto", budget: int | None = None,
-                     seed: int = 0, threads: int = 1, rest: dict | None = None) -> NormEstimate:
+                     seed: int = 0, threads: int = 1) -> NormEstimate:
     """sup over the psi grid of ||sum a_k X_k||_p / psi(p), from one
-    `sum_lp_norms` call (one law build or one set of draws, or one fold onto
-    `rest`); reports the attaining p and the L_p norm there."""
-    ests = sum_lp_norms(d, a, psi.p_grid, engine, budget, seed, threads, rest)
+    `sum_lp_norms` call (one law build or one set of draws); reports the
+    attaining p and the L_p norm there."""
+    ests = sum_lp_norms(d, a, psi.p_grid, engine, budget, seed, threads)
     ratio = [est.value / float(psi_p) for est, psi_p in zip(ests, psi.values)]
     i = int(np.argmax(ratio))
     sampled = {"samples": ests[i].meta["samples"]} if ests[i].method == "monte_carlo" else {}

@@ -197,41 +197,57 @@ def weight_candidates(n_max: int, exchangeable: bool):
             yield "two_level", a[::-1].copy()
 
 
+def trial_point(b, k: int, t) -> np.ndarray:
+    """The trial points of `coordinate_search`: each row of b with b_k set
+    to its entry of t, renormalized to sum 1."""
+    nb = b.copy()
+    nb[:, k] = t
+    nb /= nb.sum(axis=1, keepdims=True)
+    return nb
+
+
 def coordinate_search(f, b0, maximize: bool, max_evals: int = 250):
     """Coordinate ascent (descent when not maximize) of f on the simplex
     from every row of b0, all rows in lockstep; returns (b, values, evals),
     one row, value and evaluation count per start.
 
-    b0 is 2-d. f(b, rows, k) gives one value per row of b, row i being start
-    rows[i]; NaN means refused; k is the coordinate the trial moved (None at
-    the starts), so f may share work between the two trials of a visit,
-    which keep the ratios of the other coordinates. A start is normalized to
+    b0 is 2-d. f(b, rows, k, t) gives one value per row of b, row i being
+    start rows[i]; NaN means refused. At the starts k and t are None and b
+    holds the start points. A trial gives f each live row's accepted point
+    b (the search's own array, updated after the call: f copies what it
+    keeps), the coordinate k the trial moves and its trial value t_i of b_k;
+    the trial point is `trial_point(b, k, t)`, which keeps the ratios of the
+    other coordinates. Within a sweep k runs 0..n-1, two trials each, and
+    the live rows stay the same, so f may follow the sweep: a coordinate
+    before k holds its value after its visit, one after k its value at the
+    sweep's start, both up to the common scale. A start is normalized to
     sum 1. Each sweep tries, for every coordinate k in turn, b_k * step and
     then b_k / step (b_k floored at 1e-12, the vector renormalized), and
     keeps a move that gains more than 1e-13. A sweep without a gain halves
     step - 1, from 1.5; a row stops once step <= 1.01 or after max_evals
     evaluations. A row refused at its start keeps it, with value NaN and one
     evaluation. The rows share only the calls to f, so each ends on its bits
-    alone."""
+    alone where f gives each row the bits of its own call."""
     sign = 1.0 if maximize else -1.0
     b = b0 / b0.sum(axis=1, keepdims=True)
-    cur = sign * f(b, np.arange(len(b)), None)
+    cur = sign * f(b, np.arange(len(b)), None, None)
     step = np.full(len(b), 1.5)
     count, evals = 1, np.ones(len(b), dtype=int)  # count: each live row's evaluations
     live = np.flatnonzero(~np.isnan(cur))
     while live.size and count < max_evals:
+        bl, cl, sl = b[live], cur[live], step[live]  # the live rows, for one sweep
         improved = np.zeros(live.size, dtype=bool)
         for k, grow in itertools.product(range(b.shape[1]), (True, False)):
-            nb = b[live]
-            nb[:, k] = np.maximum(nb[:, k], 1e-12) * (step[live] if grow else 1.0 / step[live])
-            nb /= nb.sum(axis=1, keepdims=True)
-            val = sign * f(nb, live, k)
+            t = np.maximum(bl[:, k], 1e-12) * (sl if grow else 1.0 / sl)
+            val = sign * f(bl, live, k, t)
             count += 1
-            up = val > cur[live] + 1e-13
-            b[live[up]], cur[live[up]] = nb[up], val[up]
-            improved |= up
+            up = val > cl + 1e-13
+            if up.any():
+                bl[up], cl[up] = trial_point(bl[up], k, t[up]), val[up]
+                improved |= up
             if count >= max_evals:
                 break
+        b[live], cur[live] = bl, cl
         evals[live] = count
         flat = live[~improved]
         step[flat] = 1.0 + (step[flat] - 1.0) * 0.5
@@ -464,8 +480,8 @@ def collapse_support(values: np.ndarray, probs: np.ndarray):
         return v, p
     new_group = np.empty(v.size + 1, dtype=bool)  # and one past the end
     new_group[0] = new_group[-1] = True
-    new_group[1:-1] = np.diff(v) > COLLAPSE_TOL
-    starts = np.flatnonzero(new_group[:-1])
+    np.greater(v[1:] - v[:-1], COLLAPSE_TOL, out=new_group[1:-1])
+    starts = new_group[:-1].nonzero()[0]
     pm = np.add.reduceat(p, starts)
     wv = np.add.reduceat(p * v, starts)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):

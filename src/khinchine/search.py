@@ -7,15 +7,19 @@ the witnessing weight vector. The scan reads `numerics.weight_candidates`
 and the local search is `numerics.coordinate_search`, both shared with
 kappa; `weight_candidates` says when the bounds grow with n_max and restarts.
 
-Leave-one-out trials: the two trials at coordinate k keep the other
-weights' ratios, so for lp and gls norms each folding engine of
-`norms.ENGINES` builds the law of U = sum_{j != k} a_j X_j / r, r^2 =
-sum_{j != k} a_j^2, once per visit and scores a trial by one more term
-(`norms._engine_law`). The starts, the scan, Monte Carlo, the closed-form
-sum law and enumeration take the full path; a U that overflowed or was
-refused passes the trials on to the next engine before any fold. Bphi rows
-are the sums (d, a) of one `norms.bphi_norms` call per step: the scan in
-one call, then each step's trials in one.
+Batched local search: each trial of `coordinate_search` scores every live
+start in one call. For lp and gls norms under an exact engine that folds,
+one `norms.LeaveOneOut` per n follows the sweep: the two trials at
+coordinate k keep the other weights' ratios, so both join their one term
+onto U_k, the law of the other terms, which it combines from a prefix law
+(the coordinates before k, grown as the sweep accepts moves) and a suffix
+law (built once per sweep). A trial's value is within a few ulp of the full
+path's on its point, not bitwise; a row refused by one engine passes to the
+next. The starts, the scan, Monte Carlo, the closed-form sum law and
+enumeration take the full path. Bphi rows are the sums (d, a) of one
+`norms.bphi_norms` call per step: the scan in one call, then each step's
+trials in one. Trials are floats; one CoefficientVector is built per
+start's end point.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ import numpy as np
 
 from .distributions import Distribution
 from .genfun import GeneratingFunction, PsiFunction
-from .norms import (CoefficientVector, EngineRefusal, NormEstimate, bphi_norms,
-                    weighted_sum_bphi, weighted_sum_gls, weighted_sum_lp)
+from .norms import (CoefficientVector, EngineRefusal, LeaveOneOut, NormEstimate,
+                    bphi_norms, weighted_sum_bphi, weighted_sum_gls, weighted_sum_lp)
 from .numerics import (candidate_sizes, coordinate_search, incumbent, substream,
-                       weight_candidates)
+                       trial_point, weight_candidates)
 
 
 @dataclass(frozen=True)
@@ -79,28 +83,32 @@ class NormKind:
 
     needs: str  # what the param must be, for the validation error
     label: Callable  # (v) -> str
-    sum_norm: Callable  # (d, a, v, engine, budget, seed, rest) -> NormEstimate of sum a_k X_k
+    sum_norm: Callable  # (d, a, v, engine, budget, seed) -> NormEstimate of sum a_k X_k
     valid: Callable = lambda v: True  # (v) -> whether a param is valid
     rows: Callable | None = None  # (d, [a], v) -> NormEstimates of many sums in one call
+    #: (v) -> (ps, divisors): the norm is the max over ps of ||S||_p / divisor
+    grid: Callable | None = None
 
 
 NORM_KINDS: dict[str, NormKind] = {
     "lp": NormKind(
         needs="p >= 1", valid=lambda p: not p < 1,
         label=lambda p: f"lp({p!r})",
-        sum_norm=lambda d, a, p, engine, budget, seed, rest: weighted_sum_lp(
-            d, a, p, engine=engine, budget=budget, seed=seed, rest=rest),
+        sum_norm=lambda d, a, p, engine, budget, seed: weighted_sum_lp(
+            d, a, p, engine=engine, budget=budget, seed=seed),
+        grid=lambda p: ([p], np.ones(1)),
     ),
     "gls": NormKind(
         needs="a psi function",
         label=lambda psi: f"gls({psi.provenance})",
-        sum_norm=lambda d, a, psi, engine, budget, seed, rest: weighted_sum_gls(
-            d, a, psi, engine=engine, budget=budget, seed=seed, rest=rest),
+        sum_norm=lambda d, a, psi, engine, budget, seed: weighted_sum_gls(
+            d, a, psi, engine=engine, budget=budget, seed=seed),
+        grid=lambda psi: (psi.p_grid, np.asarray(psi.values, dtype=float)),
     ),
     "bphi": NormKind(
         needs="a generating function",
         label=lambda phi: f"bphi({phi.label})",
-        sum_norm=lambda d, a, phi, engine, budget, seed, rest: weighted_sum_bphi(d, a, phi),
+        sum_norm=lambda d, a, phi, engine, budget, seed: weighted_sum_bphi(d, a, phi),
         rows=lambda d, cands, phi: bphi_norms([(d, a.entries) for a in cands], phi),
     ),
 }
@@ -108,10 +116,9 @@ NORM_KINDS: dict[str, NormKind] = {
 
 def sum_norm(d: Distribution, a: CoefficientVector, spec: NormSpec,
              engine: str = "auto", budget: int | None = None,
-             seed: int = 0, rest: dict | None = None) -> NormEstimate:
-    """Norm of sum a_k X_k under the given spec; `rest` as in
-    `norms.sum_lp_norms` (lp and gls)."""
-    return spec.record.sum_norm(d, a, spec.param, engine, budget, seed, rest)
+             seed: int = 0) -> NormEstimate:
+    """Norm of sum a_k X_k under the given spec."""
+    return spec.record.sum_norm(d, a, spec.param, engine, budget, seed)
 
 
 def single_norm(d: Distribution, spec: NormSpec) -> float:
@@ -161,6 +168,7 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
         scores.append((sign * val, a))
 
     nonneg = d.is_symmetric  # sign of a_k provably irrelevant there
+    grid = spec.record.grid(spec.param) if spec.record.grid is not None else None
     for n in candidate_sizes(n_max)[1:]:  # n = 1 has nothing to optimize
         rngs = [substream(seed, 0x5EA2C4, n, r) for r in range(restarts)]
         starts = np.reshape([g.dirichlet(np.ones(n)) for g in rngs], (restarts, n))
@@ -170,19 +178,20 @@ def _khinchine_search(d: Distribution, spec: NormSpec, n_max: int,
         def weights(b, r):
             return CoefficientVector.normalized(signs[r] * np.sqrt(b))
 
-        visit = {"k": None, "rests": {}}  # the coordinate visited; each start's rest there
+        loo = (LeaveOneOut(d, signs, grid[0], engine, budget) if grid is not None and
+               engine != "monte_carlo" and not (engine == "auto" and d.is_stable) else None)
 
-        def f(b, rows, k):
-            cands = [weights(b[i], r) for i, r in enumerate(rows)]
+        def f(b, rows, k, t):
+            if k is not None and loo is not None:  # a trial: the leave-one-out fold
+                norms = loo(b, rows, k, t)
+                return norms[:, 0] if len(grid[1]) == 1 else np.max(norms / grid[1], axis=1)
+            cands = [weights(x, r) for x, r in zip(b if k is None else trial_point(b, k, t), rows)]
             if spec.record.rows is not None:  # bphi: each row has the bits of its own call
                 return np.array([e.value for e in spec.record.rows(d, cands, spec.param)])
-            if k != visit["k"]:  # a new visit: its two trials share one rest per start
-                visit.update(k=k, rests={r: {"k": k} for r in rows})
             out = np.full(len(rows), math.nan)  # NaN: refused
-            for i, (r, a) in enumerate(zip(rows, cands)):
+            for i, a in enumerate(cands):
                 with contextlib.suppress(EngineRefusal):
-                    out[i] = sum_norm(d, a, spec, engine=engine, budget=budget, seed=seed,
-                                      rest=visit["rests"].get(r)).value
+                    out[i] = sum_norm(d, a, spec, engine=engine, budget=budget, seed=seed).value
             return out
 
         b, vals, evals = coordinate_search(f, starts, maximize)

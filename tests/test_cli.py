@@ -163,8 +163,9 @@ def test_a_spec_parses_exactly_when_it_has_a_field_count_of_its_form(case, count
 
 
 OUTSIDE_TABULATED = '{"family": "tabulated", "knots": [0, 1, Infinity], "values": [0, 1, 2]}'
-#: an integer past the double range
+#: an integer past the double range, and how an error line quotes it
 HUGE = "1" + "0" * 400
+HUGE_QUOTED = f"'{HUGE[:18]}...{HUGE[-18:]} (401 characters)'"
 
 
 @pytest.mark.parametrize("argv,text,reason", [
@@ -183,14 +184,14 @@ HUGE = "1" + "0" * 400
     (["norm", "gls", "--law", "rademacher", "--psi", "@DOC"], '{"p_grid":\n',
      "Expecting value: line 2 column 1"),
     (["norm", "lp", "--law", "rademacher", "--p", "3", "--weights", "@DOC"], f"[1, {HUGE}]",
-     f"'{HUGE}' is not a finite number"),
+     f"{HUGE_QUOTED} is not a finite number"),
     (["entropy", "fieldsim", "--model", "DOC"], f'{{"features": [[1, {HUGE}]]}}',
-     f"'{HUGE}' is not a finite number"),
+     f"{HUGE_QUOTED} is not a finite number"),
     (["entropy", "dudley", "--space", "DOC"],
      f'{{"labels": [0, 1], "rho": [[0, {HUGE}], [{HUGE}, 0]]}}',
-     f"'{HUGE}' is not a finite number"),
+     f"{HUGE_QUOTED} is not a finite number"),
     (["norm", "gls", "--law", "rademacher", "--psi", "@DOC"],
-     f'{{"p_grid": [2, 4], "values": [1, {HUGE}]}}', f"'{HUGE}' is not a finite number"),
+     f'{{"p_grid": [2, 4], "values": [1, {HUGE}]}}', f"{HUGE_QUOTED} is not a finite number"),
 ], ids=["psi-nan", "psi-grid-inf", "phi-eval-knot-inf", "bphi-knot-inf", "weights-1e400",
         "model-minus-inf", "truncated", "weights-int-1e400", "model-int-1e400",
         "space-int-1e400", "psi-int-1e400"])
@@ -203,6 +204,17 @@ def test_outside_json_is_strict_and_its_refusal_names_the_file(capsys, tmp_path,
     lines = captured.err.splitlines()
     assert code == 2 and captured.out == "" and len(lines) == 1
     assert str(path) in lines[0] and f"is not strict JSON: {reason}" in lines[0]
+
+
+def test_a_long_refused_number_is_quoted_shortened(capsys, tmp_path):
+    from khinchine.distributions import shorten
+    assert shorten("1e400") == "1e400" and shorten("9" * 40) == "9" * 40
+    assert shorten("9" * 41) == "9" * 18 + "..." + "9" * 18 + " (41 characters)"
+    path = tmp_path / "doc.json"
+    path.write_text(f"[1, {HUGE}]")
+    code = main(["norm", "lp", "--law", "rademacher", "--p", "3", "--weights", f"@{path}"])
+    line, = capsys.readouterr().err.splitlines()
+    assert code == 2 and HUGE not in line and len(line) < 160 + len(str(path))
 
 
 @pytest.mark.parametrize("rows", [["0,inf", "inf,0"], ["0,nan", "nan,0"]], ids=["inf", "nan"])

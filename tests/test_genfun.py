@@ -16,7 +16,8 @@ from khinchine.genfun import (DomainError, GeneratingFunction, PsiFunction,
                               phi_membership_report, phi_natural, phi_power,
                               phi_subgaussian, phi_tabulated, psi_from_phi,
                               tail_envelope)
-from khinchine.numerics import coordinate_search, geometric_grid, invert_increasing_vec
+from khinchine.numerics import (coordinate_search, geometric_grid, invert_increasing_vec,
+                                trial_point)
 
 from profile_checks import profile_checks
 
@@ -360,7 +361,7 @@ def test_kappa_dominates_first_component():
 def _coordinate_search_one(evaluate, b0, maximize, max_evals=250):
     sign = 1.0 if maximize else -1.0
     b = b0 / b0.sum()
-    cur = evaluate(b, None)
+    cur = evaluate(b, None, None)
     if cur is None:
         return None
     cur *= sign
@@ -370,10 +371,11 @@ def _coordinate_search_one(evaluate, b0, maximize, max_evals=250):
         improved = False
         for k in range(b.size):
             for factor in (step, 1.0 / step):
+                t = max(b[k], 1e-12) * factor
                 nb = b.copy()
-                nb[k] = max(nb[k], 1e-12) * factor
+                nb[k] = t
                 nb /= nb.sum()
-                val = evaluate(nb, k)
+                val = evaluate(b, k, t)
                 evals += 1
                 if val is not None and sign * val > cur + 1e-13:
                     b, cur = nb, sign * val
@@ -391,8 +393,8 @@ def _per_row(f, b0, maximize, max_evals=250):
     """`coordinate_search` as the reference run on each row of b0 alone."""
     out = []
     for r, row in enumerate(np.asarray(b0, dtype=float)):
-        def evaluate(b, k, r=r):
-            v = float(f(b[None, :], np.array([r]), k)[0])
+        def evaluate(b, k, t, r=r):
+            v = float(f(b[None, :], np.array([r]), k, None if t is None else np.array([t]))[0])
             return None if math.isnan(v) else v
         res = _coordinate_search_one(evaluate, row, maximize, max_evals)
         out.append(res if res is not None else (row / row.sum(), math.nan, 1))
@@ -435,10 +437,12 @@ def _cycled(pool, n):
 
 
 def _targets_f(targets, refuse_from=None, refuse_above=None, seen=None, moves=None):
-    """f(b, rows, k) = -|b - targets[r]|^2 per row; NaN for every b of row
-    refuse_from and wherever b_0 > 0.5 on row refuse_above. moves, when
-    given, collects the (row, k) of every row of every call."""
-    def f(b, rows, k):
+    """f(b, rows, k, t) = -|x - targets[r]|^2 per row, x the trial point;
+    NaN for every x of row refuse_from and wherever x_0 > 0.5 on row
+    refuse_above. moves, when given, collects the (row, k) of every row of
+    every call."""
+    def f(b, rows, k, t):
+        b = b if k is None else trial_point(b, k, t)
         if moves is not None:
             moves.extend((int(r), k) for r in rows)
         out = -np.sum((b - targets[rows]) ** 2, axis=1)
@@ -655,6 +659,27 @@ def test_membership_report():
     assert rep["curvature_at_zero"] == 0.5
     rep = phi_membership_report(phi_power(1.5))
     assert not rep["convex"]  # value splice below m = 2 kinks
+
+
+@pytest.mark.parametrize("spec", ["subgaussian", "power:1.5", "power:3", "power:200",
+                                  "natural:rademacher", "natural:gaussian:1",
+                                  "natural:centered-poisson:1", "natural:uniform-symmetric:1.7"])
+def test_membership_report_evaluates_phi_once_on_its_grid(spec, monkeypatch):
+    # phi reads |lambda|, so phi(-grid) has the bits of phi(grid): the one
+    # evaluation decides evenness as the pair of them did
+    phi = parse_phi(spec)
+    grid = geometric_grid(1e-6, 50.0 if phi.lambda0 == math.inf else phi.lambda0 * (1 - 1e-9))
+    pos, neg = phi(grid), phi(-grid)
+    assert pos.tobytes() == neg.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        two_sided = bool(np.all((pos == neg) | (np.abs(pos - neg) <= 1e-12 * np.maximum(
+            1.0, np.abs(pos)))))
+    sizes = []
+    call = genfun.GeneratingFunction.__call__
+    monkeypatch.setattr(genfun.GeneratingFunction, "__call__",
+                        lambda self, lam: sizes.append(np.size(lam)) or call(self, lam))
+    rep = phi_membership_report(phi)
+    assert rep["even"] == two_sided and sizes.count(grid.size) == 1
 
 
 @pytest.mark.parametrize("m", [200.0, 1e308])

@@ -289,25 +289,27 @@ def test_even_moment_overflow_falls_through_to_the_support():
     for p in (8.0, 200.0):
         mom = weighted_sum_lp(SPOIS, a, p)
         assert mom.method == "even_moments"
-        assert mom.meta["moment"] == norms._even_sum_moments(SPOIS, a.entries, [p])[-1]
+        assert mom.meta["moment"] == norms.even_sum_moments(SPOIS, a.entries, [p])[-1]
 
 
 def test_even_moment_overflow_in_a_fold_takes_the_convolution_fold():
-    # E S^320 of symmetrized Poisson(0.5) sums is past the double range: the
-    # fold keeps that refusal and the others' convolution law beside it
+    # E X^320 of symmetrized Poisson(0.5) is past the double range: a trial
+    # at coordinate 1 passes from the even-moment fold, which refused it, to
+    # the convolution fold, as the full path passes to the convolution
     for w, budget in (([1.0, 2.0], None), ([1.0, 2.0, 1.5], None), ([1.0, 2.0, 1.5], 64)):
-        a = CoefficientVector.normalized(w)
-        rest = {"k": 1}
-        full, fold = (_outcome(lambda: weighted_sum_lp(SPOIS, a, 320.0, budget=budget, rest=r))
-                      for r in (None, rest))
-        assert isinstance(rest["even_moments"], OverflowError)
+        b = np.array([w]) ** 2 / np.dot(w, w)
+        loo = norms.LeaveOneOut(SPOIS, np.ones_like(b), [320.0], budget=budget)
+        fold = loo(b, np.array([0]), 1, b[:, 1])[0, 0]
+        full = _outcome(lambda: weighted_sum_lp(SPOIS, CoefficientVector.normalized(w), 320.0,
+                                                budget=budget))
+        assert isinstance(loo.folds["even_moments"], OverflowError)
         if budget is None:
-            assert full.method == fold.method == "convolution"
-            assert isinstance(rest["convolution"], tuple)
-            assert abs(fold.value - full.value) <= 1e-12 * full.value
+            assert full.method == "convolution"
+            assert not loo.laws["convolution"]["U"].refused.any()
+            assert abs(fold - full.value) <= 1e-12 * full.value
         else:  # the same enumeration refusal
-            assert isinstance(rest["convolution"], EngineRefusal)
-            assert full == fold and "enumeration needs" in full
+            assert loo.laws["convolution"]["U"].refused.all()
+            assert math.isnan(fold) and "enumeration needs" in full
 
 
 def _outcome(call):
@@ -645,3 +647,54 @@ def test_bphi_norms_rows_are_bitwise_single_calls(name):
         assert batch[0].value == math.inf and math.isfinite(batch[1].value)
     if name == "one_row_truncated":
         assert [e.meta["truncated"] for e in batch] == [False, True, False, False]
+
+
+# the row-batched even-moment kernel against closed forms and enumeration
+
+def _enumerated(d, w):
+    """(values, probs) of sum_k w[k] X_k by its own product-state loop."""
+    v, p = d.finite_support()
+    vals, probs = np.zeros(1), np.ones(1)
+    for wk in w:
+        vals = np.add.outer(vals, wk * v).ravel()
+        probs = np.multiply.outer(probs, p).ravel()
+    return vals, probs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(w=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=10))
+def test_even_sum_moments_have_the_rademacher_fourth_moment(w):
+    # E S^4 = 3 (sum a^2)^2 - 2 sum a^4 for Rademacher terms
+    a = np.array(w)
+    a2 = a * a
+    m = norms.even_sum_moments(RAD, a, [4.0])
+    assert m[0] == 1.0 and abs(m[1] - a2.sum()) <= 1e-15 * a2.sum()
+    exact = 3.0 * a2.sum() ** 2 - 2.0 * (a2 * a2).sum()
+    assert abs(m[2] - exact) <= 1e-13 * exact
+
+
+ENUM_LAWS = {"rademacher": (RAD, 10),
+             "discrete": (Distribution.discrete([-2.0, -0.5, 0.0, 0.5, 2.0],
+                                                [0.1, 0.25, 0.3, 0.25, 0.1]), 8),
+             "symmetrized-poisson:0.5": (SPOIS, 4)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(law=st.sampled_from(sorted(ENUM_LAWS)), p=st.sampled_from([2.0, 4.0, 8.0, 20.0, 64.0]),
+       w=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=10))
+def test_even_sum_moments_are_the_enumerated_moments(law, p, w):
+    # n <= 10 terms, fewer where the product states pass a million
+    d, most = ENUM_LAWS[law]
+    a = np.array(w[:most])
+    vals, probs = _enumerated(d, a)
+    exact = math.fsum(probs * vals ** p)
+    got = norms.even_sum_moments(d, a, [p])[int(p) // 2]
+    assert abs(got - exact) <= 1e-13 * exact
+
+
+def test_even_moment_conv_gives_each_row_its_own_bits():
+    rng = np.random.default_rng(4)
+    m1, m2 = rng.uniform(0.5, 2.0, (2, 7, 33))
+    batch = norms.even_moment_conv(m1, m2)
+    for r in range(7):
+        assert batch[r].tobytes() == norms.even_moment_conv(m1[r:r + 1], m2[r:r + 1])[0].tobytes()

@@ -192,6 +192,8 @@ def test_scan_and_local_search_share_one_tie_break(monkeypatch, maximize):
 
     monkeypatch.setattr(search, "sum_norm",
                         lambda d, a, spec, **kw: NormEstimate(1.0, "exact_enum"))
+    monkeypatch.setattr(search, "LeaveOneOut", lambda d, signs, ps, *args: (
+        lambda b, rows, k, t: np.ones((len(rows), len(ps)))))
     run = khinchine_sup if maximize else khinchine_inf
     est = run(Distribution.centered_poisson(1.0), NormSpec.lp(3.0), n_max=5, restarts=2, seed=3)
     scanned = [tuple(a) for _, a in weight_candidates(5, exchangeable=True)]
@@ -208,11 +210,13 @@ def test_scan_and_local_search_share_one_tie_break(monkeypatch, maximize):
 
 
 # leave-one-out trial moves: the local search scores both trials at
-# coordinate k from one law of the other terms, kept in their shared rest
+# coordinate k from one law of the other terms, U_k, which it combines from
+# the prefix and suffix laws of the sweep (`norms.LeaveOneOut`)
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from khinchine.norms import CoefficientVector, EngineRefusal  # noqa: E402
+from khinchine.norms import CoefficientVector, EngineRefusal, LeaveOneOut  # noqa: E402
+from khinchine.numerics import trial_point  # noqa: E402
 from khinchine.search import sum_norm  # noqa: E402
 
 LOO_LAWS = {"rademacher": RAD,
@@ -223,11 +227,17 @@ LOO_SPECS = {"lp:1.5": NormSpec.lp(1.5), "lp:3": NormSpec.lp(3.0), "lp:4": NormS
              "gls:sqrtp": NormSpec.gls(PsiFunction.sqrt_p(np.arange(2.0, 65.0)))}
 
 
-def _score(d, a, spec, engine, budget, rest=None):
+def _score(d, a, spec, engine, budget):
     try:
-        return sum_norm(d, a, spec, engine=engine, budget=budget, rest=rest).value
+        return sum_norm(d, a, spec, engine=engine, budget=budget).value
     except EngineRefusal:
         return None
+
+
+def _trial_values(loo, spec, b, k, t):
+    """The spec's value of each row's trial, as the search reads `loo`."""
+    ps, divisors = spec.record.grid(spec.param)
+    return np.max(loo(b, np.arange(len(b)), k, t) / divisors, axis=1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -236,66 +246,96 @@ def _score(d, a, spec, engine, budget, rest=None):
        # the Poisson support has 17 points: its default budget is 2^18 points
        # of 6 terms' worth of sorting per trial, so it runs on 4096
        small_budget=st.booleans(),
-       terms=st.lists(st.tuples(st.floats(1e-3, 1.0), st.booleans()), min_size=1, max_size=6))
-def test_leave_one_out_trials_are_the_full_path(law, spec, engine, small_budget, terms):
+       terms=st.lists(st.tuples(st.floats(1e-3, 1.0), st.booleans()), min_size=2, max_size=6),
+       accept=st.lists(st.booleans(), min_size=12, max_size=12))
+def test_leave_one_out_trials_are_the_full_path(law, spec, engine, small_budget, terms, accept):
+    # two rows (the vector and its reversal) follow one sweep and move to
+    # the trials that `accept` marks, as the search does to a trial that gains
     d, spec = LOO_LAWS[law], LOO_SPECS[spec]
     budget = 64 if small_budget else (4096 if law == "centered-poisson:1" else None)
     b = np.array([t[0] for t in terms])
     signs = np.array([1.0 if t[1] else -1.0 for t in terms])
-    b /= b.sum()
-    for k in range(b.size):
-        trials = []
+    b, signs = np.stack([b, b[::-1]]), np.stack([signs, -signs[::-1]])
+    b /= b.sum(axis=1, keepdims=True)
+    loo = LeaveOneOut(d, signs, spec.record.grid(spec.param)[0], engine, budget)
+    steps = iter(accept)
+    for k in range(b.shape[1]):
         for factor in (1.5, 1 / 1.5):
-            nb = b.copy()
-            nb[k] *= factor
-            trials.append(CoefficientVector.normalized(signs * np.sqrt(nb / nb.sum())))
-        rest = {"k": k}
-        for a in trials:
-            full = _score(d, a, spec, engine, budget)
-            loo = _score(d, a, spec, engine, budget, rest)
-            # the first trial built the other terms' law; one term has none
-            assert (set(rest) != {"k"}) == (b.size > 1)
-            assert (loo is None) == (full is None), (k, a.entries)
-            if full is not None:
-                assert abs(loo - full) <= 1e-12 * full, (k, a.entries, loo, full)
+            t = b[:, k] * factor
+            got = _trial_values(loo, spec, b, k, t)
+            points = trial_point(b, k, t)
+            for r in range(2):
+                a = CoefficientVector.normalized(signs[r] * np.sqrt(points[r]))
+                full = _score(d, a, spec, engine, budget)
+                assert math.isnan(got[r]) == (full is None), (k, r, a.entries)
+                if full is not None:
+                    assert abs(got[r] - full) <= 1e-12 * full, (k, r, a.entries, got[r], full)
+            if next(steps):
+                b = points
 
 
 def test_a_refused_rest_refuses_the_later_trials_before_any_fold(monkeypatch):
-    from khinchine import norms
-    lp3 = LOO_SPECS["lp:3"]
-    a6, a20 = (CoefficientVector.normalized(np.random.default_rng(3).uniform(0.5, 1.5, n))
-               for n in (6, 20))
-    small, large = {"k": 2}, {"k": 2}
-    with pytest.raises(EngineRefusal):  # the other 5 terms: 32 points
-        sum_norm(RAD, a6, lp3, engine="convolution", budget=16, rest=small)
+    from khinchine import numerics
+    lp3 = NormSpec.lp(3.0)
+    a6, a20 = (np.random.default_rng(3).uniform(0.5, 1.5, n) for n in (6, 20))
+    b6, b20 = ((a * a / np.dot(a, a))[None, :] for a in (a6, a20))
+    small = LeaveOneOut(RAD, np.ones((1, 6)), [3.0], "convolution", budget=16)
+    large = LeaveOneOut(RAD, np.ones((1, 20)), [3.0])
+    rows = np.array([0])
+
+    def full(b, t):
+        return sum_norm(RAD, CoefficientVector.normalized(np.sqrt(trial_point(b, 2, t)[0])), lp3)
+
+    # the other 5 terms: 32 points
+    assert np.isnan(small(b6, rows, 2, b6[:, 2] * 1.5)).all()
     # auto: the other 19 terms pass the convolution's 2^18 points, and 20
     # terms are within the enumeration's 2^22 states, where the full path ends
-    full = sum_norm(RAD, a20, lp3)
-    assert full.method == "exact_enum" and sum_norm(RAD, a20, lp3, rest=large) == full
-    assert isinstance(small["convolution"], EngineRefusal)
-    assert isinstance(large["convolution"], EngineRefusal)
+    t = b20[:, 2] * 1.5
+    assert full(b20, t).method == "exact_enum"
+    assert large(b20, rows, 2, t)[0, 0] == full(b20, t).value
+    assert small.laws["convolution"]["U"].refused.all()
+    assert large.laws["convolution"]["U"].refused.all()
+    t = b20[:, 2] / 1.5
+    second = full(b20, t).value
     folds = []
-    monkeypatch.setattr(norms, "collapse_support", lambda *x: folds.append(x))
-    with pytest.raises(EngineRefusal):
-        sum_norm(RAD, a6, lp3, engine="convolution", budget=16, rest=small)
-    assert sum_norm(RAD, a20, lp3, rest=large) == full
+    collapse = numerics.collapse_support
+    monkeypatch.setattr("khinchine.norms.collapse_support",
+                        lambda *x: folds.append(x) or collapse(*x))
+    assert np.isnan(small(b6, rows, 2, b6[:, 2] / 1.5)).all()
+    assert large(b20, rows, 2, t)[0, 0] == second
     assert folds == []
 
 
 def test_both_trials_of_a_visit_share_one_rest(monkeypatch):
-    from collections import Counter
-    from khinchine import search
-    rests = []
-    full = search.sum_norm
-
-    def counted(*args, rest=None, **kw):
-        rests.append(rest)
-        return full(*args, rest=rest, **kw)
-
-    monkeypatch.setattr(search, "sum_norm", counted)
+    from khinchine import norms
+    rests, trials = [], []
+    rest, trial = norms._SupportFold.rest, norms._SupportFold.trial
+    monkeypatch.setattr(norms._SupportFold, "rest",
+                        lambda self, u: rests.append(1) or rest(self, u))
+    monkeypatch.setattr(norms._SupportFold, "trial",
+                        lambda self, *x: trials.append(1) or trial(self, *x))
     est = khinchine_sup(RAD, NormSpec.lp(3.0), n_max=4, restarts=2, seed=5)
     local = [t for t in est.trace if t["kind"] == "local_search"]
     assert all(t["evals"] < 250 for t in local)
-    trials = Counter(id(r) for r in rests if r is not None)
-    assert sum(trials.values()) == sum(t["evals"] - 1 for t in local)
-    assert set(trials.values()) == {2}
+    # the restarts of one n share each call: one rest per visit, two trials
+    visits = sum(max(t["evals"] for t in local if t["n"] == n) - 1 for n in (2, 4)) // 2
+    assert len(rests) == visits and len(trials) == 2 * visits
+
+
+@pytest.mark.parametrize("spec", sorted(LOO_SPECS))
+def test_leave_one_out_rows_have_the_bits_they_have_alone(spec):
+    ps = LOO_SPECS[spec].record.grid(LOO_SPECS[spec].param)[0]
+    rng = np.random.default_rng(11)
+    b = rng.dirichlet(np.ones(5), size=3)
+    signs = rng.choice([-1.0, 1.0], size=(3, 5))
+    d = LOO_LAWS["discrete"]
+    together = LeaveOneOut(d, signs, ps)
+    alone = [LeaveOneOut(d, signs[r:r + 1], ps) for r in range(3)]
+    for k in range(5):
+        for factor in (1.5, 1 / 1.5):
+            t = b[:, k] * factor
+            got = together(b, np.arange(3), k, t)
+            for r in range(3):
+                one = alone[r](b[r:r + 1], np.array([0]), k, t[r:r + 1])
+                assert got[r].tobytes() == one[0].tobytes()
+            b = trial_point(b, k, t)  # every row takes every trial
