@@ -48,8 +48,8 @@ from .genfun import (PHI_SPECS, PsiFunction, conv_r_class, kappa, legendre,
                      orlicz_n, overline_phi, parse_phi, phi_inverse,
                      phi_membership_report, phi_natural, psi_from_phi,
                      tail_envelope)
-from .norms import (ENGINES, CoefficientVector, EngineRefusal, bphi_norm, gls_norm,
-                    weighted_sum_lp)
+from .norms import (CONV_POINT_BUDGET, ENGINES, ENUM_STATE_BUDGET, MC_SAMPLES_DEFAULT,
+                    CoefficientVector, EngineRefusal, bphi_norm, gls_norm, weighted_sum_lp)
 from .search import (NormSpec, khinchine_inf, khinchine_sup,
                      prelim_bounds)
 from .verify import (PreconditionError, pythagoras_check, rosenthal_verify,
@@ -247,8 +247,10 @@ P = arg("--p", type=finite, required=True)
 NORM = arg("--norm", required=True, help=f"norm spec; known: {catalog(norm_specs(None), False)}",
            read=lambda a: parse_norm_spec(a.norm, parse_p_grid(a.p_grid)))
 SPACE = arg("--space", required=True, help="CSV or JSON file", read=lambda a: load_space(a.space))
-SAMPLES = arg("--samples", type=count(1), default=None, help="budget (at least 1) for "
-              "sampling engines / enumeration; --engine auto on a symmetric law with even p "
+SAMPLES = arg("--samples", type=count(1), default=None, help="budget (at least 1) of the "
+              f"engine, with its default: Monte Carlo samples ({MC_SAMPLES_DEFAULT:,}), "
+              f"convolution support points ({CONV_POINT_BUDGET:,}) or enumeration product "
+              f"states ({ENUM_STATE_BUDGET:,}); --engine auto on a symmetric law with even p "
               "needs none. Monte Carlo holds, per thread, one vector of samples/16 floats for "
               "one p, one more and up to floor(log2 max p) for a p-grid, and one block of "
               f"draws of at most {MC_BLOCK_BYTES >> 10} KiB, not samples x n. Its Rademacher "

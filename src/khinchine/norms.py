@@ -2,8 +2,9 @@
 of independent terms via its sup formula on the product log-MGF, L_p norms
 of weighted sums, and Grand Lebesgue norms over a p-grid. Every exact
 weighted-sum law comes from one table, `ENGINES` (--engine -> its `Engine`
-records in the order tried), which `sum_lp_norms`, `sum_distribution` and
-the CLI read."""
+records in the order tried), which `sum_lp_norms`, `sum_distribution`,
+`LeaveOneOut` and the CLI read; each engine's row-batched law class builds
+the full path's law as its one-row case."""
 
 from __future__ import annotations
 
@@ -128,59 +129,16 @@ class NormEstimate:
 # exact weighted-sum laws: one table of engines
 # ---------------------------------------------------------------------------
 
-def _scaled_supports(d: Distribution, weights):
-    sup = d.finite_support()
-    if sup is None:
-        raise EngineRefusal(
-            f"law {d.label} has no finite support; use the monte_carlo engine")
-    v, p = sup
-    return [(ak * v, p) for ak in weights]
-
-
-def enum_distribution(d: Distribution, weights, budget: int = ENUM_STATE_BUDGET):
-    """Exact product-state enumeration of sum_k weights[k] X_k; (values, probs)."""
-    parts = _scaled_supports(d, weights)
-    states = 1
-    for v, _ in parts:
-        states *= v.size
-        if states > budget:
-            raise EngineRefusal(
-                f"enumeration needs {states}+ product states (> budget {budget}); "
-                "use the convolution or monte_carlo engine")
-    vals = np.array([0.0])
-    probs = np.array([1.0])
-    for v, p in parts:
-        vals = (vals[:, None] + v[None, :]).ravel()
-        probs = (probs[:, None] * p[None, :]).ravel()
-    return vals, probs
-
-
-def conv_distribution(d: Distribution, weights, max_points: int = CONV_POINT_BUDGET):
-    """The law (values, probs) of sum_k weights[k] X_k by sequential
-    convolution with the support collapsed at 1e-12; exact for
-    lattice-aligned weights, refuses when the support would explode."""
-    vals, probs = np.array([0.0]), np.array([1.0])
-    for v, p in _scaled_supports(d, weights):
-        vals = (vals[:, None] + v[None, :]).ravel()
-        probs = (probs[:, None] * p[None, :]).ravel()
-        vals, probs = collapse_support(vals, probs)
-        if vals.size > max_points:
-            raise EngineRefusal(
-                f"convolution support exceeded {max_points} points; "
-                "use the monte_carlo engine")
-    return vals, probs
-
-
-# Row-batched laws: a folding engine's `fold(d, ps, budget)` keeps one law
-# per row of a batch. Scales are squared (b = a^2 space) and a scale None is
-# 1; a law None is the law of 0 in every row. add(L, s, b, signs) is the law
-# of sqrt(s_r) L_r + signs_r sqrt(b_r) X in row r; join(L1, L2, s2) that of
-# L1_r + sqrt(s2_r) L2_r; rest(U) prepares a leave-one-out law for its
-# trials, and trial(R, tau, signs) gives the rows x len(ps) norms of
-# U_r + signs_r sqrt(tau_r) X, NaN or inf in a row the engine refused (past
-# its budget, or an overflow). Every step works row by row, so a row's bits do
-# not depend on the other rows; the caller silences numpy's overflow
-# warnings.
+# Row-batched laws: an engine's law class, `fold(d, ps, budget)`, keeps one
+# law per row of a batch. Scales are squared (b = a^2 space), a scale None
+# is 1 and a law None is the law of 0. add(L, s, b, w) is the law of
+# sqrt(s_r) L_r + w_r X in row r, b_r = w_r^2; join(L1, L2, s2) that of
+# L1_r + sqrt(s2_r) L2_r; rest(U) prepares a leave-one-out law, and
+# trial(R, tau, w) gives the rows x len(ps) norms of U_r + w_r X, NaN or inf
+# in a row refused (past the budget, or an overflow). law(w) is the full
+# path's law of sum_k w[k] X_k, the one-row case of the same steps, and
+# read(law, ps) the one reader: each row's moments and norms. A row's bits
+# do not depend on the other rows; the caller silences overflow warnings.
 
 @functools.lru_cache(maxsize=None)
 def _binomials(top: int) -> tuple:
@@ -205,48 +163,49 @@ def even_moment_conv(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return np.add.reduce(binom * m1[:, None, :] * m2[:, back], axis=2)
 
 
-def _even_unit(d: Distribution, ps) -> np.ndarray:
-    """E X^(2i) for i = 0..max(ps) / 2; OverflowError past the double range."""
-    top = max(int(p) // 2 for p in ps)
-    with np.errstate(over="ignore"):
-        mu = d.even_moments(top)
-    if not math.isfinite(mu[-1]):
-        raise OverflowError(f"E X^{2 * top} of {d.label} is past the double range")
-    return mu
-
-
-def even_sum_moments(d: Distribution, weights, ps) -> np.ndarray:
-    """E (sum_k weights[k] X_k)^(2i) for i = 0..max(ps) / 2, X symmetric:
-    the terms' moments joined pairwise by `even_moment_conv`, a tree of
-    log2(n) row-batched calls. Raises OverflowError where a moment at a p
-    of ps is past the double range."""
-    w = np.asarray(weights, dtype=float)
-    mu = _even_unit(d, ps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = mu * (w * w)[:, None] ** np.arange(mu.size)
-        while len(m) > 1:
-            half = len(m) // 2
-            m = np.concatenate([even_moment_conv(m[:half], m[half:2 * half]), m[2 * half:]])
-    m = m[0]
-    if not all(math.isfinite(m[int(p) // 2]) for p in ps):
-        raise OverflowError("an even moment of the sum is past the double range")
-    return m
-
-
 class _MomentFold:
-    """Row-batched even moments (rows x (top + 1)) of symmetric laws."""
+    """Row-batched even moments (rows x (top + 1)) of symmetric laws, top =
+    max(ps) / 2; OverflowError where E X^(2 top) is past the double range.
+    The full path joins its terms pairwise, a tree of log2(n) row-batched
+    `even_moment_conv` calls."""
 
-    def __init__(self, d: Distribution, ps, budget):
-        self.mu = _even_unit(d, ps)
-        self.j = np.arange(self.mu.size)
-        binom, back = _binomials(self.mu.size - 1)
-        at = [int(p) // 2 for p in ps]  # the moment each p reads
-        self.binom, self.back, self.inv = binom[at], back[at], 1.0 / np.array(ps)
+    folds = True  # `LeaveOneOut` folds its trials
+
+    def __init__(self, d: Distribution, ps, budget=None):
+        self.at = [int(p) // 2 for p in ps]  # the moment each p reads
+        top = max(self.at)
+        with np.errstate(over="ignore"):
+            self.mu = d.even_moments(top)
+        if not math.isfinite(self.mu[-1]):
+            raise OverflowError(f"E X^{2 * top} of {d.label} is past the double range")
+        self.j = np.arange(top + 1)
+        binom, back = _binomials(top)
+        self.binom, self.back, self.inv = binom[self.at], back[self.at], 1.0 / np.array(ps)
+
+    def law(self, w) -> np.ndarray:
+        """E (sum_k w[k] X_k)^(2i) for i = 0..top; OverflowError where a
+        moment at a p of ps is past the double range."""
+        w = np.asarray(w, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self.add(None, None, w * w, w)  # one row per term
+            while len(m) > 1:
+                half = len(m) // 2
+                m = np.concatenate([self.join(m[:half], m[half:2 * half], None), m[2 * half:]])
+        if not np.isfinite(m[0, self.at]).all():
+            raise OverflowError("an even moment of the sum is past the double range")
+        return m[0]
+
+    @staticmethod
+    def read(m, ps) -> tuple:
+        """The moment E S^p of each row, indexed at p / 2, and its root."""
+        moments = np.atleast_2d(m)[:, [int(p) // 2 for p in ps]]
+        return moments, np.array([[lp_root(x, p) for x, p in zip(row, ps)]
+                                  for row in moments.tolist()])
 
     def _scaled(self, m, s):
         return m if s is None else m * s[:, None] ** self.j
 
-    def add(self, m, s, b, signs):
+    def add(self, m, s, b, w):
         term = self.mu * b[:, None] ** self.j
         return term if m is None else even_moment_conv(self._scaled(m, s), term)
 
@@ -259,152 +218,195 @@ class _MomentFold:
         read; a trial weighs term j by tau^j."""
         return self.binom * u[:, self.back] * self.mu
 
-    def trial(self, r, tau, signs):
+    def trial(self, r, tau, w):
         return np.add.reduce(r * tau[:, None, None] ** self.j, axis=2) ** self.inv
 
 
 class Support(NamedTuple):
-    """Row-batched finite laws: the points of row r are where rows == r, in
-    increasing row order; a refused row has no points."""
+    """Row-batched finite laws: row r holds the next sizes[r] points, in row
+    order; a refused row has none."""
 
     values: np.ndarray
     probs: np.ndarray
-    rows: np.ndarray
+    sizes: np.ndarray
     refused: np.ndarray  # bool per row
 
 
+def _only(s: Support, rows) -> Support:
+    """s with the points of the rows marked in `rows`; the others refused."""
+    if rows.all():
+        return s
+    keep = np.repeat(rows, s.sizes)
+    return Support(s.values[keep], s.probs[keep], np.where(rows, s.sizes, 0), s.refused | ~rows)
+
+
 class _SupportFold:
-    """Row-batched finite supports, folded as `conv_distribution` folds:
-    every pair of a row's points (the first law's outer), collapsed at 1e-12,
-    a row refused once it passes the budget. An add (a prefix, suffix or
-    trial grown by one term) collapses only the rows past the budget: in
-    general position no two points merge, and a merge moves a moment at
-    second order only. The join U = P + Q collapses every row, so the law
-    of the other terms is refused as the full path's would be. A row whose
-    pairs pass budget x JOIN_SLACK is refused before any pair is made, which
-    bounds the memory by what one convolution step of the full path holds."""
+    """Row-batched finite supports, the convolution's laws: every pair of a
+    row's points (the first law's outer), collapsed at 1e-12, a row refused
+    once it passes the budget; EngineRefusal for a law with no finite
+    support. The full path collapses at every step. In a fold an add (a
+    prefix, suffix or trial grown by one term) collapses only the rows past
+    the budget: in general position no two points merge, and a merge moves a
+    moment at second order only. The join U = P + Q collapses every row, so
+    the law of the other terms is refused as the full path's would be. A row
+    whose pairs pass budget x JOIN_SLACK is refused before any pair is made,
+    which bounds the memory by what one convolution step of the full path
+    holds."""
+
+    folds = merges = True  # `LeaveOneOut` folds its trials; points merge
+    default_budget = CONV_POINT_BUDGET
 
     def __init__(self, d: Distribution, ps, budget):
-        (self.v, self.p), = _scaled_supports(d, [1.0])
-        self.ps, self.budget = np.asarray(ps, dtype=float), budget or CONV_POINT_BUDGET
+        sup = d.finite_support()
+        if sup is None:
+            raise EngineRefusal(
+                f"law {d.label} has no finite support; use the monte_carlo engine")
+        self.v, self.p = sup
+        self.ps, self.budget = np.asarray(ps, dtype=float), budget or self.default_budget
 
-    def add(self, s, c, b, signs):
-        w = signs * np.sqrt(b)
+    def law(self, w) -> Support:
+        """The one-row law of sum_k w[k] X_k; EngineRefusal at the first
+        step past the budget."""
+        s = None
+        for wk in np.asarray(w, dtype=float)[:, None]:
+            s = self.add(s, None, None, wk, lazy=False)
+            if s.refused[0]:
+                raise EngineRefusal(f"convolution support exceeded {self.budget} points; "
+                                    "use the monte_carlo engine")
+        return s
+
+    @staticmethod
+    def read(s: Support, ps) -> tuple:
+        """`support_moments` and `lp_root` of each row's points; NaN in a
+        refused row."""
+        out = np.full((2, s.refused.size, len(ps)), math.nan)
+        ends = np.cumsum(s.sizes)
+        for r in np.flatnonzero(~s.refused):
+            part = s.values[ends[r] - s.sizes[r]:ends[r]], s.probs[ends[r] - s.sizes[r]:ends[r]]
+            moments = support_moments(*part, ps)
+            out[:, r] = moments, [lp_root(m, p, part) for m, p in zip(moments, ps)]
+        return out[0], out[1]
+
+    def add(self, s, c, b, w, lazy=True):
         if s is None:
-            return Support((w[:, None] * self.v).ravel(), np.tile(self.p, w.size),
-                           np.repeat(np.arange(w.size), self.v.size), np.zeros(w.size, bool))
-        values = s.values if c is None else s.values * np.sqrt(c)[s.rows]
-        return self._settle((values[:, None] + w[s.rows, None] * self.v).ravel(),
-                            (s.probs[:, None] * self.p).ravel(),
-                            np.repeat(s.rows, self.v.size), s.refused, True)
+            s = Support(np.zeros(w.size), np.ones(w.size), np.ones(w.size, int),
+                        np.zeros(w.size, bool))
+        values = s.values if c is None else s.values * np.repeat(np.sqrt(c), s.sizes)
+        terms = w[:, None] * self.v  # one row broadcasts: the full path's pairs are not copied
+        terms = terms if w.size == 1 else np.repeat(terms, s.sizes, axis=0)
+        return self._settle((values[:, None] + terms).ravel(),
+                            (s.probs[:, None] * self.p).ravel(), s.sizes * self.v.size,
+                            s.refused, lazy)
 
     def join(self, s1, s2, c2):
         if s1 is None or s2 is None:  # one law: collapsed as a join's
-            s = s1 if s2 is None else (
-                s2 if c2 is None else s2._replace(values=s2.values * np.sqrt(c2)[s2.rows]))
-            return self._settle(s.values, s.probs, s.rows, s.refused, False)
-        count = s1.refused.size
-        n1, n2 = (np.bincount(s.rows, minlength=count) for s in (s1, s2))
+            s = s1 if s2 is None else (s2 if c2 is None else s2._replace(
+                values=s2.values * np.repeat(np.sqrt(c2), s2.sizes)))
+            return self._settle(s.values, s.probs, s.sizes, s.refused, False)
+        n1, n2 = s1.sizes, s2.sizes
         sizes = n1 * n2
         refused = s1.refused | s2.refused | (sizes > self.budget * JOIN_SLACK)
         sizes[refused] = 0
-        rows = np.repeat(np.arange(count), sizes)
+        rows = np.repeat(np.arange(sizes.size), sizes)
         q = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         i1 = (np.cumsum(n1) - n1)[rows] + q // n2[rows]
         i2 = (np.cumsum(n2) - n2)[rows] + q % n2[rows]
         v2 = s2.values[i2]
         return self._settle(s1.values[i1] + (v2 if c2 is None else np.sqrt(c2)[rows] * v2),
-                            s1.probs[i1] * s2.probs[i2], rows, refused, False)
+                            s1.probs[i1] * s2.probs[i2], sizes, refused, False)
 
-    def _settle(self, values, probs, rows, refused, lazy) -> Support:
+    def _settle(self, values, probs, sizes, refused, lazy) -> Support:
         """Collapse each row of a row-batched law made of pairs on its own
         (when lazy, the rows past the budget only) and refuse the rows still
         past it."""
-        sizes = np.bincount(rows, minlength=refused.size)
         collapse = sizes > (self.budget if lazy else 0)
-        if collapse.any():
+        if self.merges and collapse.any():
             parts = [(values[e - m:e], probs[e - m:e]) for m, e in zip(sizes, np.cumsum(sizes))]
             parts = [collapse_support(*part) if c else part for part, c in zip(parts, collapse)]
             values, probs = (np.concatenate(x) for x in zip(*parts))
             sizes = np.array([v.size for v, _ in parts])
-            rows = np.repeat(np.arange(refused.size), sizes)
         refused = refused | (sizes > self.budget)
-        keep = ~refused[rows]
-        return Support(values[keep], probs[keep], rows[keep], refused)
+        return _only(Support(values, probs, sizes, refused), ~refused)
 
     def rest(self, u):
-        """U with the mass of each of its trials' pairs, its filled rows and
-        where their pairs start, and the p blocks of the trials' powers
-        (None where a row's trial passes the budget)."""
+        """U; the rows whose trials' pairs are within the budget with their
+        points, the mass of each pair and where each row's pairs start; how
+        many powers to take at a time."""
         m = self.v.size
-        counts = np.bincount(u.rows, minlength=u.refused.size)
-        filled = np.flatnonzero(counts)
-        step = max(1, (1 << 16) // max(1, u.values.size * m))  # powers at a time
-        blocks = None if (counts * m > self.budget).any() else [
-            (lo, lo + step, self.ps[lo:lo + step, None], 1.0 / self.ps[lo:lo + step, None])
-            for lo in range(0, self.ps.size, step)]
-        mass = (u.probs[:, None] * self.p).ravel()
-        return u, mass, filled, m * (np.cumsum(counts) - counts)[filled], blocks
+        fast = (u.sizes > 0) & (u.sizes * m <= self.budget)
+        f = _only(u, fast)
+        step = max(1, (1 << 16) // max(1, f.values.size * m))
+        return (u, f, np.flatnonzero(fast), (f.probs[:, None] * self.p).ravel(),
+                m * (np.cumsum(f.sizes) - f.sizes)[fast], step)
 
-    def trial(self, rest, tau, signs):
+    def trial(self, rest, tau, w):
         """E|U + w X|^p of each row's pairs; a row past the budget, or whose
-        plain moment overflowed, takes `add` and `norms`."""
-        u, mass, filled, starts, blocks = rest
+        plain moment overflowed, takes `add` and `read`."""
+        u, f, fast, mass, starts, step = rest
         out = np.full((u.refused.size, self.ps.size), math.nan)
-        if blocks is not None and filled.size:
-            s = np.abs((u.values[:, None] + (signs * np.sqrt(tau))[u.rows, None] * self.v).ravel())
-            for lo, hi, power, inverse in blocks:
-                m = np.add.reduceat(mass * s ** power, starts, axis=1)
-                out[filled, lo:hi] = (m ** inverse).T
-            if np.isfinite(out[filled]).all():
-                return out
-        return np.where(np.isfinite(out), out, self.norms(self.add(u, None, tau, signs)))
-
-    def norms(self, s: Support) -> np.ndarray:
-        """Rows x len(ps) of ||S||_p in the scaled form M (E (|S| / M)^p)^(1/p),
-        M = max |S| per row, which neither overflows nor underflows."""
-        out = np.full((s.refused.size, self.ps.size), math.nan)
-        counts = np.bincount(s.rows, minlength=s.refused.size)
-        filled = np.flatnonzero(counts)
-        if not filled.size:
-            return out
-        starts = (np.cumsum(counts) - counts)[filled]
-        absv = np.abs(s.values)
-        top = np.maximum.reduceat(absv, starts)
-        x = absv / np.repeat(top, counts[filled])
-        step = max(1, (1 << 16) // x.size)  # at most 2^16 powers at a time
-        for lo in range(0, self.ps.size, step):
-            pb = self.ps[lo:lo + step, None]
-            m = np.add.reduceat(s.probs * x ** pb, starts, axis=1)
-            out[filled, lo:lo + step] = (top * m ** (1.0 / pb)).T
+        if fast.size:
+            s = np.abs((f.values[:, None] + np.repeat(w, f.sizes)[:, None] * self.v).ravel())
+            for lo in range(0, self.ps.size, step):
+                power = self.ps[lo:lo + step, None]
+                out[fast, lo:lo + step] = (np.add.reduceat(mass * s ** power, starts, axis=1)
+                                           ** (1.0 / power)).T
+        redo = ~u.refused & ~np.isfinite(out).all(axis=1)
+        if redo.any():
+            slow = self.read(self.add(_only(u, redo), None, tau, w), self.ps.tolist())[1]
+            out = np.where(np.isfinite(out), out, slow)
         return out
+
+
+class _EnumFold(_SupportFold):
+    """Product-state enumeration: the support law that never merges. The
+    full path refuses before it builds a law of more states than the budget;
+    `LeaveOneOut` takes the full path of each of its rows."""
+
+    folds = merges = False
+    default_budget = ENUM_STATE_BUDGET
+
+    def law(self, w) -> Support:
+        states = next((self.v.size ** k for k in range(1, len(w) + 1)
+                       if self.v.size ** k > self.budget), None)
+        if states:
+            raise EngineRefusal(f"enumeration needs {states}+ product states (> budget "
+                                f"{self.budget}); use the convolution or monte_carlo engine")
+        return super().law(w)
+
+
+def even_sum_moments(d: Distribution, weights, ps) -> np.ndarray:
+    """E (sum_k weights[k] X_k)^(2i) for i = 0..max(ps) / 2, X symmetric."""
+    return _MomentFold(d, ps).law(weights)
+
+
+def conv_distribution(d: Distribution, weights, max_points: int | None = None) -> Support:
+    """The law of sum_k weights[k] X_k by sequential convolution (exact for
+    lattice-aligned weights), refused when the support would explode."""
+    return _SupportFold(d, (), max_points).law(weights)
+
+
+def enum_distribution(d: Distribution, weights, budget: int | None = None) -> Support:
+    """The law of sum_k weights[k] X_k by product-state enumeration."""
+    return _EnumFold(d, (), budget).law(weights)
 
 
 @dataclass(frozen=True)
 class Engine:
-    """One exact engine. `build(d, w, ps, budget)` makes the law of
-    sum_k w[k] X_k for the moments at ps, or raises OverflowError or
-    EngineRefusal; `moments(law, ps)` reads E|S|^p at every p. A `support`
-    law is (values, probs), what `sum_distribution` returns. A folding
-    engine's `fold(d, ps, budget)` works on row-batched laws (see above) and
-    may raise as build does."""
+    """One exact engine: `law(d, w, ps, budget)` builds the one-row law of
+    sum_k w[k] X_k for the moments at ps through its module-level entry
+    point, or raises OverflowError or EngineRefusal; `fold` is its law class
+    (see above), whose `read` reads that law."""
 
     method: str
-    build: Callable
-    moments: Callable = lambda law, ps: support_moments(*law, ps)
+    law: Callable
+    fold: type
     applies: Callable = lambda d, ps: True  # (d, ps) -> whether the engine is tried
-    support: bool = True
-    fold: Callable | None = None
 
 
-EVEN_MOMENTS = Engine(
-    "even_moments", lambda d, w, ps, budget: even_sum_moments(d, w, ps),
-    moments=lambda m, ps: [float(m[int(p) // 2]) for p in ps], support=False,
-    applies=lambda d, ps: d.is_symmetric and all(p % 2 == 0 for p in ps), fold=_MomentFold)
-CONVOLUTION = Engine("convolution", lambda d, w, ps, budget: conv_distribution(
-    d, w, budget or CONV_POINT_BUDGET), fold=_SupportFold)
-EXACT_ENUM = Engine("exact_enum", lambda d, w, ps, budget: enum_distribution(
-    d, w, budget or ENUM_STATE_BUDGET))
+EVEN_MOMENTS = Engine("even_moments", lambda d, w, ps, b: even_sum_moments(d, w, ps), _MomentFold,
+                      applies=lambda d, ps: d.is_symmetric and all(p % 2 == 0 for p in ps))
+CONVOLUTION = Engine("convolution", lambda d, w, ps, b: conv_distribution(d, w, b), _SupportFold)
+EXACT_ENUM = Engine("exact_enum", lambda d, w, ps, b: enum_distribution(d, w, b), _EnumFold)
 
 #: --engine -> its exact engines in order (monte_carlo builds no exact law)
 ENGINES = {"auto": (EVEN_MOMENTS, CONVOLUTION, EXACT_ENUM), "exact_enum": (EXACT_ENUM,),
@@ -428,9 +430,10 @@ def _walk(engine: str, use, job):
 def sum_distribution(d: Distribution, a: CoefficientVector, engine: str = "auto",
                      budget: int | None = None):
     """(values, probs, method) of the law of sum a_k X_k from the first
-    engine of ENGINES[engine] that builds a support and does not refuse."""
-    return _walk(engine, lambda rec: rec.support,
-                 lambda rec: (*rec.build(d, a.entries, (), budget), rec.method))
+    engine of ENGINES[engine] whose law is a support and that does not
+    refuse."""
+    return _walk(engine, lambda rec: issubclass(rec.fold, _SupportFold),
+                 lambda rec: (*rec.law(d, a.entries, (), budget)[:2], rec.method))
 
 
 class LeaveOneOut:
@@ -465,33 +468,29 @@ class LeaveOneOut:
     def __init__(self, d: Distribution, signs, ps, engine: str = "auto",
                  budget: int | None = None):
         self.d, self.signs, self.ps, self.budget = d, signs, [float(p) for p in ps], budget
-        self.recs = [rec for rec in ENGINES[engine] if rec.applies(d, self.ps)]
-        self.folds: dict = {}  # method -> its fold, or what refused it
+        self.folds = []  # (engine, its fold) of each engine that takes d and ps
+        for rec in ENGINES[engine]:
+            with contextlib.suppress(OverflowError, EngineRefusal):
+                if rec.applies(d, self.ps):
+                    self.folds.append((rec, rec.fold(d, self.ps, budget)))
         self.last_k, self.laws = None, {}
 
     def __call__(self, b, rows, k: int, t) -> np.ndarray:
         if self.last_k is None or k < self.last_k:  # a new sweep
-            self.laws = {rec.method: {} for rec in self.recs}
+            self.laws = {rec.method: {} for rec, _ in self.folds}
             self.sweep = self.signs[rows], ~np.eye(b.shape[1], dtype=bool)
         self.last_k = k
         out, pending = None, None
-        for rec in self.recs:
-            if rec.fold is None:
+        for rec, fold in self.folds:
+            if not fold.folds:
                 vals = np.full((len(rows), len(self.ps)), math.nan)
                 for i in (range(len(rows)) if pending is None else np.flatnonzero(pending)):
                     point = trial_point(b[i:i + 1], k, t[i:i + 1])[0]
                     a = CoefficientVector.normalized(self.signs[rows[i]] * np.sqrt(point))
                     with contextlib.suppress(OverflowError, EngineRefusal):
-                        vals[i] = _engine_norms(rec, self.d, a.entries, self.ps, self.budget)[2]
+                        law = rec.law(self.d, a.entries, self.ps, self.budget)
+                        vals[i] = fold.read(law, self.ps)[1][0]
             else:
-                if rec.method not in self.folds:
-                    try:
-                        self.folds[rec.method] = rec.fold(self.d, self.ps, self.budget)
-                    except (OverflowError, EngineRefusal) as exc:
-                        self.folds[rec.method] = exc
-                fold = self.folds[rec.method]
-                if isinstance(fold, Exception):
-                    continue
                 with np.errstate(over="ignore", invalid="ignore", under="ignore"):
                     vals = self._fold(fold, self.laws[rec.method], b, k, t)
             if out is None:
@@ -510,6 +509,7 @@ class LeaveOneOut:
 
     def _fold(self, fold, st: dict, b, k: int, t) -> np.ndarray:
         n, (signs, others_of) = b.shape[1], self.sweep
+        w = signs * np.sqrt(b)
 
         def ratio(now, then, lo, hi):  # the common scale of coordinates lo..hi - 1
             return now[:, lo:hi].sum(axis=1) / then[:, lo:hi].sum(axis=1)
@@ -517,23 +517,24 @@ class LeaveOneOut:
         if "Q" not in st:  # the suffix laws, from this visit's accepted point
             q = [None] * n
             for j in range(n - 1, k, -1):
-                q[j - 1] = fold.add(q[j], None, b[:, j], signs[:, j])
+                q[j - 1] = fold.add(q[j], None, b[:, j], w[:, j])
             st.update(Q=q, bQ=b.copy())
         others = b.sum(axis=1, where=others_of[k])
         if st.get("k") != k:
             if st.get("k") == k - 1:  # the sweep's prefix grows by coordinate k - 1
                 p = fold.add(st["P"], ratio(b, st["b"], 0, k - 1) if k > 1 else None,
-                             b[:, k - 1], signs[:, k - 1])
+                             b[:, k - 1], w[:, k - 1])
             else:
                 p = None
                 for j in range(k):
-                    p = fold.add(p, None, b[:, j], signs[:, j])
+                    p = fold.add(p, None, b[:, j], w[:, j])
             q = st["Q"][k]
             u = fold.join(p, q, ratio(b, st["bQ"], k + 1, n) if q is not None else None)
             st.update(k=k, P=p, b=b.copy(), others=others, U=u, rest=fold.rest(u))
         # in the visit's frame the trial's coordinate is tau, the others as they were
         tau = t * st["others"] / others
-        return fold.trial(st["rest"], tau, signs[:, k]) / np.sqrt(st["others"] + tau)[:, None]
+        return (fold.trial(st["rest"], tau, signs[:, k] * np.sqrt(tau))
+                / np.sqrt(st["others"] + tau)[:, None])
 
 
 def draw_sums(d: Distribution, a: CoefficientVector) -> Callable:
@@ -575,15 +576,6 @@ def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | Non
     return out
 
 
-def _engine_norms(rec: Engine, d: Distribution, w, ps, budget) -> tuple:
-    """(law, moments, norms) of engine rec's law of sum_k w[k] X_k at
-    every p of ps; raises as rec.build does."""
-    law = rec.build(d, w, ps, budget)
-    moments = rec.moments(law, ps)
-    support = law if rec.support else None
-    return law, moments, [lp_root(m, p, support) for m, p in zip(moments, ps)]
-
-
 def sum_lp_norms(d: Distribution, a: CoefficientVector, ps, engine: str = "auto",
                  budget: int | None = None, seed: int = 0, threads: int = 1) -> list:
     """One NormEstimate of ||sum_k a_k X_k||_p, X_k i.i.d. copies of d, per p.
@@ -606,8 +598,9 @@ def sum_lp_norms(d: Distribution, a: CoefficientVector, ps, engine: str = "auto"
                 for p in ps]
 
     def estimates(rec: Engine) -> list:
-        law, moments, norms = _engine_norms(rec, d, a.entries, ps, budget)
-        meta = {"support_points": int(law[0].size)} if rec.support else {}
+        law = rec.law(d, a.entries, ps, budget)
+        moments, norms = (x[0].tolist() for x in rec.fold.read(law, ps))
+        meta = {"support_points": int(law.values.size)} if isinstance(law, Support) else {}
         return [NormEstimate(v, rec.method, meta={**meta, "moment": m})
                 for m, v in zip(moments, norms)]
 

@@ -13,12 +13,13 @@ one `norms.LeaveOneOut` per n follows the sweep: the two trials at
 coordinate k keep the other weights' ratios, so both join their one term
 onto U_k, the law of the other terms, which it combines from a prefix law
 (the coordinates before k, grown as the sweep accepts moves) and a suffix
-law (built once per sweep). A trial's value is within a few ulp of the full
+law (built once per sweep), both of the engine's law class, whose one-row
+case is the full path's law. A trial's value is within a few ulp of the full
 path's on its point, not bitwise; a row refused by one engine passes to the
-next. The starts, the scan, Monte Carlo, the closed-form sum law and
-enumeration take the full path. Bphi rows are the sums (d, a) of one
-`norms.bphi_norms` call per step: the scan in one call, then each step's
-trials in one. Trials are floats; one CoefficientVector is built per
+next. The starts, the scan, Monte Carlo, the closed-form sum law and each
+enumeration row of a trial take the full path. Bphi rows are the sums (d, a)
+of one `norms.bphi_norms` call per step: the scan in one call, then each
+step's trials in one. Trials are floats; one CoefficientVector is built per
 start's end point.
 """
 

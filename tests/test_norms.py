@@ -15,6 +15,7 @@ from khinchine.norms import (CoefficientVector, EngineRefusal, NormEstimate,
                              bphi_norm, bphi_norms, gls_norm, sum_distribution,
                              weighted_sum_bphi, weighted_sum_gls,
                              weighted_sum_lp)
+from khinchine.numerics import collapse_support
 
 RAD = Distribution.rademacher()
 G1 = Distribution.gaussian(1.0)
@@ -296,13 +297,15 @@ def test_even_moment_overflow_in_a_fold_takes_the_convolution_fold():
     # E X^320 of symmetrized Poisson(0.5) is past the double range: a trial
     # at coordinate 1 passes from the even-moment fold, which refused it, to
     # the convolution fold, as the full path passes to the convolution
+    with pytest.raises(OverflowError):  # so the trials have no even-moment fold
+        norms._MomentFold(SPOIS, [320.0])
     for w, budget in (([1.0, 2.0], None), ([1.0, 2.0, 1.5], None), ([1.0, 2.0, 1.5], 64)):
         b = np.array([w]) ** 2 / np.dot(w, w)
         loo = norms.LeaveOneOut(SPOIS, np.ones_like(b), [320.0], budget=budget)
         fold = loo(b, np.array([0]), 1, b[:, 1])[0, 0]
         full = _outcome(lambda: weighted_sum_lp(SPOIS, CoefficientVector.normalized(w), 320.0,
                                                 budget=budget))
-        assert isinstance(loo.folds["even_moments"], OverflowError)
+        assert [rec.method for rec, _ in loo.folds] == ["convolution", "exact_enum"]
         if budget is None:
             assert full.method == "convolution"
             assert not loo.laws["convolution"]["U"].refused.any()
@@ -698,3 +701,82 @@ def test_even_moment_conv_gives_each_row_its_own_bits():
     batch = norms.even_moment_conv(m1, m2)
     for r in range(7):
         assert batch[r].tobytes() == norms.even_moment_conv(m1[r:r + 1], m2[r:r + 1])[0].tobytes()
+
+
+# the full path's laws against the loops the engines had before their law
+# classes built them: a sequential convolution collapsed at every step, a
+# product-state enumeration refused before it starts, and the even-moment tree
+
+def _loop_conv(d, w, max_points):
+    vals, probs = np.array([0.0]), np.array([1.0])
+    v, p = d.finite_support()
+    for ak in w:
+        vals = (vals[:, None] + (ak * v)[None, :]).ravel()
+        probs = (probs[:, None] * p[None, :]).ravel()
+        vals, probs = collapse_support(vals, probs)
+        if vals.size > max_points:
+            raise EngineRefusal(f"convolution support exceeded {max_points} points; "
+                                "use the monte_carlo engine")
+    return vals, probs
+
+
+def _loop_enum(d, w, budget):
+    v, p = d.finite_support()
+    states = 1
+    for _ in w:
+        states *= v.size
+        if states > budget:
+            raise EngineRefusal(
+                f"enumeration needs {states}+ product states (> budget {budget}); "
+                "use the convolution or monte_carlo engine")
+    vals, probs = np.array([0.0]), np.array([1.0])
+    for ak in w:
+        vals = (vals[:, None] + (ak * v)[None, :]).ravel()
+        probs = (probs[:, None] * p[None, :]).ravel()
+    return vals, probs
+
+
+def _tree_moments(d, w, ps):
+    top = max(int(p) // 2 for p in ps)
+    with np.errstate(over="ignore"):
+        mu = d.even_moments(top)
+    if not math.isfinite(mu[-1]):
+        raise OverflowError(f"E X^{2 * top} of {d.label} is past the double range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = mu * (w * w)[:, None] ** np.arange(mu.size)
+        while len(m) > 1:
+            half = len(m) // 2
+            m = np.concatenate([norms.even_moment_conv(m[:half], m[half:2 * half]),
+                                m[2 * half:]])
+    m = m[0]
+    if not all(math.isfinite(m[int(p) // 2]) for p in ps):
+        raise OverflowError("an even moment of the sum is past the double range")
+    return m
+
+
+def _bits_or_refusal(build):
+    """The bytes of what build() returns, or the type and message it raises."""
+    try:
+        return [np.asarray(x).tobytes() for x in build()[:2]]
+    except (EngineRefusal, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+FULL_PATH_LAWS = {"rademacher": RAD, "discrete": SYM_DISCRETE, "centered-poisson:1": CPOIS,
+                  "symmetrized-poisson:0.5": SPOIS}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(law=st.sampled_from(sorted(FULL_PATH_LAWS)),
+       w=st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=1, max_size=8),
+       budget=st.sampled_from([8, 64, 1024, 1 << 15]),
+       ps=st.sampled_from([[2.0], [4.0], [8.0, 2.0], [64.0], [320.0]]))
+def test_full_path_laws_keep_the_bits_of_their_loops(law, w, budget, ps):
+    d, w = FULL_PATH_LAWS[law], np.array(w)
+    assert _bits_or_refusal(lambda: norms.conv_distribution(d, w, budget)) == \
+        _bits_or_refusal(lambda: _loop_conv(d, w, budget))
+    assert _bits_or_refusal(lambda: norms.enum_distribution(d, w, budget)) == \
+        _bits_or_refusal(lambda: _loop_enum(d, w, budget))
+    if d.is_symmetric:
+        assert _bits_or_refusal(lambda: (norms.even_sum_moments(d, w, ps), ())) == \
+            _bits_or_refusal(lambda: (_tree_moments(d, w, ps), ()))

@@ -242,7 +242,7 @@ def _trial_values(loo, spec, b, k, t):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(law=st.sampled_from(sorted(LOO_LAWS)), spec=st.sampled_from(sorted(LOO_SPECS)),
-       engine=st.sampled_from(["auto", "convolution"]),
+       engine=st.sampled_from(["auto", "convolution", "exact_enum"]),
        # the Poisson support has 17 points: its default budget is 2^18 points
        # of 6 terms' worth of sorting per trial, so it runs on 4096
        small_budget=st.booleans(),
@@ -322,20 +322,31 @@ def test_both_trials_of_a_visit_share_one_rest(monkeypatch):
     assert len(rests) == visits and len(trials) == 2 * visits
 
 
-@pytest.mark.parametrize("spec", sorted(LOO_SPECS))
-def test_leave_one_out_rows_have_the_bits_they_have_alone(spec):
-    ps = LOO_SPECS[spec].record.grid(LOO_SPECS[spec].param)[0]
-    rng = np.random.default_rng(11)
-    b = rng.dirichlet(np.ones(5), size=3)
-    signs = rng.choice([-1.0, 1.0], size=(3, 5))
-    d = LOO_LAWS["discrete"]
-    together = LeaveOneOut(d, signs, ps)
-    alone = [LeaveOneOut(d, signs[r:r + 1], ps) for r in range(3)]
-    for k in range(5):
+def _rows_case(name):
+    """(law, ps, b, signs, engine, budget) of a batch of leave-one-out rows."""
+    if name in LOO_SPECS:  # three rows on the discrete law
+        rng = np.random.default_rng(11)
+        b = rng.dirichlet(np.ones(5), size=3)
+        signs = rng.choice([-1.0, 1.0], size=(3, 5))
+        spec = LOO_SPECS[name]
+        return LOO_LAWS["discrete"], spec.record.grid(spec.param)[0], b, signs, "auto", None
+    # the other 6 terms have 7 points in row 0 (equal weights) and 64 in
+    # row 1, whose trials' 128 pairs pass the budget: row 0 keeps its bits
+    b = np.stack([np.full(7, 1 / 7), np.random.default_rng(0).dirichlet(np.ones(7))])
+    return RAD, [3.0], b, np.ones((2, 7)), "convolution", 64
+
+
+@pytest.mark.parametrize("case", sorted(LOO_SPECS) + ["rademacher-one-row-past-budget"])
+def test_leave_one_out_rows_have_the_bits_they_have_alone(case):
+    d, ps, b, signs, engine, budget = _rows_case(case)
+    rows, n = b.shape
+    together = LeaveOneOut(d, signs, ps, engine, budget)
+    alone = [LeaveOneOut(d, signs[r:r + 1], ps, engine, budget) for r in range(rows)]
+    for k in range(n):
         for factor in (1.5, 1 / 1.5):
             t = b[:, k] * factor
-            got = together(b, np.arange(3), k, t)
-            for r in range(3):
+            got = together(b, np.arange(rows), k, t)
+            for r in range(rows):
                 one = alone[r](b[r:r + 1], np.array([0]), k, t[r:r + 1])
-                assert got[r].tobytes() == one[0].tobytes()
+                assert got[r].tobytes() == one[0].tobytes(), (k, factor, r)
             b = trial_point(b, k, t)  # every row takes every trial
