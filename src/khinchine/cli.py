@@ -52,12 +52,12 @@ from .norms import (CONV_POINT_BUDGET, ENGINES, ENUM_STATE_BUDGET, MC_SAMPLES_DE
                     CoefficientVector, EngineRefusal, bphi_norm, gls_norm, weighted_sum_lp)
 from .search import (NormSpec, khinchine_inf, khinchine_sup,
                      prelim_bounds)
-from .verify import (PreconditionError, pythagoras_check, rosenthal_verify,
-                     tail_compare, verify_thm31, verify_thm32, verify_thm41,
-                     verify_thm51)
+from .verify import (TAIL_SAMPLES_DEFAULT, PreconditionError, pythagoras_check,
+                     rosenthal_verify, tail_compare, verify_thm31, verify_thm32,
+                     verify_thm41, verify_thm51)
 from .entropy import (FieldModel, covering_number, dudley_integral,
                       entropy_profile, field_sup_stats, load_space)
-from .numerics import MC_BLOCK_BYTES
+from .numerics import MC_BLOCK_BYTES, MC_UNIT_ROWS
 
 
 class SpecError(ValueError):
@@ -251,9 +251,10 @@ SAMPLES = arg("--samples", type=count(1), default=None, help="budget (at least 1
               f"engine, with its default: Monte Carlo samples ({MC_SAMPLES_DEFAULT:,}), "
               f"convolution support points ({CONV_POINT_BUDGET:,}) or enumeration product "
               f"states ({ENUM_STATE_BUDGET:,}); --engine auto on a symmetric law with even p "
-              "needs none. Monte Carlo holds, per thread, one vector of samples/16 floats for "
-              "one p, one more and up to floor(log2 max p) for a p-grid, and one block of "
-              f"draws of at most {MC_BLOCK_BYTES >> 10} KiB, not samples x n. Its Rademacher "
+              f"needs none. Monte Carlo holds, per thread, one unit of {MC_UNIT_ROWS:,} samples "
+              "and one unit of scratch for one p, one more unit and up to floor(log2 max p) "
+              f"unit squares for a p-grid, and one block of draws of at most "
+              f"{MC_BLOCK_BYTES >> 10} KiB, whatever the sample count. Its Rademacher "
               "row sums are within n ulp (of sum |a_k|) of the exact sums, and its integer "
               "powers within about p/2 ulp of pow")
 ENGINE = arg("--engine", default="auto", choices=list(ENGINES))
@@ -342,9 +343,13 @@ COMMANDS = {
                        lambda a: pythagoras_check(a.phi, laws=a.laws, trials=a.trials,
                                                   seed=a.seed)),
         "tail": ([LAW, WEIGHTS, PHI, arg("--u", default="0.5,1,1.5,2,2.5,3",
-                                         read=lambda a: tuple(split(a.u, finite))), SAMPLES],
+                                         read=lambda a: tuple(split(a.u, finite))),
+                  arg("--samples", type=count(1), default=None, help=(
+                      "Monte Carlo samples of the survival (at least 1, default "
+                      f"{TAIL_SAMPLES_DEFAULT:,}), drawn only where every exact engine refuses "
+                      "the weighted sum; the exact engines keep their default budgets"))],
                  lambda a: tail_compare(a.law, a.weights, a.phi, u_grid=a.u,
-                                        samples=a.samples or 200_000, seed=a.seed)),
+                                        samples=a.samples or TAIL_SAMPLES_DEFAULT, seed=a.seed)),
     }),
     "entropy": ("metric entropy and field simulator", {
         "cover": ([SPACE, arg("--eps", type=finite, required=True)], lambda a: dict(

@@ -303,9 +303,10 @@ def field_sup_stats(model: FieldModel, coeff_sets, copies: int = 100_000,
 
     The moment estimates carry CLT standard errors; the subgaussian signature
     is the boundedness of the ratio sequence, reported, not asserted against
-    any absolute constant. Memory per thread (`mc_abs_moments`): one vector
-    of copies/16 floats for one p, one more and up to floor(log2 max p) for
-    a p-grid, and one block of copies within MC_BLOCK_BYTES.
+    any absolute constant. Memory per thread (`mc_abs_moments`): one unit of
+    MC_UNIT_ROWS copies and its scratch for one p, one more unit and up to
+    floor(log2 max p) squares for a p-grid, and one block of copies within
+    MC_BLOCK_BYTES, whatever `copies` is.
     """
     f = model.features  # (L, Z)
     L, n_z = f.shape

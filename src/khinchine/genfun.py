@@ -73,7 +73,7 @@ class GeneratingFunction:
 
     @property
     def curvature_at_zero(self) -> float:
-        """Exact limit of phi(lam)/lam^2 as lam -> 0 (numeric for tabulated)."""
+        """Exact limit of phi(lam)/lam^2 as lam -> 0 (inf for tabulated)."""
         return self.record.curvature(self)
 
     @property
@@ -209,7 +209,8 @@ FAMILIES: dict[str, Family] = {
         json=lambda phi: {"knots": phi.knots.tolist(), "values": phi.knot_values.tolist()},
         evaluate=lambda phi, x: np.interp(x, phi.knots, phi.knot_values),
         lambda0=lambda phi: float(phi.knots[-1]),
-        curvature=lambda phi: float(phi.knot_values[1] / phi.knots[1] ** 2),
+        # linear on [0, k1], so phi(lam)/lam^2 = v1/(k1 lam) -> inf
+        curvature=lambda phi: math.inf,
         label=lambda phi: f"tabulated[{phi.knots.size}]",
         inverse=lambda phi: lambda y: np.interp(y, phi.knot_values, phi.knots),
     ),
@@ -614,8 +615,10 @@ def psi_from_phi(phi: GeneratingFunction, p_grid) -> PsiFunction:
 def phi_membership_report(phi: GeneratingFunction) -> dict:
     """Finite-grid checks of the admissibility conditions: evenness (equal
     infinities are even), zero at zero, convexity and strict increase on the
-    positive axis where phi is finite, quadratic behavior near 0, and (for
-    infinite domain radius) growth of phi(lam)/lam along the grid."""
+    positive axis where phi is finite, quadratic behavior near 0 (a finite,
+    positive curvature at 0 and phi(lam)/lam^2 within a factor 1e6 on
+    [1e-6, 1e-3]), and (for infinite domain radius) growth of phi(lam)/lam
+    along the grid."""
     top = 50.0 if phi.lambda0 == math.inf else phi.lambda0 * (1 - 1e-9)
     grid = geometric_grid(1e-6, top)
     f_pos = phi(grid)
@@ -631,10 +634,11 @@ def phi_membership_report(phi: GeneratingFunction) -> dict:
         convex = bool(np.all(np.diff(s) >= -1e-10 * np.maximum(1.0, np.abs(s[:-1]))))
     small = geometric_grid(1e-6, 1e-3)
     ratio = phi(small) / small**2
-    quad = bool(np.all(ratio > 0) and np.max(ratio) / np.min(ratio) < 1e6)
+    c2 = phi.curvature_at_zero
+    quad = bool(0 < c2 < math.inf and np.all(ratio > 0) and np.max(ratio) / np.min(ratio) < 1e6)
     report = {"even": even, "zero_at_zero": zero, "strictly_increasing": increasing,
               "convex": convex, "quadratic_near_zero": quad,
-              "curvature_at_zero": phi.curvature_at_zero}
+              "curvature_at_zero": c2}
     if phi.lambda0 == math.inf:
         r = f_pos / grid
         report["ratio_to_lambda_increasing"] = bool(np.all(np.diff(r) > 0))

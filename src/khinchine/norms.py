@@ -538,13 +538,13 @@ class LeaveOneOut:
 
 
 def draw_sums(d: Distribution, a: CoefficientVector) -> Callable:
-    """(rng, size) -> `size` draws of sum_k a_k X_k on rng, in row blocks
-    (`stream_rows`), built once per weight vector. A law's `row_sums`
+    """(rng, size) -> the units (`stream_rows`) of `size` draws of
+    sum_k a_k X_k on rng, built once per weight vector. A law's `row_sums`
     (Rademacher: byte tables, within n ulp of sum_k |a_k| of the exact sum)
     reads the stream `draw` reads; otherwise numpy weights each drawn row in
     place and sums it on its own, as a BLAS matrix-vector product's bits for
     a row depend on its place, and a row holds the law's `draw_words` for
-    each of its n draws and its sum. Memory: the output and one block, within
+    each of its n draws and its sum. Memory: one unit and one block, within
     MC_BLOCK_BYTES."""
     def drawn(g, m):
         x = d.draw(g, (m, a.n))
@@ -563,8 +563,7 @@ def _monte_carlo_lp(d: Distribution, a: CoefficientVector, ps, budget: int | Non
     sums = draw_sums(d, a)
 
     def sample(chunk, size):
-        x = sums(substream(seed, 0x10AD, chunk), size)
-        return np.abs(x, out=x)
+        return (np.abs(x, out=x) for x in sums(substream(seed, 0x10AD, chunk), size))
 
     out = []
     for p, (m, se) in zip(ps, mc_abs_moments(sample, ps, samples, threads)):
@@ -646,7 +645,8 @@ def bphi_norms(sums, phi: GeneratingFunction) -> list:
     exceeds a finite phi range; such a row takes no value in that round
     only. The lambda -> 0 limit sqrt(Var / (2 c2)), c2 the curvature of phi
     at 0, enters as an explicit candidate: the sup is frequently attained
-    only in that limit and a grid misses it. Because every step works
+    only in that limit and a grid misses it (c2 = inf, a phi linear near 0,
+    makes it 0). Because every step works
     elementwise, estimate r has the bits of its own call.
     """
     sums = [(laws, np.asarray(w, dtype=float)) for laws, w in sums]

@@ -3,7 +3,7 @@
 vectorized monotone inversion, the one candidate generator, the one
 row-batched coordinate search and the one tie rule (`incumbent`) of the
 weight searches, deterministic counter-based random streams, and Monte
-Carlo's row-blocked draws and one moment estimator."""
+Carlo's unit-streamed draws and one moment estimator."""
 
 from __future__ import annotations
 
@@ -21,7 +21,9 @@ POINTS_PER_DECADE = 64
 
 #: independent sub-streams (chunks) of every Monte Carlo moment estimate
 MC_STREAMS = 16
-#: bytes of draws in one block of a Monte Carlo chunk (see `stream_rows`)
+#: rows of one unit of a Monte Carlo chunk, drawn and reduced at once (see `stream_rows`)
+MC_UNIT_ROWS = 1 << 16
+#: bytes of draws in one block of a unit (see `stream_rows`)
 MC_BLOCK_BYTES = 1 << 19
 #: squared weight w of the leading block of a two-level candidate
 TWO_LEVEL_W = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -289,23 +291,34 @@ def substream(seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([key, mix], dtype=np.uint64)))
 
 
-def stream_rows(block, rng, size: int, width: int) -> np.ndarray:
-    """One value for each of `size` rows drawn on rng, from block(rng, m)
-    calls of B = MC_BLOCK_BYTES // (8 * width) - 1 rows, at least 2, and a
-    last block of the rest (B + 1 rows where the rest is a lone row: numpy
-    multiplies a lone row through another BLAS kernel). `width` counts every
-    8-byte word a row holds while its block works: its draws and their
-    temporaries, any copy of them and its value. Laws draw row by row and
-    blocks reduce each row on its own, so the values do not depend on B.
-    Memory: the output and one block, within MC_BLOCK_BYTES."""
-    rows = max(2, MC_BLOCK_BYTES // (8 * width) - 1)
-    starts = list(range(0, size, rows))
+def _spans(size: int, step: int):
+    """(lo, hi) of consecutive spans of `step` rows covering `size` rows, a
+    lone last row joined to the span before it."""
+    starts = list(range(0, size, step))
     if len(starts) > 1 and starts[-1] == size - 1:
         starts.pop()
-    out = np.empty(size)
-    for lo, hi in zip(starts, starts[1:] + [size]):
-        out[lo:hi] = block(rng, hi - lo)
-    return out
+    return zip(starts, starts[1:] + [size])
+
+
+def stream_rows(block, rng, size: int, width: int):
+    """Yield one value for each of `size` rows drawn on rng, in order, as
+    units of MC_UNIT_ROWS rows, each filled from block(rng, m) calls of
+    B = MC_BLOCK_BYTES // (8 * width) - 1 rows, at least 2. A lone last row
+    joins the unit, or the block, before it: numpy multiplies a lone row
+    through another BLAS kernel. `width` counts every 8-byte word a row holds
+    while its block works: its draws and their temporaries, any copy of them
+    and its value. Laws draw row by row and blocks reduce each row on its
+    own, so the values depend on neither B nor the unit size, and the units
+    only on `size`. Each unit is a view of one buffer that the next unit
+    overwrites (a consumer copies what it keeps). Memory: one unit and one
+    block, within MC_BLOCK_BYTES, whatever `size` is."""
+    rows = max(2, MC_BLOCK_BYTES // (8 * width) - 1)
+    buf = np.empty(min(size, MC_UNIT_ROWS + 1))
+    for lo, hi in _spans(size, MC_UNIT_ROWS):
+        unit = buf[:hi - lo]
+        for a, b in _spans(hi - lo, rows):
+            unit[a:b] = block(rng, b - a)
+        yield unit
 
 
 def _int_power(x, p: int, squares: list | None, out, spare):
@@ -334,30 +347,26 @@ def _int_power(x, p: int, squares: list | None, out, spare):
 
 def _power_in_place(x, p: float) -> None:
     """x <- x^p with the bits `power_sums` gives p: an integer p by
-    `_int_power`, one block of MC_BLOCK_BYTES at a time with one block of
-    scratch for its squares, any other p by `pow`."""
+    `_int_power`, with one vector of scratch for its squares, any other p by
+    `pow`."""
     if not (float(p).is_integer() and p >= 2):
         np.power(x, p, out=x)
         return
-    step = max(1, MC_BLOCK_BYTES // 8)
-    spare = np.empty(min(x.size, step))
-    for lo in range(0, x.size, step):
-        seg = x[lo:lo + step]
-        s = _int_power(seg, int(p), None, seg, spare[:seg.size])
-        if s is not seg:
-            seg[...] = s
+    s = _int_power(x, int(p), None, x, np.empty_like(x))
+    if s is not x:
+        x[...] = s
 
 
 def power_sums(x, ps) -> list:
-    """(sum x^p, sum x^(2p)) for every p in ps, x >= 0 a chunk vector that
-    the call may overwrite.
+    """(sum x^p, sum x^(2p)) for every p in ps, x >= 0 a vector (a Monte
+    Carlo unit) that the call may overwrite.
 
     An integer p takes `_int_power`: a product of repeated squares, within
     p - 1 rounding errors (about p / 2 ulp) of x^p, shared by the integer p
     of a grid; p = 1 and p = 2 keep the bits of x ** p. Any other p takes
     `pow`. Each p's sums have the same bits alone and inside any grid.
-    Memory: one p is taken in x itself, with one block of scratch; a grid
-    adds a chunk vector for its powers, and for its integers p >= 2 the
+    Memory, in vectors of x's size: one p is taken in x itself, with one of
+    scratch; a grid adds one for its powers, and for its integers p >= 2 the
     floor(log2 max p) squares when there are two or more, else one running
     square."""
     if len(ps) == 1:
@@ -379,24 +388,30 @@ def _sums(s, out) -> tuple:
 
 def mc_abs_moments(sample, ps, samples: int, threads: int = 1) -> list:
     """(mean, standard error) of |x|^p for every p in ps (p >= 1) from
-    `samples` draws taken in MC_STREAMS chunks; sample(chunk, size) returns
-    the |x| of one chunk from that chunk's own stream, a fresh vector that
-    the estimator overwrites.
+    `samples` draws taken in MC_STREAMS chunks; sample(chunk, size) yields
+    the |x| of one chunk from that chunk's own stream, as units
+    (`stream_rows`) that the estimator overwrites.
 
-    Each chunk reduces to a sum and a sum of squares per p (`power_sums`:
-    an integer p from repeated squares, within about p / 2 ulp of `pow`),
-    and the chunks are fsum-ed in order, so the result does not depend on
-    `threads`; no reduction goes through BLAS (its threads spin beside the
-    workers). A worker holds one chunk vector for one p, and one block of
-    draws within MC_BLOCK_BYTES; a p-grid adds one chunk vector and at most
-    floor(log2 max p) squares. samples < 1 raises ValueError before any draw.
+    Each unit reduces to a sum and a sum of squares per p (`power_sums`: an
+    integer p from repeated squares, within about p / 2 ulp of `pow`); a
+    chunk fsums its unit sums, and the chunks are fsum-ed in order, so the
+    result does not depend on `threads`. A chunk of one unit (at most
+    MC_UNIT_ROWS + 1 rows) keeps the bits of its own sums. No reduction goes
+    through BLAS (its threads spin beside the workers). A worker holds one
+    unit and its scratch for one p (a p-grid adds one unit and at most
+    floor(log2 max p) squares), and one block of draws within MC_BLOCK_BYTES,
+    whatever `samples` is. samples < 1 raises ValueError before any draw.
     """
     if samples < 1:
         raise ValueError(f"need at least 1 Monte Carlo sample, got {samples}")
     sizes = [samples // MC_STREAMS] * MC_STREAMS
     sizes[-1] += samples - sum(sizes)
-    parts = ordered_map(lambda chunk: power_sums(sample(chunk, sizes[chunk]), ps),
-                        range(MC_STREAMS), threads)
+
+    def chunk_sums(chunk):
+        units = [power_sums(x, ps) for x in sample(chunk, sizes[chunk])]
+        return [[math.fsum(u[j][i] for u in units) for i in (0, 1)] for j in range(len(ps))]
+
+    parts = ordered_map(chunk_sums, range(MC_STREAMS), threads)
     out = []
     for j in range(len(ps)):
         m = math.fsum(x[j][0] for x in parts) / samples

@@ -45,6 +45,8 @@ SLACK_TOL = 1e-9
 #: a sum within this of u counts as reaching it, exact or sampled: neither the
 #: support collapse nor a row sum's rounding decides a tie
 TAIL_TIE = 1e-12
+#: Monte Carlo samples of `tail_compare`'s survival where every exact engine refuses
+TAIL_SAMPLES_DEFAULT = 200_000
 #: most weights x lambdas of a block of `_trial_blocks`: one trial at n = 32 on
 #: the 449-point norm grid, the largest of the default suites. Its arrays stay
 #: below the 128 KiB from which glibc maps each allocation afresh, and a block
@@ -360,14 +362,19 @@ def _exact_survival(d: Distribution, a: CoefficientVector):
                           float(np.sum(probs[vals <= -u + TAIL_TIE]))), 0.0, method)
 
 
-def _sampled_survival(d: Distribution, a: CoefficientVector, samples: int, seed: int):
+def _sampled_survival(d: Distribution, a: CoefficientVector, us, samples: int, seed: int):
     """u -> (sampled max of both tail probabilities, its binomial standard
-    error, "monte_carlo") from one set of draws, ties within TAIL_TIE as
-    in `_exact_survival`."""
-    x = draw_sums(d, a)(substream(seed, 0x7A11), samples)
+    error, "monte_carlo") for every u of us, from one set of draws whose
+    tails are counted a unit at a time, ties within TAIL_TIE as in
+    `_exact_survival`."""
+    up, down = dict.fromkeys(us, 0), dict.fromkeys(us, 0)
+    for x in draw_sums(d, a)(substream(seed, 0x7A11), samples):
+        for u in up:
+            up[u] += int(np.count_nonzero(x >= u - TAIL_TIE))
+            down[u] += int(np.count_nonzero(x <= -u + TAIL_TIE))
 
     def at(u):
-        surv = max(float(np.mean(x >= u - TAIL_TIE)), float(np.mean(x <= -u + TAIL_TIE)))
+        surv = max(up[u], down[u]) / samples
         return surv, math.sqrt(max(surv * (1.0 - surv), 1.0 / samples) / samples), "monte_carlo"
 
     return at
@@ -375,7 +382,7 @@ def _sampled_survival(d: Distribution, a: CoefficientVector, samples: int, seed:
 
 def tail_compare(d: Distribution, a: CoefficientVector,
                  phi: GeneratingFunction, u_grid=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-                 samples: int = 200_000, seed: int = 0) -> dict:
+                 samples: int = TAIL_SAMPLES_DEFAULT, seed: int = 0) -> dict:
     """Compare the conjugate tail envelope exp(-phi*(u/tau)) of the weighted
     sum against its exact (or sampled) survival function.
 
@@ -388,7 +395,7 @@ def tail_compare(d: Distribution, a: CoefficientVector,
     tau = weighted_sum_bphi(d, a, phi).value
     us = [float(u) for u in u_grid]
     envelopes = tail_envelope(phi, tau, us)
-    survival = _exact_survival(d, a) or _sampled_survival(d, a, samples, seed)
+    survival = _exact_survival(d, a) or _sampled_survival(d, a, us, samples, seed)
     m_exp = phi.tail_exponent
     rows = []
     fitted = math.inf

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from khinchine import distributions, norms
 from khinchine.distributions import Distribution
-from khinchine.genfun import (PsiFunction, phi_natural, phi_power, phi_subgaussian,
-                              phi_tabulated)
+from khinchine.genfun import (PsiFunction, phi_inverse, phi_inverse_vec, phi_natural,
+                              phi_power, phi_subgaussian, phi_tabulated)
 from khinchine.norms import (CoefficientVector, EngineRefusal, NormEstimate,
                              bphi_norm, bphi_norms, gls_norm, sum_distribution,
                              weighted_sum_bphi, weighted_sum_gls,
@@ -611,6 +611,22 @@ def test_bphi_norm_of_a_gaussian_sum_is_its_sigma():
     for est, sigma in zip(ests, [1.0, 1.0, math.sqrt(0.36 + 0.64 * 4.0), 1.0]):
         assert est.value == pytest.approx(sigma, abs=1e-6)
         assert est.meta["zero_limit_candidate"] == pytest.approx(sigma, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [RAD, Distribution.uniform_symmetric(1.0)], ids=lambda d: d.law)
+def test_tabulated_bphi_is_a_ratio_it_attains(d):
+    """A tabulated phi is linear on [0, k1], so phi^-1(L(lam)) / lam -> 0 as
+    lam -> 0 and the zero limit is no candidate: the reported value is
+    attained at its argmax and beats no ratio of a dense lambda grid by more
+    than the grid's spacing can hide."""
+    tab = phi_tabulated([0.0, 0.5, 1.0, 2.0, 3.0], [0.0, 0.125, 0.5, 2.0, 4.5])
+    est = bphi_norm(d, tab)
+    lam = np.linspace(1e-6, 3.0 * (1 - 1e-9), 300_001)
+    ratio = phi_inverse_vec(tab, d.two_sided_log_mgf(lam)) / lam
+    at = est.meta["argmax_lambda"]
+    assert at > 0.0
+    assert est.value == pytest.approx(phi_inverse(tab, d.two_sided_log_mgf(at)) / at, rel=1e-12)
+    assert est.value <= np.max(ratio) * (1 + 1e-5)
 
 
 # ---------------------------------------------------------------------------

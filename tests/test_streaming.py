@@ -1,14 +1,19 @@
 """Row-blocked Monte Carlo draws give the values of whole-chunk draws.
 
-Every Monte Carlo chunk is drawn in blocks of rows (`numerics.stream_rows`).
-Each gate runs with the block budget `numerics.MC_BLOCK_BYTES` at 7 bytes
-(two rows a block; 19,997 samples, to keep the many small blocks quick), at
-4093 bytes and at its default (99,991 samples), sample counts that are
-multiples of neither a block nor MC_STREAMS, and compares by repr:
+Every Monte Carlo chunk is drawn as units of rows, each filled in blocks of
+rows (`numerics.stream_rows`). Each gate runs with the block budget
+`numerics.MC_BLOCK_BYTES` at 7 bytes (two rows a block; 19,997 samples, to
+keep the many small blocks quick), at 4093 bytes and at its default (99,991
+samples), sample counts that are multiples of neither a block nor
+MC_STREAMS, whose chunks are one unit each, and with the unit size
+`numerics.MC_UNIT_ROWS` at 1000 rows (blocks of 4093 bytes) and at 7 rows,
+and compares by repr:
 
 - against the same code drawing each chunk in one call (`stream_rows`
   replaced by one block), for every path and law;
 - against test-local copies of the whole-matrix code the streaming replaced.
+  Both references split each chunk's values into units as `stream_rows`
+  does (`_in_units`), since a chunk fsums its unit sums.
   Its row sum `draws @ a` is a BLAS matrix-vector product, whose bits for a
   row depend on the row's place in the call, so the streamed lp/gls path sums
   each row with numpy instead; the copies match it bitwise at n = 1 (one
@@ -30,7 +35,7 @@ from khinchine import entropy, norms, numerics
 from khinchine.distributions import Distribution
 from khinchine.entropy import FieldModel, field_sup_stats
 from khinchine.genfun import PsiFunction, phi_subgaussian
-from khinchine.norms import CoefficientVector, weighted_sum_gls, weighted_sum_lp
+from khinchine.norms import CoefficientVector, gls_norm, weighted_sum_gls, weighted_sum_lp
 from khinchine.numerics import mc_abs_moments, substream
 from khinchine.verify import tail_compare
 
@@ -40,17 +45,21 @@ SPOIS = Distribution.symmetrized_poisson(0.5)
 SKEW = Distribution.discrete([-2.0, 1.0, 3.0], [0.5, 0.25, 0.25])
 UNIF = Distribution.uniform_symmetric(1.5)
 SAMPLES = 99_991
-#: (block budget in bytes or None for the default, sample count)
-BLOCKS = [(7, 19_997), (4093, SAMPLES), (None, SAMPLES)]
+#: (block budget in bytes, unit rows, each None for the default, sample count)
+BLOCKS = [(7, None, 19_997), (4093, None, SAMPLES), (None, None, SAMPLES),
+          (4093, 1000, SAMPLES), (None, 7, 19_997)]
 PSI = PsiFunction.sqrt_p(np.arange(2.0, 9.0))
 
 
-@pytest.fixture(params=BLOCKS, ids=["block7", "block4093", "default"])
+@pytest.fixture(params=BLOCKS, ids=["block7", "block4093", "default", "unit1000", "unit7"])
 def samples(request, monkeypatch):
-    """Sets the block budget; returns the sample count to use with it."""
-    budget, count = request.param
+    """Sets the block budget and the unit size; returns the sample count to
+    use with them."""
+    budget, unit, count = request.param
     if budget is not None:
         monkeypatch.setattr(numerics, "MC_BLOCK_BYTES", budget)
+    if unit is not None:
+        monkeypatch.setattr(numerics, "MC_UNIT_ROWS", unit)
     return count
 
 
@@ -58,10 +67,20 @@ def _weights(n):
     return CoefficientVector.random_sphere(n, np.random.default_rng(n))
 
 
+def _in_units(x):
+    """x split as `stream_rows` splits a chunk: MC_UNIT_ROWS rows a unit, a
+    lone last row joined to the unit before it."""
+    rows = numerics.MC_UNIT_ROWS
+    cuts = list(range(rows, x.size, rows))
+    if cuts and cuts[-1] == x.size - 1:
+        cuts.pop()
+    return np.split(x, cuts)
+
+
 def _whole_chunks(monkeypatch):
     """Draw every chunk in one block, as before the streaming."""
     def one_block(block, rng, size, width):
-        return block(rng, size)
+        return iter(_in_units(block(rng, size)))
 
     for mod in (norms, entropy):
         monkeypatch.setattr(mod, "stream_rows", one_block)
@@ -69,6 +88,12 @@ def _whole_chunks(monkeypatch):
 
 def _key(est):
     return repr(est.value), repr(est.ci_halfwidth), repr(est.meta)
+
+
+def _joined(units):
+    """The values of a chunk's units, in order (each unit is copied before
+    the next one overwrites it)."""
+    return np.concatenate([np.empty(0)] + [u.copy() for u in units])
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +123,8 @@ def _old_monte_carlo_lp(d, a, ps, budget, seed, threads):
     samples = budget or norms.MC_SAMPLES_DEFAULT
 
     def sample(chunk, size):
-        return np.abs(_old_draw(d, substream(seed, 0x10AD, chunk), (size, a.n)) @ a.entries)
+        return _in_units(np.abs(_old_draw(d, substream(seed, 0x10AD, chunk), (size, a.n))
+                                @ a.entries))
 
     out = []
     for p, (m, se) in zip(ps, mc_abs_moments(sample, ps, samples, threads)):
@@ -122,7 +148,7 @@ def _old_field_sample(model, ent, seed, a_idx):
         else:
             g = _ref_signs(rng, shape)
         w = np.einsum("cnl,n->cl", g, ent)
-        return np.abs(np.max(w @ f, axis=1))
+        return _in_units(np.abs(np.max(w @ f, axis=1)))
     return sample
 
 
@@ -166,7 +192,7 @@ def test_rademacher_row_sums_read_the_sign_stream(n, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(numerics, "MC_BLOCK_BYTES", block)
     a, rows = _weights(n), 3001
-    got = norms.draw_sums(RAD, a)(substream(9, n), rows)
+    got = _joined(norms.draw_sums(RAD, a)(substream(9, n), rows))
     signs = _ref_signs(substream(9, n), (rows, n))
     assert _sums_within_n_ulp(got, signs, a)
     assert not _sums_within_n_ulp(got, _ref_signs(substream(9, n), (rows, n), shift=1), a)
@@ -217,11 +243,12 @@ def _fsum_moments(x, p):
 
 def _recording(seen):
     """mc_abs_moments keeping a copy of every chunk's values in `seen` (the
-    estimator may overwrite the vector it is given)."""
+    estimator may overwrite the units it is given)."""
     def moments(sample, ps, samples, threads=1):
         def kept(chunk, size):
-            seen[chunk] = sample(chunk, size)
-            return seen[chunk].copy()
+            units = [u.copy() for u in sample(chunk, size)]
+            seen[chunk] = _joined(units)
+            return units
         return mc_abs_moments(kept, ps, samples, threads)
     return moments
 
@@ -247,7 +274,7 @@ def test_mc_abs_moments_within_1e12_of_fsum(seed):
     scale = float(substream(seed, 1).uniform(0.1, 10.0))
 
     def sample(chunk, size):
-        return np.abs(substream(seed, 2, chunk).standard_normal(size)) * scale
+        return [np.abs(substream(seed, 2, chunk).standard_normal(size)) * scale]
 
     ps = [1.0, 2.5, 4.0, 8.0]
     got = _recording(seen)(sample, ps, 40_009 + seed, threads=2)
@@ -291,16 +318,12 @@ def test_power_sums_are_per_p_and_near_fsum(xs, ps):
     """Integer, half-integer, unsorted and repeated p-grids: each p's sums have
     the same bits alone and in the grid, lie within 1e-13 of the exact sums of
     x ** p and x ** 2p, and keep the bits of x ** p at p = 1, 2 and any other
-    non-integer p. power_sums may overwrite x (one p is taken in x itself, a
-    block at a time), so every call gets a copy, and one p's sums are the
-    same with blocks of 3 values."""
+    non-integer p. power_sums may overwrite x (one p is taken in x itself),
+    so every call gets a copy."""
     x = np.array(xs)
     grid = numerics.power_sums(x.copy(), ps)
     for p, (total, total2) in zip(ps, grid):
         assert numerics.power_sums(x.copy(), [p]) == [(total, total2)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(numerics, "MC_BLOCK_BYTES", 24)
-            assert numerics.power_sums(x.copy(), [p]) == [(total, total2)]
         s = x ** p
         assert total == pytest.approx(math.fsum(s), rel=1e-13, abs=0.0)
         assert total2 == pytest.approx(math.fsum(s * s), rel=1e-13, abs=0.0)
@@ -452,10 +475,66 @@ def test_stream_rows_blocks_stay_within_the_budget(size, budget, monkeypatch):
         sizes.append(m)
         return np.zeros(m)
 
-    assert numerics.stream_rows(block, None, size, 1).shape == (size,)
+    assert sum(u.size for u in numerics.stream_rows(block, None, size, 1)) == size
     assert sum(sizes) == size
     assert max(sizes, default=0) <= max(3, budget // 8)
     assert 1 not in sizes or sizes == [1]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 6, 7, 8, 13, 14, 15, 1000])
+@pytest.mark.parametrize("unit", [2, 7])
+def test_stream_rows_units_hold_one_whole_draw_in_order(size, unit, monkeypatch):
+    """Units of MC_UNIT_ROWS rows, the last one holding the rest (one more
+    where the rest is a lone row, none a lone row unless the chunk is),
+    filled in blocks of two rows: in order they hold the values of one
+    whole-chunk draw."""
+    monkeypatch.setattr(numerics, "MC_UNIT_ROWS", unit)
+    monkeypatch.setattr(numerics, "MC_BLOCK_BYTES", 7)
+
+    def block(rng, m):
+        return rng.standard_normal(m)
+
+    units = [u.copy() for u in numerics.stream_rows(block, substream(1, size), size, 1)]
+    sizes = [u.size for u in units]
+    assert all(m == unit for m in sizes[:-1])
+    assert max(sizes, default=0) <= unit + 1
+    assert 1 not in sizes or sizes == [1]
+    assert np.array_equal(_joined(units), substream(1, size).standard_normal(size))
+
+
+#: one unit of values, a lone last row joined to it
+UNIT = 8 * (numerics.MC_UNIT_ROWS + 1)
+#: (run, what a worker holds beside one block of draws): 4e6 and 1.6e7
+#: Rademacher samples at n = 32 with p = 4 hold a unit, its scratch and the
+#: four byte tables; 4e6 Gaussian samples under psi = sqrt(p) on p = 2..64
+#: hold a unit, the grid's powers and its six squares; 2e6 sampled
+#: uniform sums of the tail check hold a unit and one mask of it
+UNIT_MEMORY = {
+    **{f"lp-{samples // 10**6}M": (lambda samples=samples: weighted_sum_lp(
+        RAD, CoefficientVector.equal(32), 4.0, engine="monte_carlo", budget=samples),
+        2 * UNIT + 4 * 256 * 8) for samples in (4_000_000, 16_000_000)},
+    "gls-4M": (lambda: gls_norm(G1, PsiFunction.sqrt_p(np.arange(2.0, 65.0)),
+                                engine="monte_carlo", budget=4_000_000), (2 + 6) * UNIT),
+    "tail-2M": (lambda: tail_compare(UNIF, CoefficientVector.equal(3), phi_subgaussian(),
+                                     samples=2_000_000), UNIT + UNIT // 8),
+}
+
+
+def _peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", list(UNIT_MEMORY))
+def test_monte_carlo_peak_memory_does_not_grow_with_samples(case):
+    """A worker holds one unit and what its reduction needs, and one block
+    of draws, whatever the sample count: a chunk vector breaks the bound."""
+    run, held = UNIT_MEMORY[case]
+    assert _peak(run) <= held + numerics.MC_BLOCK_BYTES + OBJECTS
 
 
 @pytest.mark.parametrize("weights", [[1.0], [0.6, 0.8], [3.0, 1.0, 2.0, 1.0, 1.0]])

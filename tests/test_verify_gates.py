@@ -164,6 +164,12 @@ def old_exact_survival(d, a, u):
     return max(up, dn), method
 
 
+def _joined(units):
+    """The values of a Monte Carlo chunk's units, in order (each unit is
+    copied before the next one overwrites it)."""
+    return np.concatenate([np.empty(0)] + [u.copy() for u in units])
+
+
 def old_tail(d, a, phi, u_grid, samples=200_000, seed=0):
     tau = weighted_sum_bphi(d, a, phi).value
     m_exp = phi.tail_exponent
@@ -177,7 +183,7 @@ def old_tail(d, a, phi, u_grid, samples=200_000, seed=0):
             se = 0.0
         else:
             if mc_vals is None:
-                mc_vals = draw_sums(d, a)(substream(seed, 0x7A11), samples)
+                mc_vals = _joined(draw_sums(d, a)(substream(seed, 0x7A11), samples))
             surv = max(float(np.mean(mc_vals >= u - 1e-12)),
                        float(np.mean(mc_vals <= -u + 1e-12)))
             se = math.sqrt(max(surv * (1.0 - surv), 1.0 / samples) / samples)
@@ -307,7 +313,7 @@ def test_sampled_survival_counts_a_sum_rounded_one_ulp_below_u():
     u = float(exact[i])
 
     samples, seed = 20_000, 5
-    x = draw_sums(RAD, a)(substream(seed, 0x7A11), samples)
+    x = _joined(draw_sums(RAD, a)(substream(seed, 0x7A11), samples))
     drawn = substream(seed, 0x7A11).bit_generator.random_raw(samples) & np.uint64(511)
     x_exact = exact[drawn.astype(np.intp)]
     assert np.array_equal(x, rounded[drawn.astype(np.intp)])
@@ -318,7 +324,7 @@ def test_sampled_survival_counts_a_sum_rounded_one_ulp_below_u():
 
     # without a slack the rounding decides the count
     assert survival(x, 0.0) < survival(x_exact, 0.0)
-    surv, _, method = verify._sampled_survival(RAD, a, samples, seed)(u)
+    surv, _, method = verify._sampled_survival(RAD, a, [u], samples, seed)(u)
     assert (surv, method) == (survival(x_exact, verify.TAIL_TIE), "monte_carlo")
 
 
