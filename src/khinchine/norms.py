@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import Distribution, lp_root, support_moments
 from .genfun import GeneratingFunction, PsiFunction, phi_inverse_vec, phi_range
 from .numerics import (MC_STREAMS, NORM_GRID_HI, NORM_GRID_LO, collapse_support,
-                       geometric_grid, mc_abs_moments, stream_rows, substream, trial_point)
+                       geometric_grid, mc_abs_moments, stream_rows, substream)
 
 ENUM_STATE_BUDGET = 1 << 22
 CONV_POINT_BUDGET = 1 << 18
@@ -137,8 +137,9 @@ class NormEstimate:
 # trial(R, tau, w) gives the rows x len(ps) norms of U_r + w_r X, NaN or inf
 # in a row refused (past the budget, or an overflow). law(w) is the full
 # path's law of sum_k w[k] X_k, the one-row case of the same steps, and
-# read(law, ps) the one reader: each row's moments and norms. A row's bits
-# do not depend on the other rows; the caller silences overflow warnings.
+# read(law, ps) the one reader: each row's moments and norms. Every engine
+# folds `LeaveOneOut`'s trials with these steps. A row's bits do not depend
+# on the other rows; the caller silences overflow warnings.
 
 @functools.lru_cache(maxsize=None)
 def _binomials(top: int) -> tuple:
@@ -168,8 +169,6 @@ class _MomentFold:
     max(ps) / 2; OverflowError where E X^(2 top) is past the double range.
     The full path joins its terms pairwise, a tree of log2(n) row-batched
     `even_moment_conv` calls."""
-
-    folds = True  # `LeaveOneOut` folds its trials
 
     def __init__(self, d: Distribution, ps, budget=None):
         self.at = [int(p) // 2 for p in ps]  # the moment each p reads
@@ -241,10 +240,11 @@ def _only(s: Support, rows) -> Support:
 
 
 class _SupportFold:
-    """Row-batched finite supports, the convolution's laws: every pair of a
-    row's points (the first law's outer), collapsed at 1e-12, a row refused
-    once it passes the budget; EngineRefusal for a law with no finite
-    support. The full path collapses at every step. In a fold an add (a
+    """Row-batched finite supports: every pair of a row's points (the first
+    law's outer), a row refused once it passes the budget; EngineRefusal for
+    a law with no finite support. These are the convolution's laws, whose
+    points merge (`merges`): collapsed at 1e-12, by the full path at every
+    step; `_EnumFold` is the one that does not merge. In a fold an add (a
     prefix, suffix or trial grown by one term) collapses only the rows past
     the budget: in general position no two points merge, and a merge moves a
     moment at second order only. The join U = P + Q collapses every row, so
@@ -253,7 +253,7 @@ class _SupportFold:
     which bounds the memory by what one convolution step of the full path
     holds."""
 
-    folds = merges = True  # `LeaveOneOut` folds its trials; points merge
+    merges = True  # points within 1e-12 merge
     default_budget = CONV_POINT_BUDGET
 
     def __init__(self, d: Distribution, ps, budget):
@@ -291,6 +291,8 @@ class _SupportFold:
         if s is None:
             s = Support(np.zeros(w.size), np.ones(w.size), np.ones(w.size, int),
                         np.zeros(w.size, bool))
+        if not self.merges:  # no merge can bring a row back within the budget
+            s = _only(s, s.sizes * self.v.size <= self.budget)
         values = s.values if c is None else s.values * np.repeat(np.sqrt(c), s.sizes)
         terms = w[:, None] * self.v  # one row broadcasts: the full path's pairs are not copied
         terms = terms if w.size == 1 else np.repeat(terms, s.sizes, axis=0)
@@ -305,7 +307,8 @@ class _SupportFold:
             return self._settle(s.values, s.probs, s.sizes, s.refused, False)
         n1, n2 = s1.sizes, s2.sizes
         sizes = n1 * n2
-        refused = s1.refused | s2.refused | (sizes > self.budget * JOIN_SLACK)
+        cap = self.budget * (JOIN_SLACK if self.merges else 1)  # only a merge can shrink a row
+        refused = s1.refused | s2.refused | (sizes > cap)
         sizes[refused] = 0
         rows = np.repeat(np.arange(sizes.size), sizes)
         q = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -348,7 +351,8 @@ class _SupportFold:
             s = np.abs((f.values[:, None] + np.repeat(w, f.sizes)[:, None] * self.v).ravel())
             for lo in range(0, self.ps.size, step):
                 power = self.ps[lo:lo + step, None]
-                out[fast, lo:lo + step] = (np.add.reduceat(mass * s ** power, starts, axis=1)
+                x = mass * s ** (power if step > 1 else power[0, 0])  # a scalar: 2-3x faster
+                out[fast, lo:lo + step] = (np.add.reduceat(np.atleast_2d(x), starts, axis=1)
                                            ** (1.0 / power)).T
         redo = ~u.refused & ~np.isfinite(out).all(axis=1)
         if redo.any():
@@ -358,11 +362,12 @@ class _SupportFold:
 
 
 class _EnumFold(_SupportFold):
-    """Product-state enumeration: the support law that never merges. The
-    full path refuses before it builds a law of more states than the budget;
-    `LeaveOneOut` takes the full path of each of its rows."""
+    """Product-state enumeration: the support law that never merges, so
+    nothing sorts. `add` and `join` refuse a row before it makes more states
+    than the budget, which no step then holds in any row; the full path,
+    whose step k makes m^k states, refuses before its first step."""
 
-    folds = merges = False
+    merges = False
     default_budget = ENUM_STATE_BUDGET
 
     def law(self, w) -> Support:
@@ -439,11 +444,13 @@ def sum_distribution(d: Distribution, a: CoefficientVector, engine: str = "auto"
 class LeaveOneOut:
     """The lp norms (rows x len(ps)) of the trials of a
     `numerics.coordinate_search` on b = a^2, a_j = signs[r, j] sqrt(b_j),
-    from the engines of ENGINES[engine] in order; call it as that search
-    calls f with a trial.
+    from the engines of ENGINES[engine] in order, the convolution after the
+    enumeration: trial points are in general position, where enumeration
+    makes its support with no sort. Call it as that search calls f with a
+    trial.
 
     Prefix and suffix laws. At its first trial of a sweep (k below the last
-    call's) a folding engine builds, from the accepted points, the suffix
+    call's) an engine builds, from the accepted points, the suffix
     laws Q_k of the coordinates after k, for every later k. At each visit it
     grows the prefix law P_k of the coordinates before k by the one just
     visited, at its accepted value, and joins U_k = P_k + Q_k, the law of
@@ -461,15 +468,14 @@ class LeaveOneOut:
 
     Refusals. A row an engine refuses (a law past its budget, an overflow)
     passes to the next engine, as in `sum_lp_norms`; a refused U_k refuses
-    both trials of its visit before any join. An engine that does not fold
-    (exact_enum) takes the full path of each row it gets. A row no engine
-    takes is NaN."""
+    both trials of its visit before any join. A row no engine takes is
+    NaN."""
 
     def __init__(self, d: Distribution, signs, ps, engine: str = "auto",
                  budget: int | None = None):
-        self.d, self.signs, self.ps, self.budget = d, signs, [float(p) for p in ps], budget
+        self.signs, self.ps = signs, [float(p) for p in ps]
         self.folds = []  # (engine, its fold) of each engine that takes d and ps
-        for rec in ENGINES[engine]:
+        for rec in sorted(ENGINES[engine], key=lambda rec: getattr(rec.fold, "merges", False)):
             with contextlib.suppress(OverflowError, EngineRefusal):
                 if rec.applies(d, self.ps):
                     self.folds.append((rec, rec.fold(d, self.ps, budget)))
@@ -480,19 +486,10 @@ class LeaveOneOut:
             self.laws = {rec.method: {} for rec, _ in self.folds}
             self.sweep = self.signs[rows], ~np.eye(b.shape[1], dtype=bool)
         self.last_k = k
-        out, pending = None, None
+        out = None
         for rec, fold in self.folds:
-            if not fold.folds:
-                vals = np.full((len(rows), len(self.ps)), math.nan)
-                for i in (range(len(rows)) if pending is None else np.flatnonzero(pending)):
-                    point = trial_point(b[i:i + 1], k, t[i:i + 1])[0]
-                    a = CoefficientVector.normalized(self.signs[rows[i]] * np.sqrt(point))
-                    with contextlib.suppress(OverflowError, EngineRefusal):
-                        law = rec.law(self.d, a.entries, self.ps, self.budget)
-                        vals[i] = fold.read(law, self.ps)[1][0]
-            else:
-                with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                    vals = self._fold(fold, self.laws[rec.method], b, k, t)
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                vals = self._fold(fold, self.laws[rec.method], b, k, t)
             if out is None:
                 if np.isfinite(vals).all():
                     return vals

@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,21 +297,30 @@ def test_even_moment_overflow_falls_through_to_the_support():
 def test_even_moment_overflow_in_a_fold_takes_the_convolution_fold():
     # E X^320 of symmetrized Poisson(0.5) is past the double range: a trial
     # at coordinate 1 passes from the even-moment fold, which refused it, to
-    # the convolution fold, as the full path passes to the convolution
+    # the support folds, as the full path passes to the convolution. The
+    # enumeration fold comes first; the convolution fold takes what it refuses
     with pytest.raises(OverflowError):  # so the trials have no even-moment fold
         norms._MomentFold(SPOIS, [320.0])
-    for w, budget in (([1.0, 2.0], None), ([1.0, 2.0, 1.5], None), ([1.0, 2.0, 1.5], 64)):
+    for w, budget in (([1.0, 2.0], None), ([1.0, 2.0, 1.5], None), ([1.0, 2.0, 1.5], 512),
+                      ([1.0, 2.0, 1.5], 64)):
         b = np.array([w]) ** 2 / np.dot(w, w)
         loo = norms.LeaveOneOut(SPOIS, np.ones_like(b), [320.0], budget=budget)
         fold = loo(b, np.array([0]), 1, b[:, 1])[0, 0]
         full = _outcome(lambda: weighted_sum_lp(SPOIS, CoefficientVector.normalized(w), 320.0,
                                                 budget=budget))
-        assert [rec.method for rec, _ in loo.folds] == ["convolution", "exact_enum"]
+        assert [rec.method for rec, _ in loo.folds] == ["exact_enum", "convolution"]
         if budget is None:
             assert full.method == "convolution"
+            assert not loo.laws["exact_enum"]["U"].refused.any()
+            assert "U" not in loo.laws["convolution"]  # not reached
+            assert abs(fold - full.value) <= 1e-12 * full.value
+        elif budget == 512:  # the other terms' 729 states pass the budget, not their points
+            assert full.method == "convolution"
+            assert loo.laws["exact_enum"]["U"].refused.all()
             assert not loo.laws["convolution"]["U"].refused.any()
             assert abs(fold - full.value) <= 1e-12 * full.value
         else:  # the same enumeration refusal
+            assert loo.laws["exact_enum"]["U"].refused.all()
             assert loo.laws["convolution"]["U"].refused.all()
             assert math.isnan(fold) and "enumeration needs" in full
 
@@ -796,3 +806,34 @@ def test_full_path_laws_keep_the_bits_of_their_loops(law, w, budget, ps):
     if d.is_symmetric:
         assert _bits_or_refusal(lambda: (norms.even_sum_moments(d, w, ps), ())) == \
             _bits_or_refusal(lambda: (_tree_moments(d, w, ps), ()))
+
+
+def _traced_peak(run):
+    """(run()'s result, the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumeration_refuses_a_row_before_it_makes_its_states():
+    # row 0 holds 10 states, row 1 the budget's 4096: one more term of
+    # symmetrized Poisson(0.5) (27 atoms) takes row 1 to 110,592 states, and
+    # a join with a 4-state law to 16,384, within the convolution's join slack
+    fold = norms._EnumFold(SPOIS, [1.0], 4096)
+    sizes = np.array([10, 4096])
+    s = norms.Support(np.linspace(-1.0, 1.0, sizes.sum()), np.full(sizes.sum(), 1 / 4096),
+                      sizes, np.zeros(2, bool))
+    fours = norms.Support(np.tile([-1.0, 0.0, 0.5, 2.0], 2), np.full(8, 0.25), np.array([4, 4]),
+                          np.zeros(2, bool))
+    w = np.array([0.3, 0.3])
+    for step, states in ((lambda s: fold.add(s, None, w * w, w), 4096 * 27),
+                         (lambda s: fold.join(s, fours, None), 4096 * 4)):
+        got, peak = _traced_peak(lambda: step(s))
+        assert list(got.refused) == [False, True] and got.sizes[1] == 0
+        # row 0 as it is alone; row 1's values and masses are never made
+        alone = step(norms._only(s, np.array([True, False])))
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in alone]
+        assert peak < 16 * states / 8, (states, peak)

@@ -289,12 +289,15 @@ def test_a_refused_rest_refuses_the_later_trials_before_any_fold(monkeypatch):
     # the other 5 terms: 32 points
     assert np.isnan(small(b6, rows, 2, b6[:, 2] * 1.5)).all()
     # auto: the other 19 terms pass the convolution's 2^18 points, and 20
-    # terms are within the enumeration's 2^22 states, where the full path ends
+    # terms are within the enumeration's 2^22 states, where the full path
+    # ends; the enumeration fold, tried before the convolution, takes it
     t = b20[:, 2] * 1.5
-    assert full(b20, t).method == "exact_enum"
-    assert large(b20, rows, 2, t)[0, 0] == full(b20, t).value
+    first = full(b20, t)
+    assert first.method == "exact_enum"
+    assert abs(large(b20, rows, 2, t)[0, 0] - first.value) <= 1e-12 * first.value
     assert small.laws["convolution"]["U"].refused.all()
-    assert large.laws["convolution"]["U"].refused.all()
+    assert not large.laws["exact_enum"]["U"].refused.any()
+    assert "U" not in large.laws["convolution"]  # its 2^19 points are never sorted
     t = b20[:, 2] / 1.5
     second = full(b20, t).value
     folds = []
@@ -302,8 +305,32 @@ def test_a_refused_rest_refuses_the_later_trials_before_any_fold(monkeypatch):
     monkeypatch.setattr("khinchine.norms.collapse_support",
                         lambda *x: folds.append(x) or collapse(*x))
     assert np.isnan(small(b6, rows, 2, b6[:, 2] / 1.5)).all()
-    assert large(b20, rows, 2, t)[0, 0] == second
+    assert abs(large(b20, rows, 2, t)[0, 0] - second) <= 1e-12 * second
     assert folds == []
+
+
+def test_no_trial_of_a_general_position_search_is_sorted(monkeypatch):
+    # symmetrized Poisson(0.5) has 27 atoms: a trial at n = 4 has 531,441
+    # states, past the convolution's 2^18 points and within the
+    # enumeration's 2^22, where the full path ends; under auto the trials
+    # take the enumeration fold, and no support is collapsed to be refused
+    from khinchine import numerics
+    d = Distribution.symmetrized_poisson(0.5)
+    b = np.random.default_rng(5).dirichlet(np.ones(4))[None, :]
+    loo = LeaveOneOut(d, np.ones((1, 4)), [1.0])
+    sorts = []
+    collapse = numerics.collapse_support
+    for k in range(4):
+        t = b[:, k] * 1.5
+        with monkeypatch.context() as m:
+            m.setattr("khinchine.norms.collapse_support",
+                      lambda *x: sorts.append(x) or collapse(*x))
+            got = loo(b, np.array([0]), k, t)[0, 0]
+        b = trial_point(b, k, t)
+        full = sum_norm(d, CoefficientVector.normalized(np.sqrt(b[0])), NormSpec.lp(1.0))
+        assert full.method == "exact_enum"
+        assert abs(got - full.value) <= 1e-12 * full.value, (k, got, full.value)
+    assert sorts == []
 
 
 def test_both_trials_of_a_visit_share_one_rest(monkeypatch):
